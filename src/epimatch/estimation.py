@@ -52,8 +52,10 @@ class RansacResult:
     best_iteration: int = -1
 
     def __post_init__(self):
-        assert self.inlier_count == int(np.sum(self.inlier_mask))
-        assert self.inlier_count <= self.num_input_matches
+        if self.inlier_count != int(np.sum(self.inlier_mask)):
+            raise ValueError("inlier_count does not match inlier_mask")
+        if self.inlier_count > self.num_input_matches:
+            raise ValueError("inlier_count exceeds num_input_matches")
 
 
 def _hartley_transform(pts):

@@ -19,7 +19,6 @@ from .errors import (
     DegenerateLine,
     EpipoleQuery,
     PointAtInfinity,
-    ZeroTranslation,
 )
 
 # Translations below this norm (times scene scale) are rejected as pure rotation.
@@ -101,11 +100,6 @@ class RelativePose:
     def compose(self, other):
         """Pose mapping x -> self(other(x))."""
         return RelativePose(self.R @ other.R, self.R @ other.t + self.t)
-
-
-def relative_between(pose1: RelativePose, pose2: RelativePose) -> RelativePose:
-    """Pose of camera 2 relative to camera 1 (x_cam2 = R x_cam1 + t)."""
-    return pose2.compose(pose1.inverse())
 
 
 @dataclass
@@ -422,25 +416,3 @@ def read_pose_file(path):
             t = np.array(vals[8:11])
             cameras.append((cam_id, Camera(k, RelativePose(R, t))))
     return cameras
-
-
-def rotation_angle_deg(R):
-    """Rotation angle of a rotation matrix, in degrees."""
-    c = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.degrees(np.arccos(c)))
-
-
-def angular_error_deg(v1, v2, signed=False):
-    """Angle between two vectors in degrees; |dot| unless signed."""
-    v1 = np.asarray(v1, dtype=float).reshape(3)
-    v2 = np.asarray(v2, dtype=float).reshape(3)
-    n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ZeroTranslation("angular error of a zero vector")
-    c = v1 @ v2 / (n1 * n2)
-    if not signed:
-        c = abs(c)
-        c = np.clip(c, 0.0, 1.0)
-    else:
-        c = np.clip(c, -1.0, 1.0)
-    return float(np.degrees(np.arccos(c)))

@@ -99,15 +99,6 @@ def gt_classification_mask(targets, m2) -> EpipolarMask:
     return EpipolarMask(values=values, line_sets=values > 0, excluded=targets < 0)
 
 
-def coarse_loss(C_values, mask: EpipolarMask):
-    """Mean negative log-confidence over mask positives."""
-    pos = mask.values > 0
-    if not pos.any():
-        raise EmptySupervision("classification mask has no positive entries")
-    c = np.clip(C_values[pos], CLAMP_EPS, 1.0 - CLAMP_EPS)
-    return float(np.mean(-np.log(c)))
-
-
 def coarse_loss_grad(C_values, mask: EpipolarMask):
     """(loss, dL/dC); the mask itself is treated as constant (stop-gradient)."""
     pos = mask.values > 0
@@ -151,15 +142,6 @@ def d_epi_batch(F: FundamentalMatrix, x1s, x2s):
     return d, grad
 
 
-def fine_loss(F: FundamentalMatrix, x1s, x2s, scale=1.0):
-    """Mean scaled epipolar distance over fine matches."""
-    x1s = np.asarray(x1s, dtype=float)
-    if x1s.shape[0] == 0:
-        raise EmptySupervision("no fine matches to supervise")
-    d, _ = d_epi_batch(F, x1s, x2s)
-    return float(scale * np.mean(d))
-
-
 def fine_loss_grad(F: FundamentalMatrix, x1s, x2s, scale=1.0):
     """(loss, dL/dx2) for the epipolar fine loss."""
     x1s = np.asarray(x1s, dtype=float)
@@ -167,15 +149,6 @@ def fine_loss_grad(F: FundamentalMatrix, x1s, x2s, scale=1.0):
         raise EmptySupervision("no fine matches to supervise")
     d, g = d_epi_batch(F, x1s, x2s)
     return float(scale * np.mean(d)), scale * g / x1s.shape[0]
-
-
-def gt_fine_loss(x2s, gt_points, scale=1.0):
-    """Mean scaled Euclidean distance to ground-truth subpixel targets."""
-    x2s = np.asarray(x2s, dtype=float)
-    gt = np.asarray(gt_points, dtype=float)
-    if x2s.shape[0] == 0:
-        raise EmptySupervision("no fine matches to supervise")
-    return float(scale * np.mean(np.linalg.norm(x2s - gt, axis=1)))
 
 
 def gt_fine_loss_grad(x2s, gt_points, scale=1.0):
@@ -190,15 +163,3 @@ def gt_fine_loss_grad(x2s, gt_points, scale=1.0):
     nz = dist > 0
     grad[nz] = diff[nz] / dist[nz, None]
     return float(scale * np.mean(dist)), scale * grad / x2s.shape[0]
-
-
-def total_epipolar_loss(C: ConfidenceMatrix, fine_x1s, fine_x2s, F: FundamentalMatrix, cfg: LossConfig, naive_mask=False):
-    """(1 - lam) * coarse + lam * fine, with gradients w.r.t. C and the fine
-    coordinates. The classification mask is recomputed from the current C but
-    not differentiated through."""
-    sets = epipolar_line_set(F, C.grid1, C.grid2, cfg.theta)
-    mask = naive_epipolar_mask(sets) if naive_mask else epipolar_classification_mask(C, sets)
-    lc, dC = coarse_loss_grad(C.values, mask)
-    lf, dfine = fine_loss_grad(F, fine_x1s, fine_x2s, cfg.fine_weight_scale)
-    total = (1.0 - cfg.lam) * lc + cfg.lam * lf
-    return total, (1.0 - cfg.lam) * dC, cfg.lam * dfine, mask

@@ -230,12 +230,9 @@ def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherPar
     Xf1 = feats1.fine[cidx]  # (M, d_in_f)
     Xf2 = feats2.fine[widx]  # (M, Kw, d_in_f)
     e1, Yf1, nf1 = _embed_normalized(Xf1, params.W_fine)
-    M, Kw, _ = Xf2.shape
-    Y2w = Xf2 @ params.W_fine
-    n2w = np.linalg.norm(Y2w, axis=2)
-    E2w = np.zeros_like(Y2w)
-    good = n2w > _NORM_EPS
-    E2w[good] = Y2w[good] / n2w[good][:, None]
+    M, Kw, d_in_f = Xf2.shape
+    E2w, _, n2w = _embed_normalized(Xf2.reshape(M * Kw, d_in_f), params.W_fine)
+    E2w = E2w.reshape(M, Kw, -1)
     corr = np.einsum("mkd,md->mk", E2w, e1)
     logits = corr / params.tau_fine
     p = _softmax(logits, axis=1)
@@ -283,12 +280,8 @@ def _normalize_backward(dD, D, n):
     """Backward through row normalization d = y / |y| (zero rows pass zeros)."""
     dY = np.zeros_like(dD)
     good = n > _NORM_EPS
-    if dD.ndim == 2:
-        dot = np.einsum("ij,ij->i", dD[good], D[good])
-        dY[good] = (dD[good] - D[good] * dot[:, None]) / n[good][:, None]
-    else:
-        dot = np.einsum("...d,...d->...", dD[good], D[good])
-        dY[good] = (dD[good] - D[good] * dot[..., None]) / n[good][..., None]
+    dot = np.einsum("ij,ij->i", dD[good], D[good])
+    dY[good] = (dD[good] - D[good] * dot[:, None]) / n[good][:, None]
     return dY
 
 
@@ -328,11 +321,11 @@ def backward(cache, dC=None, dfine=None) -> MatcherGrads:
         dcorr = dlogits / tau
         de1 = np.einsum("mk,mkd->md", dcorr, fc["E2w"])
         dE2w = dcorr[:, :, None] * fc["e1"][:, None, :]
-        dY1f = _normalize_backward(de1, fc["e1"], fc["nf1"])
-        dY2w = _normalize_backward(dE2w, fc["E2w"], fc["n2w"])
         M, Kw, d_in_f = fc["Xf2"].shape
+        dY1f = _normalize_backward(de1, fc["e1"], fc["nf1"])
+        dY2w = _normalize_backward(dE2w.reshape(M * Kw, -1), fc["E2w"].reshape(M * Kw, -1), fc["n2w"])
         grads.dW_fine += fc["Xf1"].T @ dY1f
-        grads.dW_fine += fc["Xf2"].reshape(M * Kw, d_in_f).T @ dY2w.reshape(M * Kw, -1)
+        grads.dW_fine += fc["Xf2"].reshape(M * Kw, d_in_f).T @ dY2w
 
     return grads
 

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, ZeroTranslation
+from .errors import EmptyInput, EpimatchError, ZeroTranslation
 from .estimation import RansacConfig, estimate_relative_pose
 from .geometry import (
     CameraIntrinsics,
@@ -167,7 +167,7 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig,
             errors.append(err.combined)
             rots.append(err.rotation_deg)
             trans.append(err.translation_deg)
-        except Exception:
+        except (EpimatchError, np.linalg.LinAlgError):
             errors.append(np.inf)
             n_failed += 1
     auc5, auc10, auc20 = pose_auc(errors)

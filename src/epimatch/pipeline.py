@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateBaseline, EmptyDatasetAfterFilter, NonFiniteLoss
+from .errors import DegenerateBaseline, EmptyDatasetAfterFilter, EpimatchError, NonFiniteLoss
 from .estimation import RansacConfig, ransac_fundamental
 from .geometry import (
     FundamentalMatrix,
@@ -127,38 +127,26 @@ def _check_finite(loss, pair_index):
         raise NonFiniteLoss(f"non-finite loss on pair {pair_index}")
 
 
-def _supervised_pair_grads(pair, gt, params, mcfg, lam, fine_fraction, rng_key):
-    """Forward + gradients for one correspondence-supervised pair."""
-    targets, points = gt
-    valid = np.where(targets >= 0)[0]
-    grid = _grid_of(pair, mcfg)
-    pred, cache = forward(pair.image1, pair.image2, params, mcfg,
-                          coarse_override=(valid, targets[valid]))
-    mask = gt_classification_mask(targets, grid.m)
-    lc, dC = coarse_loss_grad(pred.C.values, mask)
-    lf = 0.0
-    dfine = None
-    M = pred.fine_x2.shape[0]
-    if M:
-        kept = cache["fine"]["kept"]
-        gt_pts = points[valid][kept]
-        keep_n = max(1, int(round(fine_fraction * M)))
-        sub = np.random.default_rng(rng_key).permutation(M)[:keep_n]
-        lf_sub, df = gt_fine_loss_grad(pred.fine_x2[sub], gt_pts[sub])
-        lf = lf_sub
-        dfine = np.zeros_like(pred.fine_x2)
-        dfine[sub] = lam * df
-    grads = backward(cache, dC=(1.0 - lam) * dC, dfine=dfine)
-    return grads, (1.0 - lam) * lc + lam * lf, lc, lf
+def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
+    """Forward + gradients for one training pair; None when the classification
+    mask has no positive (the caller counts the pair as skipped).
 
-
-def _epipolar_pair_grads(pair, F, params, mcfg, loss_cfg, naive_mask, rng_key):
-    """Forward + gradients for one epipolar-supervised pair; None when the
-    mask has no positives (counted by the caller)."""
+    target is either a FundamentalMatrix (epipolar supervision: line-set mask,
+    distance to the epipolar line) or a (targets, points) ground-truth grid
+    (teacher-forced coarse matches, one-hot mask, distance to the GT point).
+    """
+    epipolar = isinstance(target, FundamentalMatrix)
     grid = _grid_of(pair, mcfg)
-    pred, cache = forward(pair.image1, pair.image2, params, mcfg)
-    sets = epipolar_line_set(F, grid, grid, loss_cfg.theta)
-    mask = naive_epipolar_mask(sets) if naive_mask else epipolar_classification_mask(pred.C, sets)
+    if epipolar:
+        pred, cache = forward(pair.image1, pair.image2, params, mcfg)
+        sets = epipolar_line_set(target, grid, grid, loss_cfg.theta)
+        mask = naive_epipolar_mask(sets) if naive_mask else epipolar_classification_mask(pred.C, sets)
+    else:
+        targets, points = target
+        valid = np.where(targets >= 0)[0]
+        pred, cache = forward(pair.image1, pair.image2, params, mcfg,
+                              coarse_override=(valid, targets[valid]))
+        mask = gt_classification_mask(targets, grid.m)
     if not mask.values.any():
         return None
     lam = loss_cfg.lam
@@ -169,21 +157,74 @@ def _epipolar_pair_grads(pair, F, params, mcfg, loss_cfg, naive_mask, rng_key):
     if M:
         keep_n = max(1, int(round(loss_cfg.fine_supervision_fraction * M)))
         sub = np.random.default_rng(rng_key).permutation(M)[:keep_n]
-        lf_sub, df = fine_loss_grad(F, pred.fine_x1[sub], pred.fine_x2[sub],
+        if epipolar:
+            lf, df = fine_loss_grad(target, pred.fine_x1[sub], pred.fine_x2[sub],
                                     scale=loss_cfg.fine_weight_scale)
-        lf = lf_sub
+        else:
+            gt_pts = points[valid][cache["fine"]["kept"]]
+            lf, df = gt_fine_loss_grad(pred.fine_x2[sub], gt_pts[sub])
         dfine = np.zeros_like(pred.fine_x2)
         dfine[sub] = lam * df
     grads = backward(cache, dC=(1.0 - lam) * dC, dfine=dfine)
     return grads, (1.0 - lam) * lc + lam * lf, lc, lf
 
 
-def _apply_step(params, state, acc, count, cfg: TrainConfig):
-    g = acc.scaled(1.0 / max(count, 1))
-    g.dtau_coarse *= cfg.tau_coarse_lr_scale
-    g.dtau_fine *= cfg.tau_fine_lr_scale
-    sgd_step(params, g, state, lr=cfg.lr, momentum=cfg.momentum,
-             weight_decay=cfg.weight_decay)
+def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherConfig,
+           naive_mask=False, replay=None):
+    """The epoch loop of every regime: targets[k] supervises pairs[k], and a
+    None target skips the pair.
+
+    replay: optional (pairs, gts) source set; each batch then adds as many
+    source pairs, drawn without replacement, as it has target pairs. Each
+    step averages the gradients of the pairs that ran. History rows hold the
+    mean losses over the target pairs that ran, `skipped_pairs` (targets
+    that are None) and `empty_mask_pairs`, the pairs of the epoch (replay
+    included) skipped for a mask with no positive.
+    """
+    skipped = sum(1 for t in targets if t is None)
+    params = params0.copy()
+    state = SgdState.zeros(params)
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(pairs))
+        tot = tot_c = tot_f = 0.0
+        n_logged = empty = 0
+        for s0 in range(0, len(order), cfg.batch_size):
+            batch = order[s0:s0 + cfg.batch_size]
+            steps = [(pairs[k], targets[k], k, [cfg.seed, epoch, int(k)]) for k in batch]
+            if replay is not None:
+                ridx = rng.choice(len(replay[0]), size=len(batch), replace=False)
+                steps += [(replay[0][k], replay[1][k], k, [cfg.seed, 77, epoch, int(k)]) for k in ridx]
+            acc = zero_grads(params)
+            used = 0
+            for i, (pair, target, k, rng_key) in enumerate(steps):
+                if target is None:
+                    continue
+                out = _pair_grads(pair, target, params, mcfg, cfg.loss, naive_mask, rng_key)
+                if out is None:
+                    empty += 1
+                    continue
+                grads, loss, lc, lf = out
+                _check_finite(loss, k)
+                acc.add_(grads)
+                used += 1
+                if i < len(batch):
+                    tot += loss
+                    tot_c += lc
+                    tot_f += lf
+                    n_logged += 1
+            if used:
+                g = acc.scaled(1.0 / used)
+                g.dtau_coarse *= cfg.tau_coarse_lr_scale
+                g.dtau_fine *= cfg.tau_fine_lr_scale
+                sgd_step(params, g, state, lr=cfg.lr, momentum=cfg.momentum,
+                         weight_decay=cfg.weight_decay)
+        n = max(n_logged, 1)
+        history.append({"epoch": epoch, "loss": tot / n, "coarse_loss": tot_c / n,
+                        "fine_loss": tot_f / n, "skipped_pairs": skipped,
+                        "empty_mask_pairs": empty})
+    return params, history
 
 
 def pretrain(dataset_a, params0: MatcherParams, cfg: TrainConfig,
@@ -193,33 +234,9 @@ def pretrain(dataset_a, params0: MatcherParams, cfg: TrainConfig,
     Returns (params, history) where history rows carry per-epoch mean losses.
     """
     mcfg = mcfg or MatcherConfig()
-    params = params0.copy()
-    state = SgdState.zeros(params)
-    rng = np.random.default_rng(cfg.seed)
     if gts is None:
         gts = [gt_correspondence_grid(p, _grid_of(p, mcfg)) for p in dataset_a]
-    history = []
-    lam = cfg.loss.lam
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(dataset_a))
-        tot = tot_c = tot_f = 0.0
-        for s0 in range(0, len(order), cfg.batch_size):
-            batch = order[s0:s0 + cfg.batch_size]
-            acc = zero_grads(params)
-            for k in batch:
-                grads, loss, lc, lf = _supervised_pair_grads(
-                    dataset_a[k], gts[k], params, mcfg, lam,
-                    cfg.loss.fine_supervision_fraction, [cfg.seed, epoch, int(k)])
-                _check_finite(loss, k)
-                acc.add_(grads.scaled(1.0 / len(batch)))
-                tot += loss
-                tot_c += lc
-                tot_f += lf
-            _apply_step(params, state, acc, 1, cfg)
-        n = len(dataset_a)
-        history.append({"epoch": epoch, "loss": tot / n, "coarse_loss": tot_c / n,
-                        "fine_loss": tot_f / n})
-    return params, history
+    return _train(dataset_a, gts, params0, cfg, mcfg)
 
 
 def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig,
@@ -230,22 +247,17 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
     """Epipolar finetuning with F from (optionally perturbed) poses.
 
     f_override: optional per-pair list of FundamentalMatrix (or None to skip
-    the pair) replacing the pose-derived F; used by the bootstrap regime and
-    test hooks. With replay_source, each batch adds an equal count of source
-    pairs trained with the original supervised losses.
+    the pair) replacing the pose-derived F; used by the bootstrap regime.
+    With replay_source, each batch adds an equal count of source pairs
+    trained with the original supervised losses.
     """
     mcfg = mcfg or MatcherConfig()
     noise = noise or PoseNoiseConfig()
-    params = params0.copy()
-    state = SgdState.zeros(params)
-    rng = np.random.default_rng(cfg.seed)
 
     if f_override is not None:
         f_per_pair = list(f_override)
-        skipped = sum(1 for f in f_per_pair if f is None)
     else:
         f_per_pair = []
-        skipped = 0
         for i, pair in enumerate(dataset_b):
             noise_rng = np.random.default_rng([cfg.seed, 101, i])
             try:
@@ -253,55 +265,15 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
                 f_per_pair.append(fundamental_from_pose(pair.K, pair.K, pose))
             except DegenerateBaseline:
                 f_per_pair.append(None)
-                skipped += 1
     if all(f is None for f in f_per_pair):
         raise EmptyDatasetAfterFilter("no pair has a usable fundamental matrix")
 
-    use_replay = cfg.replay_source and replay_pairs is not None and len(replay_pairs) > 0
-    if use_replay and replay_gts is None:
-        replay_gts = [gt_correspondence_grid(p, _grid_of(p, mcfg)) for p in replay_pairs]
-
-    history = []
-    lam = cfg.loss.lam
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(dataset_b))
-        tot = tot_c = tot_f = 0.0
-        n_used = 0
-        for s0 in range(0, len(order), cfg.batch_size):
-            batch = order[s0:s0 + cfg.batch_size]
-            acc = zero_grads(params)
-            used = 0
-            for k in batch:
-                F = f_per_pair[k]
-                if F is None:
-                    continue
-                out = _epipolar_pair_grads(dataset_b[k], F, params, mcfg, cfg.loss,
-                                           naive_mask, [cfg.seed, epoch, int(k)])
-                if out is None:
-                    continue
-                grads, loss, lc, lf = out
-                _check_finite(loss, k)
-                acc.add_(grads)
-                used += 1
-                tot += loss
-                tot_c += lc
-                tot_f += lf
-            if use_replay:
-                ridx = rng.choice(len(replay_pairs), size=len(batch), replace=False)
-                for k in ridx:
-                    grads, loss, lc, lf = _supervised_pair_grads(
-                        replay_pairs[k], replay_gts[k], params, mcfg, lam,
-                        cfg.loss.fine_supervision_fraction, [cfg.seed, 77, epoch, int(k)])
-                    _check_finite(loss, k)
-                    acc.add_(grads)
-                    used += 1
-            if used:
-                _apply_step(params, state, acc, used, cfg)
-                n_used += used
-        denom = max(n_used, 1)
-        history.append({"epoch": epoch, "loss": tot / denom, "coarse_loss": tot_c / denom,
-                        "fine_loss": tot_f / denom, "skipped_pairs": skipped})
-    return params, history
+    replay = None
+    if cfg.replay_source and replay_pairs is not None and len(replay_pairs) > 0:
+        if replay_gts is None:
+            replay_gts = [gt_correspondence_grid(p, _grid_of(p, mcfg)) for p in replay_pairs]
+        replay = (replay_pairs, replay_gts)
+    return _train(dataset_b, f_per_pair, params0, cfg, mcfg, naive_mask=naive_mask, replay=replay)
 
 
 def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConfig,
@@ -323,7 +295,7 @@ def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConf
             continue
         try:
             res = ransac_fundamental(pred.fine_x1, pred.fine_x2, pair.K, pair.K, bcfg.ransac)
-        except Exception:
+        except (EpimatchError, np.linalg.LinAlgError):
             f_list.append(None)
             report["dropped_estimation_failed"] += 1
             continue
@@ -338,16 +310,11 @@ def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConf
 
 def bootstrap_finetune(dataset_b, params0: MatcherParams, cfg: TrainConfig,
                        bcfg: BootstrapConfig, mcfg: MatcherConfig | None = None,
-                       replay_pairs=None, replay_gts=None, f_injected=None):
+                       replay_pairs=None, replay_gts=None):
     """Estimate F per pair once up-front, then finetune against those
-    estimates. f_injected replaces the estimation step (test hook)."""
+    estimates."""
     mcfg = mcfg or MatcherConfig()
-    if f_injected is not None:
-        f_list = f_injected
-        report = {"n_pairs": len(dataset_b), "kept": sum(f is not None for f in f_list),
-                  "injected": True}
-    else:
-        f_list, report = bootstrap_fundamentals(dataset_b, params0, bcfg, mcfg)
+    f_list, report = bootstrap_fundamentals(dataset_b, params0, bcfg, mcfg)
     if report["kept"] == 0:
         raise EmptyDatasetAfterFilter("bootstrap filter removed every pair")
     params, history = finetune_pose_supervised(

@@ -143,16 +143,17 @@ def _ray_dirs_world(K: CameraIntrinsics, R, H, W):
     return d.reshape(-1, 3) @ R  # R.T @ d per row
 
 
-def render_view(spec: SceneSpec, tables, camera: Camera):
-    """Render (image, depth) for one camera by exact ray casting."""
-    H, W = spec.image_size
-    dirs = _ray_dirs_world(spec.intrinsics, camera.pose.R, H, W)
-    origin = camera.center()
-    n_pix = dirs.shape[0]
-    depth = np.full(n_pix, np.inf)
-    plane_id = np.full(n_pix, -1)
-    hit_a = np.zeros(n_pix)
-    hit_b = np.zeros(n_pix)
+def _cast_rays(spec: SceneSpec, origin, dirs):
+    """Nearest plane hit of each ray origin + t * dirs (t > 0).
+
+    Returns (depth, plane_id, a, b): ray parameter t (inf on a miss), plane
+    index (-1 on a miss) and in-plane coordinates along eu and ev.
+    """
+    n_rays = dirs.shape[0]
+    depth = np.full(n_rays, np.inf)
+    plane_id = np.full(n_rays, -1)
+    hit_a = np.zeros(n_rays)
+    hit_b = np.zeros(n_rays)
     for idx, plane in enumerate(spec.planes):
         eu = np.asarray(plane.eu, dtype=float)
         ev = np.asarray(plane.ev, dtype=float)
@@ -177,7 +178,15 @@ def render_view(spec: SceneSpec, tables, camera: Camera):
         plane_id[ok] = idx
         hit_a[ok] = a[ok]
         hit_b[ok] = b[ok]
-    image = np.zeros(n_pix)
+    return depth, plane_id, hit_a, hit_b
+
+
+def render_view(spec: SceneSpec, tables, camera: Camera):
+    """Render (image, depth) for one camera by exact ray casting."""
+    H, W = spec.image_size
+    dirs = _ray_dirs_world(spec.intrinsics, camera.pose.R, H, W)
+    depth, plane_id, hit_a, hit_b = _cast_rays(spec, camera.center(), dirs)
+    image = np.zeros(dirs.shape[0])
     for idx in range(len(spec.planes)):
         sel = plane_id == idx
         if sel.any():
@@ -209,7 +218,7 @@ def _camera_from_position(K, position, target, jitter_rot=None):
     return Camera(K, RelativePose(R, t))
 
 
-def _view_overlap(spec, cam1, cam2, tables, samples=12):
+def _view_overlap(spec, cam1, cam2, samples=12):
     """Fraction of a sparse view-1 grid whose surface points see camera 2."""
     H, W = spec.image_size
     us = np.linspace(4, W - 5, samples)
@@ -219,24 +228,7 @@ def _view_overlap(spec, cam1, cam2, tables, samples=12):
     d = np.stack([(uu.ravel() - K.cx) / K.fx, (vv.ravel() - K.cy) / K.fy, np.ones(samples ** 2)], axis=-1)
     dirs = d @ cam1.pose.R
     origin = cam1.center()
-    depth = np.full(samples ** 2, np.inf)
-    for plane in spec.planes:
-        eu = np.asarray(plane.eu, dtype=float)
-        ev = np.asarray(plane.ev, dtype=float)
-        niv = np.cross(eu, ev)
-        p0 = np.asarray(plane.origin, dtype=float)
-        denom = dirs @ niv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = ((p0 - origin) @ niv) / denom
-            local = origin + t[:, None] * dirs - p0
-            a = local @ eu
-            b = local @ ev
-        ok = (
-            (np.abs(denom) > 1e-12) & (t > 1e-9) & (t < depth)
-            & (a >= -1e-9) & (a <= plane.su + 1e-9)
-            & (b >= -1e-9) & (b <= plane.sv + 1e-9)
-        )
-        depth[ok] = t[ok]
+    depth = _cast_rays(spec, origin, dirs)[0]
     pts = origin + depth[:, None] * dirs
     Xc2 = pts @ cam2.pose.R.T + cam2.pose.t
     good = Xc2[:, 2] > 1e-6
@@ -300,7 +292,7 @@ def sample_pair(spec: SceneSpec, index, pose_override: RelativePose | None = Non
             )
             R2 = delta @ jitter @ c1.pose.R
             c2 = Camera(K, RelativePose(R2, -R2 @ pos2))
-            if _view_overlap(spec, c1, c2, tables) >= spec.min_overlap and _view_overlap(spec, c2, c1, tables) >= spec.min_overlap:
+            if _view_overlap(spec, c1, c2) >= spec.min_overlap and _view_overlap(spec, c2, c1) >= spec.min_overlap:
                 cam1, cam2 = c1, c2
                 break
         if cam1 is None:

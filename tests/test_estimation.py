@@ -14,13 +14,13 @@ from epimatch.estimation import (
 from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
+    FundamentalMatrix,
     RelativePose,
-    angular_error_deg,
     epipolar_residual,
     fundamental_from_pose,
-    rotation_angle_deg,
     rotation_from_axis_angle,
 )
+from epimatch.metrics import rotation_error, translation_error
 
 from conftest import project_points, random_camera_pair, visible_points
 
@@ -181,14 +181,24 @@ class TestRansac:
         with pytest.raises(errors.NotEnoughMatches):
             ransac_fundamental(np.zeros((5, 2)), np.zeros((5, 2)), K, K, RansacConfig())
 
+    def test_inconsistent_result_raises(self):
+        # checked by raising, so the check survives python -O
+        F = FundamentalMatrix(np.eye(3))
+        mask = np.array([True, False, True])
+        with pytest.raises(ValueError):
+            RansacResult(F, mask, inlier_count=1, num_input_matches=3)
+        with pytest.raises(ValueError):
+            RansacResult(F, mask, inlier_count=2, num_input_matches=1)
+        assert RansacResult(F, mask, inlier_count=2, num_input_matches=3).inlier_count == 2
+
 
 class TestEstimateRelativePose:
     def test_exact_matches(self, rng):
         x1, x2, cam1, cam2, pose = pixel_matches(rng, 200)
         cfg = RansacConfig(iterations=100, inlier_threshold=1e-8, seed=0)
         est, res = estimate_relative_pose(x1, x2, cam1.intrinsics, cam2.intrinsics, cfg)
-        assert np.radians(rotation_angle_deg(est.R.T @ pose.R)) < 1e-6
-        assert np.radians(angular_error_deg(est.t, pose.t)) < 1e-6
+        assert np.radians(rotation_error(est.R, pose.R)) < 1e-6
+        assert np.radians(translation_error(est.t, pose.t)) < 1e-6
         assert abs(np.linalg.norm(est.t) - 1.0) < 1e-12
 
     def test_noisy_matches_median_bound(self):
@@ -210,8 +220,8 @@ class TestEstimateRelativePose:
             x2 = project_points(cam2, pts)[:, :2] + rng.normal(0, 0.5, (200, 2))
             cfg = RansacConfig(iterations=300, inlier_threshold=1e-5, seed=seed)
             est, _ = estimate_relative_pose(x1, x2, K, K, cfg)
-            rot_errs.append(rotation_angle_deg(est.R.T @ pose.R))
-            trans_errs.append(angular_error_deg(est.t, pose.t))
+            rot_errs.append(rotation_error(est.R, pose.R))
+            trans_errs.append(translation_error(est.t, pose.t))
         assert np.median(rot_errs) < 0.5
         assert np.median(trans_errs) < 2.0
 

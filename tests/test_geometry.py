@@ -24,7 +24,6 @@ from epimatch.geometry import (
     point_line_distance,
     project,
     read_pose_file,
-    rotation_angle_deg,
     rotation_from_axis_angle,
     symmetric_epipolar_distance_sq,
     triangulate,

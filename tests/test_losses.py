@@ -2,25 +2,24 @@ import numpy as np
 import pytest
 
 from epimatch import errors
-from epimatch.geometry import FundamentalMatrix, cross_matrix, hom
+from epimatch.geometry import FundamentalMatrix, cross_matrix, fundamental_from_pose, hom
 from epimatch.grid import GridSpec
 from epimatch.losses import (
     ConfidenceMatrix,
     LossConfig,
-    coarse_loss,
     coarse_loss_grad,
     d_epi,
     d_epi_batch,
     epipolar_classification_mask,
     epipolar_line_set,
-    fine_loss,
     fine_loss_grad,
     gt_classification_mask,
-    gt_fine_loss,
     gt_fine_loss_grad,
     naive_epipolar_mask,
-    total_epipolar_loss,
 )
+from epimatch.matcher import MatcherConfig, init_params
+from epimatch.pipeline import _pair_grads
+from epimatch.synth import make_domain, sample_pair
 
 
 def horizontal_line_f():
@@ -154,12 +153,12 @@ class TestGtMask:
 class TestCoarseLoss:
     def test_perfect_confidence(self):
         M = gt_classification_mask(np.arange(4), 4)
-        assert coarse_loss(M.values.copy(), M) == pytest.approx(0.0, abs=1e-10)
+        assert coarse_loss_grad(M.values.copy(), M)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_confidence_analytic(self):
         C = np.full((16, 16), 1.0 / 16.0)
         M = gt_classification_mask(np.arange(16), 16)
-        assert coarse_loss(C, M) == pytest.approx(np.log(16.0))
+        assert coarse_loss_grad(C, M)[0] == pytest.approx(np.log(16.0))
 
     def test_naive_mask_mean_over_positives(self, rng):
         # independent oracle: explicit per-entry sum
@@ -168,12 +167,12 @@ class TestCoarseLoss:
         sets[0] = [True, True, False, True]  # ensure non-empty
         mask = naive_epipolar_mask(sets)
         expected = np.mean([-np.log(C[i, j]) for i in range(4) for j in range(4) if sets[i, j]])
-        assert coarse_loss(C, mask) == pytest.approx(expected)
+        assert coarse_loss_grad(C, mask)[0] == pytest.approx(expected)
 
     def test_empty_supervision(self):
         mask = naive_epipolar_mask(np.zeros((3, 3), bool))
         with pytest.raises(errors.EmptySupervision):
-            coarse_loss(np.full((3, 3), 0.5), mask)
+            coarse_loss_grad(np.full((3, 3), 0.5), mask)
 
     def test_gradient_matches_finite_differences(self, rng):
         C = rng.uniform(0.05, 0.95, (6, 6))
@@ -187,7 +186,7 @@ class TestCoarseLoss:
                 Cp, Cm = C.copy(), C.copy()
                 Cp[i, j] += h
                 Cm[i, j] -= h
-                fd = (coarse_loss(Cp, mask) - coarse_loss(Cm, mask)) / (2 * h)
+                fd = (coarse_loss_grad(Cp, mask)[0] - coarse_loss_grad(Cm, mask)[0]) / (2 * h)
                 assert grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -273,13 +272,13 @@ class TestFineLoss:
         F = horizontal_line_f()
         x1s = np.zeros((5, 2))
         x2s = np.column_stack([rng.uniform(0, 10, 5), np.zeros(5)])
-        assert fine_loss(F, x1s, x2s) == pytest.approx(0.0)
+        assert fine_loss_grad(F, x1s, x2s)[0] == pytest.approx(0.0)
 
     def test_mean_of_two_distances(self):
         F = horizontal_line_f()
         x1s = np.zeros((2, 2))
         x2s = np.array([[1.0, 0.2], [3.0, -0.4]])
-        assert fine_loss(F, x1s, x2s, scale=1.0) == pytest.approx(0.3)
+        assert fine_loss_grad(F, x1s, x2s, scale=1.0)[0] == pytest.approx(0.3)
 
     def test_matches_gt_loss_at_perpendicular_foot(self, rng):
         # when the gt point is the foot of the perpendicular the two losses agree
@@ -287,11 +286,11 @@ class TestFineLoss:
         x1s = np.zeros((4, 2))
         x2s = np.column_stack([rng.uniform(0, 10, 4), rng.uniform(-3, 3, 4)])
         feet = np.column_stack([x2s[:, 0], np.zeros(4)])
-        assert fine_loss(F, x1s, x2s) == pytest.approx(gt_fine_loss(x2s, feet))
+        assert fine_loss_grad(F, x1s, x2s)[0] == pytest.approx(gt_fine_loss_grad(x2s, feet)[0])
 
     def test_empty_supervision(self):
         with pytest.raises(errors.EmptySupervision):
-            fine_loss(horizontal_line_f(), np.zeros((0, 2)), np.zeros((0, 2)))
+            fine_loss_grad(horizontal_line_f(), np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_grad_matches_finite_differences(self, rng):
         F = random_f(rng)
@@ -304,17 +303,17 @@ class TestFineLoss:
                 xp, xm = x2s.copy(), x2s.copy()
                 xp[i, k] += h
                 xm[i, k] -= h
-                fd = (fine_loss(F, x1s, xp, 1.7) - fine_loss(F, x1s, xm, 1.7)) / (2 * h)
+                fd = (fine_loss_grad(F, x1s, xp, 1.7)[0] - fine_loss_grad(F, x1s, xm, 1.7)[0]) / (2 * h)
                 assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 class TestGtFineLoss:
     def test_exact_prediction(self):
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert gt_fine_loss(pts, pts) == 0.0
+        assert gt_fine_loss_grad(pts, pts)[0] == 0.0
 
     def test_three_four_five(self):
-        assert gt_fine_loss(np.array([[3.0, 4.0]]), np.zeros((1, 2))) == pytest.approx(5.0)
+        assert gt_fine_loss_grad(np.array([[3.0, 4.0]]), np.zeros((1, 2)))[0] == pytest.approx(5.0)
 
     def test_grad_matches_finite_differences(self, rng):
         x2s = rng.uniform(0, 10, (5, 2))
@@ -326,46 +325,49 @@ class TestGtFineLoss:
                 xp, xm = x2s.copy(), x2s.copy()
                 xp[i, k] += h
                 xm[i, k] -= h
-                fd = (gt_fine_loss(xp, gts, 2.0) - gt_fine_loss(xm, gts, 2.0)) / (2 * h)
+                fd = (gt_fine_loss_grad(xp, gts, 2.0)[0] - gt_fine_loss_grad(xm, gts, 2.0)[0]) / (2 * h)
                 assert grad[i, k] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 class TestTotalLoss:
-    def _instance(self, rng):
-        grid = GridSpec(4, 4, 8)
-        C = ConfidenceMatrix(rng.uniform(0.01, 0.99, (16, 16)), grid, grid)
-        F = FundamentalMatrix.from_matrix(cross_matrix([1.0, 0.2, 0.1]) + 1e-3 * rng.normal(size=(3, 3)))
-        x1s = grid.cell_centers()[:6]
-        x2s = x1s + rng.uniform(-3, 3, (6, 2))
-        return C, x1s, x2s, F
+    """The per-pair step of the training loop with an epipolar target."""
 
-    def test_lambda_zero_is_coarse_only(self, rng):
-        C, x1s, x2s, F = self._instance(rng)
-        cfg = LossConfig(lam=0.0)
-        total, dC, dfine, mask = total_epipolar_loss(C, x1s, x2s, F, cfg)
-        assert total == pytest.approx(coarse_loss(C.values, mask))
-        assert np.allclose(dfine, 0.0)
+    # threshold 0 keeps every mutual nearest neighbour, so an untrained
+    # matcher yields fine matches and both loss terms are live
+    MCFG = MatcherConfig(match_threshold=0.0)
 
-    def test_lambda_one_is_fine_only(self, rng):
-        C, x1s, x2s, F = self._instance(rng)
-        cfg = LossConfig(lam=1.0)
-        total, dC, dfine, _ = total_epipolar_loss(C, x1s, x2s, F, cfg)
-        assert total == pytest.approx(fine_loss(F, x1s, x2s, cfg.fine_weight_scale))
-        assert np.allclose(dC, 0.0)
+    @pytest.fixture(scope="class")
+    def instance(self):
+        pair = sample_pair(make_domain("B", seed=3), 0)
+        F = fundamental_from_pose(pair.K, pair.K, pair.pose)
+        return pair, F, init_params(self.MCFG, seed=3)
 
-    def test_convex_combination(self, rng):
-        C, x1s, x2s, F = self._instance(rng)
-        cfg = LossConfig(lam=0.5)
-        total, _, _, mask = total_epipolar_loss(C, x1s, x2s, F, cfg)
-        lc = coarse_loss(C.values, mask)
-        lf = fine_loss(F, x1s, x2s, cfg.fine_weight_scale)
+    def _step(self, instance, cfg, F=None):
+        pair, F0, params = instance
+        out = _pair_grads(pair, F0 if F is None else F, params, self.MCFG, cfg, False, [0])
+        assert out is not None
+        return out
+
+    def test_lambda_zero_is_coarse_only(self, instance):
+        grads, total, lc, lf = self._step(instance, LossConfig(lam=0.0))
+        assert lf > 0.0
+        assert total == pytest.approx(lc)
+        assert np.all(grads.dW_fine == 0.0) and grads.dtau_fine == 0.0
+
+    def test_lambda_one_is_fine_only(self, instance):
+        grads, total, lc, lf = self._step(instance, LossConfig(lam=1.0))
+        assert lc > 0.0
+        assert total == pytest.approx(lf)
+        assert np.all(grads.dW_coarse == 0.0) and grads.dtau_coarse == 0.0
+
+    def test_convex_combination(self, instance):
+        _, total, lc, lf = self._step(instance, LossConfig(lam=0.5))
         assert total == pytest.approx(0.5 * lc + 0.5 * lf)
         # spec arithmetic: coarse 2.0, fine 0.3 at lam 0.5 -> 1.15
         assert 0.5 * 2.0 + 0.5 * 0.3 == pytest.approx(1.15)
 
-    def test_invariant_to_f_rescaling(self, rng):
-        C, x1s, x2s, F = self._instance(rng)
+    def test_invariant_to_f_rescaling(self, instance):
         cfg = LossConfig(lam=0.5)
-        t1, *_ = total_epipolar_loss(C, x1s, x2s, F, cfg)
-        t2, *_ = total_epipolar_loss(C, x1s, x2s, FundamentalMatrix(-7.0 * F.m), cfg)
+        _, t1, *_ = self._step(instance, cfg)
+        _, t2, *_ = self._step(instance, cfg, FundamentalMatrix(-7.0 * instance[1].m))
         assert t1 == pytest.approx(t2)

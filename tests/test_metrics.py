@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,29 @@ class TestEvaluate:
         a = evaluate(params, pairs, cfg)
         b = evaluate(params, pairs, cfg)
         assert a == b
+
+    @pytest.mark.parametrize("exc, counted", [(errors.NotEnoughMatches, True),
+                                              (np.linalg.LinAlgError, True),
+                                              (TypeError, False)])
+    def test_estimation_errors_counted_by_type(self, monkeypatch, exc, counted):
+        # an EpimatchError or LinAlgError is a failed pair; anything else is a
+        # defect and propagates
+        from epimatch import metrics
+        from epimatch.synth import make_domain, sample_pair
+
+        pairs = [sample_pair(make_domain("A", seed=3), i) for i in range(2)]
+        x = np.random.default_rng(0).uniform(8.0, 56.0, (10, 2))
+        pred = SimpleNamespace(fine_x1=x, fine_x2=x + 1.0)
+        monkeypatch.setattr(metrics, "forward", lambda *args, **kwargs: (pred, None))
+
+        def estimate(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(metrics, "estimate_relative_pose", estimate)
+        params = init_params(MatcherConfig(), seed=0)
+        if counted:
+            report = evaluate(params, pairs, RansacConfig(seed=0))
+            assert report.n_failed == 2 and report.mean_matches == 10
+        else:
+            with pytest.raises(exc):
+                evaluate(params, pairs, RansacConfig(seed=0))

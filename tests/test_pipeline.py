@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from epimatch import errors
-from epimatch.geometry import fundamental_from_pose
+from epimatch import errors, pipeline
+from epimatch.geometry import FundamentalMatrix, fundamental_from_pose
+from epimatch.grid import GridSpec
 from epimatch.losses import LossConfig
 from epimatch.matcher import MatcherConfig, init_params
+from epimatch.metrics import rotation_error, translation_error
 from epimatch.pipeline import (
     BootstrapConfig,
     PAPER_BOOTSTRAP_FILTER,
@@ -18,9 +22,15 @@ from epimatch.pipeline import (
     pretrain_config,
     write_run_outputs,
 )
-from epimatch.synth import make_domain, sample_pair
+from epimatch.synth import gt_correspondence_grid, make_domain, sample_pair
 
 MCFG = MatcherConfig()
+HISTORY_KEYS = {"epoch", "loss", "coarse_loss", "fine_loss", "skipped_pairs", "empty_mask_pairs"}
+
+
+def off_image_f():
+    """F whose epipolar line is v = -1000 for every point: no cell is on it."""
+    return FundamentalMatrix(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1000.0]]))
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +74,16 @@ class TestPretrain:
         _, history = pretrain(a, init_params(MCFG, seed=3), cfg)
         assert history[-1]["coarse_loss"] < history[0]["coarse_loss"]
 
+    def test_empty_gt_grid_skipped_and_counted(self, tiny_data):
+        a, _ = tiny_data
+        gts = [gt_correspondence_grid(p, GridSpec.for_image(*p.image1.shape, MCFG.patch_width))
+               for p in a]
+        gts[2] = (np.full_like(gts[2][0], -1), gts[2][1])
+        cfg = pretrain_config(epochs=2, seed=1)
+        _, history = pretrain(a, init_params(MCFG, seed=1), cfg, gts=gts)
+        assert [row["empty_mask_pairs"] for row in history] == [1, 1]
+        assert all(set(row) == HISTORY_KEYS and row["skipped_pairs"] == 0 for row in history)
+
 
 class TestPerturbPose:
     def test_zero_noise_is_identity(self, tiny_data):
@@ -74,12 +94,10 @@ class TestPerturbPose:
 
     def test_magnitudes_respected(self, tiny_data):
         _, b = tiny_data
-        from epimatch.geometry import angular_error_deg, rotation_angle_deg
-
         rng = np.random.default_rng(0)
         pose = perturb_pose(b[0].pose, PoseNoiseConfig(2.0, 2.0), rng)
-        assert rotation_angle_deg(pose.R @ b[0].pose.R.T) == pytest.approx(2.0, abs=1e-9)
-        assert angular_error_deg(pose.t, b[0].pose.t) == pytest.approx(2.0, abs=1e-6)
+        assert rotation_error(np.eye(3), pose.R @ b[0].pose.R.T) == pytest.approx(2.0, abs=1e-9)
+        assert translation_error(pose.t, b[0].pose.t) == pytest.approx(2.0, abs=1e-6)
 
 
 class TestFinetune:
@@ -113,6 +131,27 @@ class TestFinetune:
         losses = [row["loss"] for row in history]
         assert all(l2 <= l1 + 1e-9 for l1, l2 in zip(losses, losses[1:]))
 
+    def test_replay_leaves_logged_target_losses_unchanged(self, tiny_data, warm_params):
+        # one full batch: every B pair sees the initial parameters, so the
+        # mean over the B pairs must not depend on the replayed source pairs
+        a, b = tiny_data
+        cfg = TrainConfig(epochs=1, seed=3, batch_size=len(b))
+        _, with_replay = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a)
+        _, without = finetune_pose_supervised(
+            b, warm_params, TrainConfig(epochs=1, seed=3, batch_size=len(b), replay_source=False))
+        for key in ("loss", "coarse_loss", "fine_loss"):
+            assert with_replay[0][key] == without[0][key]
+
+    def test_empty_epipolar_mask_skipped_and_counted(self, tiny_data, warm_params):
+        a, b = tiny_data
+        fs = [fundamental_from_pose(p.K, p.K, p.pose) for p in b]
+        fs[0] = off_image_f()
+        fs[1] = None
+        cfg = TrainConfig(epochs=2, seed=4)
+        _, history = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a, f_override=fs)
+        assert [row["empty_mask_pairs"] for row in history] == [1, 1]
+        assert all(set(row) == HISTORY_KEYS and row["skipped_pairs"] == 1 for row in history)
+
     def test_all_pairs_unusable_raises(self, tiny_data, warm_params):
         _, b = tiny_data
         cfg = TrainConfig(epochs=1, seed=0)
@@ -137,17 +176,39 @@ class TestBootstrap:
         assert report["kept"] == 0
         assert report["dropped_few_matches"] == len(b)
 
-    def test_injected_gt_f_matches_pose_supervised(self, tiny_data, warm_params):
+    def test_injected_gt_f_matches_pose_supervised(self, tiny_data, warm_params, monkeypatch):
         a, b = tiny_data
         cfg = TrainConfig(epochs=2, seed=4)
         exact_fs = [fundamental_from_pose(p.K, p.K, p.pose) for p in b]
-        p1, h1, report = bootstrap_finetune(b, warm_params, cfg, BootstrapConfig(),
-                                            replay_pairs=a, f_injected=exact_fs)
+        report = {"n_pairs": len(b), "kept": len(b)}
+        monkeypatch.setattr(pipeline, "bootstrap_fundamentals", lambda *args, **kwargs: (exact_fs, report))
+        p1, h1, r1 = bootstrap_finetune(b, warm_params, cfg, BootstrapConfig(), replay_pairs=a)
         p2, h2 = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a,
                                           f_override=exact_fs)
-        assert report["injected"] is True
+        assert r1 is report
         assert p1.W_coarse.tobytes() == p2.W_coarse.tobytes()
+        assert p1.W_fine.tobytes() == p2.W_fine.tobytes()
         assert h1 == h2
+        assert all(set(row) == HISTORY_KEYS for row in h1)
+
+    @pytest.mark.parametrize("fine_x1, counted", [(np.zeros((5, 2)), True), ([[1j, 1j]] * 5, False)],
+                             ids=["NotEnoughMatches", "TypeError"])
+    def test_estimation_errors_counted_by_type(self, tiny_data, warm_params, monkeypatch,
+                                               fine_x1, counted):
+        # 5 matches pass min_matches = 5, then RANSAC raises NotEnoughMatches
+        # (counted); complex coordinates raise TypeError, a defect that
+        # propagates
+        _, b = tiny_data
+        pred = SimpleNamespace(fine_x1=fine_x1, fine_x2=np.zeros((5, 2)))
+        monkeypatch.setattr(pipeline, "forward", lambda *args, **kwargs: (pred, None))
+        bcfg = BootstrapConfig(min_matches=5, min_inliers=5)
+        if counted:
+            f_list, report = bootstrap_fundamentals(b[:2], warm_params, bcfg)
+            assert f_list == [None, None]
+            assert report["dropped_estimation_failed"] == 2
+        else:
+            with pytest.raises(TypeError):
+                bootstrap_fundamentals(b[:2], warm_params, bcfg)
 
     def test_empty_after_filter_raises(self, tiny_data, warm_params):
         a, b = tiny_data
