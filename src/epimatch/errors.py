@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the toolkit."""
+"""Exception taxonomy shared across the toolkit, and the checked binary read."""
 
 
 class EpimatchError(Exception):
@@ -41,6 +41,10 @@ class NoValidHypothesis(EpimatchError):
     """Every RANSAC iteration produced a degenerate model."""
 
 
+class NotEnoughReplayPairs(EpimatchError):
+    """The replay set holds fewer source pairs than one batch draws."""
+
+
 class EmptySupervision(EpimatchError):
     """A loss was evaluated with no supervised entries."""
 
@@ -71,3 +75,12 @@ class EmptyInput(EpimatchError):
 
 class DegeneratePose(EpimatchError):
     """Pose sampling failed to produce a usable camera pair."""
+
+
+def read_exact(fh, n):
+    """Read n bytes from a binary file; a short read raises ValueError naming
+    the file and the bytes expected and read."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{fh.name}: truncated at byte {fh.tell()}: expected {n} bytes, read {len(data)}")
+    return data

@@ -20,12 +20,16 @@ from .geometry import (
     CameraIntrinsics,
     FundamentalMatrix,
     RelativePose,
+    _canonicalize,
     decompose_essential,
     fundamental_to_essential,
     normalize_points,
 )
 
 MIN_SAMPLE = 8
+# most (hypothesis, match) pairs scored at once: the scorer's temporaries
+# stay near 3 MB, or hold one hypothesis beyond 2**15 matches
+_SCORE_BLOCK = 1 << 15
 
 
 @dataclass
@@ -59,52 +63,67 @@ class RansacResult:
 
 
 def _hartley_transform(pts):
-    """Translate centroid to origin, scale mean distance to sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    d = np.linalg.norm(pts - centroid, axis=1).mean()
-    if d < 1e-12:
-        raise DegenerateConfiguration("coincident points cannot be normalized")
-    s = np.sqrt(2.0) / d
-    T = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
-    return (pts - centroid) * s, T
+    """Per row of (H, n, 2): translate the centroid to the origin and scale
+    the mean distance to sqrt(2). Returns (q, T, ok); ok is False where the
+    points coincide, and such rows get a unit scale so they stay finite."""
+    centroid = pts.mean(axis=1, keepdims=True)
+    d = np.linalg.norm(pts - centroid, axis=2).mean(axis=1)
+    ok = ~(d < 1e-12)
+    s = np.sqrt(2.0) / np.where(ok, d, 1.0)
+    T = np.zeros((pts.shape[0], 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid[:, 0]
+    T[:, 2, 2] = 1.0
+    return (pts - centroid) * s[:, None, None], T, ok
+
+
+def _eight_point_batch(pts1, pts2):
+    """Hartley-normalized 8-point solves with rank-2 enforcement over the
+    leading axis of (H, n, 2) samples.
+
+    Returns canonicalized (H, 3, 3) F and an (H,) ok mask that is False where
+    the points coincide or the solution collapses below rank 2 (a planar
+    scene leaves a solution family, but every member is a valid F).
+    """
+    n = pts1.shape[1]
+    if n < MIN_SAMPLE:
+        raise NotEnoughMatches(f"eight_point needs >= 8 matches, got {n}")
+    if pts2.shape != pts1.shape:
+        raise ValueError("match arrays disagree in length")
+    q1, T1, ok1 = _hartley_transform(pts1)
+    q2, T2, ok2 = _hartley_transform(pts2)
+    u1, v1 = q1[..., 0], q1[..., 1]
+    u2, v2 = q2[..., 0], q2[..., 1]
+    A = np.stack([u2 * u1, u2 * v1, u2, v2 * u1, v2 * v1, v2, u1, v1, np.ones_like(u1)], axis=-1)
+    # an 8-row A needs the full V for its null vector; a taller A gets the
+    # same last row of V without an (n, n) U
+    _, _, Vt = np.linalg.svd(A, full_matrices=n < 9)
+    U, sf, Vft = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+    ok = ok1 & ok2 & ~(sf[:, 1] < 1e-10 * sf[:, 0])
+    D = np.zeros_like(U)
+    D[:, 0, 0], D[:, 1, 1] = sf[:, 0], sf[:, 1]
+    F = T2.transpose(0, 2, 1) @ (U @ D @ Vft) @ T1
+    return _canonicalize(F), ok
 
 
 def eight_point(pts1, pts2) -> FundamentalMatrix:
     """Hartley-normalized 8-point solve with rank-2 enforcement."""
-    pts1 = np.asarray(pts1, dtype=float)
-    pts2 = np.asarray(pts2, dtype=float)
-    n = pts1.shape[0]
-    if n < MIN_SAMPLE:
-        raise NotEnoughMatches(f"eight_point needs >= 8 matches, got {n}")
-    if pts2.shape[0] != n:
-        raise ValueError("match arrays disagree in length")
-    q1, T1 = _hartley_transform(pts1)
-    q2, T2 = _hartley_transform(pts2)
-    u1, v1 = q1[:, 0], q1[:, 1]
-    u2, v2 = q2[:, 0], q2[:, 1]
-    A = np.column_stack(
-        [u2 * u1, u2 * v1, u2, v2 * u1, v2 * v1, v2, u1, v1, np.ones(n)]
-    )
-    _, _, Vt = np.linalg.svd(A)
-    Fn = Vt[-1].reshape(3, 3)
-    U, sf, Vft = np.linalg.svd(Fn)
-    # a planar scene leaves a solution family but every member is a valid F;
-    # collinear/coincident configurations collapse to rank <= 1 and are rejected
-    if sf[1] < 1e-10 * sf[0]:
-        raise DegenerateConfiguration("solution collapses below rank 2")
-    Fn = U @ np.diag([sf[0], sf[1], 0.0]) @ Vft
-    F = T2.T @ Fn @ T1
-    return FundamentalMatrix.from_matrix(F)
+    F, ok = _eight_point_batch(np.asarray(pts1, dtype=float)[None], np.asarray(pts2, dtype=float)[None])
+    if not ok[0]:
+        raise DegenerateConfiguration("coincident points or a solution below rank 2")
+    return FundamentalMatrix(F[0])
 
 
 def _score_inliers(F, x1n, x2n, K1, K2, threshold):
-    """Inlier mask by squared symmetric epipolar distance in normalized coords."""
-    En = K2.matrix().T @ F.m @ K1.matrix()
-    l2 = x1n @ En.T
+    """(H, N) inlier masks of (H, 3, 3) F by squared symmetric epipolar
+    distance in normalized coords; a vanishing epipolar line scores an
+    outlier."""
+    En = K2.matrix().T @ F @ K1.matrix()
+    l2 = x1n @ En.transpose(0, 2, 1)
     l1 = x2n @ En
-    d2 = l2[:, 0] ** 2 + l2[:, 1] ** 2
-    d1 = l1[:, 0] ** 2 + l1[:, 1] ** 2
-    r = np.einsum("ij,ij->i", x2n, l2)
+    d2 = l2[..., 0] ** 2 + l2[..., 1] ** 2
+    d1 = l1[..., 0] ** 2 + l1[..., 1] ** 2
+    r = np.einsum("nj,hnj->hn", x2n, l2)
     with np.errstate(divide="ignore", invalid="ignore"):
         dist = r * r * (1.0 / d2 + 1.0 / d1)
     dist = np.where(np.isfinite(dist), dist, np.inf)
@@ -112,7 +131,11 @@ def _score_inliers(F, x1n, x2n, K1, K2, threshold):
 
 
 def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, cfg: RansacConfig) -> RansacResult:
-    """Seeded RANSAC over 8-point hypotheses with a final all-inlier refit."""
+    """Seeded RANSAC over 8-point hypotheses with a final all-inlier refit.
+
+    All hypotheses are solved in one stacked SVD and scored in blocks; the
+    first hypothesis with the most inliers wins.
+    """
     pts1 = np.asarray(pts1, dtype=float)
     pts2 = np.asarray(pts2, dtype=float)
     n = pts1.shape[0]
@@ -122,30 +145,25 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
     x2n = normalize_points(K2, pts2)
 
     rng = np.random.default_rng(cfg.seed)
-    best_count = -1
-    best_mask = None
-    best_F = None
-    best_iter = -1
-    for it in range(cfg.iterations):
-        idx = rng.choice(n, size=cfg.min_sample, replace=False)
-        try:
-            F = eight_point(pts1[idx], pts2[idx])
-        except DegenerateConfiguration:
-            continue
-        mask = _score_inliers(F, x1n, x2n, K1, K2, cfg.inlier_threshold)
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_mask, best_F, best_iter = count, mask, F, it
-    if best_F is None:
+    idx = np.array([rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(cfg.iterations)])
+    F, ok = _eight_point_batch(pts1[idx], pts2[idx])
+    best_count, best_mask, best_iter = -1, None, -1
+    block = max(1, _SCORE_BLOCK // n)
+    for b0 in range(0, cfg.iterations, block):
+        masks = _score_inliers(F[b0:b0 + block], x1n, x2n, K1, K2, cfg.inlier_threshold)
+        counts = np.where(ok[b0:b0 + block], masks.sum(axis=1), -1)
+        j = int(np.argmax(counts))
+        if counts[j] > best_count:
+            best_count, best_mask, best_iter = int(counts[j]), masks[j], b0 + j
+    if best_iter < 0:
         raise NoValidHypothesis("all RANSAC iterations were degenerate")
 
     # refit on the consensus set of the best hypothesis
-    F_final, mask_final = best_F, best_mask
+    F_final, mask_final = FundamentalMatrix(F[best_iter]), best_mask
     if best_count >= cfg.min_sample:
         try:
-            F_refit = eight_point(pts1[best_mask], pts2[best_mask])
-            F_final = F_refit
-            mask_final = _score_inliers(F_refit, x1n, x2n, K1, K2, cfg.inlier_threshold)
+            F_final = eight_point(pts1[best_mask], pts2[best_mask])
+            mask_final = _score_inliers(F_final.m[None], x1n, x2n, K1, K2, cfg.inlier_threshold)[0]
         except DegenerateConfiguration:
             pass
     count_final = int(mask_final.sum())

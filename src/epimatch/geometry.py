@@ -39,11 +39,11 @@ def dehom(x):
 
 
 def normalized_w(x):
-    """Scale a homogeneous point so w = 1."""
+    """Scale homogeneous points so w = 1; batched over leading axes."""
     x = np.asarray(x, dtype=float)
-    if x[2] == 0.0:
+    if np.any(x[..., 2] == 0.0):
         raise PointAtInfinity("point at infinity has no w = 1 form")
-    return x / x[2]
+    return x / x[..., 2:]
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,18 @@ class Camera:
 
 
 def _canonicalize(m):
-    """Frobenius norm 1, largest-magnitude entry positive."""
+    """Frobenius norm 1, largest-magnitude entry positive; batched over the
+    leading axes of (..., 3, 3)."""
     m = np.asarray(m, dtype=float)
-    n = np.linalg.norm(m)
-    if n == 0.0:
+    flat = m.reshape(*m.shape[:-2], 1, 9)
+    # the matmul form sums like np.linalg.norm of one matrix, bit for bit
+    n = np.sqrt(flat @ flat.swapaxes(-1, -2))
+    if np.any(n == 0.0):
         raise DegenerateConfiguration("zero matrix cannot be canonicalized")
     m = m / n
-    flat = np.abs(m).ravel()
-    if m.ravel()[int(np.argmax(flat))] < 0:
-        m = -m
-    return m
+    flat = m.reshape(*m.shape[:-2], 9)
+    peak = np.take_along_axis(flat, np.argmax(np.abs(flat), axis=-1)[..., None], axis=-1)
+    return np.where(peak[..., None] < 0, -m, m)
 
 
 @dataclass
@@ -257,47 +259,42 @@ def project(camera: Camera, X):
     return pix / pix[2], depth
 
 
+def _triangulate_batch(P1, P2, x1, x2):
+    """Linear (DLT) triangulation of (N, 3) homogeneous point pairs.
+
+    Returns (X, ok): (N, 3) points and an (N,) mask that is False where the
+    system is rank-deficient or the point lies at infinity.
+    """
+    x1 = np.atleast_2d(normalized_w(x1))
+    x2 = np.atleast_2d(normalized_w(x2))
+    A = np.stack([x1[:, :1] * P1[2] - P1[0], x1[:, 1:2] * P1[2] - P1[1],
+                  x2[:, :1] * P2[2] - P2[0], x2[:, 1:2] * P2[2] - P2[1]], axis=1)
+    _, s, Vt = np.linalg.svd(A)
+    X = Vt[:, -1]
+    # the matmul form sums like np.linalg.norm of one vector, bit for bit
+    norm = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    ok = ~(s[:, -2] < 1e-12 * s[:, 0]) & ~(np.abs(X[:, 3]) < 1e-12 * norm)
+    return X[:, :3] / np.where(ok, X[:, 3], 1.0)[:, None], ok
+
+
 def triangulate(cam1: Camera, cam2: Camera, x1, x2):
     """Linear (DLT) triangulation from two views."""
     if np.allclose(cam1.center(), cam2.center(), atol=1e-12):
         raise DegenerateConfiguration("cameras share a centre")
-    P1 = cam1.projection_matrix()
-    P2 = cam2.projection_matrix()
-    x1 = normalized_w(x1)
-    x2 = normalized_w(x2)
-    A = np.vstack(
-        [
-            x1[0] * P1[2] - P1[0],
-            x1[1] * P1[2] - P1[1],
-            x2[0] * P2[2] - P2[0],
-            x2[1] * P2[2] - P2[1],
-        ]
-    )
-    _, s, Vt = np.linalg.svd(A)
-    if s[-2] < 1e-12 * s[0]:
-        raise DegenerateConfiguration("triangulation system is rank-deficient")
-    X = Vt[-1]
-    if abs(X[3]) < 1e-12 * np.linalg.norm(X):
-        raise DegenerateConfiguration("triangulated point at infinity")
-    return X[:3] / X[3]
+    X, ok = _triangulate_batch(cam1.projection_matrix(), cam2.projection_matrix(), x1, x2)
+    if not ok[0]:
+        raise DegenerateConfiguration("triangulation system is rank-deficient or the point is at infinity")
+    return X[0]
 
 
 def _cheirality_votes(R, t, x1n, x2n):
     """Count correspondences with positive depth in both views for P2 = [R|t]."""
-    votes = 0
     I = np.eye(3)
     cam1 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose(I, np.zeros(3)))
     cam2 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose(R, t))
-    for a, b in zip(x1n, x2n):
-        try:
-            X = triangulate(cam1, cam2, a, b)
-        except DegenerateConfiguration:
-            continue
-        z1 = X[2]
-        z2 = (R @ X + t)[2]
-        if z1 > 0 and z2 > 0:
-            votes += 1
-    return votes
+    X, ok = _triangulate_batch(cam1.projection_matrix(), cam2.projection_matrix(), x1n, x2n)
+    z2 = X @ R[2] + t[2]
+    return int(np.count_nonzero(ok & (X[:, 2] > 0) & (z2 > 0)))
 
 
 def decompose_essential(E: EssentialMatrix, x1n, x2n) -> RelativePose:

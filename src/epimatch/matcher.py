@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimensions, NonFiniteGradient
+from .errors import BadDimensions, NonFiniteGradient, read_exact
 from .grid import GridSpec
 from .losses import ConfidenceMatrix
 
@@ -385,10 +385,10 @@ def load_checkpoint(path) -> MatcherParams:
         magic = fh.read(8)
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError("not a matcher checkpoint (bad magic)")
-        version, a, b, c, d = struct.unpack("<IIIII", fh.read(20))
+        version, a, b, c, d = struct.unpack("<IIIII", read_exact(fh, 20))
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        tau_coarse, tau_fine = struct.unpack("<dd", fh.read(16))
-        Wc = np.frombuffer(fh.read(a * b * 8), dtype="<f8").reshape(a, b).copy()
-        Wf = np.frombuffer(fh.read(c * d * 8), dtype="<f8").reshape(c, d).copy()
+        tau_coarse, tau_fine = struct.unpack("<dd", read_exact(fh, 16))
+        Wc = np.frombuffer(read_exact(fh, a * b * 8), dtype="<f8").reshape(a, b).copy()
+        Wf = np.frombuffer(read_exact(fh, c * d * 8), dtype="<f8").reshape(c, d).copy()
     return MatcherParams(Wc, Wf, tau_coarse, tau_fine)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateBaseline, EmptyDatasetAfterFilter, EpimatchError, NonFiniteLoss
+from .errors import (DegenerateBaseline, EmptyDatasetAfterFilter, EpimatchError, NonFiniteLoss,
+                     NotEnoughReplayPairs)
 from .estimation import RansacConfig, ransac_fundamental
 from .geometry import (
     FundamentalMatrix,
@@ -249,7 +250,8 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
     f_override: optional per-pair list of FundamentalMatrix (or None to skip
     the pair) replacing the pose-derived F; used by the bootstrap regime.
     With replay_source, each batch adds an equal count of source pairs
-    trained with the original supervised losses.
+    trained with the original supervised losses; a replay set smaller than
+    one batch raises NotEnoughReplayPairs.
     """
     mcfg = mcfg or MatcherConfig()
     noise = noise or PoseNoiseConfig()
@@ -270,6 +272,11 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
 
     replay = None
     if cfg.replay_source and replay_pairs is not None and len(replay_pairs) > 0:
+        draw = min(cfg.batch_size, len(dataset_b))
+        if len(replay_pairs) < draw:
+            raise NotEnoughReplayPairs(
+                f"each batch replays {draw} source pairs without replacement, "
+                f"but the replay set holds {len(replay_pairs)}")
         if replay_gts is None:
             replay_gts = [gt_correspondence_grid(p, _grid_of(p, mcfg)) for p in replay_pairs]
         replay = (replay_pairs, replay_gts)

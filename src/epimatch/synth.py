@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegeneratePose
+from .errors import DegeneratePose, read_exact
 from .geometry import (
     Camera,
     CameraIntrinsics,
@@ -401,18 +401,18 @@ def load_pair_file(path) -> RenderedPair:
     with open(path, "rb") as fh:
         if fh.read(8) != _PAIR_MAGIC:
             raise ValueError("not a rendered-pair file (bad magic)")
-        version, index, _ = struct.unpack("<III", fh.read(12))
+        version, index, _ = struct.unpack("<III", read_exact(fh, 12))
         if version != _PAIR_VERSION:
             raise ValueError(f"unsupported pair file version {version}")
-        H, W = struct.unpack("<II", fh.read(8))
-        fx, fy, cx, cy = struct.unpack("<dddd", fh.read(32))
-        (has_f,) = struct.unpack("<B", fh.read(1))
-        vals = struct.unpack("<7d", fh.read(56))
+        H, W = struct.unpack("<II", read_exact(fh, 8))
+        fx, fy, cx, cy = struct.unpack("<dddd", read_exact(fh, 32))
+        (has_f,) = struct.unpack("<B", read_exact(fh, 1))
+        vals = struct.unpack("<7d", read_exact(fh, 56))
         K = CameraIntrinsics(fx, fy, cx, cy)
         pose = RelativePose(quat_to_rotation(vals[:4]), np.array(vals[4:]))
         arrays = []
         for _ in range(4):
-            arrays.append(np.frombuffer(fh.read(H * W * 8), dtype="<f8").reshape(H, W).copy())
+            arrays.append(np.frombuffer(read_exact(fh, H * W * 8), dtype="<f8").reshape(H, W).copy())
     F_gt = fundamental_from_pose(K, K, pose) if has_f else None
     return RenderedPair(arrays[0], arrays[1], arrays[2], arrays[3], K, pose, F_gt, index)
 

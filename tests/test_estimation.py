@@ -3,8 +3,10 @@ import pytest
 
 from epimatch import errors
 from epimatch.estimation import (
+    _SCORE_BLOCK,
     RansacConfig,
     RansacResult,
+    _score_inliers,
     eight_point,
     estimate_relative_pose,
     ransac_fundamental,
@@ -18,6 +20,7 @@ from epimatch.geometry import (
     RelativePose,
     epipolar_residual,
     fundamental_from_pose,
+    normalize_points,
     rotation_from_axis_angle,
 )
 from epimatch.metrics import rotation_error, translation_error
@@ -155,7 +158,6 @@ class TestRansac:
             rng = np.random.default_rng(4000 + seed)
             pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=60, n_out=30)
             cfg = RansacConfig(iterations=100, inlier_threshold=1e-6, seed=seed)
-            x1n_cfg = cfg  # same config reused for the manual replay below
             res = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
             # replay the winning minimal hypothesis to get its inlier set
             rng2 = np.random.default_rng(cfg.seed)
@@ -163,14 +165,12 @@ class TestRansac:
             for it in range(cfg.iterations):
                 idx = rng2.choice(pts1.shape[0], size=cfg.min_sample, replace=False)
                 if it == res.best_iteration:
-                    from epimatch.estimation import _score_inliers, eight_point as ep
-                    from epimatch.geometry import normalize_points
-                    F_hyp = ep(pts1[idx], pts2[idx])
+                    F_hyp = eight_point(pts1[idx], pts2[idx])
                     best_mask = _score_inliers(
-                        F_hyp,
+                        F_hyp.m[None],
                         normalize_points(cam1.intrinsics, pts1),
                         normalize_points(cam2.intrinsics, pts2),
-                        cam1.intrinsics, cam2.intrinsics, cfg.inlier_threshold)
+                        cam1.intrinsics, cam2.intrinsics, cfg.inlier_threshold)[0]
                     break
             if best_mask is not None and np.all(res.inlier_mask[best_mask]):
                 hits += 1
@@ -190,6 +190,109 @@ class TestRansac:
         with pytest.raises(ValueError):
             RansacResult(F, mask, inlier_count=2, num_input_matches=1)
         assert RansacResult(F, mask, inlier_count=2, num_input_matches=3).inlier_count == 2
+
+
+def score_one(F, x1n, x2n, K1, K2, threshold):
+    """Scalar oracle for the batched scorer: one hypothesis, one row at a
+    time in numpy, an undefined distance counting as an outlier."""
+    En = K2.matrix().T @ F.m @ K1.matrix()
+    l2 = x1n @ En.T
+    l1 = x2n @ En
+    d2 = l2[:, 0] ** 2 + l2[:, 1] ** 2
+    d1 = l1[:, 0] ** 2 + l1[:, 1] ** 2
+    r = np.einsum("ij,ij->i", x2n, l2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = r * r * (1.0 / d2 + 1.0 / d1)
+    return np.where(np.isfinite(dist), dist, np.inf) < threshold
+
+
+def ransac_reference(pts1, pts2, K1, K2, cfg):
+    """Reference loop: one eight_point and one scoring per iteration.
+
+    Returns (F, inlier mask, best iteration, degenerate sample count).
+    """
+    x1n = normalize_points(K1, pts1)
+    x2n = normalize_points(K2, pts2)
+    rng = np.random.default_rng(cfg.seed)
+    best_count, best, degenerate = -1, None, 0
+    for it in range(cfg.iterations):
+        idx = rng.choice(len(pts1), size=cfg.min_sample, replace=False)
+        try:
+            F = eight_point(pts1[idx], pts2[idx])
+        except errors.DegenerateConfiguration:
+            degenerate += 1
+            continue
+        mask = score_one(F, x1n, x2n, K1, K2, cfg.inlier_threshold)
+        if mask.sum() > best_count:
+            best_count, best = int(mask.sum()), (F, mask, it)
+    if best is None:
+        raise errors.NoValidHypothesis("all iterations degenerate")
+    F, mask, it = best
+    if best_count >= cfg.min_sample:
+        try:
+            F = eight_point(pts1[mask], pts2[mask])
+            mask = score_one(F, x1n, x2n, K1, K2, cfg.inlier_threshold)
+        except errors.DegenerateConfiguration:
+            pass
+    return F, mask, it, degenerate
+
+
+class TestBatchedRansac:
+    """The stacked solve and blocked scoring against the reference loop."""
+
+    def assert_same_as_reference(self, pts1, pts2, K1, K2, cfg):
+        res = ransac_fundamental(pts1, pts2, K1, K2, cfg)
+        F, mask, it, degenerate = ransac_reference(pts1, pts2, K1, K2, cfg)
+        assert res.F.m.tobytes() == F.m.tobytes()
+        assert res.inlier_mask.tobytes() == mask.tobytes()
+        assert res.best_iteration == it
+        return res, degenerate
+
+    def test_contaminated_inputs_byte_equal(self):
+        # exact inliers make every all-inlier sample tie for the most
+        # inliers, so the first of them must win; noisy ones rarely tie
+        for seed in range(6):
+            rng = np.random.default_rng(6000 + seed)
+            pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=60, n_out=40)
+            pts2 = pts2 + rng.normal(0.0, (0.0, 0.3)[seed % 2], pts2.shape)
+            cfg = RansacConfig(iterations=200, inlier_threshold=1e-5, seed=seed)
+            self.assert_same_as_reference(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+
+    def test_duplicated_points_give_degenerate_samples(self):
+        degenerate = 0
+        for seed in range(4):
+            rng = np.random.default_rng(6100 + seed)
+            pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=30, n_out=10)
+            # 60 % of the matches repeat one point pair, so about 1 % of the
+            # samples draw eight coincident points
+            pts1 = np.vstack([pts1, np.repeat(pts1[:1], 60, axis=0)])
+            pts2 = np.vstack([pts2, np.repeat(pts2[:1], 60, axis=0)])
+            cfg = RansacConfig(iterations=300, inlier_threshold=1e-6, seed=seed)
+            degenerate += self.assert_same_as_reference(
+                pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)[1]
+        assert degenerate > 0
+
+    def test_spans_several_scoring_blocks(self):
+        cfg_its = 300
+        n_in, n_out = 300, 150
+        block = _SCORE_BLOCK // (n_in + n_out)
+        assert cfg_its > 2 * block
+        later_block_wins = 0
+        for seed in range(3):
+            rng = np.random.default_rng(6200 + seed)
+            pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=n_in, n_out=n_out)
+            pts2 = pts2 + rng.normal(0.0, 0.5, pts2.shape)
+            cfg = RansacConfig(iterations=cfg_its, inlier_threshold=1e-6, seed=seed)
+            res, _ = self.assert_same_as_reference(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+            later_block_wins += res.best_iteration >= block
+        assert later_block_wins > 0
+
+    def test_all_coincident_raises_no_valid_hypothesis(self):
+        K = CameraIntrinsics(500, 500, 320, 240)
+        pts1 = np.tile([[100.0, 200.0]], (30, 1))
+        pts2 = np.tile([[150.0, 210.0]], (30, 1))
+        with pytest.raises(errors.NoValidHypothesis):
+            ransac_fundamental(pts1, pts2, K, K, RansacConfig(iterations=50))
 
 
 class TestEstimateRelativePose:

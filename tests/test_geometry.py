@@ -10,6 +10,7 @@ from epimatch.geometry import (
     EssentialMatrix,
     FundamentalMatrix,
     RelativePose,
+    _cheirality_votes,
     cross_matrix,
     decompose_essential,
     denormalize_point,
@@ -284,6 +285,40 @@ class TestDecomposeEssential:
         x1, x2 = self._normalized_tracks(rng, pose, 15)
         rec = decompose_essential(essential_from_pose(pose), x1, x2)
         assert np.allclose(rec.t, [-1, 0, 0], atol=1e-9)
+
+    def test_votes_match_per_point_triangulation(self, rng):
+        # the batched vote against a loop of single triangulations, over the
+        # four decompositions of E, with points at infinity and outliers
+        # that the per-point rejections must drop
+        axis = rng.normal(size=3)
+        R = rotation_from_axis_angle(axis, np.radians(15.0))
+        t = rng.normal(size=3)
+        t /= np.linalg.norm(t)
+        x1, x2 = self._normalized_tracks(rng, RelativePose(R, t), 40)
+        x2[:, :2] += rng.normal(0.0, 1e-3, (40, 2))
+        far = x1[:5] @ R.T
+        x2[:5] = far / far[:, 2:]
+        x2[5:10, :2] = rng.uniform(-0.5, 0.5, (5, 2))
+        cam1 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose.identity())
+        twisted = rotation_from_axis_angle(t, np.pi) @ R
+        loop_votes, rejected = [], 0
+        for Rc, tc in ((R, t), (R, -t), (twisted, t), (twisted, -t)):
+            cam2 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose(Rc, tc))
+            votes = 0
+            for a, b in zip(x1, x2):
+                try:
+                    X = triangulate(cam1, cam2, a, b)
+                except errors.DegenerateConfiguration:
+                    rejected += 1
+                    continue
+                votes += bool(X[2] > 0 and (Rc @ X + tc)[2] > 0)
+            assert _cheirality_votes(Rc, tc, x1, x2) == votes
+            loop_votes.append(votes)
+        assert rejected > 0
+        assert int(np.argmax(loop_votes)) == 0
+        rec = decompose_essential(essential_from_pose(RelativePose(R, t)), x1, x2)
+        assert small_rotation_angle_rad(rec.R.T @ R) < 1e-8
+        assert np.allclose(rec.t, t, atol=1e-8)
 
     def test_essential_invariants(self, rng):
         pose = random_camera_pair(rng)[2]

@@ -334,6 +334,18 @@ class TestCheckpoint:
         assert loaded.tau_coarse == params.tau_coarse
         assert loaded.tau_fine == params.tau_fine
 
+    def test_truncated_file_rejected(self, tmp_path):
+        params = init_params(MatcherConfig(), seed=5)
+        path = tmp_path / "params.bin"
+        save_checkpoint(path, params)
+        data = path.read_bytes()
+        fine = params.W_fine.size * 8
+        # cut inside the dimension header, then inside W_fine
+        for size, expected, read in ((20, 20, 12), (len(data) - 100, fine, fine - 100)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=f"params.bin: truncated .*expected {expected} bytes, read {read}$"):
+                load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

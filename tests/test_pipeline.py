@@ -152,6 +152,16 @@ class TestFinetune:
         assert [row["empty_mask_pairs"] for row in history] == [1, 1]
         assert all(set(row) == HISTORY_KEYS and row["skipped_pairs"] == 1 for row in history)
 
+    def test_replay_set_smaller_than_batch_raises(self, tiny_data, warm_params):
+        a, b = tiny_data
+        cfg = TrainConfig(epochs=1, seed=0, batch_size=4)
+        with pytest.raises(errors.NotEnoughReplayPairs, match=r"replays 4 source pairs.*holds 2"):
+            finetune_pose_supervised(b[:4], warm_params, cfg, replay_pairs=a[:2])
+        # a batch of 2 draws no more than the set holds
+        cfg = TrainConfig(epochs=1, seed=0, batch_size=2)
+        _, history = finetune_pose_supervised(b[:4], warm_params, cfg, replay_pairs=a[:2])
+        assert len(history) == 1
+
     def test_all_pairs_unusable_raises(self, tiny_data, warm_params):
         _, b = tiny_data
         cfg = TrainConfig(epochs=1, seed=0)

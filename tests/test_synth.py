@@ -197,6 +197,18 @@ class TestPairFiles:
         for a, b in zip(saved, loaded):
             assert a.image1.tobytes() == b.image1.tobytes()
 
+    def test_truncated_file_rejected(self, tmp_path):
+        pair = sample_pair(small_domain(), 0)
+        path = tmp_path / "pair.bin"
+        save_pair_file(path, pair)
+        data = path.read_bytes()
+        plane = pair.image1.size * 8
+        # cut inside the intrinsics, then inside depth2
+        for size, expected, read in ((40, 32, 12), (len(data) - 8, plane, plane - 8)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=f"pair.bin: truncated .*expected {expected} bytes, read {read}$"):
+                load_pair_file(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXXXXXX" + b"\x00" * 100)
