@@ -11,13 +11,9 @@ from .geometry import (
     RelativePose,
     cross_matrix,
     decompose_essential,
-    epipolar_line,
-    epipolar_residual,
     essential_from_pose,
     fundamental_from_pose,
     fundamental_to_essential,
-    normalize_point,
-    point_line_distance,
     project,
     symmetric_epipolar_distance_sq,
     triangulate,
@@ -32,13 +28,9 @@ __all__ = [
     "RelativePose",
     "cross_matrix",
     "decompose_essential",
-    "epipolar_line",
-    "epipolar_residual",
     "essential_from_pose",
     "fundamental_from_pose",
     "fundamental_to_essential",
-    "normalize_point",
-    "point_line_distance",
     "project",
     "symmetric_epipolar_distance_sq",
     "triangulate",

@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import coerce, default_seed, parse_config_file, read_manifest, write_manifest
 from .errors import EpimatchError
@@ -35,7 +33,8 @@ from .pipeline import (
 from .synth import load_dataset, make_domain, save_dataset
 from .viz import match_overlay, write_png
 
-EVAL_RANSAC_DEFAULTS = dict(iterations=600, inlier_threshold=5e-4)
+# RANSAC defaults of the `pose` and `eval` commands
+EVAL_RANSAC = RansacConfig(iterations=600, inlier_threshold=5e-4)
 
 
 def _apply_config_file(args, command):
@@ -273,16 +272,22 @@ def cmd_replay(args):
 
 
 def _add_common_train_flags(p, pretrain_mode=False):
+    cfg = pretrain_config() if pretrain_mode else TrainConfig()
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--epochs", type=int, default=30 if pretrain_mode else 25)
-    p.add_argument("--lr", type=float, default=0.3 if pretrain_mode else 0.05)
-    p.add_argument("--weight-decay", type=float, default=0.001 if pretrain_mode else 0.01)
-    p.add_argument("--batch-size", type=int, default=8 if pretrain_mode else 4)
-    p.add_argument("--lam", type=float, default=0.5, help="fine-term weight")
-    p.add_argument("--theta", type=float, default=float(np.sqrt(2.0)))
-    p.add_argument("--fine-fraction", type=float, default=0.3)
+    p.add_argument("--epochs", type=int, default=cfg.epochs)
+    p.add_argument("--lr", type=float, default=cfg.lr)
+    p.add_argument("--weight-decay", type=float, default=cfg.weight_decay)
+    p.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    p.add_argument("--lam", type=float, default=cfg.loss.lam, help="fine-term weight")
+    p.add_argument("--theta", type=float, default=cfg.loss.theta)
+    p.add_argument("--fine-fraction", type=float, default=cfg.loss.fine_supervision_fraction)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
+
+
+def _add_ransac_flags(p, cfg: RansacConfig):
+    p.add_argument("--ransac-iterations", type=int, default=cfg.iterations)
+    p.add_argument("--ransac-threshold", type=float, default=cfg.inlier_threshold)
 
 
 def build_parser():
@@ -337,10 +342,10 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--replay-data")
     p.add_argument("--no-replay", action="store_true")
-    p.add_argument("--min-matches", type=int, default=30)
-    p.add_argument("--min-inliers", type=int, default=12)
-    p.add_argument("--ransac-iterations", type=int, default=400)
-    p.add_argument("--ransac-threshold", type=float, default=1e-3)
+    bootstrap_defaults = BootstrapConfig()
+    p.add_argument("--min-matches", type=int, default=bootstrap_defaults.min_matches)
+    p.add_argument("--min-inliers", type=int, default=bootstrap_defaults.min_inliers)
+    _add_ransac_flags(p, bootstrap_defaults.ransac)
     _add_common_train_flags(p)
     p.set_defaults(func=cmd_bootstrap)
 
@@ -360,8 +365,7 @@ def build_parser():
     p.add_argument("--fy", type=float, required=True)
     p.add_argument("--cx", type=float, required=True)
     p.add_argument("--cy", type=float, required=True)
-    p.add_argument("--ransac-iterations", type=int, default=600)
-    p.add_argument("--ransac-threshold", type=float, default=5e-4)
+    _add_ransac_flags(p, EVAL_RANSAC)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pose)
@@ -373,8 +377,7 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=PRECISION_THRESHOLD_INDOOR)
     p.add_argument("--outdoor", action="store_true",
                    help="use the outdoor precision threshold 1e-4")
-    p.add_argument("--ransac-iterations", type=int, default=600)
-    p.add_argument("--ransac-threshold", type=float, default=5e-4)
+    _add_ransac_flags(p, EVAL_RANSAC)
     p.add_argument("--overlays", type=int, default=4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)

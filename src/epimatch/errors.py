@@ -9,10 +9,6 @@ class DegenerateBaseline(EpimatchError):
     """Translation too small for an epipolar constraint (pure rotation)."""
 
 
-class EpipoleQuery(EpimatchError):
-    """Queried the epipolar line of the epipole itself."""
-
-
 class DegenerateLine(EpimatchError):
     """Line with vanishing (a, b) part; no perpendicular distance exists."""
 

@@ -7,7 +7,7 @@ correspondence: `u1 v1 u2 v2 conf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .geometry import (
     decompose_essential,
     fundamental_to_essential,
     normalize_points,
+    symmetric_epipolar_distance_sq,
 )
 
 MIN_SAMPLE = 8
@@ -37,13 +38,17 @@ class RansacConfig:
     iterations: int = 500
     inlier_threshold: float = 1e-5  # squared symmetric epipolar distance, normalized units
     seed: int = 0
-    min_sample: int = MIN_SAMPLE
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
+
+    @property
+    def min_sample(self):
+        """The minimal sample size; always MIN_SAMPLE, and read-only."""
+        return MIN_SAMPLE
 
 
 @dataclass
@@ -114,22 +119,6 @@ def eight_point(pts1, pts2) -> FundamentalMatrix:
     return FundamentalMatrix(F[0])
 
 
-def _score_inliers(F, x1n, x2n, K1, K2, threshold):
-    """(H, N) inlier masks of (H, 3, 3) F by squared symmetric epipolar
-    distance in normalized coords; a vanishing epipolar line scores an
-    outlier."""
-    En = K2.matrix().T @ F @ K1.matrix()
-    l2 = x1n @ En.transpose(0, 2, 1)
-    l1 = x2n @ En
-    d2 = l2[..., 0] ** 2 + l2[..., 1] ** 2
-    d1 = l1[..., 0] ** 2 + l1[..., 1] ** 2
-    r = np.einsum("nj,hnj->hn", x2n, l2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = r * r * (1.0 / d2 + 1.0 / d1)
-    dist = np.where(np.isfinite(dist), dist, np.inf)
-    return dist < threshold
-
-
 def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, cfg: RansacConfig) -> RansacResult:
     """Seeded RANSAC over 8-point hypotheses with a final all-inlier refit.
 
@@ -139,18 +128,23 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
     pts1 = np.asarray(pts1, dtype=float)
     pts2 = np.asarray(pts2, dtype=float)
     n = pts1.shape[0]
-    if n < cfg.min_sample:
-        raise NotEnoughMatches(f"RANSAC needs >= {cfg.min_sample} matches, got {n}")
+    if n < MIN_SAMPLE:
+        raise NotEnoughMatches(f"RANSAC needs >= {MIN_SAMPLE} matches, got {n}")
     x1n = normalize_points(K1, pts1)
     x2n = normalize_points(K2, pts2)
 
+    def inliers(F):
+        # scored in normalized coordinates; a vanishing epipolar line is an outlier
+        En = K2.matrix().T @ F @ K1.matrix()
+        return symmetric_epipolar_distance_sq(En, x1n, x2n) < cfg.inlier_threshold
+
     rng = np.random.default_rng(cfg.seed)
-    idx = np.array([rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(cfg.iterations)])
+    idx = np.array([rng.choice(n, size=MIN_SAMPLE, replace=False) for _ in range(cfg.iterations)])
     F, ok = _eight_point_batch(pts1[idx], pts2[idx])
     best_count, best_mask, best_iter = -1, None, -1
     block = max(1, _SCORE_BLOCK // n)
     for b0 in range(0, cfg.iterations, block):
-        masks = _score_inliers(F[b0:b0 + block], x1n, x2n, K1, K2, cfg.inlier_threshold)
+        masks = inliers(F[b0:b0 + block])
         counts = np.where(ok[b0:b0 + block], masks.sum(axis=1), -1)
         j = int(np.argmax(counts))
         if counts[j] > best_count:
@@ -160,10 +154,10 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
 
     # refit on the consensus set of the best hypothesis
     F_final, mask_final = FundamentalMatrix(F[best_iter]), best_mask
-    if best_count >= cfg.min_sample:
+    if best_count >= MIN_SAMPLE:
         try:
             F_final = eight_point(pts1[best_mask], pts2[best_mask])
-            mask_final = _score_inliers(F_final.m[None], x1n, x2n, K1, K2, cfg.inlier_threshold)[0]
+            mask_final = inliers(F_final.m)
         except DegenerateConfiguration:
             pass
     count_final = int(mask_final.sum())
@@ -172,7 +166,7 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
         inlier_mask=mask_final,
         inlier_count=count_final,
         num_input_matches=n,
-        no_consensus=count_final <= cfg.min_sample,
+        no_consensus=count_final <= MIN_SAMPLE,
         best_iteration=best_iter,
     )
 

@@ -1,8 +1,8 @@
 """Exact two-view epipolar geometry.
 
 Conventions: homogeneous image points are numpy arrays of shape (3,) (or
-(N, 3) for the batched residual/distance helpers); lines are (a, b, c)
-arrays with a*u + b*v + c*w = 0. Poses are world-to-camera.
+(N, 3) for the batched helpers); lines are (a, b, c) arrays with
+a*u + b*v + c*w = 0. Poses are world-to-camera.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from .errors import (
     BehindCamera,
     DegenerateBaseline,
     DegenerateConfiguration,
-    DegenerateLine,
-    EpipoleQuery,
     PointAtInfinity,
 )
 
@@ -28,14 +26,6 @@ BASELINE_EPSILON = 1e-8
 def hom(u, v, w=1.0):
     """Homogeneous 2D point as a (3,) array."""
     return np.array([u, v, w], dtype=float)
-
-
-def dehom(x):
-    """Return (u, v) of a homogeneous point with w != 0."""
-    x = np.asarray(x, dtype=float)
-    if x[2] == 0.0:
-        raise PointAtInfinity("cannot dehomogenize a point at infinity")
-    return x[:2] / x[2]
 
 
 def normalized_w(x):
@@ -165,16 +155,11 @@ def essential_from_pose(pose: RelativePose) -> EssentialMatrix:
     return EssentialMatrix(cross_matrix(pose.t) @ pose.R)
 
 
-def fundamental_from_pose(
-    K1: CameraIntrinsics,
-    K2: CameraIntrinsics,
-    pose: RelativePose,
-    baseline_epsilon=BASELINE_EPSILON,
-) -> FundamentalMatrix:
+def fundamental_from_pose(K1: CameraIntrinsics, K2: CameraIntrinsics, pose: RelativePose) -> FundamentalMatrix:
     """F = K2^-T [t]x R K1^-1, canonicalized."""
-    if np.linalg.norm(pose.t) <= baseline_epsilon:
+    if np.linalg.norm(pose.t) <= BASELINE_EPSILON:
         raise DegenerateBaseline(
-            f"|t| = {np.linalg.norm(pose.t):.3e} <= {baseline_epsilon:.3e}"
+            f"|t| = {np.linalg.norm(pose.t):.3e} <= {BASELINE_EPSILON:.3e}"
         )
     F = K2.inverse().T @ cross_matrix(pose.t) @ pose.R @ K1.inverse()
     return FundamentalMatrix.from_matrix(F)
@@ -185,57 +170,23 @@ def fundamental_to_essential(F: FundamentalMatrix, K1, K2) -> EssentialMatrix:
     return EssentialMatrix(K2.matrix().T @ F.m @ K1.matrix())
 
 
-def epipolar_line(F: FundamentalMatrix, x1):
-    """Line l12 = F x1 in image 2."""
-    x1 = np.asarray(x1, dtype=float)
-    line = F.m @ x1
-    if np.linalg.norm(line) < 1e-12 * np.linalg.norm(x1):
-        raise EpipoleQuery("x1 is the epipole of F")
-    return line
-
-
-def epipolar_residual(F: FundamentalMatrix, x1, x2):
-    """Algebraic residual x2^T F x1; batched over leading axes."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return np.einsum("...i,ij,...j->...", x2, F.m, x1)
-
-
-def point_line_distance(line, x):
-    """Perpendicular distance from a finite point to a line."""
-    line = np.asarray(line, dtype=float)
-    n = np.hypot(line[0], line[1])
-    if n == 0.0:
-        raise DegenerateLine("line has (a, b) = (0, 0)")
-    x = normalized_w(x)
-    return abs(line @ x) / n
-
-
-def symmetric_epipolar_distance_sq(F: FundamentalMatrix, x1, x2):
-    """Squared symmetric epipolar distance; batched over leading axes.
+def symmetric_epipolar_distance_sq(F, x1, x2):
+    """Squared symmetric epipolar distance of (N, 3) homogeneous matches
+    under each of the (..., 3, 3) matrices F; returns (..., N).
 
     r^2 * (1 / |(F x1)_{1,2}|^2 + 1 / |(F^T x2)_{1,2}|^2) with r = x2^T F x1.
+    A match whose epipolar line in either image vanishes is at distance inf.
     """
-    x1 = np.asarray(x1, dtype=float)
+    F = np.asarray(F, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    l2 = x1 @ F.m.T  # F x1 per row
-    l1 = x2 @ F.m  # F^T x2 per row
-    d2 = np.sum(l2[..., :2] ** 2, axis=-1)
-    d1 = np.sum(l1[..., :2] ** 2, axis=-1)
-    if np.any(d2 == 0.0) or np.any(d1 == 0.0):
-        raise DegenerateLine("epipolar line with vanishing (a, b)")
-    r = np.einsum("...i,...i->...", x2, l2)
-    return r * r * (1.0 / d2 + 1.0 / d1)
-
-
-def normalize_point(K: CameraIntrinsics, x):
-    """Map a pixel point to normalized camera coordinates (w = 1)."""
-    return normalized_w(K.inverse() @ np.asarray(x, dtype=float))
-
-
-def denormalize_point(K: CameraIntrinsics, x):
-    """Inverse of normalize_point."""
-    return normalized_w(K.matrix() @ np.asarray(x, dtype=float))
+    l2 = np.asarray(x1, dtype=float) @ np.swapaxes(F, -1, -2)  # F x1 per row
+    l1 = x2 @ F  # F^T x2 per row
+    d2 = l2[..., 0] ** 2 + l2[..., 1] ** 2
+    d1 = l1[..., 0] ** 2 + l1[..., 1] ** 2
+    r = np.einsum("...j,...j->...", x2, l2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = r * r * (1.0 / d2 + 1.0 / d1)
+    return np.where(np.isfinite(dist), dist, np.inf)
 
 
 def normalize_points(K: CameraIntrinsics, pts):

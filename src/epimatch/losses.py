@@ -25,7 +25,6 @@ CLAMP_EPS = 1e-12
 class LossConfig:
     lam: float = 0.5  # fine-term weight in the total loss
     theta: float = float(np.sqrt(2.0))  # line thickness factor
-    fine_weight_scale: float = 1.0
     fine_supervision_fraction: float = 0.3
 
     def __post_init__(self):
@@ -142,16 +141,16 @@ def d_epi_batch(F: FundamentalMatrix, x1s, x2s):
     return d, grad
 
 
-def fine_loss_grad(F: FundamentalMatrix, x1s, x2s, scale=1.0):
+def fine_loss_grad(F: FundamentalMatrix, x1s, x2s):
     """(loss, dL/dx2) for the epipolar fine loss."""
     x1s = np.asarray(x1s, dtype=float)
     if x1s.shape[0] == 0:
         raise EmptySupervision("no fine matches to supervise")
     d, g = d_epi_batch(F, x1s, x2s)
-    return float(scale * np.mean(d)), scale * g / x1s.shape[0]
+    return float(np.mean(d)), g / x1s.shape[0]
 
 
-def gt_fine_loss_grad(x2s, gt_points, scale=1.0):
+def gt_fine_loss_grad(x2s, gt_points):
     """(loss, dL/dx2); subgradient 0 at exact hits."""
     x2s = np.asarray(x2s, dtype=float)
     gt = np.asarray(gt_points, dtype=float)
@@ -162,4 +161,4 @@ def gt_fine_loss_grad(x2s, gt_points, scale=1.0):
     grad = np.zeros_like(diff)
     nz = dist > 0
     grad[nz] = diff[nz] / dist[nz, None]
-    return float(scale * np.mean(dist)), scale * grad / x2s.shape[0]
+    return float(np.mean(dist)), grad / x2s.shape[0]

@@ -343,11 +343,11 @@ class SgdState:
 
 
 def sgd_step(params: MatcherParams, grads: MatcherGrads, state: SgdState,
-             lr, momentum=0.9, weight_decay=0.0, tau_lr=None) -> MatcherParams:
+             lr, momentum=0.9, weight_decay=0.0) -> MatcherParams:
     """Momentum SGD: v = mu*v + g + wd*p, then p -= lr*v.
 
-    Temperatures update multiplicatively (log-space step with rate tau_lr,
-    default lr/10) and are clamped positive; their scale differs from the
+    Temperatures update multiplicatively (log-space step with rate lr/10)
+    and are clamped positive; their scale differs from the
     embedding weights by orders of magnitude, so they get their own rate.
     """
     for g in (grads.dW_coarse, grads.dW_fine):
@@ -355,8 +355,7 @@ def sgd_step(params: MatcherParams, grads: MatcherGrads, state: SgdState,
             raise NonFiniteGradient("non-finite entries in parameter gradient")
     if not (np.isfinite(grads.dtau_coarse) and np.isfinite(grads.dtau_fine)):
         raise NonFiniteGradient("non-finite temperature gradient")
-    if tau_lr is None:
-        tau_lr = 0.1 * lr
+    tau_lr = 0.1 * lr
     state.v_coarse = momentum * state.v_coarse + grads.dW_coarse + weight_decay * params.W_coarse
     state.v_fine = momentum * state.v_fine + grads.dW_fine + weight_decay * params.W_fine
     state.v_tau_coarse = momentum * state.v_tau_coarse + grads.dtau_coarse * params.tau_coarse

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import EmptyInput, EpimatchError, ZeroTranslation
-from .estimation import RansacConfig, estimate_relative_pose
+from .estimation import MIN_SAMPLE, RansacConfig, estimate_relative_pose
 from .geometry import (
     CameraIntrinsics,
     FundamentalMatrix,
@@ -108,25 +108,27 @@ def pose_auc(errors, thresholds=AUC_THRESHOLDS):
     return out
 
 
-def _gt_essential(gt, K1, K2):
+def gt_epipolar_distance_sq(pts1, pts2, gt, K1: CameraIntrinsics, K2: CameraIntrinsics):
+    """Squared symmetric epipolar distance of each (N, 2) pixel match under
+    the ground-truth pose or F, in normalized coordinates."""
     if isinstance(gt, RelativePose):
-        return essential_from_pose(gt)
-    if isinstance(gt, FundamentalMatrix):
-        return fundamental_to_essential(gt, K1, K2)
-    raise TypeError("expected a RelativePose or FundamentalMatrix ground truth")
+        E = essential_from_pose(gt)
+    elif isinstance(gt, FundamentalMatrix):
+        E = fundamental_to_essential(gt, K1, K2)
+    else:
+        raise TypeError("expected a RelativePose or FundamentalMatrix ground truth")
+    x1n = normalize_points(K1, pts1)
+    x2n = normalize_points(K2, pts2)
+    return symmetric_epipolar_distance_sq(E.m, x1n, x2n)
 
 
 def matching_precision(pts1, pts2, gt, K1: CameraIntrinsics, K2: CameraIntrinsics,
                        threshold=PRECISION_THRESHOLD_INDOOR):
     """Percentage of matches with squared symmetric epipolar distance below
     the threshold, in normalized coordinates. Empty match sets score 0."""
-    pts1 = np.asarray(pts1, dtype=float)
-    if pts1.shape[0] == 0:
+    if np.shape(pts1)[0] == 0:
         return 0.0
-    E = _gt_essential(gt, K1, K2)
-    x1n = normalize_points(K1, pts1)
-    x2n = normalize_points(K2, np.asarray(pts2, dtype=float))
-    d = symmetric_epipolar_distance_sq(FundamentalMatrix(E.m), x1n, x2n)
+    d = gt_epipolar_distance_sq(pts1, pts2, gt, K1, K2)
     return float(100.0 * np.mean(d < threshold))
 
 
@@ -135,41 +137,36 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig,
              precision_threshold=PRECISION_THRESHOLD_INDOOR) -> EvalReport:
     """Match every pair, estimate its relative pose and aggregate the report.
 
-    Pairs with too few matches or failed estimation count as infinite pose
-    error; their precision contributes 0.
+    Pairs with too few matches, a ground truth without an epipolar geometry
+    (pure rotation) or failed estimation count as infinite pose error; the
+    precision of a pair without matches or without an epipolar geometry
+    contributes 0.
     """
     matcher_cfg = matcher_cfg or MatcherConfig()
     errors = []
     rots, trans = [], []
     precisions = []
-    n_failed = 0
     n_matches = []
     for pair in dataset:
         pred, _ = forward(pair.image1, pair.image2, params, matcher_cfg)
         M = pred.fine_x2.shape[0]
         n_matches.append(M)
-        if M == 0:
-            precisions.append(0.0)
-            errors.append(np.inf)
-            n_failed += 1
-            continue
-        precisions.append(
-            matching_precision(pred.fine_x1, pred.fine_x2, pair.pose, pair.K, pair.K,
-                               precision_threshold)
-        )
-        if M < ransac_cfg.min_sample:
-            errors.append(np.inf)
-            n_failed += 1
-            continue
+        precision, error = 0.0, np.inf
         try:
-            est, _ = estimate_relative_pose(pred.fine_x1, pred.fine_x2, pair.K, pair.K, ransac_cfg)
-            err = pose_error(pair.pose, est)
-            errors.append(err.combined)
-            rots.append(err.rotation_deg)
-            trans.append(err.translation_deg)
+            if M:
+                precision = matching_precision(pred.fine_x1, pred.fine_x2, pair.pose, pair.K, pair.K,
+                                               precision_threshold)
+            if M >= MIN_SAMPLE:
+                est, _ = estimate_relative_pose(pred.fine_x1, pred.fine_x2, pair.K, pair.K, ransac_cfg)
+                err = pose_error(pair.pose, est)
+                error = err.combined
+                rots.append(err.rotation_deg)
+                trans.append(err.translation_deg)
         except (EpimatchError, np.linalg.LinAlgError):
-            errors.append(np.inf)
-            n_failed += 1
+            pass
+        precisions.append(precision)
+        errors.append(error)
+    n_failed = int(np.count_nonzero(np.isinf(errors)))
     auc5, auc10, auc20 = pose_auc(errors)
     return EvalReport(
         auc5=auc5,

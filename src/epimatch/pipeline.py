@@ -159,8 +159,7 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
         keep_n = max(1, int(round(loss_cfg.fine_supervision_fraction * M)))
         sub = np.random.default_rng(rng_key).permutation(M)[:keep_n]
         if epipolar:
-            lf, df = fine_loss_grad(target, pred.fine_x1[sub], pred.fine_x2[sub],
-                                    scale=loss_cfg.fine_weight_scale)
+            lf, df = fine_loss_grad(target, pred.fine_x1[sub], pred.fine_x2[sub])
         else:
             gt_pts = points[valid][cache["fine"]["kept"]]
             lf, df = gt_fine_loss_grad(pred.fine_x2[sub], gt_pts[sub])

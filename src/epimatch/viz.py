@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 
-from .geometry import FundamentalMatrix, fundamental_to_essential, normalize_points, symmetric_epipolar_distance_sq
+from .metrics import PRECISION_THRESHOLD_INDOOR, gt_epipolar_distance_sq
 
 GREEN = (60, 200, 60)
 RED = (220, 60, 60)
@@ -69,9 +69,10 @@ def _draw_dot(canvas, p, color, r=1):
                 canvas[y + dy, x + dx] = color
 
 
-def match_overlay(image1, image2, x1s, x2s, pose_or_f, K, threshold=5e-4):
+def match_overlay(image1, image2, x1s, x2s, pose_or_f, K, threshold=PRECISION_THRESHOLD_INDOOR):
     """Side-by-side pair with match lines coloured by whether each match's
-    squared symmetric epipolar distance clears the threshold."""
+    squared symmetric epipolar distance clears the threshold, as
+    `metrics.matching_precision` counts it."""
     left = _to_rgb(image1)
     right = _to_rgb(image2)
     H = max(left.shape[0], right.shape[0])
@@ -82,15 +83,7 @@ def match_overlay(image1, image2, x1s, x2s, pose_or_f, K, threshold=5e-4):
     x1s = np.asarray(x1s, dtype=float)
     x2s = np.asarray(x2s, dtype=float)
     if x1s.shape[0]:
-        if isinstance(pose_or_f, FundamentalMatrix):
-            E = fundamental_to_essential(pose_or_f, K, K)
-        else:
-            from .geometry import essential_from_pose
-
-            E = essential_from_pose(pose_or_f)
-        d = symmetric_epipolar_distance_sq(
-            FundamentalMatrix(E.m), normalize_points(K, x1s), normalize_points(K, x2s)
-        )
+        d = gt_epipolar_distance_sq(x1s, x2s, pose_or_f, K, K)
         offset = np.array([left.shape[1], 0.0])
         for k in range(x1s.shape[0]):
             color = GREEN if d[k] < threshold else RED

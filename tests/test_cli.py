@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epimatch.cli import main
+from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main
 from epimatch.config import parse_config_file
 from epimatch.grid import GridSpec
+from epimatch.pipeline import BootstrapConfig, TrainConfig, pretrain_config
 from epimatch.synth import gt_correspondence_grid, load_dataset, load_pair_file
 
 
@@ -126,6 +127,32 @@ class TestConfigFile:
         bad.write_text("not a key value line\n")
         with pytest.raises(ValueError):
             parse_config_file(bad)
+
+
+class TestParserDefaults:
+    """Each flag's default is read from the library's config object."""
+
+    def parse(self, *argv):
+        return build_parser().parse_args([*argv, "--out", "o"])
+
+    def test_bootstrap_defaults_are_bootstrap_config(self):
+        args = self.parse("bootstrap", "--data", "d", "--checkpoint", "c")
+        b = BootstrapConfig()
+        assert (args.min_matches, args.min_inliers, args.ransac_iterations, args.ransac_threshold) == (
+            b.min_matches, b.min_inliers, b.ransac.iterations, b.ransac.inlier_threshold)
+
+    def test_training_defaults_are_train_configs(self, monkeypatch):
+        monkeypatch.delenv("EPIMATCH_SEED", raising=False)
+        pre = self.parse("pretrain", "--data", "d")
+        assert _train_config(pre, for_pretrain=True) == pretrain_config()
+        fine = self.parse("finetune", "--data", "d", "--checkpoint", "c")
+        assert _train_config(fine) == TrainConfig()
+
+    def test_pose_and_eval_share_ransac_defaults(self):
+        for args in (self.parse("eval", "--checkpoint", "c", "--data", "d"),
+                     self.parse("pose", "--matches", "m", "--fx", "1", "--fy", "1", "--cx", "0", "--cy", "0")):
+            assert (args.ransac_iterations, args.ransac_threshold) == (
+                EVAL_RANSAC.iterations, EVAL_RANSAC.inlier_threshold)
 
 
 from epimatch.gradcheck import run_gradcheck as _full_gradcheck

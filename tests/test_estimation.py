@@ -4,9 +4,9 @@ import pytest
 from epimatch import errors
 from epimatch.estimation import (
     _SCORE_BLOCK,
+    MIN_SAMPLE,
     RansacConfig,
     RansacResult,
-    _score_inliers,
     eight_point,
     estimate_relative_pose,
     ransac_fundamental,
@@ -18,10 +18,11 @@ from epimatch.geometry import (
     CameraIntrinsics,
     FundamentalMatrix,
     RelativePose,
-    epipolar_residual,
     fundamental_from_pose,
+    fundamental_to_essential,
     normalize_points,
     rotation_from_axis_angle,
+    symmetric_epipolar_distance_sq,
 )
 from epimatch.metrics import rotation_error, translation_error
 
@@ -56,8 +57,7 @@ class TestEightPoint:
         x1 = project_points(cam1, pts)
         x2 = project_points(cam2, pts)
         F = eight_point(x1[:, :2], x2[:, :2])
-        res = epipolar_residual(F, x1, x2)
-        assert np.max(np.abs(res)) < 1e-8
+        assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-16
 
     def test_too_few_matches(self, rng):
         x1, x2, *_ = pixel_matches(rng, 7)
@@ -77,8 +77,6 @@ def contaminated_matches(rng, n_in=100, n_out=50, reject_band=5e-3):
     distance, normalized units) of the ground-truth geometry are resampled so
     the true inlier set is unambiguous.
     """
-    from epimatch.geometry import fundamental_to_essential, normalize_points, symmetric_epipolar_distance_sq
-
     x1, x2, cam1, cam2, pose = pixel_matches(rng, n_in)
     F_gt = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
     E_gt = fundamental_to_essential(F_gt, cam1.intrinsics, cam2.intrinsics)
@@ -88,9 +86,7 @@ def contaminated_matches(rng, n_in=100, n_out=50, reject_band=5e-3):
         p2 = np.array([rng.uniform(0, 640), rng.uniform(0, 480)])
         n1 = normalize_points(cam1.intrinsics, p1[None])[0]
         n2 = normalize_points(cam2.intrinsics, p2[None])[0]
-        from epimatch.geometry import FundamentalMatrix
-
-        if symmetric_epipolar_distance_sq(FundamentalMatrix(E_gt.m), n1, n2) > reject_band:
+        if symmetric_epipolar_distance_sq(E_gt.m, n1, n2) > reject_band:
             o1.append(p1)
             o2.append(p2)
     pts1 = np.vstack([x1, np.array(o1)])
@@ -163,14 +159,14 @@ class TestRansac:
             rng2 = np.random.default_rng(cfg.seed)
             best_mask = None
             for it in range(cfg.iterations):
-                idx = rng2.choice(pts1.shape[0], size=cfg.min_sample, replace=False)
+                idx = rng2.choice(pts1.shape[0], size=MIN_SAMPLE, replace=False)
                 if it == res.best_iteration:
                     F_hyp = eight_point(pts1[idx], pts2[idx])
-                    best_mask = _score_inliers(
-                        F_hyp.m[None],
+                    best_mask = score_one(
+                        F_hyp,
                         normalize_points(cam1.intrinsics, pts1),
                         normalize_points(cam2.intrinsics, pts2),
-                        cam1.intrinsics, cam2.intrinsics, cfg.inlier_threshold)[0]
+                        cam1.intrinsics, cam2.intrinsics, cfg.inlier_threshold)
                     break
             if best_mask is not None and np.all(res.inlier_mask[best_mask]):
                 hits += 1
@@ -216,7 +212,7 @@ def ransac_reference(pts1, pts2, K1, K2, cfg):
     rng = np.random.default_rng(cfg.seed)
     best_count, best, degenerate = -1, None, 0
     for it in range(cfg.iterations):
-        idx = rng.choice(len(pts1), size=cfg.min_sample, replace=False)
+        idx = rng.choice(len(pts1), size=MIN_SAMPLE, replace=False)
         try:
             F = eight_point(pts1[idx], pts2[idx])
         except errors.DegenerateConfiguration:
@@ -228,7 +224,7 @@ def ransac_reference(pts1, pts2, K1, K2, cfg):
     if best is None:
         raise errors.NoValidHypothesis("all iterations degenerate")
     F, mask, it = best
-    if best_count >= cfg.min_sample:
+    if best_count >= MIN_SAMPLE:
         try:
             F = eight_point(pts1[mask], pts2[mask])
             mask = score_one(F, x1n, x2n, K1, K2, cfg.inlier_threshold)

@@ -13,16 +13,12 @@ from epimatch.geometry import (
     _cheirality_votes,
     cross_matrix,
     decompose_essential,
-    denormalize_point,
-    epipolar_line,
-    epipolar_residual,
     essential_from_pose,
     fundamental_from_pose,
     fundamental_to_essential,
     hom,
-    normalize_point,
     normalize_points,
-    point_line_distance,
+    normalized_w,
     project,
     read_pose_file,
     rotation_from_axis_angle,
@@ -30,6 +26,7 @@ from epimatch.geometry import (
     triangulate,
     write_pose_file,
 )
+from epimatch.losses import d_epi
 
 from conftest import project_points, random_camera_pair, visible_points
 
@@ -76,8 +73,7 @@ class TestFundamentalFromPose:
             pts = visible_points(rng, cam1, cam2, 20)
             x1 = project_points(cam1, pts)
             x2 = project_points(cam2, pts)
-            res = epipolar_residual(F, x1, x2)
-            assert np.max(np.abs(res)) < 1e-10
+            assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-18
 
     def test_rank_two_invariant(self, rng):
         for _ in range(20):
@@ -88,77 +84,92 @@ class TestFundamentalFromPose:
 
 
 class TestEpipolarLine:
+    """The line F x1, as losses.d_epi and the symmetric distance use it."""
+
     def test_sideways_line(self):
+        # F x1 is the line v = 0: the distance is |v| and its gradient (0, +-1)
         F = FundamentalMatrix(cross_matrix([1, 0, 0]))
-        line = epipolar_line(F, hom(0, 0))
-        # v = 0 up to scale
-        assert line[0] == 0 and line[2] == 0 and line[1] != 0
+        for u, v in ((0.3, 0.5), (-2.0, -1.25), (7.0, 0.0)):
+            d, g = d_epi(F, hom(0, 0), hom(u, v))
+            assert d == abs(v)
+            assert g[0] == 0 and abs(g[1]) == (v != 0)
 
     def test_epipole_query(self):
+        # epipole: F (1,0,0) = 0, so its epipolar line vanishes
         F = FundamentalMatrix(cross_matrix([1, 0, 0]))
-        with pytest.raises(errors.EpipoleQuery):
-            epipolar_line(F, hom(1, 0, 0))  # epipole: F (1,0,0) = 0
+        with pytest.raises(errors.DegenerateLine):
+            d_epi(F, hom(1, 0, 0), hom(0.3, 0.5))
+        assert symmetric_epipolar_distance_sq(F.m, hom(1, 0, 0), hom(0.3, 0.5)) == np.inf
 
     def test_points_on_line_have_zero_residual(self, rng):
         for _ in range(10):
             cam1, cam2, pose = random_camera_pair(rng)
             F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
             x1 = hom(rng.uniform(0, 600), rng.uniform(0, 400))
-            line = epipolar_line(F, x1)
             # parametrize the line: pick two points on it
-            a, b, c = line
+            a, b, c = F.m @ x1
             if abs(b) > abs(a):
-                for u in (0.0, 123.4):
-                    x2 = hom(u, -(a * u + c) / b)
-                    assert abs(epipolar_residual(F, x1, x2)) < 1e-9
+                x2s = [hom(u, -(a * u + c) / b) for u in (0.0, 123.4)]
             else:
-                for v in (0.0, 77.7):
-                    x2 = hom(-(b * v + c) / a, v)
-                    assert abs(epipolar_residual(F, x1, x2)) < 1e-9
+                x2s = [hom(-(b * v + c) / a, v) for v in (0.0, 77.7)]
+            for x2 in x2s:
+                assert d_epi(F, x1, x2)[0] < 1e-9
 
 
 class TestEpipolarResidual:
+    """The residual r = x2^T F x1 inside the symmetric distance."""
+
     def test_hand_value(self):
+        # r = -0.5 and both line normals are unit: r^2 * (1 + 1)
         F = FundamentalMatrix(cross_matrix([1, 0, 0]))
-        assert epipolar_residual(F, hom(0, 0), hom(0.3, 0.5)) == pytest.approx(-0.5)
+        assert symmetric_epipolar_distance_sq(F.m, hom(0, 0), hom(0.3, 0.5)) == 0.5
 
     def test_transpose_identity(self, rng):
-        F = FundamentalMatrix(rng.normal(size=(3, 3)))
-        x1 = hom(*rng.normal(size=2))
-        x2 = hom(*rng.normal(size=2))
-        assert epipolar_residual(F, x1, x2) == pytest.approx(
-            epipolar_residual(F.transpose().__class__(F.m.T), x2, x1)
-        )
+        F = rng.normal(size=(4, 3, 3))
+        x1 = np.column_stack([rng.normal(size=(6, 2)), np.ones(6)])
+        x2 = np.column_stack([rng.normal(size=(6, 2)), np.ones(6)])
+        assert np.allclose(symmetric_epipolar_distance_sq(F, x1, x2),
+                           symmetric_epipolar_distance_sq(F.swapaxes(1, 2), x2, x1), rtol=1e-12)
 
     def test_exact_correspondence(self, rng):
-        cam1, cam2, pose = random_camera_pair(rng)
-        F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
+        # a leading axis scores each matrix alone: only the true F gives 0
+        cams = [random_camera_pair(rng) for _ in range(3)]
+        Fs = np.stack([fundamental_from_pose(c1.intrinsics, c2.intrinsics, pose).m for c1, c2, pose in cams])
+        cam1, cam2, _ = cams[0]
         pts = visible_points(rng, cam1, cam2, 5)
-        x1 = project_points(cam1, pts)
-        x2 = project_points(cam2, pts)
-        assert np.max(np.abs(epipolar_residual(F, x1, x2))) < 1e-10
+        d = symmetric_epipolar_distance_sq(Fs, project_points(cam1, pts), project_points(cam2, pts))
+        assert d.shape == (3, 5)
+        assert np.max(d[0]) < 1e-18 and np.min(d[1:]) > 1e-6
 
 
 class TestPointLineDistance:
+    """Perpendicular pixel distance to the epipolar line, losses.d_epi."""
+
     def test_distance_to_v_axis(self):
-        assert point_line_distance([0, -1, 0], hom(0.3, 0.5)) == pytest.approx(0.5)
+        # F (0, 0, 1) is the line (0, -1, 0)
+        F = FundamentalMatrix(cross_matrix([1, 0, 0]))
+        assert d_epi(F, hom(0, 0), hom(0.3, 0.5))[0] == pytest.approx(0.5)
 
     def test_point_on_line(self):
-        assert point_line_distance([1, 1, -1], hom(0.5, 0.5)) == pytest.approx(0.0)
+        # the line u + v - 1 = 0 is F x1 for this F
+        F = FundamentalMatrix(np.array([[0.0, 0, 1], [0, 0, 1], [0, 0, -1]]))
+        assert d_epi(F, hom(0, 0), hom(0.5, 0.5))[0] == pytest.approx(0.0)
 
-    def test_scale_invariance(self):
-        l = np.array([2.0, -3.0, 0.7])
-        x = hom(1.2, 3.4)
-        d = point_line_distance(l, x)
-        assert point_line_distance(7 * l, -2 * x) == pytest.approx(d)
+    def test_scale_invariance(self, rng):
+        F = FundamentalMatrix(rng.normal(size=(3, 3)))
+        x1 = hom(0.3, -0.4)
+        x2 = hom(1.2, 3.4)
+        d = d_epi(F, x1, x2)[0]
+        assert d_epi(FundamentalMatrix(7 * F.m), x1, -2 * x2)[0] == pytest.approx(d)
 
     def test_degenerate_line(self):
+        F = FundamentalMatrix(np.array([[0.0, 0, 0], [0, 0, 0], [0, 0, 1]]))
         with pytest.raises(errors.DegenerateLine):
-            point_line_distance([0, 0, 1], hom(1, 1))
+            d_epi(F, hom(0, 0), hom(1, 1))
 
     def test_point_at_infinity(self):
         with pytest.raises(errors.PointAtInfinity):
-            point_line_distance([1, 0, 0], hom(1, 1, 0))
+            normalized_w(hom(1, 1, 0))
 
 
 class TestSymmetricEpipolarDistance:
@@ -168,58 +179,57 @@ class TestSymmetricEpipolarDistance:
         pts = visible_points(rng, cam1, cam2, 10)
         x1 = project_points(cam1, pts)
         x2 = project_points(cam2, pts)
-        assert np.max(symmetric_epipolar_distance_sq(F, x1, x2)) < 1e-18
+        assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-18
 
     def test_worked_instance(self):
         # oracle: sum of the two squared point-line distances
         F = FundamentalMatrix(cross_matrix([1, 0, 0]))
         x1, x2 = hom(0, 0), hom(0.3, 0.5)
-        d2a = point_line_distance(F.m @ x1, x2) ** 2
-        d2b = point_line_distance(F.m.T @ x2, x1) ** 2
+        d2a = d_epi(F, x1, x2)[0] ** 2
+        d2b = d_epi(FundamentalMatrix(F.m.T), x2, x1)[0] ** 2
         expected = d2a + d2b
         assert expected == pytest.approx(0.5)
-        assert symmetric_epipolar_distance_sq(F, x1, x2) == pytest.approx(expected)
+        assert symmetric_epipolar_distance_sq(F.m, x1, x2) == pytest.approx(expected)
 
     def test_symmetry(self, rng):
-        F = FundamentalMatrix(rng.normal(size=(3, 3)))
+        F = rng.normal(size=(3, 3))
         x1 = hom(*rng.uniform(-2, 2, size=2))
         x2 = hom(*rng.uniform(-2, 2, size=2))
-        swapped = FundamentalMatrix(F.m.T)
         assert symmetric_epipolar_distance_sq(F, x1, x2) == pytest.approx(
-            symmetric_epipolar_distance_sq(swapped, x2, x1)
+            symmetric_epipolar_distance_sq(F.T, x2, x1)
         )
 
     def test_invariant_to_f_rescaling(self, rng):
-        F = FundamentalMatrix(rng.normal(size=(3, 3)))
+        F = rng.normal(size=(3, 3))
         x1 = hom(*rng.uniform(-2, 2, size=2))
         x2 = hom(*rng.uniform(-2, 2, size=2))
-        scaled = FundamentalMatrix(17.3 * F.m)
         assert symmetric_epipolar_distance_sq(F, x1, x2) == pytest.approx(
-            symmetric_epipolar_distance_sq(scaled, x1, x2)
+            symmetric_epipolar_distance_sq(17.3 * F, x1, x2)
         )
 
 
 class TestNormalizePoint:
     def test_identity_intrinsics(self):
         K = CameraIntrinsics(1, 1, 0, 0)
-        x = hom(0.3, -0.7)
-        assert np.allclose(normalize_point(K, x), x)
+        assert np.array_equal(normalize_points(K, [[0.3, -0.7]]), [hom(0.3, -0.7)])
 
     def test_principal_point_maps_to_origin(self):
         K = CameraIntrinsics(500, 480, 320, 240)
-        assert np.allclose(normalize_point(K, hom(320, 240)), hom(0, 0))
+        assert np.allclose(normalize_points(K, [[320, 240]]), [hom(0, 0)])
 
     def test_round_trip(self, rng):
         K = CameraIntrinsics(500, 480, 320, 240)
-        x = hom(rng.uniform(0, 640), rng.uniform(0, 480))
-        assert np.allclose(denormalize_point(K, normalize_point(K, x)), x, atol=1e-12)
+        pts = np.column_stack([rng.uniform(0, 640, 5), rng.uniform(0, 480, 5)])
+        back = normalize_points(K, pts) @ K.matrix().T
+        assert np.allclose(back[:, :2], pts, atol=1e-12) and np.all(back[:, 2] == 1.0)
 
     def test_batched_matches_scalar(self, rng):
+        # oracle: K^-1 applied to one homogeneous point at a time
         K = CameraIntrinsics(512, 500, 320, 240)
         pts = rng.uniform(0, 500, size=(7, 2))
         batch = normalize_points(K, pts)
         for i, p in enumerate(pts):
-            assert np.allclose(batch[i], normalize_point(K, hom(*p)))
+            assert np.allclose(batch[i], K.inverse() @ hom(*p))
 
 
 class TestProjectTriangulate:

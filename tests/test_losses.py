@@ -278,7 +278,7 @@ class TestFineLoss:
         F = horizontal_line_f()
         x1s = np.zeros((2, 2))
         x2s = np.array([[1.0, 0.2], [3.0, -0.4]])
-        assert fine_loss_grad(F, x1s, x2s, scale=1.0)[0] == pytest.approx(0.3)
+        assert fine_loss_grad(F, x1s, x2s)[0] == pytest.approx(0.3)
 
     def test_matches_gt_loss_at_perpendicular_foot(self, rng):
         # when the gt point is the foot of the perpendicular the two losses agree
@@ -296,14 +296,14 @@ class TestFineLoss:
         F = random_f(rng)
         x1s = rng.uniform(0, 100, (6, 2))
         x2s = rng.uniform(0, 100, (6, 2))
-        loss, grad = fine_loss_grad(F, x1s, x2s, scale=1.7)
+        loss, grad = fine_loss_grad(F, x1s, x2s)
         h = 1e-6
         for i in range(6):
             for k in range(2):
                 xp, xm = x2s.copy(), x2s.copy()
                 xp[i, k] += h
                 xm[i, k] -= h
-                fd = (fine_loss_grad(F, x1s, xp, 1.7)[0] - fine_loss_grad(F, x1s, xm, 1.7)[0]) / (2 * h)
+                fd = (fine_loss_grad(F, x1s, xp)[0] - fine_loss_grad(F, x1s, xm)[0]) / (2 * h)
                 assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
@@ -318,14 +318,14 @@ class TestGtFineLoss:
     def test_grad_matches_finite_differences(self, rng):
         x2s = rng.uniform(0, 10, (5, 2))
         gts = rng.uniform(0, 10, (5, 2))
-        _, grad = gt_fine_loss_grad(x2s, gts, scale=2.0)
+        _, grad = gt_fine_loss_grad(x2s, gts)
         h = 1e-6
         for i in range(5):
             for k in range(2):
                 xp, xm = x2s.copy(), x2s.copy()
                 xp[i, k] += h
                 xm[i, k] -= h
-                fd = (gt_fine_loss_grad(xp, gts, 2.0)[0] - gt_fine_loss_grad(xm, gts, 2.0)[0]) / (2 * h)
+                fd = (gt_fine_loss_grad(xp, gts)[0] - gt_fine_loss_grad(xm, gts)[0]) / (2 * h)
                 assert grad[i, k] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 

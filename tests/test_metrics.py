@@ -6,10 +6,12 @@ import pytest
 from epimatch import errors
 from epimatch.estimation import RansacConfig
 from epimatch.geometry import (
+    Camera,
     CameraIntrinsics,
     FundamentalMatrix,
     RelativePose,
     cross_matrix,
+    essential_from_pose,
     fundamental_from_pose,
     rotation_from_axis_angle,
 )
@@ -31,7 +33,8 @@ def dense_grid_auc(errors_list, T, n=10_000):
     errs = np.asarray(errors_list, dtype=float)
     xs = np.linspace(0.0, T, n)
     recall = (errs[None, :] <= xs[:, None]).mean(axis=1)
-    return 100.0 * np.trapezoid(recall, xs) / T
+    area = np.sum(np.diff(xs) * (recall[1:] + recall[:-1]) / 2.0)
+    return 100.0 * area / T
 
 
 class TestRotationError:
@@ -153,6 +156,28 @@ class TestMatchingPrecision:
         p_hi = matching_precision(x1, x2, pose, cam1.intrinsics, cam2.intrinsics, 1e-3)
         assert p_lo <= p_hi
 
+    def test_vanishing_epipolar_line_is_imprecise_and_a_ransac_outlier(self, monkeypatch):
+        # forward motion along the optical axis: the principal point is the
+        # epipole of both images, and its epipolar lines vanish exactly
+        from conftest import project_points, visible_points
+        from epimatch import estimation
+
+        K = CameraIntrinsics(1, 1, 0, 0)
+        pose = RelativePose(np.eye(3), [0.0, 0.0, 1.0])
+        cam1, cam2 = Camera(K, RelativePose.identity()), Camera(K, pose)
+        pts = visible_points(np.random.default_rng(3), cam1, cam2, 20)
+        x1 = np.vstack([project_points(cam1, pts)[:, :2], [0.0, 0.0]])
+        x2 = np.vstack([project_points(cam2, pts)[:, :2], [0.0, 0.0]])
+        assert matching_precision(x1, x2, pose, K, K) == pytest.approx(100.0 * 20 / 21)
+        # every hypothesis and the refit are the exact F, so only the
+        # scoring decides the mask
+        F = essential_from_pose(pose).m
+        monkeypatch.setattr(estimation, "_eight_point_batch",
+                            lambda p1, p2: (np.repeat(F[None], len(p1), axis=0), np.ones(len(p1), bool)))
+        monkeypatch.setattr(estimation, "eight_point", lambda p1, p2: FundamentalMatrix(F))
+        res = estimation.ransac_fundamental(x1, x2, K, K, RansacConfig(iterations=5, seed=0))
+        assert res.inlier_mask.tolist() == [True] * 20 + [False]
+
 
 class TestEvaluate:
     def test_report_invariants_on_synthetic_data(self):
@@ -209,3 +234,22 @@ class TestEvaluate:
         else:
             with pytest.raises(exc):
                 evaluate(params, pairs, RansacConfig(seed=0))
+
+    def test_pure_rotation_pair_fails_with_precision_zero(self):
+        # synth renders a pure rotation with no F; the pair has no epipolar
+        # geometry, so it fails instead of aborting the evaluation
+        from epimatch.synth import make_domain, sample_pair
+
+        spec = make_domain("A", seed=1)
+        R = rotation_from_axis_angle([0, 1, 0], np.radians(5.0))
+        rotation = sample_pair(spec, 0, pose_override=RelativePose(R, np.zeros(3)))
+        assert rotation.F_gt is None
+        other = sample_pair(spec, 1)
+        params = init_params(MatcherConfig(), seed=0)
+        mcfg = MatcherConfig(match_threshold=0.0)
+        cfg = RansacConfig(iterations=50, inlier_threshold=5e-4, seed=0)
+        report = evaluate(params, [rotation, other], cfg, mcfg)
+        alone = evaluate(params, [other], cfg, mcfg)
+        assert report.n_pairs == 2 and report.n_failed == alone.n_failed + 1
+        assert report.precision == alone.precision / 2
+        assert report.mean_matches > alone.mean_matches / 2

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from epimatch import errors
-from epimatch.geometry import (
-    CameraIntrinsics,
-    RelativePose,
-    epipolar_line,
-    hom,
-    point_line_distance,
-)
+from epimatch.geometry import CameraIntrinsics, RelativePose, hom
 from epimatch.grid import GridSpec
+from epimatch.losses import d_epi
 from epimatch.synth import (
     Plane,
     PoseSampler,
@@ -144,8 +139,7 @@ class TestGtCorrespondenceGrid:
         targets, points = gt_correspondence_grid(pair, grid)
         centers = grid.cell_centers()
         for i in np.where(targets >= 0)[0][::7]:
-            line = epipolar_line(pair.F_gt, hom(*centers[i]))
-            assert point_line_distance(line, hom(*points[i])) < 1e-6
+            assert d_epi(pair.F_gt, hom(*centers[i]), hom(*points[i]))[0] < 1e-6
 
 
 class TestDomains:
