@@ -27,12 +27,6 @@ class GridSpec:
     def m(self):
         return self.rows * self.cols
 
-    def cell_center(self, index):
-        """Pixel-centre (u, v) of a flat cell index."""
-        r, c = divmod(index, self.cols)
-        w = self.patch_width
-        return float(c * w + w // 2), float(r * w + w // 2)
-
     def cell_centers(self):
         """(m, 2) array of (u, v) centres in row-major cell order."""
         w = self.patch_width
@@ -40,15 +34,6 @@ class GridSpec:
         vs = np.arange(self.rows) * w + w // 2
         uu, vv = np.meshgrid(us, vs)
         return np.column_stack([uu.ravel(), vv.ravel()]).astype(float)
-
-    def cell_of_point(self, u, v):
-        """Flat index of the cell containing continuous coords, or -1."""
-        w = self.patch_width
-        c = int(round(u)) // w
-        r = int(round(v)) // w
-        if 0 <= r < self.rows and 0 <= c < self.cols:
-            return r * self.cols + c
-        return -1
 
     @staticmethod
     def for_image(height, width, patch_width=8):

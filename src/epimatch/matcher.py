@@ -5,7 +5,7 @@ linearly embedded, re-normalized and compared by dual-softmax over scaled
 inner products. Fine stage: around each coarse match, a correlation heatmap
 between fine-patch embeddings feeds a soft-argmax that yields a subpixel
 match. Both stages backpropagate exactly into the two embedding matrices and
-the shared softmax temperature.
+their own softmax temperatures.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _patch_rows(stack):
     x = stack - stack.mean(axis=1, keepdims=True)
     n = np.linalg.norm(x, axis=1)
     flat = n < _NORM_EPS
-    x[~flat] /= n[~flat, None]
+    x /= np.where(flat, 1.0, n)[:, None]
     x[flat] = 0.0
     return x, flat
 
@@ -138,13 +138,16 @@ def extract_features(image, cfg: MatcherConfig) -> ImageFeatures:
 
 
 def _embed_normalized(X, W):
-    """Rows of (N, d_in) X @ W scaled to unit norm; returns (D, Y, norms)."""
-    Y = X @ W
-    n = np.linalg.norm(Y, axis=1)
-    D = np.zeros_like(Y)
+    """Rows of (N, d_in) X @ W scaled to unit norm; returns (D, norms).
+
+    Rows whose norm is not above _NORM_EPS (zero or NaN) come out as zeros.
+    """
+    D = X @ W
+    n = np.linalg.norm(D, axis=1)
     good = n > _NORM_EPS
-    D[good] = Y[good] / n[good][:, None]
-    return D, Y, n
+    D /= np.where(good, n, 1.0)[:, None]
+    D[~good] = 0.0
+    return D, n
 
 
 def _softmax(z, axis):
@@ -158,8 +161,8 @@ def confidence_matrix(feats1: ImageFeatures, feats2: ImageFeatures, params: Matc
 
     Returns (ConfidenceMatrix, cache dict for backward).
     """
-    D1, Y1, n1 = _embed_normalized(feats1.coarse, params.W_coarse)
-    D2, Y2, n2 = _embed_normalized(feats2.coarse, params.W_coarse)
+    D1, n1 = _embed_normalized(feats1.coarse, params.W_coarse)
+    D2, n2 = _embed_normalized(feats2.coarse, params.W_coarse)
     S = (D1 @ D2.T) / params.tau_coarse
     RS = _softmax(S, axis=1)
     CS = _softmax(S, axis=0)
@@ -182,17 +185,6 @@ def select_coarse(C_values, match_threshold):
     return rows[keep], row_best[keep], conf[keep]
 
 
-def _fine_cell_of_center(feats: ImageFeatures, cfg: MatcherConfig, u, v):
-    """Index of the fine cell whose centre coincides with (u, v), or -1."""
-    fp, s = cfg.fine_patch, cfg.fine_stride
-    q = (u - fp // 2) / s
-    p = (v - fp // 2) / s
-    qi, pi = int(round(q)), int(round(p))
-    if 0 <= pi < feats.fine_rows and 0 <= qi < feats.fine_cols:
-        return pi * feats.fine_cols + qi
-    return -1
-
-
 def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherParams,
                 cfg: MatcherConfig, i_idx, j_idx, conf):
     """Soft-argmax refinement of coarse matches.
@@ -202,43 +194,36 @@ def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherPar
     Matches whose correlation window leaves the fine grid are dropped.
     """
     r = cfg.window_radius
-    kept, centers1, center_cells1, window_cells = [], [], [], []
-    for k, (i, j) in enumerate(zip(i_idx, j_idx)):
-        u1, v1 = feats1.grid.cell_center(i)
-        u2, v2 = feats2.grid.cell_center(j)
-        c1 = _fine_cell_of_center(feats1, cfg, u1, v1)
-        c2 = _fine_cell_of_center(feats2, cfg, u2, v2)
-        if c1 < 0 or c2 < 0:
-            continue
-        p2, q2 = divmod(c2, feats2.fine_cols)
-        if p2 - r < 0 or p2 + r >= feats2.fine_rows or q2 - r < 0 or q2 + r >= feats2.fine_cols:
-            continue
-        pp, qq = np.meshgrid(np.arange(p2 - r, p2 + r + 1), np.arange(q2 - r, q2 + r + 1), indexing="ij")
-        window_cells.append((pp * feats2.fine_cols + qq).ravel())
-        center_cells1.append(c1)
-        centers1.append((u1, v1))
-        kept.append(k)
-    dropped = len(i_idx) - len(kept)
-    if not kept:
+    fp, s = cfg.fine_patch, cfg.fine_stride
+    uv1 = feats1.grid.cell_centers()[np.asarray(i_idx, int)]
+    uv2 = feats2.grid.cell_centers()[np.asarray(j_idx, int)]
+    # the fine cell (row p, column q) centred on each coarse centre
+    q1, p1 = np.rint((uv1 - fp // 2) / s).astype(int).T
+    q2, p2 = np.rint((uv2 - fp // 2) / s).astype(int).T
+    ok = ((p1 >= 0) & (p1 < feats1.fine_rows) & (q1 >= 0) & (q1 < feats1.fine_cols)
+          & (p2 >= r) & (p2 + r < feats2.fine_rows) & (q2 >= r) & (q2 + r < feats2.fine_cols))
+    kept = np.flatnonzero(ok)
+    dropped = len(uv1) - len(kept)
+    if not len(kept):
         empty = np.zeros((0, 2))
         cache = dict(M=0)
         return empty, empty.copy(), np.zeros(0), cache, dropped
 
-    kept = np.array(kept, int)
-    widx = np.array(window_cells, int)  # (M, Kw)
-    cidx = np.array(center_cells1, int)  # (M,)
+    dp, dq = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    widx = (p2[kept, None] + dp.ravel()) * feats2.fine_cols + (q2[kept, None] + dq.ravel())  # (M, Kw)
+    cidx = p1[kept] * feats1.fine_cols + q1[kept]  # (M,)
     Xf1 = feats1.fine[cidx]  # (M, d_in_f)
     Xf2 = feats2.fine[widx]  # (M, Kw, d_in_f)
-    e1, Yf1, nf1 = _embed_normalized(Xf1, params.W_fine)
+    e1, nf1 = _embed_normalized(Xf1, params.W_fine)
     M, Kw, d_in_f = Xf2.shape
-    E2w, _, n2w = _embed_normalized(Xf2.reshape(M * Kw, d_in_f), params.W_fine)
+    E2w, n2w = _embed_normalized(Xf2.reshape(M * Kw, d_in_f), params.W_fine)
     E2w = E2w.reshape(M, Kw, -1)
     corr = np.einsum("mkd,md->mk", E2w, e1)
     logits = corr / params.tau_fine
     p = _softmax(logits, axis=1)
     coords = feats2.fine_centers[widx]  # (M, Kw, 2)
     x2s = np.einsum("mk,mkc->mc", p, coords)
-    x1s = np.array(centers1, dtype=float)
+    x1s = uv1[kept]
     cache = dict(M=M, kept=kept, widx=widx, cidx=cidx, Xf1=Xf1, Xf2=Xf2,
                  e1=e1, nf1=nf1, E2w=E2w, n2w=n2w, corr=corr, p=p, coords=coords)
     return x1s, x2s, np.asarray(conf)[kept], cache, dropped
@@ -278,10 +263,10 @@ def forward(image1, image2, params: MatcherParams, cfg: MatcherConfig, coarse_ov
 
 def _normalize_backward(dD, D, n):
     """Backward through row normalization d = y / |y| (zero rows pass zeros)."""
-    dY = np.zeros_like(dD)
     good = n > _NORM_EPS
-    dot = np.einsum("ij,ij->i", dD[good], D[good])
-    dY[good] = (dD[good] - D[good] * dot[:, None]) / n[good][:, None]
+    dot = np.einsum("ij,ij->i", dD, D)
+    dY = (dD - D * dot[:, None]) / np.where(good, n, 1.0)[:, None]
+    dY[~good] = 0.0
     return dY
 
 

@@ -318,31 +318,26 @@ def gt_correspondence_grid(pair: RenderedPair, grid: GridSpec):
     applies a two-sided occlusion test against depth2 (1% tolerance)."""
     H, W = pair.depth1.shape
     K = pair.K
-    centers = grid.cell_centers()
+    w = grid.patch_width
+    u, v = grid.cell_centers().T
+    d = pair.depth1[np.rint(v).astype(int), np.rint(u).astype(int)]
+    X = d[:, None] * np.column_stack([(u - K.cx) / K.fx, (v - K.cy) / K.fy, np.ones_like(u)])
+    # a stacked matmul keeps the rounding of the per-point R @ X
+    X2 = (pair.pose.R[None] @ X[:, :, None])[:, :, 0] + pair.pose.t
     targets = np.full(grid.m, -1, dtype=int)
     points = np.full((grid.m, 2), np.nan)
-    R, t = pair.pose.R, pair.pose.t
-    for i, (u, v) in enumerate(centers):
-        ui, vi = int(round(u)), int(round(v))
-        d = pair.depth1[vi, ui]
-        if d <= 0:
-            continue
-        X = d * np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
-        X2 = R @ X + t
-        if X2[2] <= 1e-9:
-            continue
-        u2 = K.fx * X2[0] / X2[2] + K.cx
-        v2 = K.fy * X2[1] / X2[2] + K.cy
-        if not (0.0 <= u2 <= W - 1 and 0.0 <= v2 <= H - 1):
-            continue
-        d2 = pair.depth2[int(round(v2)), int(round(u2))]
-        if d2 <= 0 or X2[2] > d2 * 1.01:
-            continue
-        cell = grid.cell_of_point(u2, v2)
-        if cell < 0:
-            continue
-        targets[i] = cell
-        points[i] = (u2, v2)
+    idx = np.flatnonzero((d > 0) & (X2[:, 2] > 1e-9))
+    X2 = X2[idx]
+    u2 = K.fx * X2[:, 0] / X2[:, 2] + K.cx
+    v2 = K.fy * X2[:, 1] / X2[:, 2] + K.cy
+    inside = (0.0 <= u2) & (u2 <= W - 1) & (0.0 <= v2) & (v2 <= H - 1)
+    idx, z2, u2, v2 = idx[inside], X2[inside, 2], u2[inside], v2[inside]
+    ui2, vi2 = np.rint(u2).astype(int), np.rint(v2).astype(int)
+    d2 = pair.depth2[vi2, ui2]
+    r2, c2 = vi2 // w, ui2 // w
+    ok = (d2 > 0) & (z2 <= d2 * 1.01) & (r2 < grid.rows) & (c2 < grid.cols)
+    targets[idx[ok]] = r2[ok] * grid.cols + c2[ok]
+    points[idx[ok]] = np.column_stack([u2[ok], v2[ok]])
     return targets, points
 
 

@@ -7,6 +7,7 @@ import zlib
 
 import numpy as np
 
+from .errors import DegenerateBaseline
 from .metrics import PRECISION_THRESHOLD_INDOOR, gt_epipolar_distance_sq
 
 GREEN = (60, 200, 60)
@@ -72,7 +73,9 @@ def _draw_dot(canvas, p, color, r=1):
 def match_overlay(image1, image2, x1s, x2s, pose_or_f, K, threshold=PRECISION_THRESHOLD_INDOOR):
     """Side-by-side pair with match lines coloured by whether each match's
     squared symmetric epipolar distance clears the threshold, as
-    `metrics.matching_precision` counts it."""
+    `metrics.matching_precision` counts it. A pure-rotation ground truth has
+    no epipolar geometry, so all its matches are red, as `metrics.evaluate`
+    scores such a pair at precision 0."""
     left = _to_rgb(image1)
     right = _to_rgb(image2)
     H = max(left.shape[0], right.shape[0])
@@ -83,10 +86,13 @@ def match_overlay(image1, image2, x1s, x2s, pose_or_f, K, threshold=PRECISION_TH
     x1s = np.asarray(x1s, dtype=float)
     x2s = np.asarray(x2s, dtype=float)
     if x1s.shape[0]:
-        d = gt_epipolar_distance_sq(x1s, x2s, pose_or_f, K, K)
+        try:
+            precise = gt_epipolar_distance_sq(x1s, x2s, pose_or_f, K, K) < threshold
+        except DegenerateBaseline:
+            precise = np.zeros(x1s.shape[0], dtype=bool)
         offset = np.array([left.shape[1], 0.0])
         for k in range(x1s.shape[0]):
-            color = GREEN if d[k] < threshold else RED
+            color = GREEN if precise[k] else RED
             _draw_line(canvas, x1s[k], x2s[k] + offset, color)
             _draw_dot(canvas, x1s[k], color)
             _draw_dot(canvas, x2s[k] + offset, color)

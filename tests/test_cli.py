@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 
 from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main
 from epimatch.config import parse_config_file
+from epimatch.geometry import RelativePose
 from epimatch.grid import GridSpec
 from epimatch.pipeline import BootstrapConfig, TrainConfig, pretrain_config
-from epimatch.synth import gt_correspondence_grid, load_dataset, load_pair_file
+from epimatch.synth import gt_correspondence_grid, load_dataset, load_pair_file, save_pair_file
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +85,19 @@ class TestMatchPoseEval:
                      "--out", str(out), "--overlay", str(overlay)]) == 0
         assert out.exists()
         assert overlay.read_bytes().startswith(b"\x89PNG")
+
+    def test_match_overlay_of_pure_rotation_pair(self, workspace, tmp_path):
+        # same image twice under a zero-baseline pose: plenty of matches, no epipolar geometry
+        pair = load_pair_file(workspace / "dsA" / "pairs" / "00000.bin")
+        pair = replace(pair, image2=pair.image1, pose=RelativePose(np.eye(3), np.zeros(3)), F_gt=None)
+        save_pair_file(tmp_path / "rot.bin", pair)
+        out, overlay = tmp_path / "m.txt", tmp_path / "ov.png"
+        assert main(["match", "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                     "--pair", str(tmp_path / "rot.bin"), "--out", str(out),
+                     "--overlay", str(overlay)]) == 0
+        assert len(out.read_text().splitlines()) > 0
+        assert overlay.read_bytes().startswith(b"\x89PNG")
+        assert (tmp_path / "run_manifest.json").exists()
 
     def test_pose_from_gt_matches(self, workspace, tmp_path):
         from epimatch.estimation import write_match_file

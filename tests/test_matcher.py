@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from epimatch.matcher import (
     sgd_step,
     zero_grads,
 )
+from epimatch.matcher import _NORM_EPS, _embed_normalized, _normalize_backward, _softmax
 
 SMALL = MatcherConfig(patch_width=8, fine_patch=4, fine_stride=2, d=8, d_fine=6,
                       window_radius=2, match_threshold=0.2)
@@ -26,6 +29,69 @@ SMALL = MatcherConfig(patch_width=8, fine_patch=4, fine_stride=2, d=8, d_fine=6,
 
 def random_image(rng, h=32, w=32):
     return rng.uniform(0.0, 1.0, (h, w))
+
+
+def masked_embed_normalized(X, W):
+    """Reference row normalization that copies the rows above _NORM_EPS out
+    through a boolean mask."""
+    Y = X @ W
+    n = np.linalg.norm(Y, axis=1)
+    D = np.zeros_like(Y)
+    good = n > _NORM_EPS
+    D[good] = Y[good] / n[good][:, None]
+    return D, n
+
+
+def masked_normalize_backward(dD, D, n):
+    dY = np.zeros_like(dD)
+    good = n > _NORM_EPS
+    dot = np.einsum("ij,ij->i", dD[good], D[good])
+    dY[good] = (dD[good] - D[good] * dot[:, None]) / n[good][:, None]
+    return dY
+
+
+def refine_fine_loop(feats1, feats2, params, cfg, i_idx, j_idx, conf):
+    """Per-match reference for refine_fine: the fine cell under each coarse
+    centre by scalar rounding, one window meshgrid per match."""
+    fp, s, r = cfg.fine_patch, cfg.fine_stride, cfg.window_radius
+
+    def fine_cell(feats, index):
+        row, col = divmod(int(index), feats.grid.cols)
+        w = feats.grid.patch_width
+        u, v = float(col * w + w // 2), float(row * w + w // 2)
+        q, p = int(round((u - fp // 2) / s)), int(round((v - fp // 2) / s))
+        inside = 0 <= p < feats.fine_rows and 0 <= q < feats.fine_cols
+        return (u, v), (p * feats.fine_cols + q if inside else -1)
+
+    kept, centers1, cidx, widx = [], [], [], []
+    for k, (i, j) in enumerate(zip(i_idx, j_idx)):
+        uv1, c1 = fine_cell(feats1, i)
+        _, c2 = fine_cell(feats2, j)
+        if c1 < 0 or c2 < 0:
+            continue
+        p2, q2 = divmod(c2, feats2.fine_cols)
+        if p2 - r < 0 or p2 + r >= feats2.fine_rows or q2 - r < 0 or q2 + r >= feats2.fine_cols:
+            continue
+        pp, qq = np.meshgrid(np.arange(p2 - r, p2 + r + 1), np.arange(q2 - r, q2 + r + 1), indexing="ij")
+        widx.append((pp * feats2.fine_cols + qq).ravel())
+        cidx.append(c1)
+        centers1.append(uv1)
+        kept.append(k)
+    dropped = len(i_idx) - len(kept)
+    if not kept:
+        return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), dict(M=0), dropped
+    kept, widx, cidx = np.array(kept, int), np.array(widx, int), np.array(cidx, int)
+    e1, _ = masked_embed_normalized(feats1.fine[cidx], params.W_fine)
+    E2w, _ = masked_embed_normalized(feats2.fine[widx].reshape(widx.size, -1), params.W_fine)
+    corr = np.einsum("mkd,md->mk", E2w.reshape(*widx.shape, -1), e1)
+    p = _softmax(corr / params.tau_fine, axis=1)
+    x2s = np.einsum("mk,mkc->mc", p, feats2.fine_centers[widx])
+    cache = dict(M=len(kept), kept=kept, widx=widx, cidx=cidx)
+    return np.array(centers1, dtype=float), x2s, np.asarray(conf)[kept], cache, dropped
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestExtractFeatures:
@@ -118,7 +184,45 @@ class TestSelectCoarse:
         assert i.size == 6
 
 
+# coarse cells 4 px wide under 6 px fine patches: coarse centres fall half
+# way between fine centres (so rounding is half to even) and the last coarse
+# row and column of image 1 have no fine cell
+ODD = MatcherConfig(patch_width=4, fine_patch=6, fine_stride=2, d=8, d_fine=6,
+                    window_radius=1, match_threshold=0.2)
+
+
 class TestRefineFine:
+    @pytest.mark.parametrize("cfg,shape", [(SMALL, (32, 32)), (SMALL, (48, 80)),
+                                           (MatcherConfig(), (64, 96)), (ODD, (32, 48))])
+    def test_matches_per_match_loop(self, rng, cfg, shape):
+        f1 = extract_features(random_image(rng, *shape), cfg)
+        f2 = extract_features(random_image(rng, *shape), cfg)
+        params = init_params(cfg, seed=3)
+        m, cols = f1.grid.m, f1.grid.cols
+        border = np.array([0, cols - 1, m - cols, m - 1, cols, 2 * cols - 1])
+        interior = np.array([2 * cols + 2, 2 * cols + 3])
+        i_idx = np.concatenate([rng.integers(0, m, 60), border, interior, [interior[0]] * 3])
+        j_idx = np.concatenate([rng.integers(0, m, 60), interior[[0, 1, 0, 1, 0, 1]], border[:2],
+                                [interior[1]] * 3])
+        conf = rng.uniform(0.0, 1.0, i_idx.size)
+        got = refine_fine(f1, f2, params, cfg, i_idx, j_idx, conf)
+        want = refine_fine_loop(f1, f2, params, cfg, i_idx, j_idx, conf)
+        for a, b in zip(got[:3], want[:3]):
+            assert_same_bytes(a, b)
+        assert got[4] == want[4] and 0 < got[4] < i_idx.size
+        for key in ("kept", "widx", "cidx"):
+            assert_same_bytes(got[3][key], want[3][key])
+
+    @pytest.mark.parametrize("cfg", [SMALL, ODD])
+    def test_empty_and_all_dropped(self, rng, cfg):
+        f1 = extract_features(random_image(rng), cfg)
+        f2 = extract_features(random_image(rng), cfg)
+        params = init_params(cfg, seed=3)
+        for idx in (np.zeros(0, int), np.array([0, 0])):
+            x1s, x2s, conf, cache, dropped = refine_fine(f1, f2, params, cfg, idx, idx, np.ones(idx.size))
+            assert x1s.shape == x2s.shape == (0, 2) and conf.shape == (0,)
+            assert cache == dict(M=0) and dropped == idx.size
+
     def test_flat_window_gives_window_centre(self, rng):
         # textureless image 2: uniform heatmap, soft-argmax = window centre
         img1 = random_image(rng)
@@ -168,6 +272,37 @@ class TestRefineFine:
         i_idx = np.array([0])  # corner cell: window leaves the fine grid
         *_, dropped = refine_fine(f1, f2, params, SMALL, i_idx, i_idx, np.ones(1))
         assert dropped == 1
+
+
+class TestRowNormalization:
+    BAD = [1, 3, 6, 8]
+
+    def rows(self, rng):
+        X = rng.normal(size=(10, 5))
+        X[[1, 6]] = 0.0
+        X[3] = np.nan
+        X[8] = 1e-15
+        return X, rng.normal(size=(5, 4))
+
+    def test_embed_matches_masked_reference(self, rng):
+        X, W = self.rows(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            D, n = _embed_normalized(X, W)
+        D_ref, n_ref = masked_embed_normalized(X, W)
+        assert np.all(D[self.BAD] == 0.0)
+        assert_same_bytes(D, D_ref)
+        assert_same_bytes(n, n_ref)
+
+    def test_backward_matches_masked_reference(self, rng):
+        X, W = self.rows(rng)
+        D, n = masked_embed_normalized(X, W)
+        dD = rng.normal(size=D.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dY = _normalize_backward(dD, D, n)
+        assert np.all(dY[self.BAD] == 0.0)
+        assert_same_bytes(dY, masked_normalize_backward(dD, D, n))
 
 
 class TestForward:

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from epimatch import errors
-from epimatch.geometry import CameraIntrinsics, RelativePose, hom
+from epimatch.geometry import CameraIntrinsics, RelativePose, hom, rotation_from_axis_angle
 from epimatch.grid import GridSpec
 from epimatch.losses import d_epi
 from epimatch.synth import (
@@ -11,6 +13,7 @@ from epimatch.synth import (
     RenderedPair,
     SceneSpec,
     TextureSpec,
+    cluttered_room_planes,
     generate_pairs,
     gt_correspondence_grid,
     load_dataset,
@@ -99,7 +102,63 @@ class TestSamplePair:
             sample_pair(spec, 0)
 
 
+def gt_grid_oracle(pair, grid):
+    """Per-cell scalar reference for gt_correspondence_grid. Also returns,
+    for each cell without a target, why it has none."""
+    H, W = pair.depth1.shape
+    K = pair.K
+    w = grid.patch_width
+    targets = np.full(grid.m, -1, dtype=int)
+    points = np.full((grid.m, 2), np.nan)
+    R, t = pair.pose.R, pair.pose.t
+    reasons = []
+    for i, (u, v) in enumerate(grid.cell_centers()):
+        d = pair.depth1[int(round(v)), int(round(u))]
+        if d <= 0:
+            reasons.append("no depth")
+            continue
+        X = d * np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
+        X2 = R @ X + t
+        if X2[2] <= 1e-9:
+            reasons.append("behind camera")
+            continue
+        u2 = K.fx * X2[0] / X2[2] + K.cx
+        v2 = K.fy * X2[1] / X2[2] + K.cy
+        if not (0.0 <= u2 <= W - 1 and 0.0 <= v2 <= H - 1):
+            reasons.append("out of view")
+            continue
+        d2 = pair.depth2[int(round(v2)), int(round(u2))]
+        if d2 <= 0 or X2[2] > d2 * 1.01:
+            reasons.append("occluded")
+            continue
+        r, c = int(round(v2)) // w, int(round(u2)) // w
+        if not (0 <= r < grid.rows and 0 <= c < grid.cols):
+            reasons.append("off grid")
+            continue
+        targets[i] = r * grid.cols + c
+        points[i] = (u2, v2)
+    return targets, points, reasons
+
+
 class TestGtCorrespondenceGrid:
+    @pytest.mark.parametrize("domain", ["A", "B"])
+    def test_matches_per_cell_oracle(self, domain):
+        spec = make_domain(domain, seed=5)
+        cluttered = replace(spec, planes=cluttered_room_planes())
+        # a 70 degree pan puts part of the view behind camera 2, part beside it
+        pan = RelativePose(rotation_from_axis_angle([0.0, 1.0, 0.0], np.radians(70.0)), [0.2, 0.0, 0.0])
+        pairs = [sample_pair(spec, 0), sample_pair(spec, 1), sample_pair(cluttered, 0),
+                 sample_pair(cluttered, 1), sample_pair(spec, 2, pose_override=pan)]
+        grid = GridSpec.for_image(*spec.image_size, 8)
+        reasons = set()
+        for pair in pairs:
+            targets, points = gt_correspondence_grid(pair, grid)
+            ref_targets, ref_points, why = gt_grid_oracle(pair, grid)
+            assert targets.dtype == ref_targets.dtype and targets.tobytes() == ref_targets.tobytes()
+            assert points.tobytes() == ref_points.tobytes()
+            reasons.update(why)
+        assert {"behind camera", "out of view", "occluded"} <= reasons
+
     def test_identity_pose_maps_cells_to_themselves(self):
         spec = small_domain(noise=0.0)
         pair = sample_pair(spec, 0, pose_override=RelativePose.identity())

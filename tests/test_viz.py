@@ -1,5 +1,6 @@
 import numpy as np
 
+from epimatch.geometry import RelativePose
 from epimatch.metrics import matching_precision
 from epimatch.viz import GREEN, RED, match_overlay
 
@@ -26,3 +27,13 @@ def test_match_is_green_exactly_when_precise(rng):
         assert tuple(canvas[v, u]) == (GREEN if precise[-1] else RED)
     assert len(precise) == 16 and 0 < sum(precise) < 16
     assert matching_precision(x1, x2, pose, K, K) == 100.0 * np.mean(precise)
+
+
+def test_pure_rotation_draws_every_match_red(rng):
+    cam1, _, _ = random_camera_pair(rng, same_k=True)
+    x1 = rng.uniform((0, 0), (640, 480), (8, 2))
+    x2 = x1.copy()  # on their epipolar lines under any pose with a baseline
+    canvas = match_overlay(np.zeros((480, 640)), np.zeros((480, 640)), x1, x2,
+                           RelativePose(np.eye(3), np.zeros(3)), cam1.intrinsics)
+    for u, v in np.round(x1).astype(int):
+        assert tuple(canvas[v, u]) == RED
