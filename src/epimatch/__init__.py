@@ -14,7 +14,7 @@ from .geometry import (
     essential_from_pose,
     fundamental_from_pose,
     fundamental_to_essential,
-    project,
+    project_points,
     symmetric_epipolar_distance_sq,
     triangulate,
 )
@@ -31,7 +31,7 @@ __all__ = [
     "essential_from_pose",
     "fundamental_from_pose",
     "fundamental_to_essential",
-    "project",
+    "project_points",
     "symmetric_epipolar_distance_sq",
     "triangulate",
 ]

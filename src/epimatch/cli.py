@@ -57,7 +57,14 @@ def _apply_config_file(args, command):
 
 
 class _TrackingParser(argparse.ArgumentParser):
-    """Records which options the user actually passed (for file overrides)."""
+    """Records which options the user actually passed (for file overrides).
+
+    Abbreviated options are refused, subcommands included: argparse would
+    expand one, but the record holds the token as typed, so a config file
+    value would silently override it."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def parse_args(self, argv=None, namespace=None):
         args = super().parse_args(argv, namespace)

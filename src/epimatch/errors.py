@@ -17,10 +17,6 @@ class PointAtInfinity(EpimatchError):
     """Homogeneous point with w = 0 where a finite point is required."""
 
 
-class BehindCamera(EpimatchError):
-    """Projected point has non-positive depth."""
-
-
 class DegenerateConfiguration(EpimatchError):
     """Point configuration is rank-deficient for the requested solve."""
 

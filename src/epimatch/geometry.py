@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     AmbiguousCheirality,
-    BehindCamera,
     DegenerateBaseline,
     DegenerateConfiguration,
     PointAtInfinity,
@@ -72,13 +71,6 @@ class RelativePose:
     def __post_init__(self):
         self.R = np.asarray(self.R, dtype=float).reshape(3, 3)
         self.t = np.asarray(self.t, dtype=float).reshape(3)
-
-    def validate(self, tol=1e-9):
-        if not np.allclose(self.R.T @ self.R, np.eye(3), atol=tol):
-            raise ValueError("R is not orthonormal")
-        if abs(np.linalg.det(self.R) - 1.0) > tol:
-            raise ValueError("det(R) != +1")
-        return self
 
     @staticmethod
     def identity():
@@ -199,15 +191,25 @@ def normalize_points(K: CameraIntrinsics, pts):
     return out
 
 
-def project(camera: Camera, X):
-    """Project a world point; returns (homogeneous pixel with w = 1, depth)."""
-    X = np.asarray(X, dtype=float).reshape(3)
-    Xc = camera.pose.R @ X + camera.pose.t
-    depth = Xc[2]
-    if depth <= 0.0:
-        raise BehindCamera(f"depth = {depth:.6g}")
-    pix = camera.intrinsics.matrix() @ Xc
-    return pix / pix[2], depth
+def pixel_rays(camera: Camera, pix):
+    """World-frame directions (z_cam = 1, not unit) of the rays through (N, 2)
+    pixels; the rays start at camera.center()."""
+    return normalize_points(camera.intrinsics, pix) @ camera.pose.R  # R.T @ d per row
+
+
+def project_points(camera: Camera, X):
+    """(N, 2) pixels and (N,) camera-frame depths of (N, 3) world points.
+
+    No depth test: a point at or behind the camera gets a meaningless (or
+    non-finite) pixel, so callers filter on the depth with their own tolerance.
+    """
+    X = np.asarray(X, dtype=float)
+    # a stacked matmul keeps the rounding of the per-point R @ X
+    Xc = (camera.pose.R[None] @ X[:, :, None])[:, :, 0] + camera.pose.t
+    K = camera.intrinsics
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pix = np.column_stack([K.fx * Xc[:, 0] / Xc[:, 2] + K.cx, K.fy * Xc[:, 1] / Xc[:, 2] + K.cy])
+    return pix, Xc[:, 2]
 
 
 def _triangulate_batch(P1, P2, x1, x2):

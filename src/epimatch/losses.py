@@ -111,23 +111,10 @@ def coarse_loss_grad(C_values, mask: EpipolarMask):
     return float(np.mean(-np.log(c))), grad
 
 
-def d_epi(F: FundamentalMatrix, x1, x2_hat):
-    """Perpendicular pixel distance from x2_hat to the line F x1, plus its
-    gradient w.r.t. the (u, v) of x2_hat. Subgradient 0 on the line."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2_hat, dtype=float)
-    line = F.m @ x1
-    n = np.hypot(line[0], line[1])
-    if n == 0.0:
-        raise DegenerateLine("epipolar line has (a, b) = (0, 0)")
-    r = float(line @ (x2 / x2[2]))
-    d = abs(r) / n
-    grad = np.sign(r) * line[:2] / n
-    return d, grad
-
-
-def d_epi_batch(F: FundamentalMatrix, x1s, x2s):
-    """Vectorized d_epi over (N, 2) pixel arrays; returns (d, grad) arrays."""
+def d_epi(F: FundamentalMatrix, x1s, x2s):
+    """Perpendicular pixel distance from each x2 to the line F x1, over (N, 2)
+    pixel arrays, plus its gradient w.r.t. the (u, v) of x2; returns (d, grad)
+    arrays. Subgradient 0 on the line."""
     x1s = np.asarray(x1s, dtype=float)
     x2s = np.asarray(x2s, dtype=float)
     ones = np.ones((x1s.shape[0], 1))
@@ -146,7 +133,7 @@ def fine_loss_grad(F: FundamentalMatrix, x1s, x2s):
     x1s = np.asarray(x1s, dtype=float)
     if x1s.shape[0] == 0:
         raise EmptySupervision("no fine matches to supervise")
-    d, g = d_epi_batch(F, x1s, x2s)
+    d, g = d_epi(F, x1s, x2s)
     return float(np.mean(d)), g / x1s.shape[0]
 
 

@@ -49,7 +49,9 @@ class EvalReport:
     mean_matches: float = 0.0
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: a non-finite value (a median over no pose) is null."""
+        row = {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in asdict(self).items()}
+        return json.dumps(row, indent=2, sort_keys=True, allow_nan=False)
 
     def to_table(self):
         """Aligned text table mirroring the headline results layout."""

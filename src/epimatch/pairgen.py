@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera
+from .geometry import Camera, pixel_rays, project_points
 
 SAMPLE_GRID = 32
 
@@ -56,81 +56,80 @@ PRESETS = {
 }
 
 
-def _ray_through_pixel(camera: Camera, u, v):
-    """(origin, unit direction) of the viewing ray in world coordinates."""
-    K = camera.intrinsics
-    d_cam = np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
-    d = camera.pose.R.T @ d_cam
-    return camera.center(), d / np.linalg.norm(d)
+def _unit_rays(camera: Camera, pix):
+    """Unit world-frame directions of the viewing rays through (N, 2) pixels."""
+    d = pixel_rays(camera, pix)
+    # the matmul form sums like np.linalg.norm of one vector, bit for bit
+    return d / np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
 
 
-def _hemisphere_depth(model: HemisphereModel, origin, direction):
-    cz = origin[2]
-    if cz < model.z_plane:
-        return None
-    h = cz - model.z_plane
-    if h >= model.r_sphere:
-        return None  # camera outside the dome
-    hits = []
-    if direction[2] < 0.0:
-        t = (model.z_plane - cz) / direction[2]
-        if t > 0:
-            # plane hit must lie under the dome
-            p = origin + t * direction
-            if (p[0] - origin[0]) ** 2 + (p[1] - origin[1]) ** 2 <= model.r_sphere ** 2:
-                hits.append(t)
+def _hemisphere_depth(model: HemisphereModel, origin, dirs):
+    depth = np.full(dirs.shape[0], np.inf)
+    h = origin[2] - model.z_plane
+    if h < 0.0 or h >= model.r_sphere:
+        return depth  # camera below the plane or outside the dome
+    dz = dirs[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (model.z_plane - origin[2]) / dz
+        p = origin + t[:, None] * dirs
+    radial_sq = (p[:, 0] - origin[0]) ** 2 + (p[:, 1] - origin[1]) ** 2
+    on_plane = (dz < 0.0) & (t > 0) & (radial_sq <= model.r_sphere ** 2)  # under the dome
+    depth[on_plane] = t[on_plane]
     # sphere centred at (x_cam, y_cam, z_plane): |o - c| = h along +z
-    oc = np.array([0.0, 0.0, h])
-    b = oc @ direction
+    b = h * dz
     disc = b * b - (h * h - model.r_sphere ** 2)
-    if disc >= 0.0:
+    with np.errstate(invalid="ignore"):
         t = -b + np.sqrt(disc)  # camera is inside: take the exit point
-        if t > 0:
-            p = origin + t * direction
-            if p[2] >= model.z_plane - 1e-9:
-                hits.append(t)
-    return min(hits) if hits else None
+    p = origin + t[:, None] * dirs
+    on_sphere = (disc >= 0.0) & (t > 0) & (p[:, 2] >= model.z_plane - 1e-9)
+    depth[on_sphere] = np.minimum(depth[on_sphere], t[on_sphere])
+    return depth
 
 
-def _box_depth(model: BoxModel, origin, direction, driving_dir):
+def _box_depth(model: BoxModel, origin, dirs, driving_dir):
     f = np.asarray(driving_dir, dtype=float)
     f = f / np.linalg.norm(f)
     up = np.array([0.0, 0.0, 1.0])
     r = np.cross(f, up)
     r = r / np.linalg.norm(r)
-    # components of the ray in the box frame (front = f, right = r, up)
-    df = direction @ f
-    dr = direction @ r
-    dz = direction[2]
-    cands = []  # (t, is_front_back)
-    for comp, dist in ((df, model.longitudinal), (-df, model.longitudinal)):
-        if comp > 1e-12:
-            cands.append((dist / comp, True))
-    for comp, dist in ((dr, model.side), (-dr, model.side)):
-        if comp > 1e-12:
-            cands.append((dist / comp, False))
-    if dz < -1e-12:
-        cands.append((model.bottom / dz, False))  # bottom is below: negative/negative
-    cands = [(t, fb) for t, fb in cands if t > 0]
-    if not cands:
-        return None  # e.g. straight up toward the open top
-    t, is_front_back = min(cands)
-    if is_front_back:
-        return None  # front/back hits never count as overlapping
-    return t
+    # components of the rays in the box frame (front = f, right = r, up); the
+    # stacked matmul rounds like the dot product of one ray
+    df = (dirs[:, None, :] @ f[:, None])[:, 0, 0]
+    dr = (dirs[:, None, :] @ r[:, None])[:, 0, 0]
+    dz = dirs[:, 2]
+
+    def first_hit(dist, comp):
+        # planes the ray moves toward (comp > 0) and meets ahead of the camera
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = dist / comp
+        return np.where((comp > 1e-12) & (t > 0), t, np.inf)
+
+    t_front_back = first_hit(model.longitudinal, np.abs(df))
+    t_side = first_hit(model.side, np.abs(dr))
+    t_bottom = first_hit(-model.bottom, -dz)  # the floor is below the camera
+    t = np.minimum(t_side, t_bottom)
+    # front/back hits never count as overlapping, and a side or bottom plane
+    # wins a tie; a ray with no hit (straight up, through the open top) misses
+    return np.where(t <= t_front_back, t, np.inf)
 
 
-def pseudo_depth(model, camera: Camera, u, v, driving_dir=None):
-    """First positive ray intersection with the assumed surface, or None."""
-    origin, direction = _ray_through_pixel(camera, u, v)
+def _surface_depth(model, origin, dirs, driving_dir):
+    """Ray parameter of the first positive hit of each unit ray origin + t *
+    dirs with the assumed surface; inf on a miss."""
     if isinstance(model, HemisphereModel):
-        return _hemisphere_depth(model, origin, direction)
+        return _hemisphere_depth(model, origin, dirs)
     if isinstance(model, BoxModel):
         dd = driving_dir if driving_dir is not None else model.driving_dir
         if dd is None:
             raise ValueError("box model needs a driving direction")
-        return _box_depth(model, origin, direction, dd)
+        return _box_depth(model, origin, dirs, dd)
     raise TypeError(f"unknown pseudo-depth model {type(model).__name__}")
+
+
+def pseudo_depth(model, camera: Camera, pix, driving_dir=None):
+    """(N,) distances along the viewing rays through (N, 2) pixels to the
+    assumed surface; inf where a ray misses it."""
+    return _surface_depth(model, camera.center(), _unit_rays(camera, pix), driving_dir)
 
 
 def _directional_overlap(model, cam_i: Camera, cam_j: Camera, image_size, driving_dir=None):
@@ -139,24 +138,15 @@ def _directional_overlap(model, cam_i: Camera, cam_j: Camera, image_size, drivin
     # border, which would leave the frame under any forward motion)
     us = (np.arange(SAMPLE_GRID) + 0.5) * W / SAMPLE_GRID - 0.5
     vs = (np.arange(SAMPLE_GRID) + 0.5) * H / SAMPLE_GRID - 0.5
-    K = cam_j.intrinsics
-    count = 0
-    for v in vs:
-        for u in us:
-            d = pseudo_depth(model, cam_i, u, v, driving_dir=driving_dir)
-            if d is None:
-                continue
-            origin, direction = _ray_through_pixel(cam_i, u, v)
-            X = origin + d * direction
-            Xc = cam_j.pose.R @ X + cam_j.pose.t
-            if Xc[2] <= 1e-9:
-                continue
-            u2 = K.fx * Xc[0] / Xc[2] + K.cx
-            v2 = K.fy * Xc[1] / Xc[2] + K.cy
-            eps = 1e-6  # keep boundary samples of an identical view inside
-            if -eps <= u2 <= W - 1 + eps and -eps <= v2 <= H - 1 + eps:
-                count += 1
-    return count / float(SAMPLE_GRID * SAMPLE_GRID)
+    origin = cam_i.center()
+    dirs = _unit_rays(cam_i, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
+    depth = _surface_depth(model, origin, dirs, driving_dir)
+    hit = np.isfinite(depth)
+    pix, z = project_points(cam_j, origin + depth[hit, None] * dirs[hit])
+    u2, v2 = pix.T
+    eps = 1e-6  # keep boundary samples of an identical view inside
+    inside = (z > 1e-9) & (-eps <= u2) & (u2 <= W - 1 + eps) & (-eps <= v2) & (v2 <= H - 1 + eps)
+    return int(np.count_nonzero(inside)) / float(SAMPLE_GRID * SAMPLE_GRID)
 
 
 def pseudo_overlap(model, cam_i: Camera, cam_j: Camera, image_size=(640, 480),

@@ -21,6 +21,9 @@ from .geometry import (
     FundamentalMatrix,
     RelativePose,
     fundamental_from_pose,
+    normalize_points,
+    pixel_rays,
+    project_points,
     quat_to_rotation,
     rotation_from_axis_angle,
     rotation_to_quat,
@@ -136,13 +139,6 @@ def _sample_texture(octaves, a, b, contrast):
     return np.clip(0.5 + contrast * total, 0.0, 1.0)
 
 
-def _ray_dirs_world(K: CameraIntrinsics, R, H, W):
-    """World-frame ray directions through every pixel centre (z_cam = 1)."""
-    us, vs = np.meshgrid(np.arange(W, dtype=float), np.arange(H, dtype=float))
-    d = np.stack([(us - K.cx) / K.fx, (vs - K.cy) / K.fy, np.ones_like(us)], axis=-1)
-    return d.reshape(-1, 3) @ R  # R.T @ d per row
-
-
 def _cast_rays(spec: SceneSpec, origin, dirs):
     """Nearest plane hit of each ray origin + t * dirs (t > 0).
 
@@ -184,7 +180,8 @@ def _cast_rays(spec: SceneSpec, origin, dirs):
 def render_view(spec: SceneSpec, tables, camera: Camera):
     """Render (image, depth) for one camera by exact ray casting."""
     H, W = spec.image_size
-    dirs = _ray_dirs_world(spec.intrinsics, camera.pose.R, H, W)
+    pix = np.stack(np.meshgrid(np.arange(W, dtype=float), np.arange(H, dtype=float)), axis=-1)
+    dirs = pixel_rays(camera, pix.reshape(-1, 2))
     depth, plane_id, hit_a, hit_b = _cast_rays(spec, camera.center(), dirs)
     image = np.zeros(dirs.shape[0])
     for idx in range(len(spec.planes)):
@@ -223,19 +220,14 @@ def _view_overlap(spec, cam1, cam2, samples=12):
     H, W = spec.image_size
     us = np.linspace(4, W - 5, samples)
     vs = np.linspace(4, H - 5, samples)
-    uu, vv = np.meshgrid(us, vs)
-    K = spec.intrinsics
-    d = np.stack([(uu.ravel() - K.cx) / K.fx, (vv.ravel() - K.cy) / K.fy, np.ones(samples ** 2)], axis=-1)
-    dirs = d @ cam1.pose.R
+    dirs = pixel_rays(cam1, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
     origin = cam1.center()
     depth = _cast_rays(spec, origin, dirs)[0]
-    pts = origin + depth[:, None] * dirs
-    Xc2 = pts @ cam2.pose.R.T + cam2.pose.t
-    good = Xc2[:, 2] > 1e-6
-    u2 = K.fx * Xc2[:, 0] / Xc2[:, 2] + K.cx
-    v2 = K.fy * Xc2[:, 1] / Xc2[:, 2] + K.cy
-    inside = good & (u2 >= 0) & (u2 <= W - 1) & (v2 >= 0) & (v2 <= H - 1)
-    return float(np.mean(inside & np.isfinite(depth)))
+    hit = np.isfinite(depth)
+    pix, z2 = project_points(cam2, origin + depth[hit, None] * dirs[hit])
+    u2, v2 = pix.T
+    inside = (z2 > 1e-6) & (u2 >= 0) & (u2 <= W - 1) & (v2 >= 0) & (v2 <= H - 1)
+    return int(np.count_nonzero(inside)) / samples ** 2
 
 
 def sample_pair(spec: SceneSpec, index, pose_override: RelativePose | None = None) -> RenderedPair:
@@ -317,21 +309,16 @@ def gt_correspondence_grid(pair: RenderedPair, grid: GridSpec):
     subpixel point in image 2. Backprojects cell centres through depth1 and
     applies a two-sided occlusion test against depth2 (1% tolerance)."""
     H, W = pair.depth1.shape
-    K = pair.K
     w = grid.patch_width
-    u, v = grid.cell_centers().T
-    d = pair.depth1[np.rint(v).astype(int), np.rint(u).astype(int)]
-    X = d[:, None] * np.column_stack([(u - K.cx) / K.fx, (v - K.cy) / K.fy, np.ones_like(u)])
-    # a stacked matmul keeps the rounding of the per-point R @ X
-    X2 = (pair.pose.R[None] @ X[:, :, None])[:, :, 0] + pair.pose.t
+    centers = grid.cell_centers()
+    d = pair.depth1[np.rint(centers[:, 1]).astype(int), np.rint(centers[:, 0]).astype(int)]
+    # view 1's camera frame is the world frame
+    pix2, z2 = project_points(Camera(pair.K, pair.pose), d[:, None] * normalize_points(pair.K, centers))
+    u2, v2 = pix2.T
     targets = np.full(grid.m, -1, dtype=int)
     points = np.full((grid.m, 2), np.nan)
-    idx = np.flatnonzero((d > 0) & (X2[:, 2] > 1e-9))
-    X2 = X2[idx]
-    u2 = K.fx * X2[:, 0] / X2[:, 2] + K.cx
-    v2 = K.fy * X2[:, 1] / X2[:, 2] + K.cy
-    inside = (0.0 <= u2) & (u2 <= W - 1) & (0.0 <= v2) & (v2 <= H - 1)
-    idx, z2, u2, v2 = idx[inside], X2[inside, 2], u2[inside], v2[inside]
+    idx = np.flatnonzero((d > 0) & (z2 > 1e-9) & (0.0 <= u2) & (u2 <= W - 1) & (0.0 <= v2) & (v2 <= H - 1))
+    z2, u2, v2 = z2[idx], u2[idx], v2[idx]
     ui2, vi2 = np.rint(u2).astype(int), np.rint(v2).astype(int)
     d2 = pair.depth2[vi2, ui2]
     r2, c2 = vi2 // w, ui2 // w
@@ -369,10 +356,6 @@ def make_domain(name, seed=0) -> SceneSpec:
             seed=seed,
         )
     raise ValueError(f"unknown domain {name!r} (expected 'A' or 'B')")
-
-
-def generate_pairs(spec: SceneSpec, n, start_index=0):
-    return [sample_pair(spec, i) for i in range(start_index, start_index + n)]
 
 
 def save_pair_file(path, pair: RenderedPair):

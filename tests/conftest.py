@@ -5,7 +5,7 @@ from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
     RelativePose,
-    project,
+    project_points,
     rotation_from_axis_angle,
 )
 
@@ -47,9 +47,10 @@ def visible_points(rng, cam1, cam2, n):
     return np.array(pts)
 
 
-def project_points(cam, pts):
+def project_hom(cam, pts):
     """Stack of homogeneous pixel projections (w = 1)."""
-    return np.array([project(cam, X)[0] for X in pts])
+    pix, _ = project_points(cam, pts)
+    return np.column_stack([pix, np.ones(len(pix))])
 
 
 @pytest.fixture

@@ -122,6 +122,9 @@ class TestMatchPoseEval:
         report = json.loads((out / "eval.json").read_text())
         table = (out / "eval.txt").read_text()
         assert f"{report['precision']:8.1f}".strip() in table
+        # strict JSON: NaN and Infinity are not JSON values
+        json.loads((out / "eval.json").read_text(),
+                   parse_constant=lambda name: pytest.fail(f"eval.json holds {name}"))
         assert (out / "overlay_000.png").exists()
 
 
@@ -136,6 +139,15 @@ class TestConfigFile:
         assert manifest["config"]["pairs"] == 2  # from file
         assert manifest["config"]["seed"] == 7  # flag overrides file
         assert len(load_dataset(out)) == 2
+
+    def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
+        # an abbreviation would be recorded as typed, so the file would win
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 10\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["pretrain", "--config", str(cfg), "--data", "d", "--epoch", "3", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--epoch" in capsys.readouterr().err
 
     def test_parse_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.cfg"

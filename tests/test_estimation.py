@@ -26,7 +26,7 @@ from epimatch.geometry import (
 )
 from epimatch.metrics import rotation_error, translation_error
 
-from conftest import project_points, random_camera_pair, visible_points
+from conftest import project_hom, random_camera_pair, visible_points
 
 
 def pixel_matches(rng, n, cam1=None, cam2=None, pose=None):
@@ -34,8 +34,8 @@ def pixel_matches(rng, n, cam1=None, cam2=None, pose=None):
     if cam1 is None:
         cam1, cam2, pose = random_camera_pair(rng)
     pts = visible_points(rng, cam1, cam2, n)
-    x1 = project_points(cam1, pts)[:, :2]
-    x2 = project_points(cam2, pts)[:, :2]
+    x1 = project_hom(cam1, pts)[:, :2]
+    x2 = project_hom(cam2, pts)[:, :2]
     return x1, x2, cam1, cam2, pose
 
 
@@ -54,8 +54,8 @@ class TestEightPoint:
         pts = np.column_stack(
             [rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8), np.full(8, 5.0)]
         )
-        x1 = project_points(cam1, pts)
-        x2 = project_points(cam2, pts)
+        x1 = project_hom(cam1, pts)
+        x2 = project_hom(cam2, pts)
         F = eight_point(x1[:, :2], x2[:, :2])
         assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-16
 
@@ -136,8 +136,8 @@ class TestRansac:
             o1 = np.column_stack([rng.uniform(0, 640, 30), rng.uniform(0, 480, 30)])
             o2 = np.column_stack([rng.uniform(0, 640, 30), rng.uniform(0, 480, 30)])
             extra = visible_points(rng, cam1, cam2, 20)
-            e1 = project_points(cam1, extra)[:, :2]
-            e2 = project_points(cam2, extra)[:, :2]
+            e1 = project_hom(cam1, extra)[:, :2]
+            e2 = project_hom(cam2, extra)[:, :2]
             cfg = RansacConfig(iterations=300, inlier_threshold=1e-6, seed=seed)
             base = ransac_fundamental(
                 np.vstack([x1, o1]), np.vstack([x2, o2]),
@@ -315,8 +315,8 @@ class TestEstimateRelativePose:
             pose.t /= np.linalg.norm(pose.t)
             cam2 = Camera(K, pose)
             pts = visible_points(rng, cam1, cam2, 200)
-            x1 = project_points(cam1, pts)[:, :2] + rng.normal(0, 0.5, (200, 2))
-            x2 = project_points(cam2, pts)[:, :2] + rng.normal(0, 0.5, (200, 2))
+            x1 = project_hom(cam1, pts)[:, :2] + rng.normal(0, 0.5, (200, 2))
+            x2 = project_hom(cam2, pts)[:, :2] + rng.normal(0, 0.5, (200, 2))
             cfg = RansacConfig(iterations=300, inlier_threshold=1e-5, seed=seed)
             est, _ = estimate_relative_pose(x1, x2, K, K, cfg)
             rot_errs.append(rotation_error(est.R, pose.R))

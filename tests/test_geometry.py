@@ -19,7 +19,8 @@ from epimatch.geometry import (
     hom,
     normalize_points,
     normalized_w,
-    project,
+    pixel_rays,
+    project_points,
     read_pose_file,
     rotation_from_axis_angle,
     symmetric_epipolar_distance_sq,
@@ -28,7 +29,7 @@ from epimatch.geometry import (
 )
 from epimatch.losses import d_epi
 
-from conftest import project_points, random_camera_pair, visible_points
+from conftest import project_hom, random_camera_pair, random_intrinsics, random_pose, visible_points
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -71,8 +72,8 @@ class TestFundamentalFromPose:
             cam1, cam2, pose = random_camera_pair(rng)
             F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
             pts = visible_points(rng, cam1, cam2, 20)
-            x1 = project_points(cam1, pts)
-            x2 = project_points(cam2, pts)
+            x1 = project_hom(cam1, pts)
+            x2 = project_hom(cam2, pts)
             assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-18
 
     def test_rank_two_invariant(self, rng):
@@ -90,30 +91,29 @@ class TestEpipolarLine:
         # F x1 is the line v = 0: the distance is |v| and its gradient (0, +-1)
         F = FundamentalMatrix(cross_matrix([1, 0, 0]))
         for u, v in ((0.3, 0.5), (-2.0, -1.25), (7.0, 0.0)):
-            d, g = d_epi(F, hom(0, 0), hom(u, v))
-            assert d == abs(v)
-            assert g[0] == 0 and abs(g[1]) == (v != 0)
+            d, g = d_epi(F, [[0, 0]], [[u, v]])
+            assert d[0] == abs(v)
+            assert g[0, 0] == 0 and abs(g[0, 1]) == (v != 0)
 
     def test_epipole_query(self):
-        # epipole: F (1,0,0) = 0, so its epipolar line vanishes
-        F = FundamentalMatrix(cross_matrix([1, 0, 0]))
+        # epipole: F e = 0, so the epipolar line of the pixel e vanishes
+        F = FundamentalMatrix(cross_matrix([2, 3, 1]))
         with pytest.raises(errors.DegenerateLine):
-            d_epi(F, hom(1, 0, 0), hom(0.3, 0.5))
-        assert symmetric_epipolar_distance_sq(F.m, hom(1, 0, 0), hom(0.3, 0.5)) == np.inf
+            d_epi(F, [[2, 3]], [[0.3, 0.5]])
+        assert symmetric_epipolar_distance_sq(F.m, hom(2, 3), hom(0.3, 0.5)) == np.inf
 
     def test_points_on_line_have_zero_residual(self, rng):
         for _ in range(10):
             cam1, cam2, pose = random_camera_pair(rng)
             F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
-            x1 = hom(rng.uniform(0, 600), rng.uniform(0, 400))
+            x1 = rng.uniform(0, [600, 400])
             # parametrize the line: pick two points on it
-            a, b, c = F.m @ x1
+            a, b, c = F.m @ hom(*x1)
             if abs(b) > abs(a):
-                x2s = [hom(u, -(a * u + c) / b) for u in (0.0, 123.4)]
+                x2s = [[u, -(a * u + c) / b] for u in (0.0, 123.4)]
             else:
-                x2s = [hom(-(b * v + c) / a, v) for v in (0.0, 77.7)]
-            for x2 in x2s:
-                assert d_epi(F, x1, x2)[0] < 1e-9
+                x2s = [[-(b * v + c) / a, v] for v in (0.0, 77.7)]
+            assert np.all(d_epi(F, [x1, x1], x2s)[0] < 1e-9)
 
 
 class TestEpipolarResidual:
@@ -137,7 +137,7 @@ class TestEpipolarResidual:
         Fs = np.stack([fundamental_from_pose(c1.intrinsics, c2.intrinsics, pose).m for c1, c2, pose in cams])
         cam1, cam2, _ = cams[0]
         pts = visible_points(rng, cam1, cam2, 5)
-        d = symmetric_epipolar_distance_sq(Fs, project_points(cam1, pts), project_points(cam2, pts))
+        d = symmetric_epipolar_distance_sq(Fs, project_hom(cam1, pts), project_hom(cam2, pts))
         assert d.shape == (3, 5)
         assert np.max(d[0]) < 1e-18 and np.min(d[1:]) > 1e-6
 
@@ -148,24 +148,23 @@ class TestPointLineDistance:
     def test_distance_to_v_axis(self):
         # F (0, 0, 1) is the line (0, -1, 0)
         F = FundamentalMatrix(cross_matrix([1, 0, 0]))
-        assert d_epi(F, hom(0, 0), hom(0.3, 0.5))[0] == pytest.approx(0.5)
+        assert d_epi(F, [[0, 0]], [[0.3, 0.5]])[0][0] == pytest.approx(0.5)
 
     def test_point_on_line(self):
         # the line u + v - 1 = 0 is F x1 for this F
         F = FundamentalMatrix(np.array([[0.0, 0, 1], [0, 0, 1], [0, 0, -1]]))
-        assert d_epi(F, hom(0, 0), hom(0.5, 0.5))[0] == pytest.approx(0.0)
+        assert d_epi(F, [[0, 0]], [[0.5, 0.5]])[0][0] == pytest.approx(0.0)
 
     def test_scale_invariance(self, rng):
         F = FundamentalMatrix(rng.normal(size=(3, 3)))
-        x1 = hom(0.3, -0.4)
-        x2 = hom(1.2, 3.4)
+        x1, x2 = [[0.3, -0.4]], [[1.2, 3.4]]
         d = d_epi(F, x1, x2)[0]
-        assert d_epi(FundamentalMatrix(7 * F.m), x1, -2 * x2)[0] == pytest.approx(d)
+        assert d_epi(FundamentalMatrix(7 * F.m), x1, x2)[0] == pytest.approx(d)
 
     def test_degenerate_line(self):
         F = FundamentalMatrix(np.array([[0.0, 0, 0], [0, 0, 0], [0, 0, 1]]))
         with pytest.raises(errors.DegenerateLine):
-            d_epi(F, hom(0, 0), hom(1, 1))
+            d_epi(F, [[0, 0]], [[1, 1]])
 
     def test_point_at_infinity(self):
         with pytest.raises(errors.PointAtInfinity):
@@ -177,19 +176,19 @@ class TestSymmetricEpipolarDistance:
         cam1, cam2, pose = random_camera_pair(rng)
         F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
         pts = visible_points(rng, cam1, cam2, 10)
-        x1 = project_points(cam1, pts)
-        x2 = project_points(cam2, pts)
+        x1 = project_hom(cam1, pts)
+        x2 = project_hom(cam2, pts)
         assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-18
 
     def test_worked_instance(self):
         # oracle: sum of the two squared point-line distances
         F = FundamentalMatrix(cross_matrix([1, 0, 0]))
-        x1, x2 = hom(0, 0), hom(0.3, 0.5)
-        d2a = d_epi(F, x1, x2)[0] ** 2
-        d2b = d_epi(FundamentalMatrix(F.m.T), x2, x1)[0] ** 2
+        x1, x2 = np.array([[0.0, 0.0]]), np.array([[0.3, 0.5]])
+        d2a = d_epi(F, x1, x2)[0][0] ** 2
+        d2b = d_epi(FundamentalMatrix(F.m.T), x2, x1)[0][0] ** 2
         expected = d2a + d2b
         assert expected == pytest.approx(0.5)
-        assert symmetric_epipolar_distance_sq(F.m, x1, x2) == pytest.approx(expected)
+        assert symmetric_epipolar_distance_sq(F.m, hom(*x1[0]), hom(*x2[0])) == pytest.approx(expected)
 
     def test_symmetry(self, rng):
         F = rng.normal(size=(3, 3))
@@ -235,22 +234,28 @@ class TestNormalizePoint:
 class TestProjectTriangulate:
     def test_axis_point(self):
         cam = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose.identity())
-        pix, depth = project(cam, [0, 0, 5])
-        assert np.allclose(pix, hom(0, 0))
-        assert depth == pytest.approx(5.0)
-
-    def test_behind_camera(self):
-        cam = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose.identity())
-        with pytest.raises(errors.BehindCamera):
-            project(cam, [0, 0, -1])
+        pix, depth = project_points(cam, [[0, 0, 5]])
+        assert np.allclose(pix, [[0, 0]])
+        assert depth == pytest.approx([5.0])
 
     def test_triangulation_round_trip(self, rng):
         for _ in range(5):
             cam1, cam2, _ = random_camera_pair(rng)
             for X in visible_points(rng, cam1, cam2, 4):
-                x1, _ = project(cam1, X)
-                x2, _ = project(cam2, X)
+                x1, x2 = project_hom(cam1, [X]), project_hom(cam2, [X])
                 assert np.allclose(triangulate(cam1, cam2, x1, x2), X, atol=1e-8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_project_inverts_pixel_rays(self, seed):
+        # any positive distance along the ray through a pixel projects back to it
+        rng = np.random.default_rng(seed)
+        cam = Camera(random_intrinsics(rng), random_pose(rng, max_angle_deg=180.0, baseline=(0.0, 5.0)))
+        pix = rng.uniform(-100, 700, (20, 2))
+        s = rng.uniform(0.1, 50.0, (20, 1))
+        back, depth = project_points(cam, cam.center() + s * pixel_rays(cam, pix))
+        assert np.allclose(back, pix, rtol=0, atol=1e-9)
+        assert np.allclose(depth, s[:, 0], rtol=1e-12)
 
     def test_same_centre_rejected(self):
         cam = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose.identity())
@@ -269,7 +274,7 @@ class TestDecomposeEssential:
         cam1 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose.identity())
         cam2 = Camera(CameraIntrinsics(1, 1, 0, 0), pose)
         pts = visible_points(rng, cam1, cam2, n)
-        return project_points(cam1, pts), project_points(cam2, pts)
+        return project_hom(cam1, pts), project_hom(cam2, pts)
 
     def test_recovers_known_pose(self, rng):
         for _ in range(5):

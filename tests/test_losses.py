@@ -9,7 +9,6 @@ from epimatch.losses import (
     LossConfig,
     coarse_loss_grad,
     d_epi,
-    d_epi_batch,
     epipolar_classification_mask,
     epipolar_line_set,
     fine_loss_grad,
@@ -32,16 +31,17 @@ def random_f(rng):
 
 
 def random_line_instance(rng, min_resid=1e-2):
-    """(F, x1, x2) with x2 clearly off the epipolar line of x1."""
+    """(F, x1, x2) with x2 clearly off the epipolar line of x1; x1 and x2 are
+    (1, 2) pixel arrays."""
     while True:
         F = random_f(rng)
-        x1 = hom(rng.uniform(0, 100), rng.uniform(0, 100))
-        x2 = hom(rng.uniform(0, 100), rng.uniform(0, 100))
-        line = F.m @ x1
+        x1 = rng.uniform(0, 100, (1, 2))
+        x2 = rng.uniform(0, 100, (1, 2))
+        line = F.m @ hom(*x1[0])
         n = np.hypot(line[0], line[1])
         if n < 1e-6:
             continue
-        if abs(line @ x2) / n > min_resid:
+        if abs(line @ hom(*x2[0])) / n > min_resid:
             return F, x1, x2
 
 
@@ -193,15 +193,15 @@ class TestCoarseLoss:
 class TestDEpi:
     def test_worked_instance(self):
         F = horizontal_line_f()
-        d, g = d_epi(F, hom(0, 0), hom(0.3, 0.5))
-        assert d == pytest.approx(0.5)
-        assert np.allclose(g, [0.0, 1.0])
+        d, g = d_epi(F, [[0, 0]], [[0.3, 0.5]])
+        assert d == pytest.approx([0.5])
+        assert np.allclose(g, [[0.0, 1.0]])
 
     def test_on_line_zero_subgradient(self):
         F = horizontal_line_f()
-        d, g = d_epi(F, hom(0, 0), hom(0.7, 0.0))
-        assert d == 0.0
-        assert np.array_equal(g, [0.0, 0.0])
+        d, g = d_epi(F, [[0, 0]], [[0.7, 0.0]])
+        assert d[0] == 0.0
+        assert np.array_equal(g, [[0.0, 0.0]])
 
     def test_scaling_f_leaves_distance_unchanged(self, rng):
         F, x1, x2 = random_line_instance(rng)
@@ -217,27 +217,27 @@ class TestDEpi:
             fd = np.empty(2)
             for k in range(2):
                 xp, xm = x2.copy(), x2.copy()
-                xp[k] += h
-                xm[k] -= h
-                fd[k] = (d_epi(F, x1, xp)[0] - d_epi(F, x1, xm)[0]) / (2 * h)
-            assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-6
+                xp[0, k] += h
+                xm[0, k] -= h
+                fd[k] = (d_epi(F, x1, xp)[0][0] - d_epi(F, x1, xm)[0][0]) / (2 * h)
+            assert np.linalg.norm(g[0] - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-6
 
     def test_batch_matches_scalar(self, rng):
+        # each row is scored alone: the batch equals one-row calls
         F = random_f(rng)
         x1s = rng.uniform(0, 100, (10, 2))
         x2s = rng.uniform(0, 100, (10, 2))
-        d, g = d_epi_batch(F, x1s, x2s)
+        d, g = d_epi(F, x1s, x2s)
         for i in range(10):
-            ds, gs = d_epi(F, hom(*x1s[i]), hom(*x2s[i]))
-            assert d[i] == pytest.approx(ds)
-            assert np.allclose(g[i], gs)
+            ds, gs = d_epi(F, x1s[i:i + 1], x2s[i:i + 1])
+            assert d[i] == pytest.approx(ds[0])
+            assert np.allclose(g[i], gs[0])
 
     def test_line_distance_lower_bounds_point_distance(self, rng):
         # d_epi(x2) <= ||x2 - xg|| for any xg on the epipolar line
         for _ in range(50):
             F, x1, x2 = random_line_instance(rng)
-            line = F.m @ x1
-            a, b, c = line
+            a, b, c = F.m @ hom(*x1[0])
             # param point on the line
             if abs(b) > abs(a):
                 u = rng.uniform(-50, 150)
@@ -246,25 +246,24 @@ class TestDEpi:
                 v = rng.uniform(-50, 150)
                 xg = np.array([-(b * v + c) / a, v])
             d, _ = d_epi(F, x1, x2)
-            assert d <= np.linalg.norm(x2[:2] - xg) + 1e-9
+            assert d[0] <= np.linalg.norm(x2[0] - xg) + 1e-9
 
     def test_inner_product_property(self, rng):
         # grad of distance-to-gt and grad of distance-to-line agree in sign
         for _ in range(200):
             F, x1, x2 = random_line_instance(rng)
-            line = F.m @ x1
-            a, b, c = line
+            a, b, c = F.m @ hom(*x1[0])
             if abs(b) > abs(a):
                 u = rng.uniform(-50, 150)
                 xg = np.array([u, -(a * u + c) / b])
             else:
                 v = rng.uniform(-50, 150)
                 xg = np.array([-(b * v + c) / a, v])
-            if np.linalg.norm(x2[:2] - xg) < 1e-9:
+            if np.linalg.norm(x2[0] - xg) < 1e-9:
                 continue
             _, g_epi = d_epi(F, x1, x2)
-            g_gt = (x2[:2] - xg) / np.linalg.norm(x2[:2] - xg)
-            assert g_gt @ g_epi > 0.0
+            g_gt = (x2[0] - xg) / np.linalg.norm(x2[0] - xg)
+            assert g_gt @ g_epi[0] > 0.0
 
 
 class TestFineLoss:

@@ -108,12 +108,12 @@ class TestPoseAuc:
 
 class TestMatchingPrecision:
     def test_exact_matches_100(self, rng):
-        from conftest import project_points, random_camera_pair, visible_points
+        from conftest import project_hom, random_camera_pair, visible_points
 
         cam1, cam2, pose = random_camera_pair(rng, same_k=True)
         pts = visible_points(rng, cam1, cam2, 30)
-        x1 = project_points(cam1, pts)[:, :2]
-        x2 = project_points(cam2, pts)[:, :2]
+        x1 = project_hom(cam1, pts)[:, :2]
+        x2 = project_hom(cam2, pts)[:, :2]
         assert matching_precision(x1, x2, pose, cam1.intrinsics, cam2.intrinsics) == 100.0
 
     def test_empty_matches_zero(self):
@@ -134,24 +134,24 @@ class TestMatchingPrecision:
         assert matching_precision(x1, np.array([[0.5, 0.3 + dv_out]]), pose, K, K, thr) == 0.0
 
     def test_accepts_fundamental_matrix_gt(self, rng):
-        from conftest import project_points, random_camera_pair, visible_points
+        from conftest import project_hom, random_camera_pair, visible_points
 
         cam1, cam2, pose = random_camera_pair(rng)
         F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
         pts = visible_points(rng, cam1, cam2, 10)
-        x1 = project_points(cam1, pts)[:, :2]
-        x2 = project_points(cam2, pts)[:, :2]
+        x1 = project_hom(cam1, pts)[:, :2]
+        x2 = project_hom(cam2, pts)[:, :2]
         via_pose = matching_precision(x1, x2, pose, cam1.intrinsics, cam2.intrinsics)
         via_f = matching_precision(x1, x2, F, cam1.intrinsics, cam2.intrinsics)
         assert via_pose == via_f == 100.0
 
     def test_monotone_in_threshold(self, rng):
-        from conftest import project_points, random_camera_pair, visible_points
+        from conftest import project_hom, random_camera_pair, visible_points
 
         cam1, cam2, pose = random_camera_pair(rng, same_k=True)
         pts = visible_points(rng, cam1, cam2, 50)
-        x1 = project_points(cam1, pts)[:, :2] + rng.normal(0, 2.0, (50, 2))
-        x2 = project_points(cam2, pts)[:, :2] + rng.normal(0, 2.0, (50, 2))
+        x1 = project_hom(cam1, pts)[:, :2] + rng.normal(0, 2.0, (50, 2))
+        x2 = project_hom(cam2, pts)[:, :2] + rng.normal(0, 2.0, (50, 2))
         p_lo = matching_precision(x1, x2, pose, cam1.intrinsics, cam2.intrinsics, 1e-5)
         p_hi = matching_precision(x1, x2, pose, cam1.intrinsics, cam2.intrinsics, 1e-3)
         assert p_lo <= p_hi
@@ -159,15 +159,15 @@ class TestMatchingPrecision:
     def test_vanishing_epipolar_line_is_imprecise_and_a_ransac_outlier(self, monkeypatch):
         # forward motion along the optical axis: the principal point is the
         # epipole of both images, and its epipolar lines vanish exactly
-        from conftest import project_points, visible_points
+        from conftest import project_hom, visible_points
         from epimatch import estimation
 
         K = CameraIntrinsics(1, 1, 0, 0)
         pose = RelativePose(np.eye(3), [0.0, 0.0, 1.0])
         cam1, cam2 = Camera(K, RelativePose.identity()), Camera(K, pose)
         pts = visible_points(np.random.default_rng(3), cam1, cam2, 20)
-        x1 = np.vstack([project_points(cam1, pts)[:, :2], [0.0, 0.0]])
-        x2 = np.vstack([project_points(cam2, pts)[:, :2], [0.0, 0.0]])
+        x1 = np.vstack([project_hom(cam1, pts)[:, :2], [0.0, 0.0]])
+        x2 = np.vstack([project_hom(cam2, pts)[:, :2], [0.0, 0.0]])
         assert matching_precision(x1, x2, pose, K, K) == pytest.approx(100.0 * 20 / 21)
         # every hypothesis and the refit are the exact F, so only the
         # scoring decides the mask
@@ -198,6 +198,15 @@ class TestEvaluate:
         assert parsed["auc20"] == 3.0
         table = report.to_table()
         assert "44.4" in table and "AUC@20" in table
+
+    def test_non_finite_medians_are_null_in_json_and_inf_in_table(self):
+        import json
+
+        report = EvalReport(0.0, 0.0, 0.0, 0.0, np.inf, float("nan"), 4, 4)
+        parsed = json.loads(report.to_json())
+        assert parsed["median_rot_deg"] is None and parsed["median_trans_deg"] is None
+        assert parsed["n_failed"] == 4
+        assert "median rot inf deg" in report.to_table()
 
     def test_deterministic(self):
         from epimatch.synth import make_domain, sample_pair

@@ -8,6 +8,8 @@ from epimatch.pairgen import (
     OverlapRange,
     PoseRecord,
     PRESETS,
+    SAMPLE_GRID,
+    _directional_overlap,
     driving_directions,
     generate_pairs,
     pseudo_depth,
@@ -17,6 +19,7 @@ from epimatch.pairgen import (
 )
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+CENTRE = [[K.cx, K.cy]]  # the principal point as a one-pixel array
 
 
 def camera_at(position, yaw_deg=0.0, pitch_deg=0.0):
@@ -34,37 +37,44 @@ class TestPseudoDepthHemisphere:
         model = HemisphereModel(z_plane=0.0, r_sphere=3.0)
         cam = camera_at([0, 0, 1.5], pitch_deg=-90.0)
         # principal ray points straight down
-        d = pseudo_depth(model, cam, K.cx, K.cy)
-        assert d == pytest.approx(1.5, rel=1e-9)
+        d = pseudo_depth(model, cam, CENTRE)
+        assert d == pytest.approx([1.5], rel=1e-9)
 
     def test_horizontal_from_dome_centre_hits_sphere(self):
         model = HemisphereModel(z_plane=0.0, r_sphere=3.0)
         cam = camera_at([0, 0, 0.0])  # at the dome centre, looking horizontally
-        d = pseudo_depth(model, cam, K.cx, K.cy)
-        assert d == pytest.approx(3.0, rel=1e-9)
+        d = pseudo_depth(model, cam, CENTRE)
+        assert d == pytest.approx([3.0], rel=1e-9)
 
     def test_camera_outside_dome_returns_none(self):
         model = HemisphereModel(z_plane=0.0, r_sphere=3.0)
         cam = camera_at([0, 0, 5.0])
-        assert pseudo_depth(model, cam, K.cx, K.cy) is None
+        assert np.isinf(pseudo_depth(model, cam, CENTRE)).all()
 
 
 class TestPseudoDepthBox:
     def test_ray_along_driving_direction_is_excluded(self):
         model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0, driving_dir=(0, 1, 0))
         cam = camera_at([0, 0, 0])  # looking along +y = driving direction
-        assert pseudo_depth(model, cam, K.cx, K.cy) is None
+        assert np.isinf(pseudo_depth(model, cam, CENTRE)).all()
 
     def test_sideways_ray_hits_side_plane(self):
         model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0, driving_dir=(0, 1, 0))
         cam = camera_at([0, 0, 0], yaw_deg=90.0)  # looking along -x? rotate about z
-        d = pseudo_depth(model, cam, K.cx, K.cy)
-        assert d == pytest.approx(10.0, rel=1e-9)
+        d = pseudo_depth(model, cam, CENTRE)
+        assert d == pytest.approx([10.0], rel=1e-9)
+
+    def test_side_plane_wins_a_tie_with_the_front_plane(self):
+        # the ray (1, 1, 0) / sqrt(2) meets the right and front planes together
+        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=10.0, driving_dir=(0, 1, 0))
+        cam = camera_at([0, 0, 0])
+        d = pseudo_depth(model, cam, [[K.cx + K.fx, K.cy]])
+        assert d == pytest.approx([10.0 * np.sqrt(2.0)], rel=1e-12)
 
     def test_straight_up_open_top_returns_none(self):
         model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0, driving_dir=(0, 1, 0))
         cam = camera_at([0, 0, 0], pitch_deg=90.0)
-        assert pseudo_depth(model, cam, K.cx, K.cy) is None
+        assert np.isinf(pseudo_depth(model, cam, CENTRE)).all()
 
 
 class TestPseudoOverlap:
@@ -86,8 +96,6 @@ class TestPseudoOverlap:
                       camera_at([0, 0, 1.0]).pose)
         narrow = Camera(CameraIntrinsics(1200.0, 1200.0, 320.0, 240.0),
                         camera_at([0, 0, 1.0]).pose)
-        from epimatch.pairgen import _directional_overlap
-
         o_nw = _directional_overlap(model, narrow, wide, (640, 480))
         o_wn = _directional_overlap(model, wide, narrow, (640, 480))
         assert o_nw != pytest.approx(o_wn, abs=1e-3)
@@ -162,3 +170,160 @@ class TestGeneratePairs:
     def test_overlap_range_validation(self):
         with pytest.raises(ValueError):
             OverlapRange(0.8, 0.3)
+
+
+# Reference: the per-sample ray, depth and projection, one pixel at a time.
+
+def reference_ray(camera, u, v):
+    Ki = camera.intrinsics
+    d = camera.pose.R.T @ np.array([(u - Ki.cx) / Ki.fx, (v - Ki.cy) / Ki.fy, 1.0])
+    return camera.center(), d / np.linalg.norm(d)
+
+
+def reference_hemisphere_depth(model, origin, direction):
+    cz = origin[2]
+    if cz < model.z_plane:
+        return None
+    h = cz - model.z_plane
+    if h >= model.r_sphere:
+        return None
+    hits = []
+    if direction[2] < 0.0:
+        t = (model.z_plane - cz) / direction[2]
+        if t > 0:
+            p = origin + t * direction
+            if (p[0] - origin[0]) ** 2 + (p[1] - origin[1]) ** 2 <= model.r_sphere ** 2:
+                hits.append(t)
+    b = np.array([0.0, 0.0, h]) @ direction
+    disc = b * b - (h * h - model.r_sphere ** 2)
+    if disc >= 0.0:
+        t = -b + np.sqrt(disc)
+        if t > 0 and (origin + t * direction)[2] >= model.z_plane - 1e-9:
+            hits.append(t)
+    return min(hits) if hits else None
+
+
+def reference_box_depth(model, origin, direction, driving_dir):
+    f = np.asarray(driving_dir, dtype=float)
+    f = f / np.linalg.norm(f)
+    r = np.cross(f, [0.0, 0.0, 1.0])
+    r = r / np.linalg.norm(r)
+    df, dr, dz = direction @ f, direction @ r, direction[2]
+    cands = []  # (t, is_front_back): a side or bottom hit wins a tie
+    for comp, dist, fb in ((df, model.longitudinal, True), (-df, model.longitudinal, True),
+                           (dr, model.side, False), (-dr, model.side, False)):
+        if comp > 1e-12:
+            cands.append((dist / comp, fb))
+    if dz < -1e-12:
+        cands.append((model.bottom / dz, False))
+    cands = [c for c in cands if c[0] > 0]
+    if not cands:
+        return None
+    t, is_front_back = min(cands)
+    return None if is_front_back else t
+
+
+def reference_pseudo_depth(model, camera, u, v, driving_dir=None):
+    origin, direction = reference_ray(camera, u, v)
+    if isinstance(model, HemisphereModel):
+        d = reference_hemisphere_depth(model, origin, direction)
+    else:
+        d = reference_box_depth(model, origin, direction,
+                                driving_dir if driving_dir is not None else model.driving_dir)
+    return np.inf if d is None else d
+
+
+def reference_overlap(model, cam_i, cam_j, image_size, driving_dir=None):
+    W, H = image_size
+    Kj = cam_j.intrinsics
+    count = 0
+    for v in (np.arange(SAMPLE_GRID) + 0.5) * H / SAMPLE_GRID - 0.5:
+        for u in (np.arange(SAMPLE_GRID) + 0.5) * W / SAMPLE_GRID - 0.5:
+            d = reference_pseudo_depth(model, cam_i, u, v, driving_dir)
+            if np.isinf(d):
+                continue
+            origin, direction = reference_ray(cam_i, u, v)
+            Xc = cam_j.pose.R @ (origin + d * direction) + cam_j.pose.t
+            if Xc[2] <= 1e-9:
+                continue
+            u2 = Kj.fx * Xc[0] / Xc[2] + Kj.cx
+            v2 = Kj.fy * Xc[1] / Xc[2] + Kj.cy
+            if -1e-6 <= u2 <= W - 1 + 1e-6 and -1e-6 <= v2 <= H - 1 + 1e-6:
+                count += 1
+    return count / float(SAMPLE_GRID * SAMPLE_GRID)
+
+
+def heading(yaw_deg):
+    """Horizontal unit direction a camera_at(yaw_deg=...) camera looks along."""
+    a = np.radians(yaw_deg)
+    return np.array([-np.sin(a), np.cos(a), 0.0])
+
+
+def hemisphere_cases(rng):
+    """(model, camera, driving_dir): random views plus a camera outside the
+    dome, one below the plane, one on it, and straight-up/down views."""
+    cases = []
+    for model in (PRESETS["euroc-room"], PRESETS["euroc-machine"]):
+        for _ in range(4):
+            pos = rng.uniform([-2, -2, model.z_plane + 0.1], [2, 2, model.z_plane + 2.5])
+            cases.append((model, camera_at(pos, rng.uniform(-180, 180), rng.uniform(-80, 80)), None))
+        z0 = model.z_plane
+        for pos, pitch in (([0, 0, z0 + model.r_sphere + 1.0], -30.0), ([0.5, 0, z0 - 0.5], 20.0),
+                           ([0, 0, z0], 0.0), ([0.3, -0.2, z0 + 1.0], 90.0), ([0, 0, z0 + 1.0], -90.0)):
+            cases.append((model, camera_at(pos, rng.uniform(-180, 180), pitch), None))
+    return cases
+
+
+def box_cases(rng):
+    """Random views with random driving directions, views along the driving
+    direction, and straight-up views."""
+    cases = []
+    model = PRESETS["sf-street"]
+    for _ in range(4):
+        yaw = rng.uniform(-180, 180)
+        cam = camera_at(rng.uniform([-3, -3, 0], [3, 3, 2]), yaw + rng.uniform(-120, 120), rng.uniform(-60, 60))
+        cases.append((model, cam, heading(yaw)))
+    for yaw in (0.0, 37.0, -90.0):
+        cases.append((model, camera_at([1.0, -2.0, 1.5], yaw), heading(yaw)))
+        cases.append((model, camera_at([0.0, 0.0, 1.5], yaw, pitch_deg=90.0), heading(yaw)))
+    cases.append((BoxModel(side=4.0, bottom=-1.5, longitudinal=12.0, driving_dir=(0, 1, 0)),
+                  camera_at([0.5, 0, 0], 20.0, -10.0), None))
+    return cases
+
+
+def sample_pixels(rng):
+    W, H = 640, 480
+    us = (np.arange(SAMPLE_GRID) + 0.5) * W / SAMPLE_GRID - 0.5
+    vs = (np.arange(SAMPLE_GRID) + 0.5) * H / SAMPLE_GRID - 0.5
+    grid = np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2)
+    return np.vstack([grid, CENTRE, rng.uniform([-50, -50], [W + 50, H + 50], (64, 2))])
+
+
+class TestArraysMatchPerSampleReference:
+    @pytest.mark.parametrize("cases", [hemisphere_cases, box_cases])
+    def test_pseudo_depth_byte_identical(self, cases):
+        rng = np.random.default_rng(31)
+        pix = sample_pixels(rng)
+        hit = []
+        for model, cam, dd in cases(rng):
+            got = pseudo_depth(model, cam, pix, driving_dir=dd)
+            want = np.array([reference_pseudo_depth(model, cam, u, v, dd) for u, v in pix])
+            assert got.tobytes() == want.tobytes()
+            hit.append(np.isfinite(want))
+        assert np.any(hit) and not np.all(hit)
+
+    @pytest.mark.parametrize("cases", [hemisphere_cases, box_cases])
+    def test_directional_overlap_exact(self, cases):
+        rng = np.random.default_rng(47)
+        scores = []
+        for model, cam_i, dd in cases(rng):
+            # a nearby second view, so that most scores are strictly inside (0, 1)
+            step = rng.normal(0.0, 0.4, 3)
+            R = rotation_from_axis_angle(rng.normal(size=3), np.radians(rng.uniform(0, 15))) @ cam_i.pose.R
+            cam_j = Camera(K, RelativePose(R, -R @ (cam_i.center() + step)))
+            for a, b in ((cam_i, cam_j), (cam_j, cam_i), (cam_i, cam_i)):
+                got = _directional_overlap(model, a, b, (640, 480), dd)
+                assert type(got) is float
+                assert got == reference_overlap(model, a, b, (640, 480), dd)
+                scores.append(got)
+        assert any(0.0 < s < 1.0 for s in scores)

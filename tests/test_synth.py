@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epimatch import errors
-from epimatch.geometry import CameraIntrinsics, RelativePose, hom, rotation_from_axis_angle
+from epimatch.geometry import CameraIntrinsics, RelativePose, pixel_rays, project_points, rotation_from_axis_angle
 from epimatch.grid import GridSpec
 from epimatch.losses import d_epi
 from epimatch.synth import (
@@ -13,12 +13,14 @@ from epimatch.synth import (
     RenderedPair,
     SceneSpec,
     TextureSpec,
+    _camera_from_position,
+    _texture_tables,
     cluttered_room_planes,
-    generate_pairs,
     gt_correspondence_grid,
     load_dataset,
     load_pair_file,
     make_domain,
+    render_view,
     room_planes,
     sample_pair,
     save_dataset,
@@ -93,6 +95,19 @@ class TestSamplePair:
             num = np.abs(np.einsum("ij,ij->i", np.stack([u2, v2, ones], axis=-1), lines))
             den = np.hypot(lines[:, 0], lines[:, 1])
             assert np.max(num / den) < 1e-6
+
+    def test_rendered_depth_puts_every_pixel_on_a_wall(self):
+        # an off-centre oblique view of the 8 x 6 x 4 m room: a pixel's ray
+        # through its depth ends on the floor, the ceiling or a wall
+        spec = small_domain()
+        cam = _camera_from_position(spec.intrinsics, [2.0, 1.5, 1.2], [6.5, 5.0, 2.5])
+        _, depth = render_view(spec, _texture_tables(spec), cam)
+        H, W = depth.shape
+        pix = np.stack(np.meshgrid(np.arange(W, dtype=float), np.arange(H, dtype=float)), axis=-1).reshape(-1, 2)
+        X = cam.center() + depth.reshape(-1, 1) * pixel_rays(cam, pix)
+        off_wall = np.abs(np.column_stack([X, X - [8.0, 6.0, 4.0]])).min(axis=1)
+        assert np.max(off_wall) < 1e-9
+        assert np.allclose(project_points(cam, X)[1], depth.ravel(), rtol=1e-12)
 
     def test_degenerate_pose_error(self):
         from dataclasses import replace
@@ -196,9 +211,8 @@ class TestGtCorrespondenceGrid:
         pair = sample_pair(small_domain(seed=21), 2)
         grid = GridSpec.for_image(*pair.image1.shape, 8)
         targets, points = gt_correspondence_grid(pair, grid)
-        centers = grid.cell_centers()
-        for i in np.where(targets >= 0)[0][::7]:
-            assert d_epi(pair.F_gt, hom(*centers[i]), hom(*points[i]))[0] < 1e-6
+        i = np.flatnonzero(targets >= 0)[::7]
+        assert np.all(d_epi(pair.F_gt, grid.cell_centers()[i], points[i])[0] < 1e-6)
 
 
 class TestDomains:

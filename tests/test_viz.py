@@ -4,15 +4,15 @@ from epimatch.geometry import RelativePose
 from epimatch.metrics import matching_precision
 from epimatch.viz import GREEN, RED, match_overlay
 
-from conftest import project_points, random_camera_pair, visible_points
+from conftest import project_hom, random_camera_pair, visible_points
 
 
 def test_match_is_green_exactly_when_precise(rng):
     cam1, cam2, pose = random_camera_pair(rng, same_k=True)
     K = cam1.intrinsics
     pts = visible_points(rng, cam1, cam2, 40)
-    x1 = project_points(cam1, pts)[:, :2]
-    x2 = project_points(cam2, pts)[:, :2]
+    x1 = project_hom(cam1, pts)[:, :2]
+    x2 = project_hom(cam2, pts)[:, :2]
     inside = np.all((x1 >= 0) & (x1 < (640, 480)) & (x2 >= 0) & (x2 < (640, 480)), axis=1)
     x1, x2 = x1[inside][:16], x2[inside][:16]
     # every other match moves off its epipolar line by a few to tens of pixels
