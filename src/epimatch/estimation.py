@@ -82,9 +82,31 @@ def _hartley_transform(pts):
     return (pts - centroid) * s[:, None, None], T, ok
 
 
+def _draw_samples(rng, n, iterations):
+    """(iterations, MIN_SAMPLE) indices, each row MIN_SAMPLE distinct draws
+    from range(n), uniform over subsets.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 1987) run on every row at once:
+    column c draws t from [0, j] with j = n - MIN_SAMPLE + c and keeps t,
+    or j where t already sits earlier in the row. No rejection, and
+    O(iterations * MIN_SAMPLE) memory for any n.
+    """
+    idx = np.empty((iterations, MIN_SAMPLE), dtype=np.intp)
+    for c in range(MIN_SAMPLE):
+        j = n - MIN_SAMPLE + c
+        t = rng.integers(0, j + 1, iterations)
+        idx[:, c] = np.where((idx[:, :c] == t[:, None]).any(axis=1), j, t)
+    return idx
+
+
 def _eight_point_batch(pts1, pts2):
     """Hartley-normalized 8-point solves with rank-2 enforcement over the
     leading axis of (H, n, 2) samples.
+
+    A minimal sample (n == MIN_SAMPLE) takes its null vector from the last
+    column of the complete Q of A^T, the orthogonal complement of A's eight
+    rows; that is several times faster than a full SVD. A taller system keeps the
+    reduced SVD's last right singular vector, its least-squares solution.
 
     Returns canonicalized (H, 3, 3) F and an (H,) ok mask that is False where
     the points coincide or the solution collapses below rank 2 (a planar
@@ -100,10 +122,11 @@ def _eight_point_batch(pts1, pts2):
     u1, v1 = q1[..., 0], q1[..., 1]
     u2, v2 = q2[..., 0], q2[..., 1]
     A = np.stack([u2 * u1, u2 * v1, u2, v2 * u1, v2 * v1, v2, u1, v1, np.ones_like(u1)], axis=-1)
-    # an 8-row A needs the full V for its null vector; a taller A gets the
-    # same last row of V without an (n, n) U
-    _, _, Vt = np.linalg.svd(A, full_matrices=n < 9)
-    U, sf, Vft = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+    if n == MIN_SAMPLE:
+        f = np.linalg.qr(A.swapaxes(1, 2), mode="complete")[0][:, :, -1]
+    else:
+        f = np.linalg.svd(A, full_matrices=False)[2][:, -1]
+    U, sf, Vft = np.linalg.svd(f.reshape(-1, 3, 3))
     ok = ok1 & ok2 & ~(sf[:, 1] < 1e-10 * sf[:, 0])
     D = np.zeros_like(U)
     D[:, 0, 0], D[:, 1, 1] = sf[:, 0], sf[:, 1]
@@ -122,14 +145,19 @@ def eight_point(pts1, pts2) -> FundamentalMatrix:
 def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, cfg: RansacConfig) -> RansacResult:
     """Seeded RANSAC over 8-point hypotheses with a final all-inlier refit.
 
-    All hypotheses are solved in one stacked SVD and scored in blocks; the
-    first hypothesis with the most inliers wins.
+    Every minimal sample comes from one `_draw_samples` call, and all
+    hypotheses are solved in one stacked QR (see `_eight_point_batch`) and
+    scored in blocks; the first hypothesis with the most inliers wins. The
+    refit on its consensus set is a least-squares SVD solve.
     """
     pts1 = np.asarray(pts1, dtype=float)
     pts2 = np.asarray(pts2, dtype=float)
     n = pts1.shape[0]
     if n < MIN_SAMPLE:
         raise NotEnoughMatches(f"RANSAC needs >= {MIN_SAMPLE} matches, got {n}")
+    # checked here, so a NaN fails the same way whichever solve would meet it first
+    if not (np.isfinite(pts1).all() and np.isfinite(pts2).all()):
+        raise ValueError("RANSAC needs finite match coordinates")
     x1n = normalize_points(K1, pts1)
     x2n = normalize_points(K2, pts2)
 
@@ -138,8 +166,7 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
         En = K2.matrix().T @ F @ K1.matrix()
         return symmetric_epipolar_distance_sq(En, x1n, x2n) < cfg.inlier_threshold
 
-    rng = np.random.default_rng(cfg.seed)
-    idx = np.array([rng.choice(n, size=MIN_SAMPLE, replace=False) for _ in range(cfg.iterations)])
+    idx = _draw_samples(np.random.default_rng(cfg.seed), n, cfg.iterations)
     F, ok = _eight_point_batch(pts1[idx], pts2[idx])
     best_count, best_mask, best_iter = -1, None, -1
     block = max(1, _SCORE_BLOCK // n)
@@ -197,13 +224,15 @@ def write_match_file(path, pts1, pts2, conf=None):
 def read_match_file(path):
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             vals = [float(v) for v in line.split()]
             if len(vals) != 5:
                 raise ValueError(f"expected 5 fields per match line, got {len(vals)}")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in match line")
             rows.append(vals)
     arr = np.array(rows, dtype=float).reshape(-1, 5)
     return arr[:, 0:2], arr[:, 2:4], arr[:, 4]

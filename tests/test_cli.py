@@ -114,6 +114,20 @@ class TestMatchPoseEval:
         report = json.loads(out.read_text())
         assert report["inlier_count"] > 0.9 * valid.size
 
+    def test_pose_rejects_non_finite_match(self, tmp_path, capsys):
+        from epimatch.estimation import write_match_file
+
+        rng = np.random.default_rng(0)
+        pts1, pts2 = rng.uniform(0, 128, (2, 50, 2))
+        pts2[20, 0] = np.nan
+        mpath = tmp_path / "nan.txt"
+        write_match_file(mpath, pts1, pts2)
+        rc = main(["pose", "--matches", str(mpath), "--fx", "110", "--fy", "110",
+                   "--cx", "64", "--cy", "64", "--out", str(tmp_path / "pose.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[ValueError]" in err and "nan.txt:21" in err
+
     def test_eval_json_and_table_agree(self, workspace, tmp_path):
         out = tmp_path / "ev"
         assert main(["eval", "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),

@@ -4,6 +4,9 @@ import pytest
 from epimatch import errors
 from epimatch.estimation import (
     _SCORE_BLOCK,
+    _draw_samples,
+    _eight_point_batch,
+    _hartley_transform,
     MIN_SAMPLE,
     RansacConfig,
     RansacResult,
@@ -18,6 +21,7 @@ from epimatch.geometry import (
     CameraIntrinsics,
     FundamentalMatrix,
     RelativePose,
+    _canonicalize,
     fundamental_from_pose,
     fundamental_to_essential,
     normalize_points,
@@ -41,11 +45,13 @@ def pixel_matches(rng, n, cam1=None, cam2=None, pose=None):
 
 class TestEightPoint:
     def test_recovers_ground_truth(self, rng):
-        for _ in range(5):
-            x1, x2, cam1, cam2, pose = pixel_matches(rng, 20)
-            F_gt = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
-            F = eight_point(x1, x2)
-            assert np.max(np.abs(F.m - F_gt.m)) < 1e-8
+        # 20 points take the least-squares SVD solve, 8 the minimal QR solve
+        for n in (20, MIN_SAMPLE):
+            for _ in range(5):
+                x1, x2, cam1, cam2, pose = pixel_matches(rng, n)
+                F_gt = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
+                F = eight_point(x1, x2)
+                assert np.max(np.abs(F.m - F_gt.m)) < 1e-8
 
     def test_planar_scene_sideways_motion(self, rng):
         # 8 points on one scene plane, pure sideways baseline
@@ -68,6 +74,52 @@ class TestEightPoint:
         pts = np.tile([[10.0, 20.0]], (8, 1))
         with pytest.raises(errors.DegenerateConfiguration):
             eight_point(pts, pts + 1.0)
+
+    def test_minimal_qr_solve_matches_svd_reference(self):
+        rng = np.random.default_rng(17)
+        pts1 = rng.uniform(0, 640, (2000, MIN_SAMPLE, 2))
+        pts2 = rng.uniform(0, 640, (2000, MIN_SAMPLE, 2))
+        # every tenth sample collapses to one point in the first image
+        pts1[::10] = pts1[::10, :1]
+        F, ok = _eight_point_batch(pts1, pts2)
+        F_ref, ok_ref = svd_eight_point_reference(pts1, pts2)
+        assert np.array_equal(ok, ok_ref)
+        assert 0 < ok.sum() < ok.size
+        assert np.max(np.abs(F[ok] - F_ref[ok])) < 1e-10
+
+
+def svd_eight_point_reference(pts1, pts2):
+    """The minimal solve before QR: the null vector of each 8x9 system is
+    the last row of its full SVD's V^T; rank-2 projection as in the module."""
+    q1, T1, ok1 = _hartley_transform(pts1)
+    q2, T2, ok2 = _hartley_transform(pts2)
+    h1 = np.concatenate([q1, np.ones(q1.shape[:2] + (1,))], axis=2)
+    h2 = np.concatenate([q2, np.ones(q2.shape[:2] + (1,))], axis=2)
+    A = (h2[:, :, :, None] * h1[:, :, None, :]).reshape(len(pts1), -1, 9)
+    f = np.linalg.svd(A, full_matrices=True)[2][:, -1]
+    U, s, Vt = np.linalg.svd(f.reshape(-1, 3, 3))
+    ok = ok1 & ok2 & ~(s[:, 1] < 1e-10 * s[:, 0])
+    s[:, 2] = 0.0
+    F = T2.transpose(0, 2, 1) @ (U * s[:, None, :]) @ Vt @ T1
+    return _canonicalize(F), ok
+
+
+class TestDrawSamples:
+    @pytest.mark.parametrize("n", [8, 9, 30, 209, 10**5])
+    def test_rows_are_distinct_indices(self, n):
+        idx = _draw_samples(np.random.default_rng(3), n, 500)
+        assert idx.shape == (500, MIN_SAMPLE)
+        assert idx.min() >= 0 and idx.max() < n
+        assert np.all(np.diff(np.sort(idx, axis=1), axis=1) > 0)
+        if n == MIN_SAMPLE:
+            assert np.all(np.sort(idx, axis=1) == np.arange(MIN_SAMPLE))
+        assert np.array_equal(idx, _draw_samples(np.random.default_rng(3), n, 500))
+
+    def test_every_index_equally_likely(self):
+        n, rows = 20, 200_000
+        idx = _draw_samples(np.random.default_rng(11), n, rows)
+        share = np.bincount(idx.ravel(), minlength=n) / (rows * MIN_SAMPLE / n)
+        assert np.all(np.abs(share - 1.0) < 0.02)
 
 
 def contaminated_matches(rng, n_in=100, n_out=50, reject_band=5e-3):
@@ -156,19 +208,14 @@ class TestRansac:
             cfg = RansacConfig(iterations=100, inlier_threshold=1e-6, seed=seed)
             res = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
             # replay the winning minimal hypothesis to get its inlier set
-            rng2 = np.random.default_rng(cfg.seed)
-            best_mask = None
-            for it in range(cfg.iterations):
-                idx = rng2.choice(pts1.shape[0], size=MIN_SAMPLE, replace=False)
-                if it == res.best_iteration:
-                    F_hyp = eight_point(pts1[idx], pts2[idx])
-                    best_mask = score_one(
-                        F_hyp,
-                        normalize_points(cam1.intrinsics, pts1),
-                        normalize_points(cam2.intrinsics, pts2),
-                        cam1.intrinsics, cam2.intrinsics, cfg.inlier_threshold)
-                    break
-            if best_mask is not None and np.all(res.inlier_mask[best_mask]):
+            samples = _draw_samples(np.random.default_rng(cfg.seed), pts1.shape[0], cfg.iterations)
+            idx = samples[res.best_iteration]
+            best_mask = score_one(
+                eight_point(pts1[idx], pts2[idx]),
+                normalize_points(cam1.intrinsics, pts1),
+                normalize_points(cam2.intrinsics, pts2),
+                cam1.intrinsics, cam2.intrinsics, cfg.inlier_threshold)
+            if np.all(res.inlier_mask[best_mask]):
                 hits += 1
         assert hits >= 95
 
@@ -176,6 +223,20 @@ class TestRansac:
         K = CameraIntrinsics(1, 1, 0, 0)
         with pytest.raises(errors.NotEnoughMatches):
             ransac_fundamental(np.zeros((5, 2)), np.zeros((5, 2)), K, K, RansacConfig())
+
+    def test_exactly_minimal_sample(self, rng):
+        # every draw holds all eight matches
+        x1, x2, cam1, cam2, _ = pixel_matches(rng, MIN_SAMPLE)
+        cfg = RansacConfig(iterations=500, inlier_threshold=1e-6)
+        res = ransac_fundamental(x1, x2, cam1.intrinsics, cam2.intrinsics, cfg)
+        assert res.inlier_count == MIN_SAMPLE and res.best_iteration == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_match_raises_value_error(self, rng, bad):
+        pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=40, n_out=10)
+        pts2[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, RansacConfig())
 
     def test_inconsistent_result_raises(self):
         # checked by raising, so the check survives python -O
@@ -209,10 +270,9 @@ def ransac_reference(pts1, pts2, K1, K2, cfg):
     """
     x1n = normalize_points(K1, pts1)
     x2n = normalize_points(K2, pts2)
-    rng = np.random.default_rng(cfg.seed)
+    samples = _draw_samples(np.random.default_rng(cfg.seed), len(pts1), cfg.iterations)
     best_count, best, degenerate = -1, None, 0
-    for it in range(cfg.iterations):
-        idx = rng.choice(len(pts1), size=MIN_SAMPLE, replace=False)
+    for it, idx in enumerate(samples):
         try:
             F = eight_point(pts1[idx], pts2[idx])
         except errors.DegenerateConfiguration:
@@ -347,3 +407,10 @@ class TestMatchFile:
         path.write_text("")
         r1, r2, rc = read_match_file(path)
         assert r1.shape == (0, 2) and r2.shape == (0, 2) and rc.shape == (0,)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "matches.txt"
+        path.write_text(f"# u1 v1 u2 v2 conf\n1 2 3 4 1\n1 2 {bad} 4 1\n")
+        with pytest.raises(ValueError, match=r"matches.txt:3: non-finite"):
+            read_match_file(path)

@@ -110,6 +110,19 @@ class TestPseudoOverlap:
             s = pseudo_overlap(model, a, b)
             assert 0.0 <= s <= 1.0
 
+    def test_border_slack_keeps_an_identical_view_whole(self):
+        # an image the size of the sample grid puts the samples on pixels
+        # 0 and W - 1, where an identical view needs the slack to count them
+        model = PRESETS["euroc-room"]
+        size = (SAMPLE_GRID, SAMPLE_GRID)
+        pix = np.stack(np.meshgrid(np.arange(SAMPLE_GRID), np.arange(SAMPLE_GRID)), axis=-1).reshape(-1, 2)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            pos = rng.uniform([-2, -2, model.z_plane + 0.1], [2, 2, model.z_plane + 2.5])
+            cam = camera_at(pos, rng.uniform(-180, 180), rng.uniform(-80, 80))
+            hit_share = np.count_nonzero(np.isfinite(pseudo_depth(model, cam, pix))) / len(pix)
+            assert _directional_overlap(model, cam, cam, size) == hit_share
+
     def test_forward_translation_monotonicity(self):
         # overlap never increases as the baseline grows
         model = HemisphereModel(z_plane=0.0, r_sphere=6.0)
