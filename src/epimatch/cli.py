@@ -217,7 +217,7 @@ def cmd_pose(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
-    write_manifest(out.parent, "pose", _resolved(args), __version__)
+    write_manifest(out.parent, "pose", dict(_resolved(args), seed=cfg.seed), __version__)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -242,7 +242,7 @@ def cmd_eval(args):
         canvas = match_overlay(pair.image1, pair.image2, pred.fine_x1, pred.fine_x2,
                                gt, pair.K, threshold=threshold)
         write_png(out / f"overlay_{i:03d}.png", canvas)
-    write_manifest(out, "eval", _resolved(args), __version__)
+    write_manifest(out, "eval", dict(_resolved(args), seed=rcfg.seed), __version__)
     print(report.to_table())
     return 0
 
@@ -266,7 +266,7 @@ def cmd_replay(args):
         config["out"] = args.out
     argv = [command]
     for key, value in config.items():
-        if value is None or key == "out" and value is None:
+        if value is None:
             continue
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):

@@ -228,9 +228,13 @@ def read_match_file(path):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            vals = [float(v) for v in line.split()]
-            if len(vals) != 5:
-                raise ValueError(f"expected 5 fields per match line, got {len(vals)}")
+            fields = line.split()
+            if len(fields) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 fields per match line, got {len(fields)}")
+            try:
+                vals = [float(v) for v in fields]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"{path}:{lineno}: non-finite value in match line")
             rows.append(vals)

@@ -352,17 +352,19 @@ def read_pose_file(path):
     """Read the pose file format back into [(id, Camera), ...]."""
     cameras = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 12:
-                raise ValueError(f"expected 12 fields per pose line, got {len(parts)}")
-            cam_id = parts[0]
-            vals = [float(v) for v in parts[1:]]
-            k = CameraIntrinsics(*vals[0:4])
+                raise ValueError(f"{path}:{lineno}: expected 12 fields per pose line, got {len(parts)}")
+            try:
+                vals = [float(v) for v in parts[1:]]
+                k = CameraIntrinsics(*vals[0:4])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             R = quat_to_rotation(vals[4:8])
             t = np.array(vals[8:11])
-            cameras.append((cam_id, Camera(k, RelativePose(R, t))))
+            cameras.append((parts[0], Camera(k, RelativePose(R, t))))
     return cameras

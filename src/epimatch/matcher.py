@@ -95,23 +95,24 @@ def init_params(cfg: MatcherConfig, seed=0) -> MatcherParams:
 
 @dataclass
 class ImageFeatures:
+    """Coarse descriptors of one image and its fine windows: a read-only
+    strided view of the image (no copy), which refine_fine normalizes per
+    call where it reads them."""
+
     coarse: np.ndarray  # (m, d_in)
-    textureless: np.ndarray  # (m,)
-    fine: np.ndarray  # (nf, d_in_fine)
-    fine_rows: int
-    fine_cols: int
-    fine_centers: np.ndarray  # (nf, 2) pixel coords
     grid: GridSpec
+    fine_windows: np.ndarray  # (fr, fc, fp, fp) view, stride fine_stride
 
 
 def _patch_rows(stack):
-    """Mean-subtract and unit-normalize flattened patches; flag flats."""
+    """Mean-subtract and unit-normalize flattened (N, k) patches; flat
+    patches come out as zero rows."""
     x = stack - stack.mean(axis=1, keepdims=True)
     n = np.linalg.norm(x, axis=1)
     flat = n < _NORM_EPS
     x /= np.where(flat, 1.0, n)[:, None]
     x[flat] = 0.0
-    return x, flat
+    return x
 
 
 def extract_features(image, cfg: MatcherConfig) -> ImageFeatures:
@@ -124,17 +125,10 @@ def extract_features(image, cfg: MatcherConfig) -> ImageFeatures:
         raise BadDimensions(f"image {H}x{W} not a multiple of patch width {w}")
     grid = GridSpec.for_image(H, W, w)
     blocks = image.reshape(grid.rows, w, grid.cols, w).transpose(0, 2, 1, 3)
-    coarse, flat = _patch_rows(blocks.reshape(grid.m, w * w).copy())
-
+    coarse = _patch_rows(blocks.reshape(grid.m, w * w))
     fp, s = cfg.fine_patch, cfg.fine_stride
     windows = np.lib.stride_tricks.sliding_window_view(image, (fp, fp))[::s, ::s]
-    fr, fc = windows.shape[:2]
-    fine, _ = _patch_rows(windows.reshape(fr * fc, fp * fp).copy())
-    qs = np.arange(fc) * s + fp // 2
-    ps = np.arange(fr) * s + fp // 2
-    uu, vv = np.meshgrid(qs, ps)
-    centers = np.column_stack([uu.ravel(), vv.ravel()]).astype(float)
-    return ImageFeatures(coarse, flat, fine, fr, fc, centers, grid)
+    return ImageFeatures(coarse, grid, windows)
 
 
 def _embed_normalized(X, W):
@@ -191,40 +185,42 @@ def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherPar
 
     Returns (x1s, x2s, conf_kept, cache, dropped) where x1s are coarse cell
     centres in image 1 and x2s the refined subpixel matches in image 2.
-    Matches whose correlation window leaves the fine grid are dropped.
+    Matches whose correlation window leaves the fine grid are dropped. Fine
+    rows are built per call: image 1's kept centre patches, and image 2's
+    whole window grid once, only when a match is kept.
     """
     r = cfg.window_radius
     fp, s = cfg.fine_patch, cfg.fine_stride
+    fr1, fc1 = feats1.fine_windows.shape[:2]
+    fr2, fc2 = feats2.fine_windows.shape[:2]
     uv1 = feats1.grid.cell_centers()[np.asarray(i_idx, int)]
     uv2 = feats2.grid.cell_centers()[np.asarray(j_idx, int)]
     # the fine cell (row p, column q) centred on each coarse centre
     q1, p1 = np.rint((uv1 - fp // 2) / s).astype(int).T
     q2, p2 = np.rint((uv2 - fp // 2) / s).astype(int).T
-    ok = ((p1 >= 0) & (p1 < feats1.fine_rows) & (q1 >= 0) & (q1 < feats1.fine_cols)
-          & (p2 >= r) & (p2 + r < feats2.fine_rows) & (q2 >= r) & (q2 + r < feats2.fine_cols))
+    ok = ((p1 >= 0) & (p1 < fr1) & (q1 >= 0) & (q1 < fc1)
+          & (p2 >= r) & (p2 + r < fr2) & (q2 >= r) & (q2 + r < fc2))
     kept = np.flatnonzero(ok)
     dropped = len(uv1) - len(kept)
     if not len(kept):
-        empty = np.zeros((0, 2))
-        cache = dict(M=0)
-        return empty, empty.copy(), np.zeros(0), cache, dropped
+        return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), dict(M=0), dropped
 
     dp, dq = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    widx = (p2[kept, None] + dp.ravel()) * feats2.fine_cols + (q2[kept, None] + dq.ravel())  # (M, Kw)
-    cidx = p1[kept] * feats1.fine_cols + q1[kept]  # (M,)
-    Xf1 = feats1.fine[cidx]  # (M, d_in_f)
-    Xf2 = feats2.fine[widx]  # (M, Kw, d_in_f)
+    pw = p2[kept, None] + dp.ravel()  # (M, Kw) window cells in image 2
+    qw = q2[kept, None] + dq.ravel()
+    M, Kw = pw.shape
+    Xf1 = _patch_rows(feats1.fine_windows[p1[kept], q1[kept]].reshape(M, -1))
+    Xf2 = _patch_rows(feats2.fine_windows.reshape(fr2 * fc2, -1))[pw * fc2 + qw]  # (M, Kw, d_in_f)
     e1, nf1 = _embed_normalized(Xf1, params.W_fine)
-    M, Kw, d_in_f = Xf2.shape
-    E2w, n2w = _embed_normalized(Xf2.reshape(M * Kw, d_in_f), params.W_fine)
+    E2w, n2w = _embed_normalized(Xf2.reshape(M * Kw, -1), params.W_fine)
     E2w = E2w.reshape(M, Kw, -1)
     corr = np.einsum("mkd,md->mk", E2w, e1)
     logits = corr / params.tau_fine
     p = _softmax(logits, axis=1)
-    coords = feats2.fine_centers[widx]  # (M, Kw, 2)
+    coords = np.stack([qw * s + fp // 2, pw * s + fp // 2], axis=-1).astype(float)  # (M, Kw, 2)
     x2s = np.einsum("mk,mkc->mc", p, coords)
     x1s = uv1[kept]
-    cache = dict(M=M, kept=kept, widx=widx, cidx=cidx, Xf1=Xf1, Xf2=Xf2,
+    cache = dict(M=M, kept=kept, Xf1=Xf1, Xf2=Xf2,
                  e1=e1, nf1=nf1, E2w=E2w, n2w=n2w, corr=corr, p=p, coords=coords)
     return x1s, x2s, np.asarray(conf)[kept], cache, dropped
 
@@ -257,7 +253,7 @@ def forward(image1, image2, params: MatcherParams, cfg: MatcherConfig, coarse_ov
         conf = C.values[i_idx, j_idx]
     x1s, x2s, conf_kept, fcache, dropped = refine_fine(f1, f2, params, cfg, i_idx, j_idx, conf)
     pred = MatchPrediction(C, i_idx, j_idx, conf, x1s, x2s, conf_kept, dropped)
-    cache = dict(cfg=cfg, params=params, coarse=ccache, fine=fcache, f1=f1, f2=f2)
+    cache = dict(params=params, coarse=ccache, fine=fcache)
     return pred, cache
 
 

@@ -128,6 +128,48 @@ class TestMatchPoseEval:
         err = capsys.readouterr().err
         assert "error[ValueError]" in err and "nan.txt:21" in err
 
+    def test_pose_replay_uses_the_seed_from_the_environment(self, workspace, tmp_path, monkeypatch):
+        from epimatch.estimation import write_match_file
+
+        pair = load_pair_file(workspace / "dsA" / "pairs" / "00000.bin")
+        grid = GridSpec.for_image(*pair.image1.shape, 8)
+        targets, pts = gt_correspondence_grid(pair, grid)
+        valid = np.where(targets >= 0)[0]
+        rng = np.random.default_rng(3)
+        pts2 = pts[valid] + rng.normal(0.0, 1.0, (valid.size, 2))
+        pts2[::4] = rng.uniform(0, 128, (pts2[::4].shape[0], 2))  # outliers
+        mpath = tmp_path / "noisy.txt"
+        write_match_file(mpath, grid.cell_centers()[valid], pts2)
+        argv = ["pose", "--matches", str(mpath), "--fx", "110", "--fy", "110",
+                "--cx", "64", "--cy", "64"]
+        monkeypatch.setenv("EPIMATCH_SEED", "5")
+        assert main(argv + ["--out", str(tmp_path / "s5" / "pose.json")]) == 0
+        monkeypatch.delenv("EPIMATCH_SEED")
+        manifest = tmp_path / "s5" / "run_manifest.json"
+        assert json.loads(manifest.read_text())["config"]["seed"] == 5
+        assert main(["replay", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "replay" / "pose.json")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "s0" / "pose.json")]) == 0
+        seeded = (tmp_path / "s5" / "pose.json").read_bytes()
+        assert (tmp_path / "replay" / "pose.json").read_bytes() == seeded
+        assert (tmp_path / "s0" / "pose.json").read_bytes() != seeded
+
+    def test_eval_manifest_records_the_seed_from_the_environment(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setenv("EPIMATCH_SEED", "5")
+        out = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                     "--data", str(workspace / "dsA"), "--overlays", "0", "--out", str(out)]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["config"]["seed"] == 5
+
+    def test_pose_names_the_line_of_a_short_match(self, tmp_path, capsys):
+        mpath = tmp_path / "short.txt"
+        mpath.write_text("1 2 3 4 1\n1 2 3 4\n")
+        rc = main(["pose", "--matches", str(mpath), "--fx", "110", "--fy", "110",
+                   "--cx", "64", "--cy", "64", "--out", str(tmp_path / "pose.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[ValueError]" in err and "short.txt:2" in err
+
     def test_eval_json_and_table_agree(self, workspace, tmp_path):
         out = tmp_path / "ev"
         assert main(["eval", "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),

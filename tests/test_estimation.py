@@ -408,6 +408,18 @@ class TestMatchFile:
         r1, r2, rc = read_match_file(path)
         assert r1.shape == (0, 2) and r2.shape == (0, 2) and rc.shape == (0,)
 
+    def test_wrong_field_count_names_its_line(self, tmp_path):
+        path = tmp_path / "matches.txt"
+        path.write_text("1 2 3 4 1\n\n1 2 3 4\n")
+        with pytest.raises(ValueError, match=r"matches.txt:3: expected 5 fields"):
+            read_match_file(path)
+
+    def test_field_not_a_number_names_its_line(self, tmp_path):
+        path = tmp_path / "matches.txt"
+        path.write_text("1 2 3 4 1\n1 2 x 4 1\n")
+        with pytest.raises(ValueError, match=r"matches.txt:2: could not convert"):
+            read_match_file(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_its_line(self, tmp_path, bad):
         path = tmp_path / "matches.txt"

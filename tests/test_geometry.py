@@ -368,8 +368,22 @@ class TestPoseFile:
             assert np.allclose(a.pose.t, b.pose.t, atol=1e-12)
             assert a.intrinsics == b.intrinsics
 
+    GOOD_LINE = "cam0 500 500 320 240 1 0 0 0 0 0 0\n"
+
     def test_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "poses.txt"
-        path.write_text("cam0 1 2 3\n")
-        with pytest.raises(ValueError):
+        path.write_text(self.GOOD_LINE + "# comment\ncam1 1 2 3\n")
+        with pytest.raises(ValueError, match=r"poses.txt:3: expected 12 fields"):
+            read_pose_file(path)
+
+    def test_field_not_a_number_names_its_line(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_text(self.GOOD_LINE + "cam1 500 500 320 240 1 0 zero 0 0 0 0\n")
+        with pytest.raises(ValueError, match=r"poses.txt:2: could not convert"):
+            read_pose_file(path)
+
+    def test_bad_intrinsics_name_their_line(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_text("\n" + self.GOOD_LINE.replace("500 500", "-500 500"))
+        with pytest.raises(ValueError, match=r"poses.txt:2: focal lengths must be positive"):
             read_pose_file(path)

@@ -21,7 +21,7 @@ from epimatch.matcher import (
     sgd_step,
     zero_grads,
 )
-from epimatch.matcher import _NORM_EPS, _embed_normalized, _normalize_backward, _softmax
+from epimatch.matcher import _NORM_EPS, _embed_normalized, _normalize_backward, _patch_rows, _softmax
 
 SMALL = MatcherConfig(patch_width=8, fine_patch=4, fine_stride=2, d=8, d_fine=6,
                       window_radius=2, match_threshold=0.2)
@@ -50,30 +50,44 @@ def masked_normalize_backward(dD, D, n):
     return dY
 
 
-def refine_fine_loop(feats1, feats2, params, cfg, i_idx, j_idx, conf):
-    """Per-match reference for refine_fine: the fine cell under each coarse
-    centre by scalar rounding, one window meshgrid per match."""
-    fp, s, r = cfg.fine_patch, cfg.fine_stride, cfg.window_radius
+def fine_table(feats, cfg):
+    """Every stride-s fine patch of an image, normalized, with its centre
+    pixel: (rows, cols, (rows * cols, fp * fp) patches, (rows * cols, 2))."""
+    fp, s = cfg.fine_patch, cfg.fine_stride
+    fr, fc = feats.fine_windows.shape[:2]
+    fine = _patch_rows(feats.fine_windows.reshape(fr * fc, fp * fp).copy())
+    uu, vv = np.meshgrid(np.arange(fc) * s + fp // 2, np.arange(fr) * s + fp // 2)
+    centers = np.column_stack([uu.ravel(), vv.ravel()]).astype(float)
+    return fr, fc, fine, centers
 
-    def fine_cell(feats, index):
+
+def refine_fine_loop(feats1, feats2, params, cfg, i_idx, j_idx, conf):
+    """Per-match reference for refine_fine over each image's full fine table:
+    the fine cell under each coarse centre by scalar rounding, one window
+    meshgrid per match."""
+    fp, s, r = cfg.fine_patch, cfg.fine_stride, cfg.window_radius
+    fr1, fc1, fine1, _ = fine_table(feats1, cfg)
+    fr2, fc2, fine2, centers2 = fine_table(feats2, cfg)
+
+    def fine_cell(feats, fr, fc, index):
         row, col = divmod(int(index), feats.grid.cols)
         w = feats.grid.patch_width
         u, v = float(col * w + w // 2), float(row * w + w // 2)
         q, p = int(round((u - fp // 2) / s)), int(round((v - fp // 2) / s))
-        inside = 0 <= p < feats.fine_rows and 0 <= q < feats.fine_cols
-        return (u, v), (p * feats.fine_cols + q if inside else -1)
+        inside = 0 <= p < fr and 0 <= q < fc
+        return (u, v), (p * fc + q if inside else -1)
 
     kept, centers1, cidx, widx = [], [], [], []
     for k, (i, j) in enumerate(zip(i_idx, j_idx)):
-        uv1, c1 = fine_cell(feats1, i)
-        _, c2 = fine_cell(feats2, j)
+        uv1, c1 = fine_cell(feats1, fr1, fc1, i)
+        _, c2 = fine_cell(feats2, fr2, fc2, j)
         if c1 < 0 or c2 < 0:
             continue
-        p2, q2 = divmod(c2, feats2.fine_cols)
-        if p2 - r < 0 or p2 + r >= feats2.fine_rows or q2 - r < 0 or q2 + r >= feats2.fine_cols:
+        p2, q2 = divmod(c2, fc2)
+        if p2 - r < 0 or p2 + r >= fr2 or q2 - r < 0 or q2 + r >= fc2:
             continue
         pp, qq = np.meshgrid(np.arange(p2 - r, p2 + r + 1), np.arange(q2 - r, q2 + r + 1), indexing="ij")
-        widx.append((pp * feats2.fine_cols + qq).ravel())
+        widx.append((pp * fc2 + qq).ravel())
         cidx.append(c1)
         centers1.append(uv1)
         kept.append(k)
@@ -81,12 +95,12 @@ def refine_fine_loop(feats1, feats2, params, cfg, i_idx, j_idx, conf):
     if not kept:
         return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), dict(M=0), dropped
     kept, widx, cidx = np.array(kept, int), np.array(widx, int), np.array(cidx, int)
-    e1, _ = masked_embed_normalized(feats1.fine[cidx], params.W_fine)
-    E2w, _ = masked_embed_normalized(feats2.fine[widx].reshape(widx.size, -1), params.W_fine)
+    e1, _ = masked_embed_normalized(fine1[cidx], params.W_fine)
+    E2w, _ = masked_embed_normalized(fine2[widx].reshape(widx.size, -1), params.W_fine)
     corr = np.einsum("mkd,md->mk", E2w.reshape(*widx.shape, -1), e1)
     p = _softmax(corr / params.tau_fine, axis=1)
-    x2s = np.einsum("mk,mkc->mc", p, feats2.fine_centers[widx])
-    cache = dict(M=len(kept), kept=kept, widx=widx, cidx=cidx)
+    x2s = np.einsum("mk,mkc->mc", p, centers2[widx])
+    cache = dict(M=len(kept), kept=kept)
     return np.array(centers1, dtype=float), x2s, np.asarray(conf)[kept], cache, dropped
 
 
@@ -97,8 +111,7 @@ def assert_same_bytes(a, b):
 class TestExtractFeatures:
     def test_constant_image_all_textureless(self):
         feats = extract_features(np.full((32, 32), 0.5), SMALL)
-        assert feats.textureless.all()
-        assert np.allclose(feats.coarse, 0.0)
+        assert np.all(feats.coarse == 0.0)
 
     def test_grid_arithmetic(self, rng):
         feats = extract_features(random_image(rng, 64, 64), MatcherConfig())
@@ -108,7 +121,16 @@ class TestExtractFeatures:
     def test_unit_norm_rows(self, rng):
         feats = extract_features(random_image(rng), SMALL)
         norms = np.linalg.norm(feats.coarse, axis=1)
-        assert np.allclose(norms[~feats.textureless], 1.0)
+        assert np.allclose(norms[feats.coarse.any(axis=1)], 1.0)
+
+    def test_fine_windows_are_a_read_only_view(self, rng):
+        img = random_image(rng)
+        feats = extract_features(img, SMALL)
+        fp, s = SMALL.fine_patch, SMALL.fine_stride
+        assert feats.fine_windows.shape == (15, 15, fp, fp)
+        assert np.shares_memory(feats.fine_windows, img)
+        assert not feats.fine_windows.flags.writeable
+        assert np.array_equal(feats.fine_windows[3, 5], img[3 * s:3 * s + fp, 5 * s:5 * s + fp])
 
     def test_shift_by_patch_width_shifts_grid(self, rng):
         img = random_image(rng, 40, 40)
@@ -210,8 +232,7 @@ class TestRefineFine:
         for a, b in zip(got[:3], want[:3]):
             assert_same_bytes(a, b)
         assert got[4] == want[4] and 0 < got[4] < i_idx.size
-        for key in ("kept", "widx", "cidx"):
-            assert_same_bytes(got[3][key], want[3][key])
+        assert_same_bytes(got[3]["kept"], want[3]["kept"])
 
     @pytest.mark.parametrize("cfg", [SMALL, ODD])
     def test_empty_and_all_dropped(self, rng, cfg):

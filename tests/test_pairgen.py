@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from epimatch.geometry import Camera, CameraIntrinsics, RelativePose, rotation_from_axis_angle
+from epimatch.geometry import (
+    Camera,
+    CameraIntrinsics,
+    RelativePose,
+    normalize_points,
+    project_points,
+    rotation_from_axis_angle,
+)
 from epimatch.pairgen import (
     BoxModel,
     HemisphereModel,
@@ -122,6 +129,37 @@ class TestPseudoOverlap:
             cam = camera_at(pos, rng.uniform(-180, 180), rng.uniform(-80, 80))
             hit_share = np.count_nonzero(np.isfinite(pseudo_depth(model, cam, pix))) / len(pix)
             assert _directional_overlap(model, cam, cam, size) == hit_share
+
+    @staticmethod
+    def _camera_on_sample_ray(offset):
+        """cam_i and a camera looking along the ray of cam_i's sample (16, 16),
+        centred `offset` metres past that ray's surface point."""
+        model = PRESETS["euroc-room"]
+        W, H = 640, 480
+        cam_i = camera_at([0.3, -0.2, 1.5], yaw_deg=20.0, pitch_deg=-30.0)
+        pix = [[16.5 * W / SAMPLE_GRID - 0.5, 16.5 * H / SAMPLE_GRID - 0.5]]
+        ray = normalize_points(K, pix)[0] @ cam_i.pose.R
+        ray /= np.linalg.norm(ray)
+        point = cam_i.center() + pseudo_depth(model, cam_i, pix)[0] * ray
+        right = np.cross(ray, [0.0, 0.0, 1.0])
+        right /= np.linalg.norm(right)
+        R = np.stack([right, np.cross(ray, right), ray])  # optical axis along the ray
+        centre = point + offset * ray
+        return model, cam_i, Camera(K, RelativePose(R, -R @ centre)), (W, H), point
+
+    def test_surface_point_1mm_ahead_counts(self):
+        # only the sample on the shared ray lands in view, at depth 1e-3: a
+        # depth floor above that would drop it
+        model, cam_i, cam_j, size, _ = self._camera_on_sample_ray(-1e-3)
+        assert _directional_overlap(model, cam_i, cam_j, size) == 1.0 / SAMPLE_GRID ** 2
+
+    def test_surface_point_behind_the_camera_does_not_count(self):
+        # 1 mm past the surface point, the point lies behind cam_j yet its
+        # pixel is the principal point; only the depth test rejects it
+        model, cam_i, cam_j, size, point = self._camera_on_sample_ray(1e-3)
+        pix, z = project_points(cam_j, [point])
+        assert z[0] < 0.0 and np.allclose(pix, CENTRE)
+        assert _directional_overlap(model, cam_i, cam_j, size) == 0.0
 
     def test_forward_translation_monotonicity(self):
         # overlap never increases as the baseline grows
