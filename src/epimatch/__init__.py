@@ -6,7 +6,6 @@ from . import errors
 from .geometry import (
     Camera,
     CameraIntrinsics,
-    EssentialMatrix,
     FundamentalMatrix,
     RelativePose,
     cross_matrix,
@@ -23,7 +22,6 @@ __all__ = [
     "errors",
     "Camera",
     "CameraIntrinsics",
-    "EssentialMatrix",
     "FundamentalMatrix",
     "RelativePose",
     "cross_matrix",

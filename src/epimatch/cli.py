@@ -122,8 +122,7 @@ def _train_config(args, for_pretrain=False):
         return pretrain_config(epochs=args.epochs, lr=args.lr, seed=seed, loss=loss,
                                batch_size=args.batch_size, weight_decay=args.weight_decay)
     return TrainConfig(lr=args.lr, weight_decay=args.weight_decay,
-                       batch_size=args.batch_size, epochs=args.epochs, loss=loss,
-                       seed=seed, replay_source=not args.no_replay)
+                       batch_size=args.batch_size, epochs=args.epochs, loss=loss, seed=seed)
 
 
 def cmd_pretrain(args):
@@ -190,9 +189,8 @@ def cmd_match(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     write_match_file(out, pred.fine_x1, pred.fine_x2, pred.fine_conf)
     if args.overlay:
-        gt = pair.F_gt if pair.F_gt is not None else pair.pose
         canvas = match_overlay(pair.image1, pair.image2, pred.fine_x1, pred.fine_x2,
-                               gt, pair.K, threshold=args.threshold)
+                               pair.pose, pair.K, threshold=args.threshold)
         write_png(args.overlay, canvas)
     write_manifest(out.parent, "match", _resolved(args), __version__)
     print(f"wrote {pred.fine_x2.shape[0]} matches to {out}")
@@ -238,9 +236,8 @@ def cmd_eval(args):
         fh.write(report.to_table() + "\n")
     for i, pair in enumerate(dataset[: args.overlays]):
         pred, _ = forward(pair.image1, pair.image2, params, MatcherConfig())
-        gt = pair.F_gt if pair.F_gt is not None else pair.pose
         canvas = match_overlay(pair.image1, pair.image2, pred.fine_x1, pred.fine_x2,
-                               gt, pair.K, threshold=threshold)
+                               pair.pose, pair.K, threshold=threshold)
         write_png(out / f"overlay_{i:03d}.png", canvas)
     write_manifest(out, "eval", dict(_resolved(args), seed=rcfg.seed), __version__)
     print(report.to_table())

@@ -127,11 +127,6 @@ class FundamentalMatrix:
         return FundamentalMatrix.from_matrix(self.m.T)
 
 
-@dataclass
-class EssentialMatrix:
-    m: np.ndarray
-
-
 def cross_matrix(t):
     """Skew matrix [t]x with [t]x v = t x v."""
     t = np.asarray(t, dtype=float).reshape(3)
@@ -140,11 +135,11 @@ def cross_matrix(t):
     )
 
 
-def essential_from_pose(pose: RelativePose) -> EssentialMatrix:
-    """E = [t]x R for a calibrated pair."""
+def essential_from_pose(pose: RelativePose):
+    """(3, 3) E = [t]x R for a calibrated pair."""
     if np.linalg.norm(pose.t) <= BASELINE_EPSILON:
         raise DegenerateBaseline("translation below baseline epsilon")
-    return EssentialMatrix(cross_matrix(pose.t) @ pose.R)
+    return cross_matrix(pose.t) @ pose.R
 
 
 def fundamental_from_pose(K1: CameraIntrinsics, K2: CameraIntrinsics, pose: RelativePose) -> FundamentalMatrix:
@@ -157,9 +152,9 @@ def fundamental_from_pose(K1: CameraIntrinsics, K2: CameraIntrinsics, pose: Rela
     return FundamentalMatrix.from_matrix(F)
 
 
-def fundamental_to_essential(F: FundamentalMatrix, K1, K2) -> EssentialMatrix:
-    """E = K2^T F K1."""
-    return EssentialMatrix(K2.matrix().T @ F.m @ K1.matrix())
+def fundamental_to_essential(F: FundamentalMatrix, K1, K2):
+    """(3, 3) E = K2^T F K1."""
+    return K2.matrix().T @ F.m @ K1.matrix()
 
 
 def symmetric_epipolar_distance_sq(F, x1, x2):
@@ -250,8 +245,9 @@ def _cheirality_votes(R, t, x1n, x2n):
     return int(np.count_nonzero(ok & (X[:, 2] > 0) & (z2 > 0)))
 
 
-def decompose_essential(E: EssentialMatrix, x1n, x2n) -> RelativePose:
-    """Recover (R, unit t) from E by the cheirality vote.
+def decompose_essential(E, x1n, x2n) -> RelativePose:
+    """Recover (R, unit t) from a (3, 3) essential matrix E by the
+    cheirality vote.
 
     x1n, x2n: (N, 3) normalized (K = I) homogeneous correspondences, N >= 1.
     """
@@ -259,7 +255,7 @@ def decompose_essential(E: EssentialMatrix, x1n, x2n) -> RelativePose:
     x2n = np.atleast_2d(np.asarray(x2n, dtype=float))
     if x1n.shape[0] < 1:
         raise DegenerateConfiguration("need at least one correspondence")
-    U, _, Vt = np.linalg.svd(E.m)
+    U, _, Vt = np.linalg.svd(E)
     if np.linalg.det(U) < 0:
         U = -U
     if np.linalg.det(Vt) < 0:
@@ -361,6 +357,10 @@ def read_pose_file(path):
                 raise ValueError(f"{path}:{lineno}: expected 12 fields per pose line, got {len(parts)}")
             try:
                 vals = [float(v) for v in parts[1:]]
+                if not np.all(np.isfinite(vals)):
+                    raise ValueError("non-finite value in pose line")
+                if np.linalg.norm(vals[4:8]) == 0.0:
+                    raise ValueError("quaternion of zero norm")
                 k = CameraIntrinsics(*vals[0:4])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None

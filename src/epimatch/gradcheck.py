@@ -52,7 +52,7 @@ def matcher_suite(seed=0, h=1e-5, inject_fault=None):
 
     def loss_with(p):
         pr, _ = forward(img1, img2, p, cfg, coarse_override=pins)
-        value = float(np.sum(G * pr.C.values))
+        value = float(np.sum(G * pr.C))
         if pr.fine_x2.shape[0]:
             value += float(np.sum(g[: pr.fine_x2.shape[0]] * pr.fine_x2))
         return value

@@ -10,7 +10,7 @@ perpendicular pixel distance to the epipolar line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +37,8 @@ class LossConfig:
 
 
 @dataclass
-class ConfidenceMatrix:
-    values: np.ndarray  # (m1, m2) in [0, 1]
-    grid1: GridSpec
-    grid2: GridSpec
-
-
-@dataclass
 class EpipolarMask:
     values: np.ndarray  # (m1, m2) binary
-    line_sets: np.ndarray  # (m1, m2) boolean column sets e_1^i
-    excluded: np.ndarray  # (m1,) rows with no admissible column
 
 
 def epipolar_line_set(F: FundamentalMatrix, grid1: GridSpec, grid2: GridSpec, theta):
@@ -67,26 +58,21 @@ def epipolar_line_set(F: FundamentalMatrix, grid1: GridSpec, grid2: GridSpec, th
     return sets
 
 
-def epipolar_classification_mask(C: ConfidenceMatrix, line_sets) -> EpipolarMask:
-    """One positive per non-empty row at the on-line confidence argmax."""
-    values = np.zeros_like(C.values)
-    excluded = ~line_sets.any(axis=1)
-    scores = np.where(line_sets, C.values, -np.inf)
-    rows = np.where(~excluded)[0]
+def epipolar_classification_mask(C, line_sets) -> EpipolarMask:
+    """One positive per non-empty row of the (m1, m2) confidence C, at the
+    on-line argmax."""
+    values = np.zeros_like(C)
+    scores = np.where(line_sets, C, -np.inf)
+    rows = np.flatnonzero(line_sets.any(axis=1))
     if rows.size:
         cols = np.argmax(scores[rows], axis=1)  # first max wins ties
         values[rows, cols] = 1.0
-    return EpipolarMask(values=values, line_sets=np.asarray(line_sets), excluded=excluded)
+    return EpipolarMask(values)
 
 
 def naive_epipolar_mask(line_sets) -> EpipolarMask:
     """Ablation: every on-line cell is a positive; row sums may exceed 1."""
-    line_sets = np.asarray(line_sets)
-    return EpipolarMask(
-        values=line_sets.astype(float),
-        line_sets=line_sets,
-        excluded=~line_sets.any(axis=1),
-    )
+    return EpipolarMask(np.asarray(line_sets).astype(float))
 
 
 def gt_classification_mask(targets, m2) -> EpipolarMask:
@@ -95,7 +81,7 @@ def gt_classification_mask(targets, m2) -> EpipolarMask:
     values = np.zeros((targets.shape[0], m2))
     rows = np.where(targets >= 0)[0]
     values[rows, targets[rows]] = 1.0
-    return EpipolarMask(values=values, line_sets=values > 0, excluded=targets < 0)
+    return EpipolarMask(values)
 
 
 def coarse_loss_grad(C_values, mask: EpipolarMask):

@@ -11,13 +11,12 @@ their own softmax temperatures.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadDimensions, NonFiniteGradient, read_exact
 from .grid import GridSpec
-from .losses import ConfidenceMatrix
 
 _NORM_EPS = 1e-12
 _TAU_MIN = 1e-3
@@ -153,7 +152,8 @@ def _softmax(z, axis):
 def confidence_matrix(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherParams):
     """Dual-softmax confidence over embedded coarse descriptors.
 
-    Returns (ConfidenceMatrix, cache dict for backward).
+    Returns the (m1, m2) confidence array, in [0, 1], and the cache dict for
+    backward.
     """
     D1, n1 = _embed_normalized(feats1.coarse, params.W_coarse)
     D2, n2 = _embed_normalized(feats2.coarse, params.W_coarse)
@@ -163,7 +163,7 @@ def confidence_matrix(feats1: ImageFeatures, feats2: ImageFeatures, params: Matc
     C = RS * CS
     cache = dict(D1=D1, D2=D2, n1=n1, n2=n2, S=S, RS=RS, CS=CS,
                  X1=feats1.coarse, X2=feats2.coarse)
-    return ConfidenceMatrix(C, feats1.grid, feats2.grid), cache
+    return C, cache
 
 
 def select_coarse(C_values, match_threshold):
@@ -227,7 +227,7 @@ def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherPar
 
 @dataclass
 class MatchPrediction:
-    C: ConfidenceMatrix
+    C: np.ndarray  # (m1, m2) coarse confidence
     coarse_i: np.ndarray
     coarse_j: np.ndarray
     coarse_conf: np.ndarray
@@ -247,10 +247,10 @@ def forward(image1, image2, params: MatcherParams, cfg: MatcherConfig, coarse_ov
     f2 = extract_features(image2, cfg)
     C, ccache = confidence_matrix(f1, f2, params)
     if coarse_override is None:
-        i_idx, j_idx, conf = select_coarse(C.values, cfg.match_threshold)
+        i_idx, j_idx, conf = select_coarse(C, cfg.match_threshold)
     else:
         i_idx, j_idx = (np.asarray(a, int) for a in coarse_override)
-        conf = C.values[i_idx, j_idx]
+        conf = C[i_idx, j_idx]
     x1s, x2s, conf_kept, fcache, dropped = refine_fine(f1, f2, params, cfg, i_idx, j_idx, conf)
     pred = MatchPrediction(C, i_idx, j_idx, conf, x1s, x2s, conf_kept, dropped)
     cache = dict(params=params, coarse=ccache, fine=fcache)

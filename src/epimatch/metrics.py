@@ -12,10 +12,8 @@ from .errors import EmptyInput, EpimatchError, ZeroTranslation
 from .estimation import MIN_SAMPLE, RansacConfig, estimate_relative_pose
 from .geometry import (
     CameraIntrinsics,
-    FundamentalMatrix,
     RelativePose,
     essential_from_pose,
-    fundamental_to_essential,
     normalize_points,
     symmetric_epipolar_distance_sq,
 )
@@ -110,27 +108,23 @@ def pose_auc(errors, thresholds=AUC_THRESHOLDS):
     return out
 
 
-def gt_epipolar_distance_sq(pts1, pts2, gt, K1: CameraIntrinsics, K2: CameraIntrinsics):
+def gt_epipolar_distance_sq(pts1, pts2, pose: RelativePose, K1: CameraIntrinsics, K2: CameraIntrinsics):
     """Squared symmetric epipolar distance of each (N, 2) pixel match under
-    the ground-truth pose or F, in normalized coordinates."""
-    if isinstance(gt, RelativePose):
-        E = essential_from_pose(gt)
-    elif isinstance(gt, FundamentalMatrix):
-        E = fundamental_to_essential(gt, K1, K2)
-    else:
-        raise TypeError("expected a RelativePose or FundamentalMatrix ground truth")
+    E = [t]x R of the ground-truth pose, in normalized coordinates. Raises
+    DegenerateBaseline for a pure-rotation pose."""
     x1n = normalize_points(K1, pts1)
     x2n = normalize_points(K2, pts2)
-    return symmetric_epipolar_distance_sq(E.m, x1n, x2n)
+    return symmetric_epipolar_distance_sq(essential_from_pose(pose), x1n, x2n)
 
 
-def matching_precision(pts1, pts2, gt, K1: CameraIntrinsics, K2: CameraIntrinsics,
+def matching_precision(pts1, pts2, pose: RelativePose, K1: CameraIntrinsics, K2: CameraIntrinsics,
                        threshold=PRECISION_THRESHOLD_INDOOR):
-    """Percentage of matches with squared symmetric epipolar distance below
-    the threshold, in normalized coordinates. Empty match sets score 0."""
+    """Percentage of matches whose squared symmetric epipolar distance under
+    the ground-truth pose is below the threshold, in normalized coordinates.
+    Empty match sets score 0."""
     if np.shape(pts1)[0] == 0:
         return 0.0
-    d = gt_epipolar_distance_sq(pts1, pts2, gt, K1, K2)
+    d = gt_epipolar_distance_sq(pts1, pts2, pose, K1, K2)
     return float(100.0 * np.mean(d < threshold))
 
 

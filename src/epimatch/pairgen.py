@@ -199,10 +199,14 @@ def write_pairs_file(path, pairs):
 def read_pairs_file(path):
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields:
                 continue
-            a, b, s = line.split()
-            out.append((a, b, float(s)))
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 fields per pair line, got {len(fields)}")
+            try:
+                out.append((fields[0], fields[1], float(fields[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

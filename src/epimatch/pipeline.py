@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ class TrainConfig:
     epochs: int = 25
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
-    replay_source: bool = True
     # temperatures move on their own scale; the coarse one is damped so the
     # selection stays sharp, the fine one may recalibrate freely
     tau_coarse_lr_scale: float = 0.2
@@ -151,7 +150,7 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
     if not mask.values.any():
         return None
     lam = loss_cfg.lam
-    lc, dC = coarse_loss_grad(pred.C.values, mask)
+    lc, dC = coarse_loss_grad(pred.C, mask)
     lf = 0.0
     dfine = None
     M = pred.fine_x2.shape[0]
@@ -248,9 +247,9 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
 
     f_override: optional per-pair list of FundamentalMatrix (or None to skip
     the pair) replacing the pose-derived F; used by the bootstrap regime.
-    With replay_source, each batch adds an equal count of source pairs
-    trained with the original supervised losses; a replay set smaller than
-    one batch raises NotEnoughReplayPairs.
+    With non-empty replay_pairs, each batch adds an equal count of source
+    pairs trained with the original supervised losses; a replay set smaller
+    than one batch raises NotEnoughReplayPairs.
     """
     mcfg = mcfg or MatcherConfig()
     noise = noise or PoseNoiseConfig()
@@ -270,7 +269,7 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
         raise EmptyDatasetAfterFilter("no pair has a usable fundamental matrix")
 
     replay = None
-    if cfg.replay_source and replay_pairs is not None and len(replay_pairs) > 0:
+    if replay_pairs is not None and len(replay_pairs) > 0:
         draw = min(cfg.batch_size, len(dataset_b))
         if len(replay_pairs) < draw:
             raise NotEnoughReplayPairs(

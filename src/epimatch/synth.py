@@ -9,18 +9,17 @@ different texture statistics and camera motion emulate a domain shift.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegeneratePose, read_exact
 from .geometry import (
+    BASELINE_EPSILON,
     Camera,
     CameraIntrinsics,
-    FundamentalMatrix,
     RelativePose,
-    fundamental_from_pose,
     normalize_points,
     pixel_rays,
     project_points,
@@ -78,7 +77,6 @@ class RenderedPair:
     depth2: np.ndarray
     K: CameraIntrinsics
     pose: RelativePose  # camera 2 relative to camera 1 (view-1 frame is world)
-    F_gt: FundamentalMatrix | None
     index: int = -1
 
 
@@ -298,10 +296,7 @@ def sample_pair(spec: SceneSpec, index, pose_override: RelativePose | None = Non
 
     # relative pose of view 2 in the view-1 camera frame
     rel = cam2.pose.compose(cam1.pose.inverse())
-    F_gt = None
-    if np.linalg.norm(rel.t) > 1e-8:
-        F_gt = fundamental_from_pose(K, K, rel)
-    return RenderedPair(image1, image2, depth1, depth2, K, rel, F_gt, index)
+    return RenderedPair(image1, image2, depth1, depth2, K, rel, index)
 
 
 def gt_correspondence_grid(pair: RenderedPair, grid: GridSpec):
@@ -359,8 +354,10 @@ def make_domain(name, seed=0) -> SceneSpec:
 
 
 def save_pair_file(path, pair: RenderedPair):
-    """Binary layout: magic, version, index, H, W, intrinsics, pose flag and
-    quaternion pose, then image1, image2, depth1, depth2 as little-endian f8."""
+    """Binary layout: magic, version, index, H, W, intrinsics, baseline flag
+    and quaternion pose, then image1, image2, depth1, depth2 as little-endian
+    f8. The flag byte is 1 when |t| > BASELINE_EPSILON (the pose has an
+    epipolar geometry), else 0; readers derive it from the pose instead."""
     H, W = pair.image1.shape
     with open(path, "wb") as fh:
         fh.write(_PAIR_MAGIC)
@@ -369,7 +366,7 @@ def save_pair_file(path, pair: RenderedPair):
         K = pair.K
         fh.write(struct.pack("<dddd", K.fx, K.fy, K.cx, K.cy))
         q = rotation_to_quat(pair.pose.R)
-        fh.write(struct.pack("<B", 1 if pair.F_gt is not None else 0))
+        fh.write(struct.pack("<B", 1 if np.linalg.norm(pair.pose.t) > BASELINE_EPSILON else 0))
         fh.write(struct.pack("<7d", *q, *pair.pose.t))
         for arr in (pair.image1, pair.image2, pair.depth1, pair.depth2):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -384,15 +381,14 @@ def load_pair_file(path) -> RenderedPair:
             raise ValueError(f"unsupported pair file version {version}")
         H, W = struct.unpack("<II", read_exact(fh, 8))
         fx, fy, cx, cy = struct.unpack("<dddd", read_exact(fh, 32))
-        (has_f,) = struct.unpack("<B", read_exact(fh, 1))
+        read_exact(fh, 1)  # baseline flag: the pose below already says it
         vals = struct.unpack("<7d", read_exact(fh, 56))
         K = CameraIntrinsics(fx, fy, cx, cy)
         pose = RelativePose(quat_to_rotation(vals[:4]), np.array(vals[4:]))
         arrays = []
         for _ in range(4):
             arrays.append(np.frombuffer(read_exact(fh, H * W * 8), dtype="<f8").reshape(H, W).copy())
-    F_gt = fundamental_from_pose(K, K, pose) if has_f else None
-    return RenderedPair(arrays[0], arrays[1], arrays[2], arrays[3], K, pose, F_gt, index)
+    return RenderedPair(arrays[0], arrays[1], arrays[2], arrays[3], K, pose, index)
 
 
 def save_dataset(spec: SceneSpec, n, out_dir):

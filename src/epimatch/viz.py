@@ -70,12 +70,12 @@ def _draw_dot(canvas, p, color, r=1):
                 canvas[y + dy, x + dx] = color
 
 
-def match_overlay(image1, image2, x1s, x2s, pose_or_f, K, threshold=PRECISION_THRESHOLD_INDOOR):
+def match_overlay(image1, image2, x1s, x2s, pose, K, threshold=PRECISION_THRESHOLD_INDOOR):
     """Side-by-side pair with match lines coloured by whether each match's
-    squared symmetric epipolar distance clears the threshold, as
-    `metrics.matching_precision` counts it. A pure-rotation ground truth has
-    no epipolar geometry, so all its matches are red, as `metrics.evaluate`
-    scores such a pair at precision 0."""
+    squared symmetric epipolar distance under the ground-truth pose clears
+    the threshold, as `metrics.matching_precision` counts it. A pure-rotation
+    pose has no epipolar geometry, so all its matches are red, as
+    `metrics.evaluate` scores such a pair at precision 0."""
     left = _to_rgb(image1)
     right = _to_rgb(image2)
     H = max(left.shape[0], right.shape[0])
@@ -87,7 +87,7 @@ def match_overlay(image1, image2, x1s, x2s, pose_or_f, K, threshold=PRECISION_TH
     x2s = np.asarray(x2s, dtype=float)
     if x1s.shape[0]:
         try:
-            precise = gt_epipolar_distance_sq(x1s, x2s, pose_or_f, K, K) < threshold
+            precise = gt_epipolar_distance_sq(x1s, x2s, pose, K, K) < threshold
         except DegenerateBaseline:
             precise = np.zeros(x1s.shape[0], dtype=bool)
         offset = np.array([left.shape[1], 0.0])

@@ -89,7 +89,7 @@ class TestMatchPoseEval:
     def test_match_overlay_of_pure_rotation_pair(self, workspace, tmp_path):
         # same image twice under a zero-baseline pose: plenty of matches, no epipolar geometry
         pair = load_pair_file(workspace / "dsA" / "pairs" / "00000.bin")
-        pair = replace(pair, image2=pair.image1, pose=RelativePose(np.eye(3), np.zeros(3)), F_gt=None)
+        pair = replace(pair, image2=pair.image1, pose=RelativePose(np.eye(3), np.zeros(3)))
         save_pair_file(tmp_path / "rot.bin", pair)
         out, overlay = tmp_path / "m.txt", tmp_path / "ov.png"
         assert main(["match", "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),

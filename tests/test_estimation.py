@@ -49,9 +49,9 @@ class TestEightPoint:
         for n in (20, MIN_SAMPLE):
             for _ in range(5):
                 x1, x2, cam1, cam2, pose = pixel_matches(rng, n)
-                F_gt = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
+                F_true = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
                 F = eight_point(x1, x2)
-                assert np.max(np.abs(F.m - F_gt.m)) < 1e-8
+                assert np.max(np.abs(F.m - F_true.m)) < 1e-8
 
     def test_planar_scene_sideways_motion(self, rng):
         # 8 points on one scene plane, pure sideways baseline
@@ -130,15 +130,15 @@ def contaminated_matches(rng, n_in=100, n_out=50, reject_band=5e-3):
     the true inlier set is unambiguous.
     """
     x1, x2, cam1, cam2, pose = pixel_matches(rng, n_in)
-    F_gt = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
-    E_gt = fundamental_to_essential(F_gt, cam1.intrinsics, cam2.intrinsics)
+    F_true = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
+    E_gt = fundamental_to_essential(F_true, cam1.intrinsics, cam2.intrinsics)
     o1, o2 = [], []
     while len(o1) < n_out:
         p1 = np.array([rng.uniform(0, 640), rng.uniform(0, 480)])
         p2 = np.array([rng.uniform(0, 640), rng.uniform(0, 480)])
         n1 = normalize_points(cam1.intrinsics, p1[None])[0]
         n2 = normalize_points(cam2.intrinsics, p2[None])[0]
-        if symmetric_epipolar_distance_sq(E_gt.m, n1, n2) > reject_band:
+        if symmetric_epipolar_distance_sq(E_gt, n1, n2) > reject_band:
             o1.append(p1)
             o2.append(p2)
     pts1 = np.vstack([x1, np.array(o1)])
@@ -156,8 +156,8 @@ class TestRansac:
             cfg = RansacConfig(iterations=500, inlier_threshold=1e-6, seed=seed)
             res = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
             assert np.array_equal(res.inlier_mask, gt_mask)
-            F_gt = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
-            assert np.max(np.abs(res.F.m - F_gt.m)) < 1e-6
+            F_true = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
+            assert np.max(np.abs(res.F.m - F_true.m)) < 1e-6
 
     def test_all_outliers_flagged_no_consensus(self):
         flagged = 0

@@ -7,7 +7,6 @@ from epimatch import errors
 from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
-    EssentialMatrix,
     FundamentalMatrix,
     RelativePose,
     _cheirality_votes,
@@ -338,7 +337,7 @@ class TestDecomposeEssential:
     def test_essential_invariants(self, rng):
         pose = random_camera_pair(rng)[2]
         E = essential_from_pose(pose)
-        s = np.linalg.svd(E.m, compute_uv=False)
+        s = np.linalg.svd(E, compute_uv=False)
         assert s[2] < 1e-6 * s[0]
         assert abs(s[0] - s[1]) < 1e-6 * s[0]
 
@@ -348,9 +347,9 @@ class TestFundamentalEssentialConversion:
         cam1, cam2, pose = random_camera_pair(rng)
         F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
         E = fundamental_to_essential(F, cam1.intrinsics, cam2.intrinsics)
-        E_direct = essential_from_pose(pose).m
-        scale = np.linalg.norm(E.m) / np.linalg.norm(E_direct)
-        assert np.allclose(np.abs(E.m), np.abs(E_direct) * scale, atol=1e-9)
+        E_direct = essential_from_pose(pose)
+        scale = np.linalg.norm(E) / np.linalg.norm(E_direct)
+        assert np.allclose(np.abs(E), np.abs(E_direct) * scale, atol=1e-9)
 
 
 class TestPoseFile:
@@ -386,4 +385,19 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         path.write_text("\n" + self.GOOD_LINE.replace("500 500", "-500 500"))
         with pytest.raises(ValueError, match=r"poses.txt:2: focal lengths must be positive"):
+            read_pose_file(path)
+
+    @pytest.mark.parametrize("line", ["cam1 500 500 320 240 1 0 0 0 nan 0 0", "cam1 inf 500 320 240 1 0 0 0 0 0 0"],
+                             ids=["nan_translation", "inf_focal_length"])
+    def test_non_finite_field_names_its_line(self, tmp_path, line):
+        path = tmp_path / "poses.txt"
+        path.write_text(self.GOOD_LINE + line + "\n")
+        with pytest.raises(ValueError, match=r"poses.txt:2: non-finite value in pose line"):
+            read_pose_file(path)
+
+    def test_zero_quaternion_names_its_line(self, tmp_path):
+        # normalizing it would divide by zero and give an all-NaN rotation
+        path = tmp_path / "poses.txt"
+        path.write_text("cam0 500 500 320 240 0 0 0 0 0 0 0\n")
+        with pytest.raises(ValueError, match=r"poses.txt:1: quaternion of zero norm"):
             read_pose_file(path)

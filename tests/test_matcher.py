@@ -156,21 +156,21 @@ class TestConfidenceMatrix:
         params = init_params(SMALL, seed=3)
         params.tau_coarse = 0.01
         C, _ = confidence_matrix(f, f, params)
-        assert np.mean(np.diag(C.values)) > 0.99
+        assert np.mean(np.diag(C)) > 0.99
 
     def test_textureless_grids_uniform(self):
         f = extract_features(np.zeros((32, 32)), SMALL)
         params = init_params(SMALL, seed=0)
         C, _ = confidence_matrix(f, f, params)
         m = f.grid.m
-        assert np.allclose(C.values, 1.0 / m ** 2)
+        assert np.allclose(C, 1.0 / m ** 2)
 
     def test_entries_in_unit_interval_and_factors_normalized(self, rng):
         f1 = extract_features(random_image(rng), SMALL)
         f2 = extract_features(random_image(rng), SMALL)
         params = init_params(SMALL, seed=1)
         C, cache = confidence_matrix(f1, f2, params)
-        assert np.all(C.values >= 0.0) and np.all(C.values <= 1.0)
+        assert np.all(C >= 0.0) and np.all(C <= 1.0)
         assert np.allclose(cache["RS"].sum(axis=1), 1.0)
         assert np.allclose(cache["CS"].sum(axis=0), 1.0)
 
@@ -185,7 +185,7 @@ class TestConfidenceMatrix:
         f2p = copy.deepcopy(f2)
         f2p.coarse = f2.coarse[perm]
         Cp, _ = confidence_matrix(f1, f2p, params)
-        assert np.allclose(Cp.values, C.values[:, perm])
+        assert np.allclose(Cp, C[:, perm])
 
 
 class TestSelectCoarse:
@@ -332,7 +332,7 @@ class TestForward:
         params = init_params(SMALL, seed=7)
         a, _ = forward(img1, img2, params, SMALL)
         b, _ = forward(img1, img2, params, SMALL)
-        assert a.C.values.tobytes() == b.C.values.tobytes()
+        assert a.C.tobytes() == b.C.tobytes()
         assert np.array_equal(a.coarse_i, b.coarse_i)
         assert a.fine_x2.tobytes() == b.fine_x2.tobytes()
 
@@ -365,7 +365,7 @@ class TestForward:
 
 def linear_probe_loss(pred, G, g):
     """Smooth scalar functional of the forward outputs for gradient checks."""
-    loss = float(np.sum(G * pred.C.values))
+    loss = float(np.sum(G * pred.C))
     if pred.fine_x2.shape[0]:
         loss += float(np.sum(g[: pred.fine_x2.shape[0]] * pred.fine_x2))
     return loss

@@ -13,13 +13,17 @@ from epimatch.geometry import (
     cross_matrix,
     essential_from_pose,
     fundamental_from_pose,
+    fundamental_to_essential,
+    normalize_points,
     rotation_from_axis_angle,
+    symmetric_epipolar_distance_sq,
 )
 from epimatch.matcher import MatcherConfig, init_params
 from epimatch.metrics import (
     EvalReport,
     PoseError,
     evaluate,
+    gt_epipolar_distance_sq,
     matching_precision,
     pose_auc,
     pose_error,
@@ -133,17 +137,23 @@ class TestMatchingPrecision:
         assert matching_precision(x1, np.array([[0.5, 0.3 + dv_in]]), pose, K, K, thr) == 100.0
         assert matching_precision(x1, np.array([[0.5, 0.3 + dv_out]]), pose, K, K, thr) == 0.0
 
-    def test_accepts_fundamental_matrix_gt(self, rng):
+    def test_pose_gt_agrees_with_fundamental_matrix(self, rng):
+        # distinct intrinsics: the pose's E = [t]x R and the E = K2^T F K1 of
+        # its F give the same distances, so a pair's pose is all the truth
+        # precision needs
         from conftest import project_hom, random_camera_pair, visible_points
 
         cam1, cam2, pose = random_camera_pair(rng)
-        F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
+        K1, K2 = cam1.intrinsics, cam2.intrinsics
+        F = fundamental_from_pose(K1, K2, pose)
         pts = visible_points(rng, cam1, cam2, 10)
         x1 = project_hom(cam1, pts)[:, :2]
         x2 = project_hom(cam2, pts)[:, :2]
-        via_pose = matching_precision(x1, x2, pose, cam1.intrinsics, cam2.intrinsics)
-        via_f = matching_precision(x1, x2, F, cam1.intrinsics, cam2.intrinsics)
-        assert via_pose == via_f == 100.0
+        assert matching_precision(x1, x2, pose, K1, K2) == 100.0
+        x2 = x2 + rng.normal(0.0, 3.0, x2.shape)
+        via_f = symmetric_epipolar_distance_sq(fundamental_to_essential(F, K1, K2),
+                                               normalize_points(K1, x1), normalize_points(K2, x2))
+        assert np.allclose(gt_epipolar_distance_sq(x1, x2, pose, K1, K2), via_f, rtol=1e-9, atol=0.0)
 
     def test_monotone_in_threshold(self, rng):
         from conftest import project_hom, random_camera_pair, visible_points
@@ -171,7 +181,7 @@ class TestMatchingPrecision:
         assert matching_precision(x1, x2, pose, K, K) == pytest.approx(100.0 * 20 / 21)
         # every hypothesis and the refit are the exact F, so only the
         # scoring decides the mask
-        F = essential_from_pose(pose).m
+        F = essential_from_pose(pose)
         monkeypatch.setattr(estimation, "_eight_point_batch",
                             lambda p1, p2: (np.repeat(F[None], len(p1), axis=0), np.ones(len(p1), bool)))
         monkeypatch.setattr(estimation, "eight_point", lambda p1, p2: FundamentalMatrix(F))
@@ -245,14 +255,15 @@ class TestEvaluate:
                 evaluate(params, pairs, RansacConfig(seed=0))
 
     def test_pure_rotation_pair_fails_with_precision_zero(self):
-        # synth renders a pure rotation with no F; the pair has no epipolar
-        # geometry, so it fails instead of aborting the evaluation
+        # synth renders a pure rotation; the pair has no epipolar geometry,
+        # so it fails instead of aborting the evaluation
         from epimatch.synth import make_domain, sample_pair
 
         spec = make_domain("A", seed=1)
         R = rotation_from_axis_angle([0, 1, 0], np.radians(5.0))
         rotation = sample_pair(spec, 0, pose_override=RelativePose(R, np.zeros(3)))
-        assert rotation.F_gt is None
+        with pytest.raises(errors.DegenerateBaseline):
+            fundamental_from_pose(rotation.K, rotation.K, rotation.pose)
         other = sample_pair(spec, 1)
         params = init_params(MatcherConfig(), seed=0)
         mcfg = MatcherConfig(match_threshold=0.0)

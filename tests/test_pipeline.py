@@ -125,7 +125,7 @@ class TestFinetune:
         # fine supervision, momentum off, conservative step
         _, b = tiny_data
         cfg = TrainConfig(epochs=6, seed=2, batch_size=len(b), lr=1e-3, momentum=0.0,
-                          weight_decay=0.0, replay_source=False,
+                          weight_decay=0.0,
                           loss=LossConfig(fine_supervision_fraction=1.0))
         _, history = finetune_pose_supervised(b, warm_params, cfg)
         losses = [row["loss"] for row in history]
@@ -138,7 +138,7 @@ class TestFinetune:
         cfg = TrainConfig(epochs=1, seed=3, batch_size=len(b))
         _, with_replay = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a)
         _, without = finetune_pose_supervised(
-            b, warm_params, TrainConfig(epochs=1, seed=3, batch_size=len(b), replay_source=False))
+            b, warm_params, TrainConfig(epochs=1, seed=3, batch_size=len(b)))
         for key in ("loss", "coarse_loss", "fine_loss"):
             assert with_replay[0][key] == without[0][key]
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from epimatch import errors
-from epimatch.geometry import CameraIntrinsics, RelativePose, pixel_rays, project_points, rotation_from_axis_angle
+from epimatch.geometry import (
+    CameraIntrinsics,
+    RelativePose,
+    fundamental_from_pose,
+    pixel_rays,
+    project_points,
+    quat_to_rotation,
+    rotation_from_axis_angle,
+)
 from epimatch.grid import GridSpec
 from epimatch.losses import d_epi
 from epimatch.synth import (
@@ -63,7 +71,8 @@ class TestSamplePair:
         spec = small_domain(noise=0.0)
         pair = sample_pair(spec, 0, pose_override=RelativePose.identity())
         assert np.array_equal(pair.image1, pair.image2)
-        assert pair.F_gt is None
+        with pytest.raises(errors.DegenerateBaseline):
+            fundamental_from_pose(pair.K, pair.K, pair.pose)
 
     def test_full_depth_coverage(self):
         pair = sample_pair(small_domain(), 1)
@@ -91,7 +100,8 @@ class TestSamplePair:
             u2 = K.fx * X2[front, 0] / X2[front, 2] + K.cx
             v2 = K.fy * X2[front, 1] / X2[front, 2] + K.cy
             ones = np.ones_like(us.ravel()[front])
-            lines = np.stack([us.ravel()[front], vs.ravel()[front], ones], axis=-1) @ pair.F_gt.m.T
+            F = fundamental_from_pose(K, K, pair.pose)
+            lines = np.stack([us.ravel()[front], vs.ravel()[front], ones], axis=-1) @ F.m.T
             num = np.abs(np.einsum("ij,ij->i", np.stack([u2, v2, ones], axis=-1), lines))
             den = np.hypot(lines[:, 0], lines[:, 1])
             assert np.max(num / den) < 1e-6
@@ -212,7 +222,8 @@ class TestGtCorrespondenceGrid:
         grid = GridSpec.for_image(*pair.image1.shape, 8)
         targets, points = gt_correspondence_grid(pair, grid)
         i = np.flatnonzero(targets >= 0)[::7]
-        assert np.all(d_epi(pair.F_gt, grid.cell_centers()[i], points[i])[0] < 1e-6)
+        F = fundamental_from_pose(pair.K, pair.K, pair.pose)
+        assert np.all(d_epi(F, grid.cell_centers()[i], points[i])[0] < 1e-6)
 
 
 class TestDomains:
@@ -254,7 +265,28 @@ class TestPairFiles:
         assert loaded.depth2.tobytes() == pair.depth2.tobytes()
         assert np.allclose(loaded.pose.R, pair.pose.R, atol=1e-15)
         assert np.allclose(loaded.pose.t, pair.pose.t, atol=1e-15)
-        assert np.allclose(loaded.F_gt.m, pair.F_gt.m, atol=1e-12)
+        F_loaded = fundamental_from_pose(loaded.K, loaded.K, loaded.pose)
+        assert np.allclose(F_loaded.m, fundamental_from_pose(pair.K, pair.K, pair.pose).m, atol=1e-12)
+
+    @pytest.mark.parametrize("override, flag", [
+        (None, 1),
+        (RelativePose(rotation_from_axis_angle([0, 1, 0], 0.1), np.zeros(3)), 0),  # pure rotation
+    ])
+    def test_baseline_flag_and_exact_round_trip(self, tmp_path, override, flag):
+        # the flag byte follows magic (8), version/index/reserved (12), H, W (8)
+        # and intrinsics (32); the quaternion and t follow it
+        pair = sample_pair(small_domain(), 0, pose_override=override)
+        path = tmp_path / "pair.bin"
+        save_pair_file(path, pair)
+        data = path.read_bytes()
+        assert data[60] == flag
+        q = np.frombuffer(data[61:93], dtype="<f8")
+        loaded = load_pair_file(path)
+        assert loaded.K == pair.K
+        assert loaded.pose.R.tobytes() == quat_to_rotation(q).tobytes()
+        assert loaded.pose.t.tobytes() == pair.pose.t.tobytes()
+        for name in ("image1", "image2", "depth1", "depth2"):
+            assert getattr(loaded, name).tobytes() == getattr(pair, name).tobytes()
 
     def test_dataset_round_trip(self, tmp_path):
         spec = small_domain(seed=8)
@@ -270,8 +302,8 @@ class TestPairFiles:
         save_pair_file(path, pair)
         data = path.read_bytes()
         plane = pair.image1.size * 8
-        # cut inside the intrinsics, then inside depth2
-        for size, expected, read in ((40, 32, 12), (len(data) - 8, plane, plane - 8)):
+        # cut inside the intrinsics, before the baseline flag, then inside depth2
+        for size, expected, read in ((40, 32, 12), (60, 1, 0), (len(data) - 8, plane, plane - 8)):
             path.write_bytes(data[:size])
             with pytest.raises(ValueError, match=f"pair.bin: truncated .*expected {expected} bytes, read {read}$"):
                 load_pair_file(path)
