@@ -6,6 +6,11 @@ inner products. Fine stage: around each coarse match, a correlation heatmap
 between fine-patch embeddings feeds a soft-argmax that yields a subpixel
 match. Both stages backpropagate exactly into the two embedding matrices and
 their own softmax temperatures.
+
+A coarse match is refined only when `fine_in_bounds` holds for it, the one
+drop rule. `forward` runs every stage on the matches it selects; the training
+step calls the stages itself and refines only the rows its fine loss reads,
+so `backward` takes a fine gradient for exactly the rows `refine_fine` got.
 """
 
 from __future__ import annotations
@@ -179,37 +184,52 @@ def select_coarse(C_values, match_threshold):
     return rows[keep], row_best[keep], conf[keep]
 
 
+def _fine_cells(feats: ImageFeatures, idx, cfg: MatcherConfig):
+    """The fine cell (row p, column q) centred on each coarse cell centre."""
+    uv = feats.grid.cell_centers()[np.asarray(idx, int)]
+    q, p = np.rint((uv - cfg.fine_patch // 2) / cfg.fine_stride).astype(int).T
+    return p, q
+
+
+def fine_in_bounds(feats1: ImageFeatures, feats2: ImageFeatures, cfg: MatcherConfig, i_idx, j_idx):
+    """True for each coarse match the fine stage can refine: image 1's centre
+    cell lies on its fine grid and image 2's whole correlation window on its
+    own. The single drop rule of refine_fine and of the training step."""
+    r = cfg.window_radius
+    fr1, fc1 = feats1.fine_windows.shape[:2]
+    fr2, fc2 = feats2.fine_windows.shape[:2]
+    p1, q1 = _fine_cells(feats1, i_idx, cfg)
+    p2, q2 = _fine_cells(feats2, j_idx, cfg)
+    return ((p1 >= 0) & (p1 < fr1) & (q1 >= 0) & (q1 < fc1)
+            & (p2 >= r) & (p2 + r < fr2) & (q2 >= r) & (q2 + r < fc2))
+
+
 def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherParams,
                 cfg: MatcherConfig, i_idx, j_idx, conf):
     """Soft-argmax refinement of coarse matches.
 
     Returns (x1s, x2s, conf_kept, cache, dropped) where x1s are coarse cell
     centres in image 1 and x2s the refined subpixel matches in image 2.
-    Matches whose correlation window leaves the fine grid are dropped. Fine
-    rows are built per call: image 1's kept centre patches, and image 2's
-    whole window grid once, only when a match is kept.
+    Matches that fail fine_in_bounds are dropped. Fine rows are built per
+    call: image 1's kept centre patches, and image 2's whole window grid
+    once, only when a match is kept.
     """
     r = cfg.window_radius
     fp, s = cfg.fine_patch, cfg.fine_stride
-    fr1, fc1 = feats1.fine_windows.shape[:2]
     fr2, fc2 = feats2.fine_windows.shape[:2]
-    uv1 = feats1.grid.cell_centers()[np.asarray(i_idx, int)]
-    uv2 = feats2.grid.cell_centers()[np.asarray(j_idx, int)]
-    # the fine cell (row p, column q) centred on each coarse centre
-    q1, p1 = np.rint((uv1 - fp // 2) / s).astype(int).T
-    q2, p2 = np.rint((uv2 - fp // 2) / s).astype(int).T
-    ok = ((p1 >= 0) & (p1 < fr1) & (q1 >= 0) & (q1 < fc1)
-          & (p2 >= r) & (p2 + r < fr2) & (q2 >= r) & (q2 + r < fc2))
-    kept = np.flatnonzero(ok)
-    dropped = len(uv1) - len(kept)
+    kept = np.flatnonzero(fine_in_bounds(feats1, feats2, cfg, i_idx, j_idx))
+    dropped = len(i_idx) - len(kept)
     if not len(kept):
         return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), dict(M=0), dropped
 
+    i_kept = np.asarray(i_idx, int)[kept]
+    p1, q1 = _fine_cells(feats1, i_kept, cfg)
+    p2, q2 = _fine_cells(feats2, np.asarray(j_idx, int)[kept], cfg)
     dp, dq = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    pw = p2[kept, None] + dp.ravel()  # (M, Kw) window cells in image 2
-    qw = q2[kept, None] + dq.ravel()
+    pw = p2[:, None] + dp.ravel()  # (M, Kw) window cells in image 2
+    qw = q2[:, None] + dq.ravel()
     M, Kw = pw.shape
-    Xf1 = _patch_rows(feats1.fine_windows[p1[kept], q1[kept]].reshape(M, -1))
+    Xf1 = _patch_rows(feats1.fine_windows[p1, q1].reshape(M, -1))
     Xf2 = _patch_rows(feats2.fine_windows.reshape(fr2 * fc2, -1))[pw * fc2 + qw]  # (M, Kw, d_in_f)
     e1, nf1 = _embed_normalized(Xf1, params.W_fine)
     E2w, n2w = _embed_normalized(Xf2.reshape(M * Kw, -1), params.W_fine)
@@ -219,7 +239,7 @@ def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherPar
     p = _softmax(logits, axis=1)
     coords = np.stack([qw * s + fp // 2, pw * s + fp // 2], axis=-1).astype(float)  # (M, Kw, 2)
     x2s = np.einsum("mk,mkc->mc", p, coords)
-    x1s = uv1[kept]
+    x1s = feats1.grid.cell_centers()[i_kept]
     cache = dict(M=M, kept=kept, Xf1=Xf1, Xf2=Xf2,
                  e1=e1, nf1=nf1, E2w=E2w, n2w=n2w, corr=corr, p=p, coords=coords)
     return x1s, x2s, np.asarray(conf)[kept], cache, dropped
@@ -241,7 +261,7 @@ def forward(image1, image2, params: MatcherParams, cfg: MatcherConfig, coarse_ov
     """Full two-stage pass. Returns (MatchPrediction, cache).
 
     coarse_override: optional (i_idx, j_idx) arrays to refine instead of the
-    mutual-argmax selection (used for teacher-forced training).
+    mutual-argmax selection (teacher forcing, as in gradcheck).
     """
     f1 = extract_features(image1, cfg)
     f2 = extract_features(image2, cfg)

@@ -37,8 +37,13 @@ from .matcher import (
     MatcherParams,
     SgdState,
     backward,
+    confidence_matrix,
+    extract_features,
+    fine_in_bounds,
     forward,
+    refine_fine,
     save_checkpoint,
+    select_coarse,
     sgd_step,
     zero_grads,
 )
@@ -128,44 +133,55 @@ def _check_finite(loss, pair_index):
 
 
 def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
-    """Forward + gradients for one training pair; None when the classification
+    """Losses and gradients of one training pair; None when the classification
     mask has no positive (the caller counts the pair as skipped).
 
     target is either a FundamentalMatrix (epipolar supervision: line-set mask,
-    distance to the epipolar line) or a (targets, points) ground-truth grid
-    (teacher-forced coarse matches, one-hot mask, distance to the GT point).
+    mutual-argmax coarse matches, distance to the epipolar line) or a
+    (targets, points) ground-truth grid (teacher-forced coarse matches,
+    one-hot mask, distance to the GT point). The fine loss supervises a
+    random fraction of the M coarse matches that pass fine_in_bounds, drawn
+    from rng_key; only those rows are refined and back-propagated, so the
+    coarse stage runs here rather than through `forward`.
+
+    Returns (grads, loss, coarse loss, fine loss, dropped), where dropped
+    counts the coarse matches that fail fine_in_bounds.
     """
     epipolar = isinstance(target, FundamentalMatrix)
-    grid = _grid_of(pair, mcfg)
+    f1 = extract_features(pair.image1, mcfg)
+    f2 = extract_features(pair.image2, mcfg)
+    C, ccache = confidence_matrix(f1, f2, params)
     if epipolar:
-        pred, cache = forward(pair.image1, pair.image2, params, mcfg)
-        sets = epipolar_line_set(target, grid, grid, loss_cfg.theta)
-        mask = naive_epipolar_mask(sets) if naive_mask else epipolar_classification_mask(pred.C, sets)
+        sets = epipolar_line_set(target, f1.grid, f2.grid, loss_cfg.theta)
+        mask = naive_epipolar_mask(sets) if naive_mask else epipolar_classification_mask(C, sets)
+        i_idx, j_idx, _ = select_coarse(C, mcfg.match_threshold)
     else:
         targets, points = target
-        valid = np.where(targets >= 0)[0]
-        pred, cache = forward(pair.image1, pair.image2, params, mcfg,
-                              coarse_override=(valid, targets[valid]))
-        mask = gt_classification_mask(targets, grid.m)
+        mask = gt_classification_mask(targets, f2.grid.m)
+        i_idx = np.flatnonzero(targets >= 0)
+        j_idx = targets[i_idx]
     if not mask.values.any():
         return None
+    rows = np.flatnonzero(fine_in_bounds(f1, f2, mcfg, i_idx, j_idx))
     lam = loss_cfg.lam
-    lc, dC = coarse_loss_grad(pred.C, mask)
+    lc, dC = coarse_loss_grad(C, mask)
     lf = 0.0
     dfine = None
-    M = pred.fine_x2.shape[0]
+    fcache = dict(M=0)
+    M = rows.size
     if M:
         keep_n = max(1, int(round(loss_cfg.fine_supervision_fraction * M)))
-        sub = np.random.default_rng(rng_key).permutation(M)[:keep_n]
+        sub = rows[np.random.default_rng(rng_key).permutation(M)[:keep_n]]
+        i_sub, j_sub = i_idx[sub], j_idx[sub]
+        x1s, x2s, _, fcache, _ = refine_fine(f1, f2, params, mcfg, i_sub, j_sub, C[i_sub, j_sub])
         if epipolar:
-            lf, df = fine_loss_grad(target, pred.fine_x1[sub], pred.fine_x2[sub])
+            lf, df = fine_loss_grad(target, x1s, x2s)
         else:
-            gt_pts = points[valid][cache["fine"]["kept"]]
-            lf, df = gt_fine_loss_grad(pred.fine_x2[sub], gt_pts[sub])
-        dfine = np.zeros_like(pred.fine_x2)
-        dfine[sub] = lam * df
+            lf, df = gt_fine_loss_grad(x2s, points[i_sub])
+        dfine = lam * df
+    cache = dict(params=params, coarse=ccache, fine=fcache)
     grads = backward(cache, dC=(1.0 - lam) * dC, dfine=dfine)
-    return grads, (1.0 - lam) * lc + lam * lf, lc, lf
+    return grads, (1.0 - lam) * lc + lam * lf, lc, lf, len(i_idx) - M
 
 
 def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherConfig,
@@ -177,8 +193,10 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
     source pairs, drawn without replacement, as it has target pairs. Each
     step averages the gradients of the pairs that ran. History rows hold the
     mean losses over the target pairs that ran, `skipped_pairs` (targets
-    that are None) and `empty_mask_pairs`, the pairs of the epoch (replay
-    included) skipped for a mask with no positive.
+    that are None), `empty_mask_pairs`, the pairs of the epoch (replay
+    included) skipped for a mask with no positive, and `fine_dropped`, the
+    coarse matches of the pairs that ran (replay included) that fail
+    fine_in_bounds.
     """
     skipped = sum(1 for t in targets if t is None)
     params = params0.copy()
@@ -188,7 +206,7 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(pairs))
         tot = tot_c = tot_f = 0.0
-        n_logged = empty = 0
+        n_logged = empty = fine_dropped = 0
         for s0 in range(0, len(order), cfg.batch_size):
             batch = order[s0:s0 + cfg.batch_size]
             steps = [(pairs[k], targets[k], k, [cfg.seed, epoch, int(k)]) for k in batch]
@@ -204,10 +222,11 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
                 if out is None:
                     empty += 1
                     continue
-                grads, loss, lc, lf = out
+                grads, loss, lc, lf, dropped = out
                 _check_finite(loss, k)
                 acc.add_(grads)
                 used += 1
+                fine_dropped += dropped
                 if i < len(batch):
                     tot += loss
                     tot_c += lc
@@ -222,7 +241,7 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
         n = max(n_logged, 1)
         history.append({"epoch": epoch, "loss": tot / n, "coarse_loss": tot_c / n,
                         "fine_loss": tot_f / n, "skipped_pairs": skipped,
-                        "empty_mask_pairs": empty})
+                        "empty_mask_pairs": empty, "fine_dropped": fine_dropped})
     return params, history
 
 

@@ -12,6 +12,7 @@ from epimatch.matcher import (
     backward,
     confidence_matrix,
     extract_features,
+    fine_in_bounds,
     forward,
     init_params,
     load_checkpoint,
@@ -293,6 +294,26 @@ class TestRefineFine:
         i_idx = np.array([0])  # corner cell: window leaves the fine grid
         *_, dropped = refine_fine(f1, f2, params, SMALL, i_idx, i_idx, np.ones(1))
         assert dropped == 1
+
+
+    @pytest.mark.parametrize("cfg,shape", [(SMALL, (32, 32)), (SMALL, (48, 80)), (MatcherConfig(), (64, 96))])
+    def test_one_drop_rule_on_every_border(self, rng, cfg, shape):
+        # image 2 cells on the top, bottom, left and right borders: their
+        # windows leave the fine grid; interior cells keep theirs
+        f1 = extract_features(random_image(rng, *shape), cfg)
+        f2 = extract_features(random_image(rng, *shape), cfg)
+        rows, cols = f2.grid.rows, f2.grid.cols
+        cells = np.arange(f2.grid.m).reshape(rows, cols)
+        borders = [cells[0], cells[-1], cells[:, 0], cells[:, -1]]
+        j_idx = np.concatenate(borders + [cells[1:-1, 1:-1].ravel()])
+        i_idx = rng.integers(0, f1.grid.m, j_idx.size)
+        ok = fine_in_bounds(f1, f2, cfg, i_idx, j_idx)
+        n_border = sum(b.size for b in borders)
+        assert not ok[:n_border].any() and ok[n_border:].all()
+        params = init_params(cfg, seed=3)
+        *_, cache, dropped = refine_fine(f1, f2, params, cfg, i_idx, j_idx, np.ones(j_idx.size))
+        assert dropped == np.count_nonzero(~ok) == n_border
+        assert_same_bytes(cache["kept"], np.flatnonzero(ok))
 
 
 class TestRowNormalization:

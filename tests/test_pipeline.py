@@ -6,8 +6,16 @@ import pytest
 from epimatch import errors, pipeline
 from epimatch.geometry import FundamentalMatrix, fundamental_from_pose
 from epimatch.grid import GridSpec
-from epimatch.losses import LossConfig
-from epimatch.matcher import MatcherConfig, init_params
+from epimatch.losses import (
+    LossConfig,
+    coarse_loss_grad,
+    epipolar_classification_mask,
+    epipolar_line_set,
+    fine_loss_grad,
+    gt_classification_mask,
+    gt_fine_loss_grad,
+)
+from epimatch.matcher import MatcherConfig, backward, forward, init_params
 from epimatch.metrics import rotation_error, translation_error
 from epimatch.pipeline import (
     BootstrapConfig,
@@ -25,7 +33,8 @@ from epimatch.pipeline import (
 from epimatch.synth import gt_correspondence_grid, make_domain, sample_pair
 
 MCFG = MatcherConfig()
-HISTORY_KEYS = {"epoch", "loss", "coarse_loss", "fine_loss", "skipped_pairs", "empty_mask_pairs"}
+HISTORY_KEYS = {"epoch", "loss", "coarse_loss", "fine_loss", "skipped_pairs", "empty_mask_pairs",
+                "fine_dropped"}
 
 
 def off_image_f():
@@ -83,6 +92,128 @@ class TestPretrain:
         _, history = pretrain(a, init_params(MCFG, seed=1), cfg, gts=gts)
         assert [row["empty_mask_pairs"] for row in history] == [1, 1]
         assert all(set(row) == HISTORY_KEYS and row["skipped_pairs"] == 0 for row in history)
+
+
+def full_row_pair_grads(pair, target, params, mcfg, loss_cfg, rng_key):
+    """Reference training step over every row: `forward` refines all M
+    in-bound coarse matches, the fine loss reads the same random subset of
+    them, and backward gets a fine gradient that is zero off that subset."""
+    grid = GridSpec.for_image(*pair.image1.shape, mcfg.patch_width)
+    epipolar = isinstance(target, FundamentalMatrix)
+    if epipolar:
+        pred, cache = forward(pair.image1, pair.image2, params, mcfg)
+        mask = epipolar_classification_mask(pred.C, epipolar_line_set(target, grid, grid, loss_cfg.theta))
+    else:
+        targets, points = target
+        valid = np.flatnonzero(targets >= 0)
+        pred, cache = forward(pair.image1, pair.image2, params, mcfg, coarse_override=(valid, targets[valid]))
+        mask = gt_classification_mask(targets, grid.m)
+    lam = loss_cfg.lam
+    lc, dC = coarse_loss_grad(pred.C, mask)
+    lf, dfine = 0.0, None
+    M = len(pred.fine_x2)
+    if M:
+        keep_n = max(1, int(round(loss_cfg.fine_supervision_fraction * M)))
+        sub = np.random.default_rng(rng_key).permutation(M)[:keep_n]
+        if epipolar:
+            lf, df = fine_loss_grad(target, pred.fine_x1[sub], pred.fine_x2[sub])
+        else:
+            lf, df = gt_fine_loss_grad(pred.fine_x2[sub], points[valid][cache["fine"]["kept"]][sub])
+        dfine = np.zeros_like(pred.fine_x2)
+        dfine[sub] = lam * df
+    grads = backward(cache, dC=(1.0 - lam) * dC, dfine=dfine)
+    return grads, (1.0 - lam) * lc + lam * lf, lc, lf, pred
+
+
+class TestPairGrads:
+    """The training step refines and back-propagates only the fine rows it
+    supervises, and equals the step over every row."""
+
+    # threshold 0 keeps every mutual nearest neighbour, so epipolar targets
+    # have fine matches too
+    MCFG = MatcherConfig(match_threshold=0.0)
+
+    @staticmethod
+    def target(pair, kind):
+        if kind == "gt":
+            return gt_correspondence_grid(pair, GridSpec.for_image(*pair.image1.shape, MCFG.patch_width))
+        return fundamental_from_pose(pair.K, pair.K, pair.pose)
+
+    @staticmethod
+    def spy_refine_fine(monkeypatch):
+        rows = []
+        original = pipeline.refine_fine
+
+        def spy(feats1, feats2, params, cfg, i_idx, j_idx, conf):
+            rows.append(len(i_idx))
+            return original(feats1, feats2, params, cfg, i_idx, j_idx, conf)
+
+        monkeypatch.setattr(pipeline, "refine_fine", spy)
+        return rows
+
+    @pytest.mark.parametrize("kind, fraction", [("gt", 0.3), ("epipolar", 0.3), ("gt", 1.0), ("epipolar", 1.0)])
+    def test_equals_full_row_reference(self, tiny_data, warm_params, kind, fraction):
+        a, b = tiny_data
+        loss_cfg = LossConfig(fine_supervision_fraction=fraction)
+        for k, pair in enumerate((a if kind == "gt" else b)[:3]):
+            target = self.target(pair, kind)
+            key = [7, 0, k]
+            grads, total, lc, lf, dropped = pipeline._pair_grads(pair, target, warm_params, self.MCFG,
+                                                                 loss_cfg, False, key)
+            ref, ref_total, ref_lc, ref_lf, pred = full_row_pair_grads(pair, target, warm_params, self.MCFG,
+                                                                       loss_cfg, key)
+            assert len(pred.fine_x2) > 0 and lf > 0.0
+            assert (total, lc, lf) == (ref_total, ref_lc, ref_lf)
+            assert dropped == pred.dropped
+            assert grads.dW_coarse.tobytes() == ref.dW_coarse.tobytes()
+            assert grads.dtau_coarse == ref.dtau_coarse
+            # the skipped rows add exact zeros, but fewer rows change the
+            # summation order: errors scale with the largest entry, not with
+            # an entry that cancels to near zero
+            scale = np.abs(ref.dW_fine).max()
+            np.testing.assert_allclose(grads.dW_fine, ref.dW_fine, rtol=1e-12, atol=1e-12 * scale)
+            assert grads.dtau_fine == pytest.approx(ref.dtau_fine, rel=1e-12)
+
+    def test_refines_only_the_supervised_rows(self, tiny_data, warm_params, monkeypatch):
+        a, _ = tiny_data
+        rows = self.spy_refine_fine(monkeypatch)
+        for k, pair in enumerate(a[:3]):
+            targets, _ = target = self.target(pair, "gt")
+            valid = np.flatnonzero(targets >= 0)
+            pred, _ = forward(pair.image1, pair.image2, warm_params, MCFG, coarse_override=(valid, targets[valid]))
+            M = len(pred.fine_x2)
+            pipeline._pair_grads(pair, target, warm_params, MCFG, LossConfig(), False, [k])
+            assert rows[-1] == max(1, round(0.3 * M)) < M
+
+    def test_no_in_bound_match_refines_nothing(self, tiny_data, warm_params, monkeypatch):
+        # a correlation window wider than the fine grid: every match drops
+        mcfg = MatcherConfig(window_radius=40)
+        a, _ = tiny_data
+        pair = a[0]
+        target = self.target(pair, "gt")
+        rows = self.spy_refine_fine(monkeypatch)
+        grads, total, lc, lf, dropped = pipeline._pair_grads(pair, target, warm_params, mcfg, LossConfig(),
+                                                             False, [0])
+        ref, ref_total, ref_lc, _, pred = full_row_pair_grads(pair, target, warm_params, mcfg, LossConfig(), [0])
+        assert rows == [] and lf == 0.0
+        assert dropped == pred.dropped == np.count_nonzero(target[0] >= 0) > 0
+        assert not grads.dW_fine.any() and grads.dtau_fine == 0.0
+        assert (total, lc) == (ref_total, ref_lc)
+        assert grads.dW_coarse.tobytes() == ref.dW_coarse.tobytes() and grads.dtau_coarse == ref.dtau_coarse
+
+    def test_history_counts_dropped_matches(self, tiny_data):
+        a, _ = tiny_data
+        gts = [self.target(p, "gt") for p in a]
+        params0 = init_params(MCFG, seed=1)
+        _, history = pretrain(a, params0, pretrain_config(epochs=2, seed=1), gts=gts)
+        drops = 0
+        for pair, (targets, _) in zip(a, gts):
+            valid = np.flatnonzero(targets >= 0)
+            pred, _ = forward(pair.image1, pair.image2, params0, MCFG, coarse_override=(valid, targets[valid]))
+            drops += pred.dropped
+        # teacher-forced matches and the drop rule do not depend on the weights
+        assert [row["fine_dropped"] for row in history] == [drops, drops]
+        assert drops > 0
 
 
 class TestPerturbPose:
