@@ -6,8 +6,8 @@ from . import errors
 from .geometry import (
     Camera,
     CameraIntrinsics,
-    FundamentalMatrix,
     RelativePose,
+    canonicalize,
     cross_matrix,
     decompose_essential,
     essential_from_pose,
@@ -22,8 +22,8 @@ __all__ = [
     "errors",
     "Camera",
     "CameraIntrinsics",
-    "FundamentalMatrix",
     "RelativePose",
+    "canonicalize",
     "cross_matrix",
     "decompose_essential",
     "essential_from_pose",

@@ -13,10 +13,6 @@ class DegenerateLine(EpimatchError):
     """Line with vanishing (a, b) part; no perpendicular distance exists."""
 
 
-class PointAtInfinity(EpimatchError):
-    """Homogeneous point with w = 0 where a finite point is required."""
-
-
 class DegenerateConfiguration(EpimatchError):
     """Point configuration is rank-deficient for the requested solve."""
 

@@ -18,9 +18,7 @@ from .errors import (
 )
 from .geometry import (
     CameraIntrinsics,
-    FundamentalMatrix,
-    RelativePose,
-    _canonicalize,
+    canonicalize,
     decompose_essential,
     fundamental_to_essential,
     normalize_points,
@@ -53,7 +51,7 @@ class RansacConfig:
 
 @dataclass
 class RansacResult:
-    F: FundamentalMatrix
+    F: np.ndarray  # (3, 3), canonicalized
     inlier_mask: np.ndarray
     inlier_count: int
     num_input_matches: int
@@ -131,15 +129,16 @@ def _eight_point_batch(pts1, pts2):
     D = np.zeros_like(U)
     D[:, 0, 0], D[:, 1, 1] = sf[:, 0], sf[:, 1]
     F = T2.transpose(0, 2, 1) @ (U @ D @ Vft) @ T1
-    return _canonicalize(F), ok
+    return canonicalize(F), ok
 
 
-def eight_point(pts1, pts2) -> FundamentalMatrix:
-    """Hartley-normalized 8-point solve with rank-2 enforcement."""
+def eight_point(pts1, pts2):
+    """Canonicalized (3, 3) F from a Hartley-normalized 8-point solve with
+    rank-2 enforcement."""
     F, ok = _eight_point_batch(np.asarray(pts1, dtype=float)[None], np.asarray(pts2, dtype=float)[None])
     if not ok[0]:
         raise DegenerateConfiguration("coincident points or a solution below rank 2")
-    return FundamentalMatrix(F[0])
+    return F[0]
 
 
 def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, cfg: RansacConfig) -> RansacResult:
@@ -163,8 +162,8 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
 
     def inliers(F):
         # scored in normalized coordinates; a vanishing epipolar line is an outlier
-        En = K2.matrix().T @ F @ K1.matrix()
-        return symmetric_epipolar_distance_sq(En, x1n, x2n) < cfg.inlier_threshold
+        E = fundamental_to_essential(F, K1, K2)
+        return symmetric_epipolar_distance_sq(E, x1n, x2n) < cfg.inlier_threshold
 
     idx = _draw_samples(np.random.default_rng(cfg.seed), n, cfg.iterations)
     F, ok = _eight_point_batch(pts1[idx], pts2[idx])
@@ -180,11 +179,11 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
         raise NoValidHypothesis("all RANSAC iterations were degenerate")
 
     # refit on the consensus set of the best hypothesis
-    F_final, mask_final = FundamentalMatrix(F[best_iter]), best_mask
+    F_final, mask_final = F[best_iter], best_mask
     if best_count >= MIN_SAMPLE:
         try:
             F_final = eight_point(pts1[best_mask], pts2[best_mask])
-            mask_final = inliers(F_final.m)
+            mask_final = inliers(F_final)
         except DegenerateConfiguration:
             pass
     count_final = int(mask_final.sum())

@@ -1,8 +1,8 @@
 """Exact two-view epipolar geometry.
 
-Conventions: homogeneous image points are numpy arrays of shape (3,) (or
-(N, 3) for the batched helpers); lines are (a, b, c) arrays with
-a*u + b*v + c*w = 0. Poses are world-to-camera.
+Conventions: image points are (N, 2) pixel arrays; `normalize_points` turns
+them into (N, 3) normalized rows (K = I) with w = 1. F and E are plain (3, 3)
+arrays, F in the form `canonicalize` gives. Poses are world-to-camera.
 """
 
 from __future__ import annotations
@@ -11,28 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousCheirality,
-    DegenerateBaseline,
-    DegenerateConfiguration,
-    PointAtInfinity,
-)
+from .errors import AmbiguousCheirality, DegenerateBaseline, DegenerateConfiguration
 
 # Translations below this norm (times scene scale) are rejected as pure rotation.
 BASELINE_EPSILON = 1e-8
-
-
-def hom(u, v, w=1.0):
-    """Homogeneous 2D point as a (3,) array."""
-    return np.array([u, v, w], dtype=float)
-
-
-def normalized_w(x):
-    """Scale homogeneous points so w = 1; batched over leading axes."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x[..., 2] == 0.0):
-        raise PointAtInfinity("point at infinity has no w = 1 form")
-    return x / x[..., 2:]
 
 
 @dataclass(frozen=True)
@@ -89,16 +71,12 @@ class Camera:
     intrinsics: CameraIntrinsics
     pose: RelativePose
 
-    def projection_matrix(self):
-        K = self.intrinsics.matrix()
-        return K @ np.hstack([self.pose.R, self.pose.t.reshape(3, 1)])
-
     def center(self):
         """Camera centre in world coordinates."""
         return -self.pose.R.T @ self.pose.t
 
 
-def _canonicalize(m):
+def canonicalize(m):
     """Frobenius norm 1, largest-magnitude entry positive; batched over the
     leading axes of (..., 3, 3)."""
     m = np.asarray(m, dtype=float)
@@ -111,20 +89,6 @@ def _canonicalize(m):
     flat = m.reshape(*m.shape[:-2], 9)
     peak = np.take_along_axis(flat, np.argmax(np.abs(flat), axis=-1)[..., None], axis=-1)
     return np.where(peak[..., None] < 0, -m, m)
-
-
-@dataclass
-class FundamentalMatrix:
-    """Rank-2 scale-free 3x3 relation; stored canonicalized."""
-
-    m: np.ndarray
-
-    @staticmethod
-    def from_matrix(m):
-        return FundamentalMatrix(_canonicalize(m))
-
-    def transpose(self):
-        return FundamentalMatrix.from_matrix(self.m.T)
 
 
 def cross_matrix(t):
@@ -142,24 +106,25 @@ def essential_from_pose(pose: RelativePose):
     return cross_matrix(pose.t) @ pose.R
 
 
-def fundamental_from_pose(K1: CameraIntrinsics, K2: CameraIntrinsics, pose: RelativePose) -> FundamentalMatrix:
-    """F = K2^-T [t]x R K1^-1, canonicalized."""
+def fundamental_from_pose(K1: CameraIntrinsics, K2: CameraIntrinsics, pose: RelativePose):
+    """(3, 3) F = K2^-T [t]x R K1^-1, canonicalized."""
     if np.linalg.norm(pose.t) <= BASELINE_EPSILON:
         raise DegenerateBaseline(
             f"|t| = {np.linalg.norm(pose.t):.3e} <= {BASELINE_EPSILON:.3e}"
         )
     F = K2.inverse().T @ cross_matrix(pose.t) @ pose.R @ K1.inverse()
-    return FundamentalMatrix.from_matrix(F)
+    return canonicalize(F)
 
 
-def fundamental_to_essential(F: FundamentalMatrix, K1, K2):
-    """(3, 3) E = K2^T F K1."""
-    return K2.matrix().T @ F.m @ K1.matrix()
+def fundamental_to_essential(F, K1, K2):
+    """E = K2^T F K1 for each of the (..., 3, 3) matrices F."""
+    return K2.matrix().T @ F @ K1.matrix()
 
 
 def symmetric_epipolar_distance_sq(F, x1, x2):
-    """Squared symmetric epipolar distance of (N, 3) homogeneous matches
-    under each of the (..., 3, 3) matrices F; returns (..., N).
+    """Squared symmetric epipolar distance of matches given as (N, 3) rows
+    with w = 1 (normalized or pixel) under each of the (..., 3, 3) matrices
+    F; returns (..., N).
 
     r^2 * (1 / |(F x1)_{1,2}|^2 + 1 / |(F^T x2)_{1,2}|^2) with r = x2^T F x1.
     A match whose epipolar line in either image vanishes is at distance inf.
@@ -207,16 +172,15 @@ def project_points(camera: Camera, X):
     return pix, Xc[:, 2]
 
 
-def _triangulate_batch(P1, P2, x1, x2):
-    """Linear (DLT) triangulation of (N, 3) homogeneous point pairs.
+def triangulate(P1, P2, x1n, x2n):
+    """Linear (DLT) triangulation under the (3, 4) projections P1, P2 of
+    (N, 3) point rows with w = 1 (normalized when P = [R|t]).
 
     Returns (X, ok): (N, 3) points and an (N,) mask that is False where the
     system is rank-deficient or the point lies at infinity.
     """
-    x1 = np.atleast_2d(normalized_w(x1))
-    x2 = np.atleast_2d(normalized_w(x2))
-    A = np.stack([x1[:, :1] * P1[2] - P1[0], x1[:, 1:2] * P1[2] - P1[1],
-                  x2[:, :1] * P2[2] - P2[0], x2[:, 1:2] * P2[2] - P2[1]], axis=1)
+    A = np.stack([x1n[:, :1] * P1[2] - P1[0], x1n[:, 1:2] * P1[2] - P1[1],
+                  x2n[:, :1] * P2[2] - P2[0], x2n[:, 1:2] * P2[2] - P2[1]], axis=1)
     _, s, Vt = np.linalg.svd(A)
     X = Vt[:, -1]
     # the matmul form sums like np.linalg.norm of one vector, bit for bit
@@ -225,22 +189,9 @@ def _triangulate_batch(P1, P2, x1, x2):
     return X[:, :3] / np.where(ok, X[:, 3], 1.0)[:, None], ok
 
 
-def triangulate(cam1: Camera, cam2: Camera, x1, x2):
-    """Linear (DLT) triangulation from two views."""
-    if np.allclose(cam1.center(), cam2.center(), atol=1e-12):
-        raise DegenerateConfiguration("cameras share a centre")
-    X, ok = _triangulate_batch(cam1.projection_matrix(), cam2.projection_matrix(), x1, x2)
-    if not ok[0]:
-        raise DegenerateConfiguration("triangulation system is rank-deficient or the point is at infinity")
-    return X[0]
-
-
 def _cheirality_votes(R, t, x1n, x2n):
     """Count correspondences with positive depth in both views for P2 = [R|t]."""
-    I = np.eye(3)
-    cam1 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose(I, np.zeros(3)))
-    cam2 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose(R, t))
-    X, ok = _triangulate_batch(cam1.projection_matrix(), cam2.projection_matrix(), x1n, x2n)
+    X, ok = triangulate(np.eye(3, 4), np.column_stack([R, t]), x1n, x2n)
     z2 = X @ R[2] + t[2]
     return int(np.count_nonzero(ok & (X[:, 2] > 0) & (z2 > 0)))
 
@@ -249,7 +200,8 @@ def decompose_essential(E, x1n, x2n) -> RelativePose:
     """Recover (R, unit t) from a (3, 3) essential matrix E by the
     cheirality vote.
 
-    x1n, x2n: (N, 3) normalized (K = I) homogeneous correspondences, N >= 1.
+    x1n, x2n: (N, 3) normalized (K = I) rows with w = 1, as
+    `normalize_points` gives them, N >= 1.
     """
     x1n = np.atleast_2d(np.asarray(x1n, dtype=float))
     x2n = np.atleast_2d(np.asarray(x2n, dtype=float))

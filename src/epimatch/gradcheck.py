@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import FundamentalMatrix
+from .geometry import canonicalize
 from .losses import d_epi
 from .matcher import MatcherConfig, backward, forward, init_params
 
@@ -16,7 +16,7 @@ def d_epi_suite(seed=0, instances=1000, h=1e-6, min_resid=1e-2):
     """Max relative error of the d_epi gradient against central differences,
     over random matches under one random F, all evaluated at once."""
     rng = np.random.default_rng(seed)
-    F = FundamentalMatrix.from_matrix(rng.normal(size=(3, 3)))
+    F = canonicalize(rng.normal(size=(3, 3)))
     x1, x2 = np.empty((0, 2)), np.empty((0, 2))
     while x1.shape[0] < instances:
         a, b = rng.uniform(0, 100, (2, instances, 2))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLine, EmptySupervision
-from .geometry import FundamentalMatrix
 from .grid import GridSpec
 
 CLAMP_EPS = 1e-12
@@ -41,13 +40,14 @@ class EpipolarMask:
     values: np.ndarray  # (m1, m2) binary
 
 
-def epipolar_line_set(F: FundamentalMatrix, grid1: GridSpec, grid2: GridSpec, theta):
-    """Boolean (m1, m2) table: cell j of image 2 lies within theta*w/2 pixels
-    of the epipolar line of cell i's centre. Epipole rows come back empty."""
+def epipolar_line_set(F, grid1: GridSpec, grid2: GridSpec, theta):
+    """Boolean (m1, m2) table under the (3, 3) F: cell j of image 2 lies
+    within theta*w/2 pixels of the epipolar line of cell i's centre. Epipole
+    rows come back empty."""
     c1 = grid1.cell_centers()
     c2 = grid2.cell_centers()
     ones = np.ones((c1.shape[0], 1))
-    lines = np.hstack([c1, ones]) @ F.m.T  # row i = F x1_i
+    lines = np.hstack([c1, ones]) @ F.T  # row i = F x1_i
     norms = np.hypot(lines[:, 0], lines[:, 1])
     ok = norms > 1e-12 * max(1.0, float(np.abs(lines).max(initial=0.0)))
     dist = np.abs(np.hstack([c2, np.ones((c2.shape[0], 1))]) @ lines.T)  # (m2, m1)
@@ -97,14 +97,14 @@ def coarse_loss_grad(C_values, mask: EpipolarMask):
     return float(np.mean(-np.log(c))), grad
 
 
-def d_epi(F: FundamentalMatrix, x1s, x2s):
-    """Perpendicular pixel distance from each x2 to the line F x1, over (N, 2)
-    pixel arrays, plus its gradient w.r.t. the (u, v) of x2; returns (d, grad)
-    arrays. Subgradient 0 on the line."""
+def d_epi(F, x1s, x2s):
+    """Perpendicular pixel distance from each x2 to the line F x1 of the
+    (3, 3) F, over (N, 2) pixel arrays, plus its gradient w.r.t. the (u, v)
+    of x2; returns (d, grad) arrays. Subgradient 0 on the line."""
     x1s = np.asarray(x1s, dtype=float)
     x2s = np.asarray(x2s, dtype=float)
     ones = np.ones((x1s.shape[0], 1))
-    lines = np.hstack([x1s, ones]) @ F.m.T
+    lines = np.hstack([x1s, ones]) @ F.T
     n = np.hypot(lines[:, 0], lines[:, 1])
     if np.any(n == 0.0):
         raise DegenerateLine("epipolar line with vanishing (a, b)")
@@ -114,7 +114,7 @@ def d_epi(F: FundamentalMatrix, x1s, x2s):
     return d, grad
 
 
-def fine_loss_grad(F: FundamentalMatrix, x1s, x2s):
+def fine_loss_grad(F, x1s, x2s):
     """(loss, dL/dx2) for the epipolar fine loss."""
     x1s = np.asarray(x1s, dtype=float)
     if x1s.shape[0] == 0:

@@ -15,12 +15,7 @@ import numpy as np
 from .errors import (DegenerateBaseline, EmptyDatasetAfterFilter, EpimatchError, NonFiniteLoss,
                      NotEnoughReplayPairs)
 from .estimation import RansacConfig, ransac_fundamental
-from .geometry import (
-    FundamentalMatrix,
-    RelativePose,
-    fundamental_from_pose,
-    rotation_from_axis_angle,
-)
+from .geometry import RelativePose, fundamental_from_pose, rotation_from_axis_angle
 from .grid import GridSpec
 from .losses import (
     LossConfig,
@@ -136,10 +131,10 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
     """Losses and gradients of one training pair; None when the classification
     mask has no positive (the caller counts the pair as skipped).
 
-    target is either a FundamentalMatrix (epipolar supervision: line-set mask,
-    mutual-argmax coarse matches, distance to the epipolar line) or a
-    (targets, points) ground-truth grid (teacher-forced coarse matches,
-    one-hot mask, distance to the GT point). The fine loss supervises a
+    target is either a (targets, points) ground-truth grid tuple
+    (teacher-forced coarse matches, one-hot mask, distance to the GT point)
+    or a (3, 3) F array (epipolar supervision: line-set mask, mutual-argmax
+    coarse matches, distance to the epipolar line). The fine loss supervises a
     random fraction of the M coarse matches that pass fine_in_bounds, drawn
     from rng_key; only those rows are refined and back-propagated, so the
     coarse stage runs here rather than through `forward`.
@@ -147,7 +142,7 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
     Returns (grads, loss, coarse loss, fine loss, dropped), where dropped
     counts the coarse matches that fail fine_in_bounds.
     """
-    epipolar = isinstance(target, FundamentalMatrix)
+    epipolar = not isinstance(target, tuple)
     f1 = extract_features(pair.image1, mcfg)
     f2 = extract_features(pair.image2, mcfg)
     C, ccache = confidence_matrix(f1, f2, params)
@@ -264,7 +259,7 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
                              f_override=None, naive_mask=False):
     """Epipolar finetuning with F from (optionally perturbed) poses.
 
-    f_override: optional per-pair list of FundamentalMatrix (or None to skip
+    f_override: optional per-pair list of (3, 3) F arrays (or None to skip
     the pair) replacing the pose-derived F; used by the bootstrap regime.
     With non-empty replay_pairs, each batch adds an equal count of source
     pairs trained with the original supervised losses; a replay set smaller
@@ -304,7 +299,7 @@ def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConf
                            mcfg: MatcherConfig | None = None):
     """Estimate a fundamental matrix per pair from the model's own matches.
 
-    Returns (list of FundamentalMatrix or None, report dict). Pairs failing
+    Returns (list of (3, 3) F arrays or None, report dict). Pairs failing
     the match-count or inlier-count filters yield None.
     """
     mcfg = mcfg or MatcherConfig()

@@ -410,10 +410,11 @@ def load_dataset(dir_path):
     root = Path(dir_path)
     pairs = []
     with open(root / "index.txt") as idx:
-        for line in idx:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(idx, 1):
+            fields = line.strip().split(maxsplit=1)
+            if not fields:
                 continue
-            _, name = line.split(maxsplit=1)
-            pairs.append(load_pair_file(root / name))
+            if len(fields) != 2:
+                raise ValueError(f"{idx.name}:{lineno}: expected 2 fields per index line, got {len(fields)}")
+            pairs.append(load_pair_file(root / fields[1]))
     return pairs

@@ -47,10 +47,15 @@ def visible_points(rng, cam1, cam2, n):
     return np.array(pts)
 
 
-def project_hom(cam, pts):
-    """Stack of homogeneous pixel projections (w = 1)."""
-    pix, _ = project_points(cam, pts)
+def with_w(pix):
+    """(N, 2) pixels as (N, 3) rows with w = 1."""
+    pix = np.asarray(pix, dtype=float)
     return np.column_stack([pix, np.ones(len(pix))])
+
+
+def project_hom(cam, pts):
+    """Pixel projections of (N, 3) world points as (N, 3) rows with w = 1."""
+    return with_w(project_points(cam, pts)[0])
 
 
 @pytest.fixture

@@ -19,9 +19,8 @@ from epimatch.estimation import (
 from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
-    FundamentalMatrix,
     RelativePose,
-    _canonicalize,
+    canonicalize,
     fundamental_from_pose,
     fundamental_to_essential,
     normalize_points,
@@ -51,7 +50,7 @@ class TestEightPoint:
                 x1, x2, cam1, cam2, pose = pixel_matches(rng, n)
                 F_true = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
                 F = eight_point(x1, x2)
-                assert np.max(np.abs(F.m - F_true.m)) < 1e-8
+                assert np.max(np.abs(F - F_true)) < 1e-8
 
     def test_planar_scene_sideways_motion(self, rng):
         # 8 points on one scene plane, pure sideways baseline
@@ -63,7 +62,7 @@ class TestEightPoint:
         x1 = project_hom(cam1, pts)
         x2 = project_hom(cam2, pts)
         F = eight_point(x1[:, :2], x2[:, :2])
-        assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-16
+        assert np.max(symmetric_epipolar_distance_sq(F, x1, x2)) < 1e-16
 
     def test_too_few_matches(self, rng):
         x1, x2, *_ = pixel_matches(rng, 7)
@@ -101,7 +100,19 @@ def svd_eight_point_reference(pts1, pts2):
     ok = ok1 & ok2 & ~(s[:, 1] < 1e-10 * s[:, 0])
     s[:, 2] = 0.0
     F = T2.transpose(0, 2, 1) @ (U * s[:, None, :]) @ Vt @ T1
-    return _canonicalize(F), ok
+    return canonicalize(F), ok
+
+
+def test_estimates_are_canonical(rng):
+    # every F the program makes is already in canonical form
+    x1, x2, cam1, cam2, pose = pixel_matches(rng, 40)
+    x2 = x2 + rng.normal(0.0, 0.3, x2.shape)
+    cfg = RansacConfig(iterations=50, inlier_threshold=1e-5)
+    for F in (fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose), eight_point(x1, x2),
+              eight_point(x1[:MIN_SAMPLE], x2[:MIN_SAMPLE]),
+              ransac_fundamental(x1, x2, cam1.intrinsics, cam2.intrinsics, cfg).F):
+        assert isinstance(F, np.ndarray) and F.shape == (3, 3)
+        assert np.max(np.abs(canonicalize(F) - F)) <= 1e-15
 
 
 class TestDrawSamples:
@@ -157,7 +168,7 @@ class TestRansac:
             res = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
             assert np.array_equal(res.inlier_mask, gt_mask)
             F_true = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
-            assert np.max(np.abs(res.F.m - F_true.m)) < 1e-6
+            assert np.max(np.abs(res.F - F_true)) < 1e-6
 
     def test_all_outliers_flagged_no_consensus(self):
         flagged = 0
@@ -177,7 +188,7 @@ class TestRansac:
         cfg = RansacConfig(iterations=200, inlier_threshold=1e-6, seed=7)
         a = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
         b = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
-        assert a.F.m.tobytes() == b.F.m.tobytes()
+        assert a.F.tobytes() == b.F.tobytes()
         assert np.array_equal(a.inlier_mask, b.inlier_mask)
         assert a.best_iteration == b.best_iteration
 
@@ -240,7 +251,7 @@ class TestRansac:
 
     def test_inconsistent_result_raises(self):
         # checked by raising, so the check survives python -O
-        F = FundamentalMatrix(np.eye(3))
+        F = np.eye(3)
         mask = np.array([True, False, True])
         with pytest.raises(ValueError):
             RansacResult(F, mask, inlier_count=1, num_input_matches=3)
@@ -252,7 +263,7 @@ class TestRansac:
 def score_one(F, x1n, x2n, K1, K2, threshold):
     """Scalar oracle for the batched scorer: one hypothesis, one row at a
     time in numpy, an undefined distance counting as an outlier."""
-    En = K2.matrix().T @ F.m @ K1.matrix()
+    En = K2.matrix().T @ F @ K1.matrix()
     l2 = x1n @ En.T
     l1 = x2n @ En
     d2 = l2[:, 0] ** 2 + l2[:, 1] ** 2
@@ -299,7 +310,7 @@ class TestBatchedRansac:
     def assert_same_as_reference(self, pts1, pts2, K1, K2, cfg):
         res = ransac_fundamental(pts1, pts2, K1, K2, cfg)
         F, mask, it, degenerate = ransac_reference(pts1, pts2, K1, K2, cfg)
-        assert res.F.m.tobytes() == F.m.tobytes()
+        assert res.F.tobytes() == F.tobytes()
         assert res.inlier_mask.tobytes() == mask.tobytes()
         assert res.best_iteration == it
         return res, degenerate

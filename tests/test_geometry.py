@@ -7,17 +7,15 @@ from epimatch import errors
 from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
-    FundamentalMatrix,
     RelativePose,
     _cheirality_votes,
+    canonicalize,
     cross_matrix,
     decompose_essential,
     essential_from_pose,
     fundamental_from_pose,
     fundamental_to_essential,
-    hom,
     normalize_points,
-    normalized_w,
     pixel_rays,
     project_points,
     read_pose_file,
@@ -28,7 +26,7 @@ from epimatch.geometry import (
 )
 from epimatch.losses import d_epi
 
-from conftest import project_hom, random_camera_pair, random_intrinsics, random_pose, visible_points
+from conftest import project_hom, random_camera_pair, random_intrinsics, random_pose, visible_points, with_w
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -52,14 +50,51 @@ class TestCrossMatrix:
         assert np.array_equal(M, -M.T)
 
 
+class TestCanonicalize:
+    """The form every F takes: unit Frobenius norm, largest-magnitude entry
+    positive, so one epipolar geometry has one array."""
+
+    def test_unit_norm_and_positive_peak(self, rng):
+        for M in rng.normal(size=(20, 3, 3)):
+            C = canonicalize(M)
+            assert abs(np.linalg.norm(C) - 1.0) < 1e-15
+            assert C.flat[np.argmax(np.abs(C))] > 0
+            sign = np.sign(M.flat[np.argmax(np.abs(M))])
+            assert np.allclose(C, sign * M / np.linalg.norm(M), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-6, 0.3, -1.0, -7.0, 1e6])
+    def test_invariant_to_scale_and_sign(self, rng, scale):
+        M = rng.normal(size=(3, 3))
+        assert np.allclose(canonicalize(scale * M), canonicalize(M), rtol=0, atol=1e-15)
+
+    def test_idempotent(self, rng):
+        C = canonicalize(rng.normal(size=(3, 3)))
+        assert np.max(np.abs(canonicalize(C) - C)) <= 1e-15
+
+    def test_batched_equals_per_matrix(self, rng):
+        Ms = rng.normal(size=(2, 4, 3, 3))
+        batch = canonicalize(Ms)
+        assert batch.shape == Ms.shape
+        for idx in np.ndindex(2, 4):
+            assert np.array_equal(batch[idx], canonicalize(Ms[idx]))
+
+    def test_zero_matrix_raises(self, rng):
+        with pytest.raises(errors.DegenerateConfiguration):
+            canonicalize(np.zeros((3, 3)))
+        Ms = rng.normal(size=(3, 3, 3))
+        Ms[1] = 0.0
+        with pytest.raises(errors.DegenerateConfiguration):
+            canonicalize(Ms)
+
+
 class TestFundamentalFromPose:
     def test_sideways_identity(self):
         K = CameraIntrinsics(1, 1, 0, 0)
         F = fundamental_from_pose(K, K, RelativePose(np.eye(3), [1, 0, 0]))
         expected = cross_matrix([1, 0, 0])
         # proportional up to the canonical scale
-        scale = np.linalg.norm(F.m) / np.linalg.norm(expected)
-        assert np.allclose(np.abs(F.m), np.abs(expected) * scale, atol=1e-15)
+        scale = np.linalg.norm(F) / np.linalg.norm(expected)
+        assert np.allclose(np.abs(F), np.abs(expected) * scale, atol=1e-15)
 
     def test_zero_baseline_rejected(self):
         K = CameraIntrinsics(1, 1, 0, 0)
@@ -73,14 +108,14 @@ class TestFundamentalFromPose:
             pts = visible_points(rng, cam1, cam2, 20)
             x1 = project_hom(cam1, pts)
             x2 = project_hom(cam2, pts)
-            assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-18
+            assert np.max(symmetric_epipolar_distance_sq(F, x1, x2)) < 1e-18
 
     def test_rank_two_invariant(self, rng):
         for _ in range(20):
             cam1, cam2, pose = random_camera_pair(rng)
             F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
-            assert abs(np.linalg.det(F.m)) < 1e-9
-            assert abs(np.linalg.norm(F.m) - 1.0) < 1e-12
+            assert abs(np.linalg.det(F)) < 1e-9
+            assert abs(np.linalg.norm(F) - 1.0) < 1e-12
 
 
 class TestEpipolarLine:
@@ -88,7 +123,7 @@ class TestEpipolarLine:
 
     def test_sideways_line(self):
         # F x1 is the line v = 0: the distance is |v| and its gradient (0, +-1)
-        F = FundamentalMatrix(cross_matrix([1, 0, 0]))
+        F = cross_matrix([1, 0, 0])
         for u, v in ((0.3, 0.5), (-2.0, -1.25), (7.0, 0.0)):
             d, g = d_epi(F, [[0, 0]], [[u, v]])
             assert d[0] == abs(v)
@@ -96,10 +131,10 @@ class TestEpipolarLine:
 
     def test_epipole_query(self):
         # epipole: F e = 0, so the epipolar line of the pixel e vanishes
-        F = FundamentalMatrix(cross_matrix([2, 3, 1]))
+        F = cross_matrix([2, 3, 1])
         with pytest.raises(errors.DegenerateLine):
             d_epi(F, [[2, 3]], [[0.3, 0.5]])
-        assert symmetric_epipolar_distance_sq(F.m, hom(2, 3), hom(0.3, 0.5)) == np.inf
+        assert symmetric_epipolar_distance_sq(F, with_w([[2, 3]]), with_w([[0.3, 0.5]]))[0] == np.inf
 
     def test_points_on_line_have_zero_residual(self, rng):
         for _ in range(10):
@@ -107,7 +142,7 @@ class TestEpipolarLine:
             F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
             x1 = rng.uniform(0, [600, 400])
             # parametrize the line: pick two points on it
-            a, b, c = F.m @ hom(*x1)
+            a, b, c = F @ [*x1, 1.0]
             if abs(b) > abs(a):
                 x2s = [[u, -(a * u + c) / b] for u in (0.0, 123.4)]
             else:
@@ -120,8 +155,8 @@ class TestEpipolarResidual:
 
     def test_hand_value(self):
         # r = -0.5 and both line normals are unit: r^2 * (1 + 1)
-        F = FundamentalMatrix(cross_matrix([1, 0, 0]))
-        assert symmetric_epipolar_distance_sq(F.m, hom(0, 0), hom(0.3, 0.5)) == 0.5
+        F = cross_matrix([1, 0, 0])
+        assert symmetric_epipolar_distance_sq(F, with_w([[0, 0]]), with_w([[0.3, 0.5]]))[0] == 0.5
 
     def test_transpose_identity(self, rng):
         F = rng.normal(size=(4, 3, 3))
@@ -133,7 +168,7 @@ class TestEpipolarResidual:
     def test_exact_correspondence(self, rng):
         # a leading axis scores each matrix alone: only the true F gives 0
         cams = [random_camera_pair(rng) for _ in range(3)]
-        Fs = np.stack([fundamental_from_pose(c1.intrinsics, c2.intrinsics, pose).m for c1, c2, pose in cams])
+        Fs = np.stack([fundamental_from_pose(c1.intrinsics, c2.intrinsics, pose) for c1, c2, pose in cams])
         cam1, cam2, _ = cams[0]
         pts = visible_points(rng, cam1, cam2, 5)
         d = symmetric_epipolar_distance_sq(Fs, project_hom(cam1, pts), project_hom(cam2, pts))
@@ -146,28 +181,24 @@ class TestPointLineDistance:
 
     def test_distance_to_v_axis(self):
         # F (0, 0, 1) is the line (0, -1, 0)
-        F = FundamentalMatrix(cross_matrix([1, 0, 0]))
+        F = cross_matrix([1, 0, 0])
         assert d_epi(F, [[0, 0]], [[0.3, 0.5]])[0][0] == pytest.approx(0.5)
 
     def test_point_on_line(self):
         # the line u + v - 1 = 0 is F x1 for this F
-        F = FundamentalMatrix(np.array([[0.0, 0, 1], [0, 0, 1], [0, 0, -1]]))
+        F = np.array([[0.0, 0, 1], [0, 0, 1], [0, 0, -1]])
         assert d_epi(F, [[0, 0]], [[0.5, 0.5]])[0][0] == pytest.approx(0.0)
 
     def test_scale_invariance(self, rng):
-        F = FundamentalMatrix(rng.normal(size=(3, 3)))
+        F = rng.normal(size=(3, 3))
         x1, x2 = [[0.3, -0.4]], [[1.2, 3.4]]
         d = d_epi(F, x1, x2)[0]
-        assert d_epi(FundamentalMatrix(7 * F.m), x1, x2)[0] == pytest.approx(d)
+        assert d_epi(7 * F, x1, x2)[0] == pytest.approx(d)
 
     def test_degenerate_line(self):
-        F = FundamentalMatrix(np.array([[0.0, 0, 0], [0, 0, 0], [0, 0, 1]]))
+        F = np.array([[0.0, 0, 0], [0, 0, 0], [0, 0, 1]])
         with pytest.raises(errors.DegenerateLine):
             d_epi(F, [[0, 0]], [[1, 1]])
-
-    def test_point_at_infinity(self):
-        with pytest.raises(errors.PointAtInfinity):
-            normalized_w(hom(1, 1, 0))
 
 
 class TestSymmetricEpipolarDistance:
@@ -177,30 +208,28 @@ class TestSymmetricEpipolarDistance:
         pts = visible_points(rng, cam1, cam2, 10)
         x1 = project_hom(cam1, pts)
         x2 = project_hom(cam2, pts)
-        assert np.max(symmetric_epipolar_distance_sq(F.m, x1, x2)) < 1e-18
+        assert np.max(symmetric_epipolar_distance_sq(F, x1, x2)) < 1e-18
 
     def test_worked_instance(self):
         # oracle: sum of the two squared point-line distances
-        F = FundamentalMatrix(cross_matrix([1, 0, 0]))
+        F = cross_matrix([1, 0, 0])
         x1, x2 = np.array([[0.0, 0.0]]), np.array([[0.3, 0.5]])
         d2a = d_epi(F, x1, x2)[0][0] ** 2
-        d2b = d_epi(FundamentalMatrix(F.m.T), x2, x1)[0][0] ** 2
+        d2b = d_epi(F.T, x2, x1)[0][0] ** 2
         expected = d2a + d2b
         assert expected == pytest.approx(0.5)
-        assert symmetric_epipolar_distance_sq(F.m, hom(*x1[0]), hom(*x2[0])) == pytest.approx(expected)
+        assert symmetric_epipolar_distance_sq(F, with_w(x1), with_w(x2))[0] == pytest.approx(expected)
 
     def test_symmetry(self, rng):
         F = rng.normal(size=(3, 3))
-        x1 = hom(*rng.uniform(-2, 2, size=2))
-        x2 = hom(*rng.uniform(-2, 2, size=2))
+        x1, x2 = (with_w(p) for p in rng.uniform(-2, 2, size=(2, 1, 2)))
         assert symmetric_epipolar_distance_sq(F, x1, x2) == pytest.approx(
             symmetric_epipolar_distance_sq(F.T, x2, x1)
         )
 
     def test_invariant_to_f_rescaling(self, rng):
         F = rng.normal(size=(3, 3))
-        x1 = hom(*rng.uniform(-2, 2, size=2))
-        x2 = hom(*rng.uniform(-2, 2, size=2))
+        x1, x2 = (with_w(p) for p in rng.uniform(-2, 2, size=(2, 1, 2)))
         assert symmetric_epipolar_distance_sq(F, x1, x2) == pytest.approx(
             symmetric_epipolar_distance_sq(17.3 * F, x1, x2)
         )
@@ -209,11 +238,11 @@ class TestSymmetricEpipolarDistance:
 class TestNormalizePoint:
     def test_identity_intrinsics(self):
         K = CameraIntrinsics(1, 1, 0, 0)
-        assert np.array_equal(normalize_points(K, [[0.3, -0.7]]), [hom(0.3, -0.7)])
+        assert np.array_equal(normalize_points(K, [[0.3, -0.7]]), [[0.3, -0.7, 1.0]])
 
     def test_principal_point_maps_to_origin(self):
         K = CameraIntrinsics(500, 480, 320, 240)
-        assert np.allclose(normalize_points(K, [[320, 240]]), [hom(0, 0)])
+        assert np.allclose(normalize_points(K, [[320, 240]]), [[0.0, 0.0, 1.0]])
 
     def test_round_trip(self, rng):
         K = CameraIntrinsics(500, 480, 320, 240)
@@ -222,12 +251,12 @@ class TestNormalizePoint:
         assert np.allclose(back[:, :2], pts, atol=1e-12) and np.all(back[:, 2] == 1.0)
 
     def test_batched_matches_scalar(self, rng):
-        # oracle: K^-1 applied to one homogeneous point at a time
+        # oracle: K^-1 applied to one (u, v, 1) point at a time
         K = CameraIntrinsics(512, 500, 320, 240)
         pts = rng.uniform(0, 500, size=(7, 2))
         batch = normalize_points(K, pts)
         for i, p in enumerate(pts):
-            assert np.allclose(batch[i], K.inverse() @ hom(*p))
+            assert np.allclose(batch[i], K.inverse() @ [*p, 1.0])
 
 
 class TestProjectTriangulate:
@@ -240,9 +269,12 @@ class TestProjectTriangulate:
     def test_triangulation_round_trip(self, rng):
         for _ in range(5):
             cam1, cam2, _ = random_camera_pair(rng)
-            for X in visible_points(rng, cam1, cam2, 4):
-                x1, x2 = project_hom(cam1, [X]), project_hom(cam2, [X])
-                assert np.allclose(triangulate(cam1, cam2, x1, x2), X, atol=1e-8)
+            X = visible_points(rng, cam1, cam2, 4)
+            x1n = normalize_points(cam1.intrinsics, project_points(cam1, X)[0])
+            x2n = normalize_points(cam2.intrinsics, project_points(cam2, X)[0])
+            P1, P2 = (np.column_stack([c.pose.R, c.pose.t]) for c in (cam1, cam2))
+            X_rec, ok = triangulate(P1, P2, x1n, x2n)
+            assert ok.all() and np.allclose(X_rec, X, atol=1e-8)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -255,11 +287,6 @@ class TestProjectTriangulate:
         back, depth = project_points(cam, cam.center() + s * pixel_rays(cam, pix))
         assert np.allclose(back, pix, rtol=0, atol=1e-9)
         assert np.allclose(depth, s[:, 0], rtol=1e-12)
-
-    def test_same_centre_rejected(self):
-        cam = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose.identity())
-        with pytest.raises(errors.DegenerateConfiguration):
-            triangulate(cam, cam, hom(0, 0), hom(0.1, 0))
 
 
 def small_rotation_angle_rad(R):
@@ -313,19 +340,17 @@ class TestDecomposeEssential:
         far = x1[:5] @ R.T
         x2[:5] = far / far[:, 2:]
         x2[5:10, :2] = rng.uniform(-0.5, 0.5, (5, 2))
-        cam1 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose.identity())
         twisted = rotation_from_axis_angle(t, np.pi) @ R
         loop_votes, rejected = [], 0
         for Rc, tc in ((R, t), (R, -t), (twisted, t), (twisted, -t)):
-            cam2 = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose(Rc, tc))
+            P2 = np.column_stack([Rc, tc])
             votes = 0
             for a, b in zip(x1, x2):
-                try:
-                    X = triangulate(cam1, cam2, a, b)
-                except errors.DegenerateConfiguration:
+                X, ok = triangulate(np.eye(3, 4), P2, a[None], b[None])
+                if not ok[0]:
                     rejected += 1
                     continue
-                votes += bool(X[2] > 0 and (Rc @ X + tc)[2] > 0)
+                votes += bool(X[0, 2] > 0 and (Rc @ X[0] + tc)[2] > 0)
             assert _cheirality_votes(Rc, tc, x1, x2) == votes
             loop_votes.append(votes)
         assert rejected > 0

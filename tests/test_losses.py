@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epimatch import errors
-from epimatch.geometry import FundamentalMatrix, cross_matrix, fundamental_from_pose, hom
+from epimatch.geometry import canonicalize, cross_matrix, fundamental_from_pose
 from epimatch.grid import GridSpec
 from epimatch.losses import (
     LossConfig,
@@ -22,11 +22,11 @@ from epimatch.synth import make_domain, sample_pair
 
 def horizontal_line_f():
     """F with F x1 = (0, -1, 0) for x1 = (0, 0, 1): the line v = 0."""
-    return FundamentalMatrix(cross_matrix([1.0, 0.0, 0.0]))
+    return cross_matrix([1.0, 0.0, 0.0])
 
 
 def random_f(rng):
-    return FundamentalMatrix.from_matrix(rng.normal(size=(3, 3)))
+    return canonicalize(rng.normal(size=(3, 3)))
 
 
 def random_line_instance(rng, min_resid=1e-2):
@@ -36,11 +36,11 @@ def random_line_instance(rng, min_resid=1e-2):
         F = random_f(rng)
         x1 = rng.uniform(0, 100, (1, 2))
         x2 = rng.uniform(0, 100, (1, 2))
-        line = F.m @ hom(*x1[0])
+        line = F @ [*x1[0], 1.0]
         n = np.hypot(line[0], line[1])
         if n < 1e-6:
             continue
-        if abs(line @ hom(*x2[0])) / n > min_resid:
+        if abs(line @ [*x2[0], 1.0]) / n > min_resid:
             return F, x1, x2
 
 
@@ -53,7 +53,7 @@ class TestEpipolarLineSet:
         sets = epipolar_line_set(F, GridSpec(1, 1, 8), grid, np.sqrt(2.0))
         # the single query cell of grid1 has centre (4, 4); its line is v = 0?
         # F x1 for x1=(4,4,1): t x x1 = (1,0,0) x (4,4,1) = (0*1-0*4, 0*4-1*1, 1*4-0*4)
-        line = F.m @ hom(4, 4)
+        line = F @ [4.0, 4.0, 1.0]
         assert np.allclose(line, [0.0, -1.0, 4.0])  # v = 4 line
         dists = np.abs(grid.cell_centers()[:, 1] - 4.0)
         expected = dists <= np.sqrt(2.0) * 4.0
@@ -79,7 +79,7 @@ class TestEpipolarLineSet:
 
     def test_epipole_row_is_empty(self):
         # x1 = epipole of [t]x with t = (12, 12, 1): F x1 = 0
-        F = FundamentalMatrix(cross_matrix([12.0, 12.0, 1.0]))
+        F = cross_matrix([12.0, 12.0, 1.0])
         grid = GridSpec(2, 2, 8)
         sets = epipolar_line_set(F, grid, grid, np.sqrt(2.0))
         # grid cell (1, 1) has centre (12, 12), exactly the epipole
@@ -205,7 +205,7 @@ class TestDEpi:
     def test_scaling_f_leaves_distance_unchanged(self, rng):
         F, x1, x2 = random_line_instance(rng)
         d1, _ = d_epi(F, x1, x2)
-        d2, _ = d_epi(FundamentalMatrix(10.0 * F.m), x1, x2)
+        d2, _ = d_epi(10.0 * F, x1, x2)
         assert d1 == pytest.approx(d2)
 
     def test_gradient_against_central_differences(self, rng):
@@ -236,7 +236,7 @@ class TestDEpi:
         # d_epi(x2) <= ||x2 - xg|| for any xg on the epipolar line
         for _ in range(50):
             F, x1, x2 = random_line_instance(rng)
-            a, b, c = F.m @ hom(*x1[0])
+            a, b, c = F @ [*x1[0], 1.0]
             # param point on the line
             if abs(b) > abs(a):
                 u = rng.uniform(-50, 150)
@@ -251,7 +251,7 @@ class TestDEpi:
         # grad of distance-to-gt and grad of distance-to-line agree in sign
         for _ in range(200):
             F, x1, x2 = random_line_instance(rng)
-            a, b, c = F.m @ hom(*x1[0])
+            a, b, c = F @ [*x1[0], 1.0]
             if abs(b) > abs(a):
                 u = rng.uniform(-50, 150)
                 xg = np.array([u, -(a * u + c) / b])
@@ -367,5 +367,5 @@ class TestTotalLoss:
     def test_invariant_to_f_rescaling(self, instance):
         cfg = LossConfig(lam=0.5)
         _, t1, *_ = self._step(instance, cfg)
-        _, t2, *_ = self._step(instance, cfg, FundamentalMatrix(-7.0 * instance[1].m))
+        _, t2, *_ = self._step(instance, cfg, -7.0 * instance[1])
         assert t1 == pytest.approx(t2)

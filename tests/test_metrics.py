@@ -8,7 +8,6 @@ from epimatch.estimation import RansacConfig
 from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
-    FundamentalMatrix,
     RelativePose,
     cross_matrix,
     essential_from_pose,
@@ -184,7 +183,7 @@ class TestMatchingPrecision:
         F = essential_from_pose(pose)
         monkeypatch.setattr(estimation, "_eight_point_batch",
                             lambda p1, p2: (np.repeat(F[None], len(p1), axis=0), np.ones(len(p1), bool)))
-        monkeypatch.setattr(estimation, "eight_point", lambda p1, p2: FundamentalMatrix(F))
+        monkeypatch.setattr(estimation, "eight_point", lambda p1, p2: F)
         res = estimation.ransac_fundamental(x1, x2, K, K, RansacConfig(iterations=5, seed=0))
         assert res.inlier_mask.tolist() == [True] * 20 + [False]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epimatch import errors, pipeline
-from epimatch.geometry import FundamentalMatrix, fundamental_from_pose
+from epimatch.geometry import fundamental_from_pose, symmetric_epipolar_distance_sq
 from epimatch.grid import GridSpec
 from epimatch.losses import (
     LossConfig,
@@ -39,7 +39,7 @@ HISTORY_KEYS = {"epoch", "loss", "coarse_loss", "fine_loss", "skipped_pairs", "e
 
 def off_image_f():
     """F whose epipolar line is v = -1000 for every point: no cell is on it."""
-    return FundamentalMatrix(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1000.0]]))
+    return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1000.0]])
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def full_row_pair_grads(pair, target, params, mcfg, loss_cfg, rng_key):
     in-bound coarse matches, the fine loss reads the same random subset of
     them, and backward gets a fine gradient that is zero off that subset."""
     grid = GridSpec.for_image(*pair.image1.shape, mcfg.patch_width)
-    epipolar = isinstance(target, FundamentalMatrix)
+    epipolar = not isinstance(target, tuple)
     if epipolar:
         pred, cache = forward(pair.image1, pair.image2, params, mcfg)
         mask = epipolar_classification_mask(pred.C, epipolar_line_set(target, grid, grid, loss_cfg.theta))
@@ -331,6 +331,38 @@ class TestBootstrap:
         assert p1.W_fine.tobytes() == p2.W_fine.tobytes()
         assert h1 == h2
         assert all(set(row) == HISTORY_KEYS for row in h1)
+
+    def test_estimated_fs_are_kept_and_trained_on(self, tiny_data, warm_params, monkeypatch):
+        # the matcher returns each pair's GT grid matches, which the pose
+        # explains exactly; pair 0 keeps only 10 of them and fails min_matches
+        _, b = tiny_data
+        matches = {}
+        for k, pair in enumerate(b):
+            grid = GridSpec.for_image(*pair.image1.shape, MCFG.patch_width)
+            targets, points = gt_correspondence_grid(pair, grid)
+            valid = np.flatnonzero(targets >= 0)[:10 if k == 0 else None]
+            matches[id(pair.image1)] = (grid.cell_centers()[valid], points[valid])
+        monkeypatch.setattr(pipeline, "forward", lambda img1, *args: (
+            SimpleNamespace(fine_x1=matches[id(img1)][0], fine_x2=matches[id(img1)][1]), None))
+        f_list, report = bootstrap_fundamentals(b, warm_params, BootstrapConfig())
+        assert report["kept"] == len(b) - 1 and report["dropped_few_matches"] == 1
+        assert f_list[0] is None
+        for pair, F in zip(b[1:], f_list[1:]):
+            assert isinstance(F, np.ndarray) and F.shape == (3, 3)
+            x1, x2 = (np.column_stack([x, np.ones(len(x))]) for x in matches[id(pair.image1)])
+            F_pose = fundamental_from_pose(pair.K, pair.K, pair.pose)
+            assert np.max(symmetric_epipolar_distance_sq(F_pose, x1, x2)) < 1e-20
+            assert np.max(symmetric_epipolar_distance_sq(F, x1, x2)) < 1e-20
+        # training on the estimates skips pair 0 and otherwise follows the
+        # pose-derived Fs they agree with
+        cfg = TrainConfig(epochs=2, seed=4)
+        pose_fs = [None] + [fundamental_from_pose(p.K, p.K, p.pose) for p in b[1:]]
+        params, history = finetune_pose_supervised(b, warm_params, cfg, f_override=f_list)
+        _, reference = finetune_pose_supervised(b, warm_params, cfg, f_override=pose_fs)
+        assert not np.array_equal(params.W_coarse, warm_params.W_coarse)
+        for row, ref in zip(history, reference):
+            assert row["skipped_pairs"] == 1 and row["empty_mask_pairs"] == 0
+            assert row["loss"] == pytest.approx(ref["loss"], rel=1e-9)
 
     @pytest.mark.parametrize("fine_x1, counted", [(np.zeros((5, 2)), True), ([[1j, 1j]] * 5, False)],
                              ids=["NotEnoughMatches", "TypeError"])

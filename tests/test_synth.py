@@ -101,7 +101,7 @@ class TestSamplePair:
             v2 = K.fy * X2[front, 1] / X2[front, 2] + K.cy
             ones = np.ones_like(us.ravel()[front])
             F = fundamental_from_pose(K, K, pair.pose)
-            lines = np.stack([us.ravel()[front], vs.ravel()[front], ones], axis=-1) @ F.m.T
+            lines = np.stack([us.ravel()[front], vs.ravel()[front], ones], axis=-1) @ F.T
             num = np.abs(np.einsum("ij,ij->i", np.stack([u2, v2, ones], axis=-1), lines))
             den = np.hypot(lines[:, 0], lines[:, 1])
             assert np.max(num / den) < 1e-6
@@ -266,7 +266,7 @@ class TestPairFiles:
         assert np.allclose(loaded.pose.R, pair.pose.R, atol=1e-15)
         assert np.allclose(loaded.pose.t, pair.pose.t, atol=1e-15)
         F_loaded = fundamental_from_pose(loaded.K, loaded.K, loaded.pose)
-        assert np.allclose(F_loaded.m, fundamental_from_pose(pair.K, pair.K, pair.pose).m, atol=1e-12)
+        assert np.allclose(F_loaded, fundamental_from_pose(pair.K, pair.K, pair.pose), atol=1e-12)
 
     @pytest.mark.parametrize("override, flag", [
         (None, 1),
@@ -295,6 +295,13 @@ class TestPairFiles:
         assert len(loaded) == 3
         for a, b in zip(saved, loaded):
             assert a.image1.tobytes() == b.image1.tobytes()
+
+    def test_malformed_index_line_names_its_line(self, tmp_path):
+        save_dataset(small_domain(seed=8), 2, tmp_path / "ds")
+        index = tmp_path / "ds" / "index.txt"
+        index.write_text(index.read_text() + "\n2\n")
+        with pytest.raises(ValueError, match=r"index.txt:4: expected 2 fields per index line, got 1$"):
+            load_dataset(tmp_path / "ds")
 
     def test_truncated_file_rejected(self, tmp_path):
         pair = sample_pair(small_domain(), 0)
