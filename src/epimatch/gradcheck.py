@@ -46,7 +46,8 @@ def matcher_suite(seed=0, h=1e-5, inject_fault=None):
 
     pred, cache = forward(img1, img2, params, cfg, coarse_override=pins)
     M = pred.fine_x2.shape[0]
-    grads = backward(cache, dC=G, dfine=g[:M])
+    every = np.divmod(np.arange(G.size), G.shape[1])
+    grads = backward(cache, dC=(*every, G.ravel()), dfine=g[:M])
     if inject_fault == "sign-flip":
         grads.dW_coarse = -grads.dW_coarse
 

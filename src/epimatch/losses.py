@@ -2,10 +2,12 @@
 losses with their analytic gradients.
 
 The coarse loss is a sparse negative log-likelihood over the positive entries
-of a binary mask; the fine loss is a linearly-scaled distance. In the
-epipolar variants the mask positives are the per-row argmax of the confidence
-matrix restricted to a thickened epipolar line set, and the distance is the
-perpendicular pixel distance to the epipolar line.
+of a binary mask, which is stored as its positives; its gradient is a
+(rows, cols, g) triple on those entries alone. The fine loss is a
+linearly-scaled distance. In the epipolar variants the mask positives are the
+per-row argmax of the confidence matrix restricted to a thickened epipolar
+line set, and the distance is the perpendicular pixel distance to the
+epipolar line.
 """
 
 from __future__ import annotations
@@ -37,7 +39,17 @@ class LossConfig:
 
 @dataclass
 class EpipolarMask:
-    values: np.ndarray  # (m1, m2) binary
+    """The positives of an (m1, m2) binary classification mask, in row-major
+    order. values holds one weight per positive, all ones; a positive whose
+    weight is zeroed no longer counts."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray = None
+
+    def __post_init__(self):
+        if self.values is None:
+            self.values = np.ones(len(self.rows))
 
 
 def epipolar_line_set(F, grid1: GridSpec, grid2: GridSpec, theta):
@@ -61,40 +73,37 @@ def epipolar_line_set(F, grid1: GridSpec, grid2: GridSpec, theta):
 def epipolar_classification_mask(C, line_sets) -> EpipolarMask:
     """One positive per non-empty row of the (m1, m2) confidence C, at the
     on-line argmax."""
-    values = np.zeros_like(C)
-    scores = np.where(line_sets, C, -np.inf)
     rows = np.flatnonzero(line_sets.any(axis=1))
-    if rows.size:
-        cols = np.argmax(scores[rows], axis=1)  # first max wins ties
-        values[rows, cols] = 1.0
-    return EpipolarMask(values)
+    scores = np.where(line_sets[rows], C[rows], -np.inf)
+    return EpipolarMask(rows, np.argmax(scores, axis=1))  # first max wins ties
 
 
 def naive_epipolar_mask(line_sets) -> EpipolarMask:
-    """Ablation: every on-line cell is a positive; row sums may exceed 1."""
-    return EpipolarMask(np.asarray(line_sets).astype(float))
+    """Ablation: every on-line cell is a positive; a row may hold several."""
+    return EpipolarMask(*np.nonzero(line_sets))
 
 
-def gt_classification_mask(targets, m2) -> EpipolarMask:
+def gt_classification_mask(targets) -> EpipolarMask:
     """One-hot mask from per-cell ground-truth target cells (-1 for none)."""
     targets = np.asarray(targets, dtype=int)
-    values = np.zeros((targets.shape[0], m2))
-    rows = np.where(targets >= 0)[0]
-    values[rows, targets[rows]] = 1.0
-    return EpipolarMask(values)
+    rows = np.flatnonzero(targets >= 0)
+    return EpipolarMask(rows, targets[rows])
 
 
 def coarse_loss_grad(C_values, mask: EpipolarMask):
-    """(loss, dL/dC); the mask itself is treated as constant (stop-gradient)."""
+    """(loss, (rows, cols, g)): the mean negative log-confidence over the
+    mask's positives, and its gradient g w.r.t. C at those entries (dL/dC is
+    zero elsewhere). The mask itself is treated as constant (stop-gradient)."""
     pos = mask.values > 0
-    if not pos.any():
+    rows, cols = mask.rows[pos], mask.cols[pos]
+    if not rows.size:
         raise EmptySupervision("classification mask has no positive entries")
-    n = int(pos.sum())
-    grad = np.zeros_like(C_values)
-    inside = pos & (C_values > CLAMP_EPS) & (C_values < 1.0 - CLAMP_EPS)
-    grad[inside] = -1.0 / (n * C_values[inside])
-    c = np.clip(C_values[pos], CLAMP_EPS, 1.0 - CLAMP_EPS)
-    return float(np.mean(-np.log(c))), grad
+    c = C_values[rows, cols]
+    g = np.zeros_like(c)
+    inside = (c > CLAMP_EPS) & (c < 1.0 - CLAMP_EPS)
+    g[inside] = -1.0 / (rows.size * c[inside])
+    loss = float(np.mean(-np.log(np.clip(c, CLAMP_EPS, 1.0 - CLAMP_EPS))))
+    return loss, (rows, cols, g)
 
 
 def d_epi(F, x1s, x2s):

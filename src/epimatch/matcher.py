@@ -149,9 +149,11 @@ def _embed_normalized(X, W):
 
 
 def _softmax(z, axis):
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax of z along axis in one fresh array; z is left unchanged."""
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def confidence_matrix(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherParams):
@@ -162,7 +164,8 @@ def confidence_matrix(feats1: ImageFeatures, feats2: ImageFeatures, params: Matc
     """
     D1, n1 = _embed_normalized(feats1.coarse, params.W_coarse)
     D2, n2 = _embed_normalized(feats2.coarse, params.W_coarse)
-    S = (D1 @ D2.T) / params.tau_coarse
+    S = D1 @ D2.T
+    S /= params.tau_coarse
     RS = _softmax(S, axis=1)
     CS = _softmax(S, axis=0)
     C = RS * CS
@@ -250,7 +253,6 @@ class MatchPrediction:
     C: np.ndarray  # (m1, m2) coarse confidence
     coarse_i: np.ndarray
     coarse_j: np.ndarray
-    coarse_conf: np.ndarray
     fine_x1: np.ndarray  # (M, 2) coarse cell centres, image 1
     fine_x2: np.ndarray  # (M, 2) refined subpixel matches, image 2
     fine_conf: np.ndarray
@@ -272,42 +274,57 @@ def forward(image1, image2, params: MatcherParams, cfg: MatcherConfig, coarse_ov
         i_idx, j_idx = (np.asarray(a, int) for a in coarse_override)
         conf = C[i_idx, j_idx]
     x1s, x2s, conf_kept, fcache, dropped = refine_fine(f1, f2, params, cfg, i_idx, j_idx, conf)
-    pred = MatchPrediction(C, i_idx, j_idx, conf, x1s, x2s, conf_kept, dropped)
+    pred = MatchPrediction(C, i_idx, j_idx, x1s, x2s, conf_kept, dropped)
     cache = dict(params=params, coarse=ccache, fine=fcache)
     return pred, cache
 
 
 def _normalize_backward(dD, D, n):
-    """Backward through row normalization d = y / |y| (zero rows pass zeros)."""
+    """Backward through row normalization d = y / |y| (zero rows pass zeros),
+    computed in dD's own buffer, which it returns."""
     good = n > _NORM_EPS
     dot = np.einsum("ij,ij->i", dD, D)
-    dY = (dD - D * dot[:, None]) / np.where(good, n, 1.0)[:, None]
-    dY[~good] = 0.0
-    return dY
+    dD -= D * dot[:, None]
+    dD /= np.where(good, n, 1.0)[:, None]
+    dD[~good] = 0.0
+    return dD
 
 
 def backward(cache, dC=None, dfine=None) -> MatcherGrads:
     """Exact reverse-mode gradients of the forward pass.
 
-    dC: (m1, m2) upstream gradient on the confidence matrix.
+    dC: upstream gradient on the confidence matrix as a (rows, cols, g)
+    triple: g[k] is the gradient on entry (rows[k], cols[k]), every other
+    entry has gradient zero, and no entry appears twice. Row sums add a row's
+    entries in the order given, so one entry per row reproduces the dense
+    dual-softmax backward bit for bit.
     dfine: (M, 2) upstream gradient on the refined match coordinates, in the
     order of the prediction's fine matches.
     """
     params: MatcherParams = cache["params"]
     grads = zero_grads(params)
 
-    if dC is not None and np.any(dC):
+    if dC is not None and np.any(dC[2]):
         tau = params.tau_coarse
         cc = cache["coarse"]
         RS, CS, S = cc["RS"], cc["CS"], cc["S"]
-        G_RS = dC * CS
-        G_CS = dC * RS
-        dS = RS * (G_RS - np.sum(G_RS * RS, axis=1, keepdims=True))
-        dS += CS * (G_CS - np.sum(G_CS * CS, axis=0, keepdims=True))
-        grads.dtau_coarse += -float(np.sum(dS * S)) / tau
-        dA = dS / tau
-        dD1 = dA @ cc["D2"]
-        dD2 = dA.T @ cc["D1"]
+        rows, cols, g = dC
+        rs, cs = RS[rows, cols], CS[rows, cols]
+        g_rs = g * cs  # dC * CS and dC * RS at the entries
+        g_cs = g * rs
+        # a = sum(dC * CS * RS, axis=1), b = sum(dC * RS * CS, axis=0)
+        a = np.bincount(rows, weights=g_rs * rs, minlength=RS.shape[0])
+        b = np.bincount(cols, weights=g_cs * cs, minlength=RS.shape[1])
+        # off the entries dC is 0, so dS = RS * (-a) + CS * (-b) there
+        dS = RS * -a[:, None]
+        tmp = CS * -b
+        dS += tmp
+        dS[rows, cols] = rs * (g_rs - a[rows]) + cs * (g_cs - b[cols])
+        np.multiply(dS, S, out=tmp)
+        grads.dtau_coarse += -float(np.sum(tmp)) / tau
+        dS /= tau
+        dD1 = dS @ cc["D2"]
+        dD2 = dS.T @ cc["D1"]
         dY1 = _normalize_backward(dD1, cc["D1"], cc["n1"])
         dY2 = _normalize_backward(dD2, cc["D2"], cc["n2"])
         grads.dW_coarse += cc["X1"].T @ dY1 + cc["X2"].T @ dY2

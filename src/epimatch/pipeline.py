@@ -152,14 +152,14 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
         i_idx, j_idx, _ = select_coarse(C, mcfg.match_threshold)
     else:
         targets, points = target
-        mask = gt_classification_mask(targets, f2.grid.m)
+        mask = gt_classification_mask(targets)
         i_idx = np.flatnonzero(targets >= 0)
         j_idx = targets[i_idx]
     if not mask.values.any():
         return None
     rows = np.flatnonzero(fine_in_bounds(f1, f2, mcfg, i_idx, j_idx))
     lam = loss_cfg.lam
-    lc, dC = coarse_loss_grad(C, mask)
+    lc, (c_rows, c_cols, dc) = coarse_loss_grad(C, mask)
     lf = 0.0
     dfine = None
     fcache = dict(M=0)
@@ -175,7 +175,7 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
             lf, df = gt_fine_loss_grad(x2s, points[i_sub])
         dfine = lam * df
     cache = dict(params=params, coarse=ccache, fine=fcache)
-    grads = backward(cache, dC=(1.0 - lam) * dC, dfine=dfine)
+    grads = backward(cache, dC=(c_rows, c_cols, (1.0 - lam) * dc), dfine=dfine)
     return grads, (1.0 - lam) * lc + lam * lf, lc, lf, len(i_idx) - M
 
 

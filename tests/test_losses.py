@@ -86,77 +86,107 @@ class TestEpipolarLineSet:
         assert not sets[3].any()
 
 
+def positives(mask):
+    return mask.rows.tolist(), mask.cols.tolist()
+
+
 class TestClassificationMask:
     def test_argmax_restricted_to_line_set(self):
         C = np.array([[0.1, 0.9, 0.3, 0.2]])
         sets = np.array([[True, False, True, True]])
-        mask = epipolar_classification_mask(C, sets)
-        assert np.array_equal(mask.values, [[0, 0, 1, 0]])
-        assert mask.values[0].any()
+        assert positives(epipolar_classification_mask(C, sets)) == ([0], [2])
 
     def test_tie_break_lowest_column(self):
         C = np.array([[0.5, 0.5]])
         mask = epipolar_classification_mask(C, np.array([[True, True]]))
-        assert np.array_equal(mask.values, [[1, 0]])
+        assert positives(mask) == ([0], [0])
 
     def test_empty_set_excluded(self):
         C = np.array([[0.5, 0.5]])
         mask = epipolar_classification_mask(C, np.array([[False, False]]))
-        assert np.array_equal(mask.values, [[0, 0]])
-        assert not mask.values[0].any()
+        assert positives(mask) == ([], [])
 
     def test_row_sums_zero_or_one(self, rng):
         C = rng.uniform(0, 1, (16, 16))
         sets = rng.uniform(0, 1, (16, 16)) > 0.7
         mask = epipolar_classification_mask(C, sets)
-        sums = mask.values.sum(axis=1)
-        assert set(np.unique(sums)) <= {0.0, 1.0}
+        sums = np.bincount(mask.rows, minlength=16)
+        assert np.array_equal(sums, sets.any(axis=1))
+        assert sets[mask.rows, mask.cols].all()
 
 
 class TestNaiveMask:
     def test_all_online_cells_positive(self):
         sets = np.array([[True, False, True, True]])
-        mask = naive_epipolar_mask(sets)
-        assert np.array_equal(mask.values, [[1, 0, 1, 1]])
+        assert positives(naive_epipolar_mask(sets)) == ([0, 0, 0], [0, 2, 3])
 
     def test_empty_row(self):
-        mask = naive_epipolar_mask(np.array([[False, False]]))
-        assert np.array_equal(mask.values, [[0, 0]])
-        assert not mask.values[0].any()
+        assert positives(naive_epipolar_mask(np.array([[False, False]]))) == ([], [])
 
     def test_row_sum_equals_set_size(self, rng):
         sets = rng.uniform(0, 1, (8, 8)) > 0.5
         mask = naive_epipolar_mask(sets)
-        assert np.array_equal(mask.values.sum(axis=1), sets.sum(axis=1))
+        assert np.array_equal(np.bincount(mask.rows, minlength=8), sets.sum(axis=1))
+        dense = np.zeros((8, 8), bool)
+        dense[mask.rows, mask.cols] = True
+        assert np.array_equal(dense, sets)
+        assert np.all(np.diff(mask.rows * 8 + mask.cols) > 0)
 
 
 class TestGtMask:
     def test_identity_warp(self):
-        mask = gt_classification_mask(np.arange(4), 4)
-        assert np.array_equal(mask.values, np.eye(4))
+        assert positives(gt_classification_mask(np.arange(4))) == ([0, 1, 2, 3], [0, 1, 2, 3])
 
     def test_occluded_cell(self):
-        mask = gt_classification_mask([0, -1, 2], 3)
-        assert np.array_equal(mask.values[1], [0, 0, 0])
-        assert not mask.values[1].any() and mask.values[0].any()
+        assert positives(gt_classification_mask([0, -1, 2])) == ([0, 2], [0, 2])
 
     def test_shift_by_one_cell(self):
         # warp sending cell i to cell i+1 (last cell leaves the image)
-        targets = np.array([1, 2, 3, -1])
-        mask = gt_classification_mask(targets, 4)
-        expected = np.zeros((4, 4))
-        expected[0, 1] = expected[1, 2] = expected[2, 3] = 1.0
-        assert np.array_equal(mask.values, expected)
+        mask = gt_classification_mask(np.array([1, 2, 3, -1]))
+        assert positives(mask) == ([0, 1, 2], [1, 2, 3])
+
+
+class TestMaskValues:
+    """values is one weight per positive, all ones: the number of its non-zero
+    entries is the number of positives, and it has none on an empty mask."""
+
+    @pytest.mark.parametrize("build, n", [
+        (lambda: gt_classification_mask([-1, -1]), 0),
+        (lambda: gt_classification_mask([3, -1, 0]), 2),
+        (lambda: epipolar_classification_mask(np.full((2, 3), 0.5), np.zeros((2, 3), bool)), 0),
+        (lambda: epipolar_classification_mask(np.full((2, 3), 0.5), np.array([[0, 1, 1], [0, 0, 0]], bool)), 1),
+        (lambda: naive_epipolar_mask(np.zeros((2, 3), bool)), 0),
+        (lambda: naive_epipolar_mask(np.array([[0, 1, 1], [1, 0, 0]], bool)), 3),
+    ])
+    def test_one_unit_weight_per_positive(self, build, n):
+        mask = build()
+        assert mask.rows.shape == mask.cols.shape == mask.values.shape == (n,)
+        assert mask.values.dtype == float and np.all(mask.values == 1.0)
+        assert np.count_nonzero(mask.values) == n
+        assert bool(np.any(mask.values)) == (n > 0)
+
+    def test_zeroed_weights_leave_no_positive(self):
+        mask = gt_classification_mask(np.arange(3))
+        mask.values[:] = 0.0
+        with pytest.raises(errors.EmptySupervision):
+            coarse_loss_grad(np.full((3, 3), 0.5), mask)
+
+
+def dense_grad(grad, shape):
+    rows, cols, g = grad
+    dense = np.zeros(shape)
+    dense[rows, cols] = g
+    return dense
 
 
 class TestCoarseLoss:
     def test_perfect_confidence(self):
-        M = gt_classification_mask(np.arange(4), 4)
-        assert coarse_loss_grad(M.values.copy(), M)[0] == pytest.approx(0.0, abs=1e-10)
+        M = gt_classification_mask(np.arange(4))
+        assert coarse_loss_grad(np.eye(4), M)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_confidence_analytic(self):
         C = np.full((16, 16), 1.0 / 16.0)
-        M = gt_classification_mask(np.arange(16), 16)
+        M = gt_classification_mask(np.arange(16))
         assert coarse_loss_grad(C, M)[0] == pytest.approx(np.log(16.0))
 
     def test_naive_mask_mean_over_positives(self, rng):
@@ -179,6 +209,8 @@ class TestCoarseLoss:
         sets[:, 0] = True
         mask = naive_epipolar_mask(sets)
         loss, grad = coarse_loss_grad(C, mask)
+        assert np.array_equal(grad[0], mask.rows) and np.array_equal(grad[1], mask.cols)
+        grad = dense_grad(grad, C.shape)
         h = 1e-7
         for i in range(6):
             for j in range(6):

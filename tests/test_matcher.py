@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from epimatch import errors
+from epimatch.losses import (coarse_loss_grad, epipolar_classification_mask, gt_classification_mask,
+                             naive_epipolar_mask)
 from epimatch.matcher import (
     MatcherConfig,
     MatcherGrads,
@@ -342,7 +344,7 @@ class TestRowNormalization:
         dD = rng.normal(size=D.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            dY = _normalize_backward(dD, D, n)
+            dY = _normalize_backward(dD.copy(), D, n)
         assert np.all(dY[self.BAD] == 0.0)
         assert_same_bytes(dY, masked_normalize_backward(dD, D, n))
 
@@ -384,6 +386,31 @@ class TestForward:
         assert shifted <= got
 
 
+def every_entry(G):
+    """A dense upstream gradient as the (rows, cols, values) triple backward
+    takes, over every entry in row-major order."""
+    rows, cols = np.divmod(np.arange(G.size), G.shape[1])
+    return rows, cols, G.ravel()
+
+
+def dense_coarse_backward(cache, dC):
+    """Reference coarse backward over a dense (m1, m2) upstream gradient dC:
+    the full dual-softmax Jacobian-vector product, every sum over whole rows
+    and columns. Returns (dW_coarse, dtau_coarse)."""
+    tau = cache["params"].tau_coarse
+    cc = cache["coarse"]
+    RS, CS, S = cc["RS"], cc["CS"], cc["S"]
+    G_RS = dC * CS
+    G_CS = dC * RS
+    dS = RS * (G_RS - np.sum(G_RS * RS, axis=1, keepdims=True))
+    dS += CS * (G_CS - np.sum(G_CS * CS, axis=0, keepdims=True))
+    dtau = -float(np.sum(dS * S)) / tau
+    dA = dS / tau
+    dY1 = masked_normalize_backward(dA @ cc["D2"], cc["D1"], cc["n1"])
+    dY2 = masked_normalize_backward(dA.T @ cc["D1"], cc["D2"], cc["n2"])
+    return cc["X1"].T @ dY1 + cc["X2"].T @ dY2, dtau
+
+
 def linear_probe_loss(pred, G, g):
     """Smooth scalar functional of the forward outputs for gradient checks."""
     loss = float(np.sum(G * pred.C))
@@ -403,7 +430,7 @@ class TestBackward:
 
         pred, cache = forward(img1, img2, params, SMALL, coarse_override=pins)
         M = pred.fine_x2.shape[0]
-        grads = backward(cache, dC=G, dfine=g[:M])
+        grads = backward(cache, dC=every_entry(G), dfine=g[:M])
 
         def loss_with(p):
             pr, _ = forward(img1, img2, p, SMALL, coarse_override=pins)
@@ -445,7 +472,7 @@ class TestBackward:
         params = init_params(SMALL, seed=11)
         pred, cache = forward(img1, img2, params, SMALL,
                               coarse_override=(np.array([5]), np.array([5])))
-        grads = backward(cache, dC=np.zeros((16, 16)), dfine=np.zeros((1, 2)))
+        grads = backward(cache, dC=every_entry(np.zeros((16, 16))), dfine=np.zeros((1, 2)))
         assert np.allclose(grads.dW_coarse, 0.0)
         assert np.allclose(grads.dW_fine, 0.0)
         assert grads.dtau_coarse == 0.0 and grads.dtau_fine == 0.0
@@ -457,12 +484,57 @@ class TestBackward:
                               coarse_override=(np.array([5, 6]), np.array([6, 5])))
         G = rng.normal(size=(16, 16))
         g = rng.normal(size=(pred.fine_x2.shape[0], 2))
-        g1 = backward(cache, dC=G, dfine=g)
-        g3 = backward(cache, dC=3.0 * G, dfine=3.0 * g)
+        g1 = backward(cache, dC=every_entry(G), dfine=g)
+        g3 = backward(cache, dC=every_entry(3.0 * G), dfine=3.0 * g)
         assert np.allclose(g3.dW_coarse, 3.0 * g1.dW_coarse)
         assert np.allclose(g3.dW_fine, 3.0 * g1.dW_fine)
         assert g3.dtau_coarse == pytest.approx(3.0 * g1.dtau_coarse)
         assert g3.dtau_fine == pytest.approx(3.0 * g1.dtau_fine)
+
+
+class TestSparseCoarseBackward:
+    """backward's coarse block reads only the upstream entries it is given and
+    equals the dense reference: byte for byte with one entry per row, within
+    a summation-order tolerance when rows repeat."""
+
+    @staticmethod
+    def coarse_cache(seed):
+        rng = np.random.default_rng(seed)
+        f1 = extract_features(random_image(rng, 64, 64), SMALL)
+        f2 = extract_features(random_image(rng, 64, 64), SMALL)
+        params = init_params(SMALL, seed=seed)
+        C, ccache = confidence_matrix(f1, f2, params)
+        return rng, C, dict(params=params, coarse=ccache, fine=dict(M=0))
+
+    @staticmethod
+    def compare(cache, rows, cols, g):
+        dense = np.zeros_like(cache["coarse"]["S"])
+        dense[rows, cols] = g
+        grads = backward(cache, dC=(rows, cols, g))
+        return (grads.dW_coarse, grads.dtau_coarse), dense_coarse_backward(cache, dense)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_entry_per_row_is_byte_equal(self, seed):
+        rng, C, cache = self.coarse_cache(seed)
+        m1, m2 = C.shape
+        # gt and classification masks: one column per row, columns repeat,
+        # some rows empty
+        targets = np.where(rng.uniform(size=m1) < 0.8, rng.integers(0, m2 // 4, m1), -1)
+        sets = rng.uniform(size=C.shape) > 0.6
+        for mask in (gt_classification_mask(targets), epipolar_classification_mask(C, sets)):
+            _, (rows, cols, g) = coarse_loss_grad(C, mask)
+            (dW, dtau), (ref_dW, ref_dtau) = self.compare(cache, rows, cols, 0.5 * g)
+            assert_same_bytes(dW, ref_dW)
+            assert dtau == ref_dtau
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_repeated_rows_match_within_summation_order(self, seed):
+        rng, C, cache = self.coarse_cache(seed)
+        _, naive = coarse_loss_grad(C, naive_epipolar_mask(rng.uniform(size=C.shape) > 0.6))
+        for rows, cols, g in (naive, every_entry(rng.normal(size=C.shape))):
+            (dW, dtau), (ref_dW, ref_dtau) = self.compare(cache, rows, cols, g)
+            assert np.max(np.abs(dW - ref_dW)) <= 1e-12 * np.max(np.abs(ref_dW))
+            assert dtau == pytest.approx(ref_dtau, rel=1e-12, abs=0.0)
 
 
 class TestSgdStep:

@@ -107,9 +107,9 @@ def full_row_pair_grads(pair, target, params, mcfg, loss_cfg, rng_key):
         targets, points = target
         valid = np.flatnonzero(targets >= 0)
         pred, cache = forward(pair.image1, pair.image2, params, mcfg, coarse_override=(valid, targets[valid]))
-        mask = gt_classification_mask(targets, grid.m)
+        mask = gt_classification_mask(targets)
     lam = loss_cfg.lam
-    lc, dC = coarse_loss_grad(pred.C, mask)
+    lc, (rows, cols, dc) = coarse_loss_grad(pred.C, mask)
     lf, dfine = 0.0, None
     M = len(pred.fine_x2)
     if M:
@@ -121,7 +121,7 @@ def full_row_pair_grads(pair, target, params, mcfg, loss_cfg, rng_key):
             lf, df = gt_fine_loss_grad(pred.fine_x2[sub], points[valid][cache["fine"]["kept"]][sub])
         dfine = np.zeros_like(pred.fine_x2)
         dfine[sub] = lam * df
-    grads = backward(cache, dC=(1.0 - lam) * dC, dfine=dfine)
+    grads = backward(cache, dC=(rows, cols, (1.0 - lam) * dc), dfine=dfine)
     return grads, (1.0 - lam) * lc + lam * lf, lc, lf, pred
 
 
