@@ -1,19 +1,29 @@
-"""Command-line entry points wiring the toolkit into reproducible runs."""
+"""Command-line entry points wiring the toolkit into reproducible runs.
+
+A setting's value is its flag's, else the --config file's (keys before any
+section, or in the command's [section]), else EPIMATCH_SEED's (--seed only),
+else the flag's default (0 for --seed). Every command but gradcheck and
+replay writes run_manifest.json for `epimatch replay`. The run directory of
+pretrain, finetune and bootstrap adds metrics.csv (one row per epoch) and
+checkpoint.bin, and bootstrap's adds report.json.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .config import coerce, default_seed, parse_config_file, read_manifest, write_manifest
+from .config import parse_config_file, read_manifest, write_manifest
 from .errors import EpimatchError
 from .estimation import RansacConfig, estimate_relative_pose, read_match_file, write_match_file
 from .geometry import CameraIntrinsics, read_pose_file
 from .losses import LossConfig
-from .matcher import MatcherConfig, forward, init_params, load_checkpoint, save_checkpoint
+from .matcher import MatcherConfig, forward, init_params, load_checkpoint
 from .metrics import (
     PRECISION_THRESHOLD_INDOOR,
     PRECISION_THRESHOLD_OUTDOOR,
@@ -37,55 +47,31 @@ from .viz import match_overlay, write_png
 EVAL_RANSAC = RansacConfig(iterations=600, inlier_threshold=5e-4)
 
 
-def _apply_config_file(args, command):
-    """File values fill in only flags the user left at their defaults."""
-    if not getattr(args, "config", None):
-        return args
-    values = parse_config_file(args.config)
-    for full_key, raw in values.items():
-        section, _, key = full_key.rpartition(".")
-        if section not in ("", command):
-            continue
-        key = key.replace("-", "_")
-        if not hasattr(args, key):
-            continue
-        if key in args.__dict__.get("_explicit", set()):
-            continue
-        current = getattr(args, key)
-        setattr(args, key, coerce(raw, current if current is not None else raw))
-    return args
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which options the user actually passed (for file overrides).
-
-    Abbreviated options are refused, subcommands included: argparse would
-    expand one, but the record holds the token as typed, so a config file
-    value would silently override it."""
-
-    def __init__(self, *args, allow_abbrev=False, **kwargs):
-        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = sys.argv[1:] if argv is None else argv
-        for token in argv:
-            if token.startswith("--"):
-                explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-        args._explicit = explicit
-        return args
-
-
-def _resolved(args, skip=("_explicit", "func", "config", "command")):
+def _resolved(args, skip=("func", "config", "command")):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _config_defaults(args):
+    """The values `args.config` gives `args.command`'s flags, keyed by dest.
+
+    Keys the command has no flag for are ignored. Values stay strings for
+    argparse to convert with the flag's type; a store_true flag is set by
+    1, true, yes or on, and cleared by any other word."""
+    settings = _resolved(args)
+    defaults = {}
+    for full_key, raw in parse_config_file(args.config).items():
+        section, _, key = full_key.rpartition(".")
+        key = key.replace("-", "_")
+        if section in ("", args.command) and key in settings:
+            switch = isinstance(settings[key], bool)
+            defaults[key] = raw.lower() in ("1", "true", "yes", "on") if switch else raw
+    return defaults
+
+
 def cmd_synth(args):
-    seed = default_seed(args.seed)
-    spec = make_domain(args.domain, seed=seed)
+    spec = make_domain(args.domain, seed=args.seed)
     out = Path(args.out)
-    write_manifest(out, "synth", dict(_resolved(args), seed=seed), __version__)
+    write_manifest(out, "synth", _resolved(args), __version__)
     save_dataset(spec, args.pairs, out)
     print(f"wrote {args.pairs} pairs to {out}")
     return 0
@@ -117,12 +103,11 @@ def cmd_pairs(args):
 def _train_config(args, for_pretrain=False):
     loss = LossConfig(lam=args.lam, theta=args.theta,
                       fine_supervision_fraction=args.fine_fraction)
-    seed = default_seed(args.seed)
     if for_pretrain:
-        return pretrain_config(epochs=args.epochs, lr=args.lr, seed=seed, loss=loss,
+        return pretrain_config(epochs=args.epochs, lr=args.lr, seed=args.seed, loss=loss,
                                batch_size=args.batch_size, weight_decay=args.weight_decay)
     return TrainConfig(lr=args.lr, weight_decay=args.weight_decay,
-                       batch_size=args.batch_size, epochs=args.epochs, loss=loss, seed=seed)
+                       batch_size=args.batch_size, epochs=args.epochs, loss=loss, seed=args.seed)
 
 
 def cmd_pretrain(args):
@@ -131,8 +116,8 @@ def cmd_pretrain(args):
     params0 = init_params(MatcherConfig(), seed=cfg.seed)
     params, history = pretrain(dataset, params0, cfg)
     out = Path(args.out)
-    write_manifest(out, "pretrain", dict(_resolved(args), seed=cfg.seed), __version__)
-    write_run_outputs(out, params, history, {"command": "pretrain", "config": str(cfg)})
+    write_manifest(out, "pretrain", _resolved(args), __version__)
+    write_run_outputs(out, params, history)
     print(f"pretrained for {cfg.epochs} epochs; run directory: {out}")
     return 0
 
@@ -154,8 +139,8 @@ def cmd_finetune(args):
         dataset, params0, cfg, noise=noise, replay_pairs=replay,
         naive_mask=args.naive_mask)
     out = Path(args.out)
-    write_manifest(out, "finetune", dict(_resolved(args), seed=cfg.seed), __version__)
-    write_run_outputs(out, params, history, {"command": "finetune", "config": str(cfg)})
+    write_manifest(out, "finetune", _resolved(args), __version__)
+    write_run_outputs(out, params, history)
     print(f"finetuned for {cfg.epochs} epochs; run directory: {out}")
     return 0
 
@@ -172,9 +157,8 @@ def cmd_bootstrap(args):
     params, history, report = bootstrap_finetune(dataset, params0, cfg, bcfg,
                                                  replay_pairs=replay)
     out = Path(args.out)
-    write_manifest(out, "bootstrap", dict(_resolved(args), seed=cfg.seed), __version__)
-    write_run_outputs(out, params, history,
-                      {"command": "bootstrap", "config": str(cfg)}, extra=report)
+    write_manifest(out, "bootstrap", _resolved(args), __version__)
+    write_run_outputs(out, params, history, extra=report)
     print(f"bootstrap-finetuned; kept {report['kept']}/{report['n_pairs']} pairs; run directory: {out}")
     return 0
 
@@ -201,8 +185,7 @@ def cmd_pose(args):
     pts1, pts2, _ = read_match_file(args.matches)
     K = CameraIntrinsics(args.fx, args.fy, args.cx, args.cy)
     cfg = RansacConfig(iterations=args.ransac_iterations,
-                       inlier_threshold=args.ransac_threshold,
-                       seed=default_seed(args.seed))
+                       inlier_threshold=args.ransac_threshold, seed=args.seed)
     pose, result = estimate_relative_pose(pts1, pts2, K, K, cfg)
     report = {
         "rotation": pose.R.tolist(),
@@ -215,7 +198,7 @@ def cmd_pose(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
-    write_manifest(out.parent, "pose", dict(_resolved(args), seed=cfg.seed), __version__)
+    write_manifest(out.parent, "pose", _resolved(args), __version__)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -224,8 +207,7 @@ def cmd_eval(args):
     params = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     rcfg = RansacConfig(iterations=args.ransac_iterations,
-                        inlier_threshold=args.ransac_threshold,
-                        seed=default_seed(args.seed))
+                        inlier_threshold=args.ransac_threshold, seed=args.seed)
     threshold = PRECISION_THRESHOLD_OUTDOOR if args.outdoor else args.threshold
     report = evaluate(params, dataset, rcfg, precision_threshold=threshold)
     out = Path(args.out)
@@ -239,7 +221,7 @@ def cmd_eval(args):
         canvas = match_overlay(pair.image1, pair.image2, pred.fine_x1, pred.fine_x2,
                                pair.pose, pair.K, threshold=threshold)
         write_png(out / f"overlay_{i:03d}.png", canvas)
-    write_manifest(out, "eval", dict(_resolved(args), seed=rcfg.seed), __version__)
+    write_manifest(out, "eval", _resolved(args), __version__)
     print(report.to_table())
     return 0
 
@@ -247,7 +229,7 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     from .gradcheck import run_gradcheck
 
-    report = run_gradcheck(seed=default_seed(args.seed), inject_fault=args.inject_fault)
+    report = run_gradcheck(seed=args.seed, inject_fault=args.inject_fault)
     for name, err, bound in report["components"]:
         status = "ok" if err < bound else "FAIL"
         print(f"{name:<28} max rel err {err:.3e}  (bound {bound:.0e})  {status}")
@@ -285,8 +267,13 @@ def _add_common_train_flags(p, pretrain_mode=False):
     p.add_argument("--lam", type=float, default=cfg.loss.lam, help="fine-term weight")
     p.add_argument("--theta", type=float, default=cfg.loss.theta)
     p.add_argument("--fine-fraction", type=float, default=cfg.loss.fine_supervision_fraction)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed_flag(p)
     p.add_argument("--out", required=True)
+
+
+def _add_seed_flag(p):
+    p.add_argument("--seed", type=int, default=os.environ.get("EPIMATCH_SEED", "0"),
+                   help="default: $EPIMATCH_SEED, else 0")
 
 
 def _add_ransac_flags(p, cfg: RansacConfig):
@@ -294,16 +281,21 @@ def _add_ransac_flags(p, cfg: RansacConfig):
     p.add_argument("--ransac-threshold", type=float, default=cfg.inlier_threshold)
 
 
-def build_parser():
-    parser = _TrackingParser(prog="epimatch", description=__doc__)
+def build_parser(file_defaults=None):
+    """`file_defaults` maps a command to its config file's flag defaults,
+    {command: {dest: value}}. No parser expands an abbreviated flag, so a
+    new flag cannot change what an existing command line means."""
+    parser = argparse.ArgumentParser(prog="epimatch", description=__doc__, allow_abbrev=False,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("synth", help="generate a synthetic two-view dataset")
     p.add_argument("--config")
     p.add_argument("--domain", required=True, choices=["A", "B"])
     p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed_flag(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -370,7 +362,7 @@ def build_parser():
     p.add_argument("--cx", type=float, required=True)
     p.add_argument("--cy", type=float, required=True)
     _add_ransac_flags(p, EVAL_RANSAC)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed_flag(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pose)
 
@@ -383,13 +375,13 @@ def build_parser():
                    help="use the outdoor precision threshold 1e-4")
     _add_ransac_flags(p, EVAL_RANSAC)
     p.add_argument("--overlays", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed_flag(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed_flag(p)
     p.add_argument("--inject-fault", choices=["sign-flip"], default=None,
                    help="test hook: corrupt one gradient to prove detection")
     p.set_defaults(func=cmd_gradcheck)
@@ -399,20 +391,19 @@ def build_parser():
     p.add_argument("--out", help="override the output directory")
     p.set_defaults(func=cmd_replay)
 
+    for command, defaults in (file_defaults or {}).items():
+        sub.choices[command].set_defaults(**defaults)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _apply_config_file(args, args.command)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # parse again with the file's values as defaults: flags still win
+            args = build_parser({args.command: _config_defaults(args)}).parse_args(argv)
         return args.func(args)
-    except EpimatchError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (EpimatchError, OSError, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
 

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-
-ENV_SEED = "EPIMATCH_SEED"
 
 
 def parse_config_file(path):
@@ -28,27 +25,6 @@ def parse_config_file(path):
             full = f"{section}.{key}" if section else key
             values[full] = val
     return values
-
-
-def coerce(value, like):
-    """Parse a config string toward the type of a default value."""
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return value
-
-
-def default_seed(explicit=None, fallback=0):
-    """Seed resolution: explicit flag, then EPIMATCH_SEED, then fallback."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        return int(env)
-    return fallback
 
 
 def write_manifest(out_dir, command, resolved, version):

@@ -40,7 +40,7 @@ class RansacConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.inlier_threshold <= 0:
+        if not self.inlier_threshold > 0:
             raise ValueError("inlier_threshold must be positive")
 
     @property

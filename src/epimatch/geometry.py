@@ -285,19 +285,9 @@ def rotation_to_quat(R):
     return q if q[0] >= 0 else -q
 
 
-def write_pose_file(path, cameras):
-    """Write `id fx fy cx cy qw qx qy qz tx ty tz` lines (world-to-camera)."""
-    with open(path, "w") as fh:
-        for cam_id, cam in cameras:
-            k = cam.intrinsics
-            q = rotation_to_quat(cam.pose.R)
-            t = cam.pose.t
-            fields = [k.fx, k.fy, k.cx, k.cy, *q, *t]
-            fh.write(f"{cam_id} " + " ".join(f"{v:.17g}" for v in fields) + "\n")
-
-
 def read_pose_file(path):
-    """Read the pose file format back into [(id, Camera), ...]."""
+    """Read `id fx fy cx cy qw qx qy qz tx ty tz` lines (world-to-camera)
+    into [(id, Camera), ...]."""
     cameras = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):

@@ -31,7 +31,7 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
-        if self.theta <= 0.0:
+        if not self.theta > 0.0:
             raise ValueError("theta must be positive")
         if not 0.0 < self.fine_supervision_fraction <= 1.0:
             raise ValueError("fine_supervision_fraction must be in (0, 1]")

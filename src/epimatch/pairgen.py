@@ -195,18 +195,3 @@ def write_pairs_file(path, pairs):
         for id_i, id_j, score in pairs:
             fh.write(f"{id_i} {id_j} {score:.6f}\n")
 
-
-def read_pairs_file(path):
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields per pair line, got {len(fields)}")
-            try:
-                out.append((fields[0], fields[1], float(fields[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out

@@ -60,7 +60,7 @@ class TrainConfig:
     tau_fine_lr_scale: float = 3.0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
+        if not self.lr > 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("lr, batch_size and epochs must be positive")
 
 
@@ -97,7 +97,7 @@ class PoseNoiseConfig:
     translation_deg: float = 0.0
 
     def __post_init__(self):
-        if self.rotation_deg < 0 or self.translation_deg < 0:
+        if not (self.rotation_deg >= 0 and self.translation_deg >= 0):
             raise ValueError("noise magnitudes must be non-negative")
 
 
@@ -342,12 +342,10 @@ def bootstrap_finetune(dataset_b, params0: MatcherParams, cfg: TrainConfig,
     return params, history, report
 
 
-def write_run_outputs(run_dir, params, history, config_snapshot, extra=None):
-    """Persist the standard run directory: config, metrics CSV, checkpoint."""
+def write_run_outputs(run_dir, params, history, extra=None):
+    """Persist a training run's outputs: metrics CSV, checkpoint, report."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w") as fh:
-        json.dump(config_snapshot, fh, indent=2, sort_keys=True, default=str)
     if history:
         with open(run_dir / "metrics.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))

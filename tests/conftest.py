@@ -7,6 +7,7 @@ from epimatch.geometry import (
     RelativePose,
     project_points,
     rotation_from_axis_angle,
+    rotation_to_quat,
 )
 
 
@@ -56,6 +57,15 @@ def with_w(pix):
 def project_hom(cam, pts):
     """Pixel projections of (N, 3) world points as (N, 3) rows with w = 1."""
     return with_w(project_points(cam, pts)[0])
+
+
+def write_pose_file(path, cameras):
+    """Write [(id, Camera), ...] as the lines `geometry.read_pose_file` reads."""
+    with open(path, "w") as fh:
+        for cam_id, cam in cameras:
+            k = cam.intrinsics
+            fields = [k.fx, k.fy, k.cx, k.cy, *rotation_to_quat(cam.pose.R), *cam.pose.t]
+            fh.write(f"{cam_id} " + " ".join(f"{v:.17g}" for v in fields) + "\n")
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epimatch import cli
 from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main
 from epimatch.config import parse_config_file
 from epimatch.geometry import RelativePose
+from epimatch.metrics import PRECISION_THRESHOLD_INDOOR, PRECISION_THRESHOLD_OUTDOOR
 from epimatch.grid import GridSpec
 from epimatch.pipeline import BootstrapConfig, TrainConfig, pretrain_config
 from epimatch.synth import gt_correspondence_grid, load_dataset, load_pair_file, save_pair_file
@@ -67,6 +70,16 @@ class TestTrainCommands:
                      "--epochs", "1", "--seed", "1", "--lam", "0",
                      "--out", str(out)]) == 0
         assert (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("flag", ["--theta", "--pose-noise-deg", "--lr"])
+    def test_nan_setting_is_refused_before_training(self, workspace, tmp_path, capsys, flag):
+        out = tmp_path / "r"
+        rc = main(["finetune", "--data", str(workspace / "dsA"),
+                   "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                   "--epochs", "1", flag, "nan", "--out", str(out)])
+        assert rc == 1
+        assert "error[ValueError]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint_is_clear_error(self, workspace, tmp_path, capsys):
         rc = main(["finetune", "--data", str(workspace / "dsA"),
@@ -197,7 +210,8 @@ class TestConfigFile:
         assert len(load_dataset(out)) == 2
 
     def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
-        # an abbreviation would be recorded as typed, so the file would win
+        # argparse would expand --epoch to --epochs; refusing prefixes means a
+        # new flag can never change what an existing command line means
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 10\n")
         with pytest.raises(SystemExit) as exc:
@@ -210,6 +224,106 @@ class TestConfigFile:
         bad.write_text("not a key value line\n")
         with pytest.raises(ValueError):
             parse_config_file(bad)
+
+    def synth(self, out, *flags):
+        return main(["synth", "--domain", "A", *flags, "--out", str(out)])
+
+    def test_missing_file_is_an_error(self, tmp_path, capsys):
+        assert self.synth(tmp_path / "ds", "--config", str(tmp_path / "none.cfg")) == 1
+        assert "error[FileNotFoundError]" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
+    def test_malformed_line_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("pairs 2\n")
+        assert self.synth(tmp_path / "ds", "--config", str(cfg)) == 1
+        assert "error[ValueError]" in (err := capsys.readouterr().err)
+        assert "bad.cfg:1: expected 'key = value'" in err
+
+    def test_value_is_converted_by_its_flag_type(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[pretrain]\nepochs = 3.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["pretrain", "--config", str(cfg), "--data", "d", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "argument --epochs: invalid int value: '3.5'" in capsys.readouterr().err
+
+    def test_keys_without_a_flag_are_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("func = x\ncommand = pretrain\nconfig = other.cfg\nepochs = 4\n[synth]\npairs = 1\n")
+        assert self.synth(tmp_path / "ds", "--config", str(cfg)) == 0
+        config = json.loads((tmp_path / "ds" / "run_manifest.json").read_text())["config"]
+        assert config == {"domain": "A", "out": str(tmp_path / "ds"), "pairs": 1, "seed": 0}
+
+    def test_file_seed_beats_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EPIMATCH_SEED", "5")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 11\n")
+        assert self.synth(tmp_path / "ds", "--config", str(cfg), "--pairs", "1") == 0
+        assert json.loads((tmp_path / "ds" / "run_manifest.json").read_text())["config"]["seed"] == 11
+
+    @pytest.mark.parametrize("source", ["flag", "file", "environment"])
+    def test_seed_source_does_not_change_the_run(self, workspace, tmp_path, monkeypatch, source):
+        monkeypatch.delenv("EPIMATCH_SEED", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[synth]\nseed = 7\n")
+        flags = {"flag": ["--seed", "7"], "file": ["--config", str(cfg)], "environment": []}[source]
+        if source == "environment":
+            monkeypatch.setenv("EPIMATCH_SEED", "7")
+        out = tmp_path / "ds"
+        assert self.synth(out, "--pairs", "3", *flags) == 0
+        assert (out / "index.txt").read_bytes() == (workspace / "dsA" / "index.txt").read_bytes()
+        for a, b in zip(sorted((workspace / "dsA" / "pairs").glob("*.bin")),
+                        sorted((out / "pairs").glob("*.bin")), strict=True):
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("word, flags, outdoor", [("yes", [], True), ("no", [], False),
+                                                      ("no", ["--outdoor"], True)],
+                             ids=["yes", "no", "flag_wins"])
+    def test_store_true_flag_from_file(self, workspace, tmp_path, monkeypatch, word, flags, outdoor):
+        thresholds = []
+
+        def recording_evaluate(*args, precision_threshold, **kwargs):
+            thresholds.append(precision_threshold)
+            return cli_evaluate(*args, precision_threshold=precision_threshold, **kwargs)
+
+        cli_evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[eval]\noutdoor = {word}\n")
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                     "--data", str(workspace / "dsA"), "--overlays", "0", *flags, "--out", str(out)]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["config"]["outdoor"] is outdoor
+        assert thresholds == [PRECISION_THRESHOLD_OUTDOOR if outdoor else PRECISION_THRESHOLD_INDOOR]
+
+    def test_file_configured_run_replays_from_its_manifest(self, workspace, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n[pretrain]\nepochs = 1\nlr = 0.1\nbatch-size = 2\n")
+        run = tmp_path / "run"
+        assert main(["pretrain", "--config", str(cfg), "--data", str(workspace / "dsA"),
+                     "--out", str(run)]) == 0
+        config = json.loads((run / "run_manifest.json").read_text())["config"]
+        assert (config["seed"], config["epochs"], config["lr"], config["batch_size"]) == (3, 1, 0.1, 2)
+        cfg.unlink()  # the manifest alone replays the run
+        again = tmp_path / "again"
+        assert main(["replay", "--manifest", str(run / "run_manifest.json"), "--out", str(again)]) == 0
+        for name in ("checkpoint.bin", "metrics.csv"):
+            assert (again / name).read_bytes() == (run / name).read_bytes()
+
+
+def _commands():
+    return re.search(r"\{(.+?)\}", build_parser().format_usage()).group(1).split(",")
+
+
+@pytest.mark.parametrize("argv", [[], *([c] for c in _commands())],
+                         ids=["epimatch", *_commands()])
+def test_help_renders(argv, capsys):
+    # argparse reports a bad help string only when it renders the help text
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: epimatch", *argv]))
 
 
 class TestParserDefaults:

@@ -22,11 +22,11 @@ from epimatch.geometry import (
     rotation_from_axis_angle,
     symmetric_epipolar_distance_sq,
     triangulate,
-    write_pose_file,
 )
 from epimatch.losses import d_epi
 
-from conftest import project_hom, random_camera_pair, random_intrinsics, random_pose, visible_points, with_w
+from conftest import (project_hom, random_camera_pair, random_intrinsics, random_pose, visible_points, with_w,
+                      write_pose_file)
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 

@@ -21,7 +21,6 @@ from epimatch.pairgen import (
     generate_pairs,
     pseudo_depth,
     pseudo_overlap,
-    read_pairs_file,
     write_pairs_file,
 )
 
@@ -200,20 +199,12 @@ class TestGeneratePairs:
         assert ids == sorted(ids)
         path = tmp_path / "pairs.txt"
         write_pairs_file(path, pairs)
-        loaded = read_pairs_file(path)
-        assert len(loaded) == len(pairs)
-        for (a, b, s), (a2, b2, s2) in zip(pairs, loaded):
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(pairs)
+        for (a, b, s), line in zip(pairs, lines):
+            a2, b2, s2 = line.split(" ")
             assert (a, b) == (a2, b2)
-            assert s2 == pytest.approx(s, abs=1e-6)
-
-    @pytest.mark.parametrize("line, message", [("c0 c1\n", "expected 3 fields per pair line, got 2"),
-                                               ("c0 c1 high\n", "could not convert")],
-                             ids=["two_fields", "non_numeric_score"])
-    def test_malformed_pairs_line_names_its_line(self, tmp_path, line, message):
-        path = tmp_path / "pairs.txt"
-        path.write_text("c0 c2 0.500000\n\n" + line)
-        with pytest.raises(ValueError, match=f"pairs.txt:3: {message}"):
-            read_pairs_file(path)
+            assert s2 == f"{s:.6f}"
 
     def test_presets_exist_with_published_values(self):
         assert PRESETS["euroc-machine"] == HemisphereModel(z_plane=-2.0, r_sphere=10.0)

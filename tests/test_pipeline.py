@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epimatch import errors, pipeline
+from epimatch.estimation import RansacConfig
 from epimatch.geometry import fundamental_from_pose, symmetric_epipolar_distance_sq
 from epimatch.grid import GridSpec
 from epimatch.losses import (
@@ -231,6 +232,26 @@ class TestPerturbPose:
         assert translation_error(pose.t, b[0].pose.t) == pytest.approx(2.0, abs=1e-6)
 
 
+class TestConfigRangeChecks:
+    """NaN fails every range check: each is written so that NaN is out of range."""
+
+    @pytest.mark.parametrize("make", [
+        lambda x: LossConfig(theta=x),
+        lambda x: PoseNoiseConfig(rotation_deg=x),
+        lambda x: PoseNoiseConfig(translation_deg=x),
+        lambda x: TrainConfig(lr=x),
+        lambda x: RansacConfig(inlier_threshold=x),
+    ], ids=["theta", "rotation_noise", "translation_noise", "lr", "inlier_threshold"])
+    def test_nan_and_out_of_range_values_are_refused(self, make):
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                make(bad)
+        make(1.0)
+
+    def test_zero_pose_noise_is_allowed(self):
+        assert PoseNoiseConfig(0.0, 0.0) == PoseNoiseConfig()
+
+
 class TestFinetune:
     def test_zero_noise_equals_exact_f(self, tiny_data, warm_params):
         a, b = tiny_data
@@ -402,9 +423,9 @@ class TestBootstrap:
 class TestRunOutputs:
     def test_run_directory_contents(self, tmp_path, warm_params):
         history = [{"epoch": 0, "loss": 1.0, "coarse_loss": 2.0, "fine_loss": 0.5}]
-        write_run_outputs(tmp_path / "run", warm_params, history, {"a": 1}, extra={"b": 2})
-        assert (tmp_path / "run" / "config.json").exists()
-        assert (tmp_path / "run" / "metrics.csv").exists()
+        write_run_outputs(tmp_path / "run", warm_params, history, extra={"b": 2})
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "checkpoint.bin", "metrics.csv", "report.json"]
         assert (tmp_path / "run" / "checkpoint.bin").exists()
         assert (tmp_path / "run" / "report.json").exists()
         from epimatch.matcher import load_checkpoint
