@@ -3,9 +3,17 @@
 A setting's value is its flag's, else the --config file's (keys before any
 section, or in the command's [section]), else EPIMATCH_SEED's (--seed only),
 else the flag's default (0 for --seed). Every command but gradcheck and
-replay writes run_manifest.json for `epimatch replay`. The run directory of
-pretrain, finetune and bootstrap adds metrics.csv (one row per epoch) and
-checkpoint.bin, and bootstrap's adds report.json.
+replay writes into the run directory --out, and once it succeeds adds
+run_manifest.json there for `epimatch replay`. Each run directory holds:
+
+  synth      index.txt, pairs/NNNNN.bin
+  pairs      pairs.txt
+  pretrain   checkpoint.bin, metrics.csv (one row per epoch)
+  finetune   checkpoint.bin, metrics.csv
+  bootstrap  checkpoint.bin, metrics.csv, report.json
+  match      matches.txt, overlay.png
+  pose       pose.json
+  eval       eval.json, eval.txt, overlay_NNN.png (one per --overlays pair)
 """
 
 from __future__ import annotations
@@ -51,29 +59,59 @@ def _resolved(args, skip=("func", "config", "command")):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _config_defaults(args):
+def _flags(settings):
+    """Command-line tokens that give each dest in `settings` its value: a
+    true store_true flag alone, a false or None one not at all."""
+    argv = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv += [flag] if value else []
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _file_settings(args):
     """The values `args.config` gives `args.command`'s flags, keyed by dest.
 
     Keys the command has no flag for are ignored. Values stay strings for
-    argparse to convert with the flag's type; a store_true flag is set by
-    1, true, yes or on, and cleared by any other word."""
+    argparse to check as if typed; a store_true flag is set by 1, true, yes
+    or on, and left unset by any other word."""
     settings = _resolved(args)
-    defaults = {}
+    values = {}
     for full_key, raw in parse_config_file(args.config).items():
         section, _, key = full_key.rpartition(".")
         key = key.replace("-", "_")
         if section in ("", args.command) and key in settings:
             switch = isinstance(settings[key], bool)
-            defaults[key] = raw.lower() in ("1", "true", "yes", "on") if switch else raw
-    return defaults
+            values[key] = raw.lower() in ("1", "true", "yes", "on") if switch else raw
+    return values
+
+
+def _run_dir(args):
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _ransac(args):
+    return RansacConfig(iterations=args.ransac_iterations,
+                        inlier_threshold=args.ransac_threshold, seed=args.seed)
+
+
+def _match(pair, params, threshold):
+    """The matcher's prediction for one pair and its overlay image."""
+    pred, _ = forward(pair.image1, pair.image2, params, MatcherConfig())
+    canvas = match_overlay(pair.image1, pair.image2, pred.fine_x1, pred.fine_x2,
+                           pair.pose, pair.K, threshold=threshold)
+    return pred, canvas
 
 
 def cmd_synth(args):
     spec = make_domain(args.domain, seed=args.seed)
-    out = Path(args.out)
-    write_manifest(out, "synth", _resolved(args), __version__)
-    save_dataset(spec, args.pairs, out)
-    print(f"wrote {args.pairs} pairs to {out}")
+    save_dataset(spec, args.pairs, args.out)
+    print(f"wrote {args.pairs} pairs to {args.out}")
     return 0
 
 
@@ -92,22 +130,18 @@ def cmd_pairs(args):
     rng = OverlapRange(args.min_overlap, args.max_overlap)
     pairs = generate_pairs(records, model, rng, stride=args.stride,
                            image_size=(args.image_width, args.image_height))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(args) / "pairs.txt"
     write_pairs_file(out, pairs)
-    write_manifest(out.parent, "pairs", _resolved(args), __version__)
     print(f"wrote {len(pairs)} pairs to {out}")
     return 0
 
 
 def _train_config(args, for_pretrain=False):
-    loss = LossConfig(lam=args.lam, theta=args.theta,
-                      fine_supervision_fraction=args.fine_fraction)
-    if for_pretrain:
-        return pretrain_config(epochs=args.epochs, lr=args.lr, seed=args.seed, loss=loss,
-                               batch_size=args.batch_size, weight_decay=args.weight_decay)
-    return TrainConfig(lr=args.lr, weight_decay=args.weight_decay,
-                       batch_size=args.batch_size, epochs=args.epochs, loss=loss, seed=args.seed)
+    return (pretrain_config if for_pretrain else TrainConfig)(
+        lr=args.lr, weight_decay=args.weight_decay, batch_size=args.batch_size,
+        epochs=args.epochs, seed=args.seed,
+        loss=LossConfig(lam=args.lam, theta=args.theta,
+                        fine_supervision_fraction=args.fine_fraction))
 
 
 def cmd_pretrain(args):
@@ -115,10 +149,8 @@ def cmd_pretrain(args):
     cfg = _train_config(args, for_pretrain=True)
     params0 = init_params(MatcherConfig(), seed=cfg.seed)
     params, history = pretrain(dataset, params0, cfg)
-    out = Path(args.out)
-    write_manifest(out, "pretrain", _resolved(args), __version__)
-    write_run_outputs(out, params, history)
-    print(f"pretrained for {cfg.epochs} epochs; run directory: {out}")
+    write_run_outputs(args.out, params, history)
+    print(f"pretrained for {cfg.epochs} epochs; run directory: {args.out}")
     return 0
 
 
@@ -138,10 +170,8 @@ def cmd_finetune(args):
     params, history = finetune_pose_supervised(
         dataset, params0, cfg, noise=noise, replay_pairs=replay,
         naive_mask=args.naive_mask)
-    out = Path(args.out)
-    write_manifest(out, "finetune", _resolved(args), __version__)
-    write_run_outputs(out, params, history)
-    print(f"finetuned for {cfg.epochs} epochs; run directory: {out}")
+    write_run_outputs(args.out, params, history)
+    print(f"finetuned for {cfg.epochs} epochs; run directory: {args.out}")
     return 0
 
 
@@ -149,17 +179,13 @@ def cmd_bootstrap(args):
     dataset = load_dataset(args.data)
     cfg = _train_config(args)
     params0 = load_checkpoint(args.checkpoint)
-    bcfg = BootstrapConfig(
-        min_matches=args.min_matches, min_inliers=args.min_inliers,
-        ransac=RansacConfig(iterations=args.ransac_iterations,
-                            inlier_threshold=args.ransac_threshold, seed=cfg.seed))
+    bcfg = BootstrapConfig(min_matches=args.min_matches, min_inliers=args.min_inliers,
+                           ransac=_ransac(args))
     replay = _load_replay(args)
     params, history, report = bootstrap_finetune(dataset, params0, cfg, bcfg,
                                                  replay_pairs=replay)
-    out = Path(args.out)
-    write_manifest(out, "bootstrap", _resolved(args), __version__)
-    write_run_outputs(out, params, history, extra=report)
-    print(f"bootstrap-finetuned; kept {report['kept']}/{report['n_pairs']} pairs; run directory: {out}")
+    write_run_outputs(args.out, params, history, extra=report)
+    print(f"bootstrap-finetuned; kept {report['kept']}/{report['n_pairs']} pairs; run directory: {args.out}")
     return 0
 
 
@@ -167,26 +193,18 @@ def cmd_match(args):
     from .synth import load_pair_file
 
     params = load_checkpoint(args.checkpoint)
-    pair = load_pair_file(args.pair)
-    pred, _ = forward(pair.image1, pair.image2, params, MatcherConfig())
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_match_file(out, pred.fine_x1, pred.fine_x2, pred.fine_conf)
-    if args.overlay:
-        canvas = match_overlay(pair.image1, pair.image2, pred.fine_x1, pred.fine_x2,
-                               pair.pose, pair.K, threshold=args.threshold)
-        write_png(args.overlay, canvas)
-    write_manifest(out.parent, "match", _resolved(args), __version__)
-    print(f"wrote {pred.fine_x2.shape[0]} matches to {out}")
+    pred, canvas = _match(load_pair_file(args.pair), params, args.threshold)
+    out = _run_dir(args)
+    write_match_file(out / "matches.txt", pred.fine_x1, pred.fine_x2, pred.fine_conf)
+    write_png(out / "overlay.png", canvas)
+    print(f"wrote {pred.fine_x2.shape[0]} matches to {out / 'matches.txt'}")
     return 0
 
 
 def cmd_pose(args):
     pts1, pts2, _ = read_match_file(args.matches)
     K = CameraIntrinsics(args.fx, args.fy, args.cx, args.cy)
-    cfg = RansacConfig(iterations=args.ransac_iterations,
-                       inlier_threshold=args.ransac_threshold, seed=args.seed)
-    pose, result = estimate_relative_pose(pts1, pts2, K, K, cfg)
+    pose, result = estimate_relative_pose(pts1, pts2, K, K, _ransac(args))
     report = {
         "rotation": pose.R.tolist(),
         "translation": pose.t.tolist(),
@@ -194,11 +212,8 @@ def cmd_pose(args):
         "num_matches": int(result.num_input_matches),
         "no_consensus": bool(result.no_consensus),
     }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
+    with open(_run_dir(args) / "pose.json", "w") as fh:
         json.dump(report, fh, indent=2)
-    write_manifest(out.parent, "pose", _resolved(args), __version__)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -206,22 +221,15 @@ def cmd_pose(args):
 def cmd_eval(args):
     params = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    rcfg = RansacConfig(iterations=args.ransac_iterations,
-                        inlier_threshold=args.ransac_threshold, seed=args.seed)
     threshold = PRECISION_THRESHOLD_OUTDOOR if args.outdoor else args.threshold
-    report = evaluate(params, dataset, rcfg, precision_threshold=threshold)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    report = evaluate(params, dataset, _ransac(args), precision_threshold=threshold)
+    out = _run_dir(args)
     with open(out / "eval.json", "w") as fh:
         fh.write(report.to_json())
     with open(out / "eval.txt", "w") as fh:
         fh.write(report.to_table() + "\n")
     for i, pair in enumerate(dataset[: args.overlays]):
-        pred, _ = forward(pair.image1, pair.image2, params, MatcherConfig())
-        canvas = match_overlay(pair.image1, pair.image2, pred.fine_x1, pred.fine_x2,
-                               pair.pose, pair.K, threshold=threshold)
-        write_png(out / f"overlay_{i:03d}.png", canvas)
-    write_manifest(out, "eval", _resolved(args), __version__)
+        write_png(out / f"overlay_{i:03d}.png", _match(pair, params, threshold)[1])
     print(report.to_table())
     return 0
 
@@ -239,27 +247,13 @@ def cmd_gradcheck(args):
 
 def cmd_replay(args):
     manifest = read_manifest(args.manifest)
-    command = manifest["command"]
-    config = dict(manifest["config"])
-    if args.out:
-        config["out"] = args.out
-    argv = [command]
-    for key, value in config.items():
-        if value is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-            continue
-        argv.extend([flag, str(value)])
-    # positional-less design: all options are flags, so replay is re-dispatch
-    return main(argv)
+    config = dict(manifest["config"], out=args.out or manifest["config"]["out"])
+    # every option is a flag, so a replay is the recorded command line again
+    return main([manifest["command"], *_flags(config)])
 
 
 def _add_common_train_flags(p, pretrain_mode=False):
     cfg = pretrain_config() if pretrain_mode else TrainConfig()
-    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--epochs", type=int, default=cfg.epochs)
     p.add_argument("--lr", type=float, default=cfg.lr)
     p.add_argument("--weight-decay", type=float, default=cfg.weight_decay)
@@ -268,7 +262,7 @@ def _add_common_train_flags(p, pretrain_mode=False):
     p.add_argument("--theta", type=float, default=cfg.loss.theta)
     p.add_argument("--fine-fraction", type=float, default=cfg.loss.fine_supervision_fraction)
     _add_seed_flag(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="run directory")
 
 
 def _add_seed_flag(p):
@@ -281,26 +275,26 @@ def _add_ransac_flags(p, cfg: RansacConfig):
     p.add_argument("--ransac-threshold", type=float, default=cfg.inlier_threshold)
 
 
-def build_parser(file_defaults=None):
-    """`file_defaults` maps a command to its config file's flag defaults,
-    {command: {dest: value}}. No parser expands an abbreviated flag, so a
-    new flag cannot change what an existing command line means."""
+def build_parser():
+    """No parser expands an abbreviated flag, so a new flag cannot change
+    what an existing command line means."""
     parser = argparse.ArgumentParser(prog="epimatch", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
+    configurable = argparse.ArgumentParser(add_help=False)
+    configurable.add_argument("--config", help="flat key = value config file")
+    add_command = partial(sub.add_parser, parents=[configurable])
 
-    p = sub.add_parser("synth", help="generate a synthetic two-view dataset")
-    p.add_argument("--config")
+    p = add_command("synth", help="generate a synthetic two-view dataset")
     p.add_argument("--domain", required=True, choices=["A", "B"])
     p.add_argument("--pairs", type=int, default=50)
     _add_seed_flag(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pairs", help="mine image pairs from poses alone")
-    p.add_argument("--config")
+    p = add_command("pairs", help="mine image pairs from poses alone")
     p.add_argument("--poses", required=True)
     p.add_argument("--model", default="euroc-room",
                    help="preset name, 'hemisphere' or 'box'")
@@ -314,15 +308,15 @@ def build_parser(file_defaults=None):
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--image-width", type=int, default=640)
     p.add_argument("--image-height", type=int, default=480)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_pairs)
 
-    p = sub.add_parser("pretrain", help="correspondence-supervised pretraining")
+    p = add_command("pretrain", help="correspondence-supervised pretraining")
     p.add_argument("--data", required=True)
     _add_common_train_flags(p, pretrain_mode=True)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="pose-supervised epipolar finetuning")
+    p = add_command("finetune", help="pose-supervised epipolar finetuning")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--replay-data", help="source-domain dataset for batch replay")
@@ -333,7 +327,7 @@ def build_parser(file_defaults=None):
     _add_common_train_flags(p)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("bootstrap", help="finetune against estimated F matrices")
+    p = add_command("bootstrap", help="finetune against estimated F matrices")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--replay-data")
@@ -345,17 +339,14 @@ def build_parser(file_defaults=None):
     _add_common_train_flags(p)
     p.set_defaults(func=cmd_bootstrap)
 
-    p = sub.add_parser("match", help="match one rendered pair")
-    p.add_argument("--config")
+    p = add_command("match", help="match one rendered pair")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--overlay")
+    p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--threshold", type=float, default=PRECISION_THRESHOLD_INDOOR)
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("pose", help="relative pose from a match file")
-    p.add_argument("--config")
+    p = add_command("pose", help="relative pose from a match file")
     p.add_argument("--matches", required=True)
     p.add_argument("--fx", type=float, required=True)
     p.add_argument("--fy", type=float, required=True)
@@ -363,11 +354,10 @@ def build_parser(file_defaults=None):
     p.add_argument("--cy", type=float, required=True)
     _add_ransac_flags(p, EVAL_RANSAC)
     _add_seed_flag(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_pose)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--config")
+    p = add_command("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--threshold", type=float, default=PRECISION_THRESHOLD_INDOOR)
@@ -376,11 +366,10 @@ def build_parser(file_defaults=None):
     _add_ransac_flags(p, EVAL_RANSAC)
     p.add_argument("--overlays", type=int, default=4)
     _add_seed_flag(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    p.add_argument("--config")
+    p = add_command("gradcheck", help="finite-difference gradient suites")
     _add_seed_flag(p)
     p.add_argument("--inject-fault", choices=["sign-flip"], default=None,
                    help="test hook: corrupt one gradient to prove detection")
@@ -388,21 +377,23 @@ def build_parser(file_defaults=None):
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", help="override the output directory")
+    p.add_argument("--out", help="override the run directory")
     p.set_defaults(func=cmd_replay)
-
-    for command, defaults in (file_defaults or {}).items():
-        sub.choices[command].set_defaults(**defaults)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "config", None):
-            # parse again with the file's values as defaults: flags still win
-            args = build_parser({args.command: _config_defaults(args)}).parse_args(argv)
-        return args.func(args)
+            # the file's values go in as flags ahead of the typed ones, so
+            # argparse checks them and a typed flag still wins
+            args = build_parser().parse_args([args.command, *_flags(_file_settings(args)), *argv[1:]])
+        rc = args.func(args)
+        if rc == 0 and args.command not in ("gradcheck", "replay"):
+            write_manifest(args.out, args.command, _resolved(args), __version__)
+        return rc
     except (EpimatchError, OSError, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,6 @@ class BoxModel:
     side: float  # lateral distance to the left/right planes (m)
     bottom: float  # signed height of the floor relative to the camera (m)
     longitudinal: float  # distance to the front/back planes (m)
-    driving_dir: tuple | None = None  # unit horizontal direction; None = from neighbours
 
 
 @dataclass(frozen=True)
@@ -119,10 +118,9 @@ def _surface_depth(model, origin, dirs, driving_dir):
     if isinstance(model, HemisphereModel):
         return _hemisphere_depth(model, origin, dirs)
     if isinstance(model, BoxModel):
-        dd = driving_dir if driving_dir is not None else model.driving_dir
-        if dd is None:
+        if driving_dir is None:
             raise ValueError("box model needs a driving direction")
-        return _box_depth(model, origin, dirs, dd)
+        return _box_depth(model, origin, dirs, driving_dir)
     raise TypeError(f"unknown pseudo-depth model {type(model).__name__}")
 
 
@@ -175,7 +173,7 @@ def generate_pairs(records, model, overlap_range: OverlapRange, stride=1, image_
     """All (i, j), i < j over the stride-subsampled records whose symmetrized
     pseudo-overlap falls inside the accepted range. Deterministic order."""
     idxs = list(range(0, len(records), stride))
-    ddirs = driving_directions(records) if isinstance(model, BoxModel) and model.driving_dir is None else None
+    ddirs = driving_directions(records) if isinstance(model, BoxModel) else None
     out = []
     for a in range(len(idxs)):
         for b in range(a + 1, len(idxs)):

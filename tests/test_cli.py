@@ -6,14 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epimatch import cli
+from epimatch import cli, pipeline
 from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main
 from epimatch.config import parse_config_file
-from epimatch.geometry import RelativePose
+from epimatch.estimation import write_match_file
+from epimatch.geometry import Camera, CameraIntrinsics, RelativePose, fundamental_from_pose
 from epimatch.metrics import PRECISION_THRESHOLD_INDOOR, PRECISION_THRESHOLD_OUTDOOR
 from epimatch.grid import GridSpec
 from epimatch.pipeline import BootstrapConfig, TrainConfig, pretrain_config
 from epimatch.synth import gt_correspondence_grid, load_dataset, load_pair_file, save_pair_file
+
+from conftest import write_pose_file
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +27,43 @@ def workspace(tmp_path_factory):
     assert main(["pretrain", "--data", str(root / "dsA"), "--epochs", "2",
                  "--seed", "0", "--out", str(root / "runA")]) == 0
     return root
+
+
+def write_gt_matches(workspace, path, noisy=False):
+    """Write the GT grid matches of the workspace's first pair, with 1 px
+    noise and every fourth match an outlier if `noisy`; returns their count."""
+    pair = load_pair_file(workspace / "dsA" / "pairs" / "00000.bin")
+    grid = GridSpec.for_image(*pair.image1.shape, 8)
+    targets, pts = gt_correspondence_grid(pair, grid)
+    valid = np.where(targets >= 0)[0]
+    pts2 = pts[valid]
+    if noisy:
+        rng = np.random.default_rng(3)
+        pts2 = pts2 + rng.normal(0.0, 1.0, (valid.size, 2))
+        pts2[::4] = rng.uniform(0, 128, (pts2[::4].shape[0], 2))
+    write_match_file(path, grid.cell_centers()[valid], pts2)
+    return valid.size
+
+
+def pose_argv(matches):
+    return ["pose", "--matches", str(matches), "--fx", "110", "--fy", "110", "--cx", "64", "--cy", "64"]
+
+
+def write_loop_poses(path, n=8):
+    """Poses of n cameras on a 1 m circle at 1.4 m height in a room, each
+    looking along the circle and 0.2 rad down; returns their ids."""
+    K = CameraIntrinsics(320.0, 320.0, 319.5, 239.5)
+    cameras = []
+    for k in range(n):
+        a = 2.0 * np.pi * k / n
+        ahead = np.array([-np.sin(a) * np.cos(0.2), np.cos(a) * np.cos(0.2), -np.sin(0.2)])
+        right = np.cross(ahead, [0.0, 0.0, 1.0])
+        right /= np.linalg.norm(right)
+        R = np.vstack([right, np.cross(ahead, right), ahead])
+        center = np.array([np.cos(a), np.sin(a), 1.4])
+        cameras.append((f"loop{k}", Camera(K, RelativePose(R, -R @ center))))
+    write_pose_file(path, cameras)
+    return [cam_id for cam_id, _ in cameras]
 
 
 class TestSynth:
@@ -53,6 +93,33 @@ class TestReplay:
                         sorted((tmp_path / "ds3" / "pairs").glob("*.bin"))):
             assert a.read_bytes() == b.read_bytes()
         assert (workspace / "dsA" / "index.txt").read_bytes() == (tmp_path / "ds3" / "index.txt").read_bytes()
+
+    def test_replayed_value_is_checked_like_a_flag(self, workspace, tmp_path):
+        manifest = json.loads((workspace / "dsA" / "run_manifest.json").read_text())
+        manifest["config"]["domain"] = "Q"
+        edited = tmp_path / "run_manifest.json"
+        edited.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--manifest", str(edited), "--out", str(tmp_path / "ds")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "ds").exists()
+
+
+class TestPairs:
+    def test_mines_loop_neighbours_and_replays(self, tmp_path):
+        ids = write_loop_poses(tmp_path / "poses.txt")
+        out = tmp_path / "run"
+        assert main(["pairs", "--poses", str(tmp_path / "poses.txt"), "--out", str(out)]) == 0
+        rows = [line.split() for line in (out / "pairs.txt").read_text().splitlines()]
+        # on the loop only consecutive views overlap by 0.3 to 0.8 in the room preset
+        neighbours = {tuple(sorted((ids[k], ids[(k + 1) % len(ids)]))) for k in range(len(ids))}
+        assert {(a, b) for a, b, _ in rows} == neighbours
+        assert all(0.3 <= float(score) <= 0.8 for _, _, score in rows)
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert (config["model"], config["out"], config["stride"]) == ("euroc-room", str(out), 1)
+        again = tmp_path / "again"
+        assert main(["replay", "--manifest", str(out / "run_manifest.json"), "--out", str(again)]) == 0
+        assert (again / "pairs.txt").read_bytes() == (out / "pairs.txt").read_bytes()
 
 
 class TestTrainCommands:
@@ -91,81 +158,68 @@ class TestTrainCommands:
 
 class TestMatchPoseEval:
     def test_match_writes_file_and_overlay(self, workspace, tmp_path):
-        out = tmp_path / "m.txt"
-        overlay = tmp_path / "ov.png"
+        out = tmp_path / "m"
         assert main(["match", "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
                      "--pair", str(workspace / "dsA" / "pairs" / "00000.bin"),
-                     "--out", str(out), "--overlay", str(overlay)]) == 0
-        assert out.exists()
-        assert overlay.read_bytes().startswith(b"\x89PNG")
+                     "--out", str(out)]) == 0
+        assert (out / "matches.txt").exists()
+        assert (out / "overlay.png").read_bytes().startswith(b"\x89PNG")
 
     def test_match_overlay_of_pure_rotation_pair(self, workspace, tmp_path):
         # same image twice under a zero-baseline pose: plenty of matches, no epipolar geometry
         pair = load_pair_file(workspace / "dsA" / "pairs" / "00000.bin")
         pair = replace(pair, image2=pair.image1, pose=RelativePose(np.eye(3), np.zeros(3)))
         save_pair_file(tmp_path / "rot.bin", pair)
-        out, overlay = tmp_path / "m.txt", tmp_path / "ov.png"
+        out = tmp_path / "m"
         assert main(["match", "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
-                     "--pair", str(tmp_path / "rot.bin"), "--out", str(out),
-                     "--overlay", str(overlay)]) == 0
-        assert len(out.read_text().splitlines()) > 0
-        assert overlay.read_bytes().startswith(b"\x89PNG")
-        assert (tmp_path / "run_manifest.json").exists()
+                     "--pair", str(tmp_path / "rot.bin"), "--out", str(out)]) == 0
+        assert len((out / "matches.txt").read_text().splitlines()) > 0
+        assert (out / "overlay.png").read_bytes().startswith(b"\x89PNG")
+        assert (out / "run_manifest.json").exists()
 
     def test_pose_from_gt_matches(self, workspace, tmp_path):
-        from epimatch.estimation import write_match_file
-
-        pair = load_pair_file(workspace / "dsA" / "pairs" / "00000.bin")
-        grid = GridSpec.for_image(*pair.image1.shape, 8)
-        targets, pts = gt_correspondence_grid(pair, grid)
-        valid = np.where(targets >= 0)[0]
-        mpath = tmp_path / "gt.txt"
-        write_match_file(mpath, grid.cell_centers()[valid], pts[valid])
-        out = tmp_path / "pose.json"
-        assert main(["pose", "--matches", str(mpath), "--fx", "110", "--fy", "110",
-                     "--cx", "64", "--cy", "64", "--seed", "0", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["inlier_count"] > 0.9 * valid.size
+        n = write_gt_matches(workspace, tmp_path / "gt.txt")
+        out = tmp_path / "pose"
+        assert main([*pose_argv(tmp_path / "gt.txt"), "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "pose.json").read_text())
+        assert report["inlier_count"] > 0.9 * n
 
     def test_pose_rejects_non_finite_match(self, tmp_path, capsys):
-        from epimatch.estimation import write_match_file
-
         rng = np.random.default_rng(0)
         pts1, pts2 = rng.uniform(0, 128, (2, 50, 2))
         pts2[20, 0] = np.nan
         mpath = tmp_path / "nan.txt"
         write_match_file(mpath, pts1, pts2)
-        rc = main(["pose", "--matches", str(mpath), "--fx", "110", "--fy", "110",
-                   "--cx", "64", "--cy", "64", "--out", str(tmp_path / "pose.json")])
+        rc = main([*pose_argv(mpath), "--out", str(tmp_path / "pose")])
         assert rc == 1
         err = capsys.readouterr().err
         assert "error[ValueError]" in err and "nan.txt:21" in err
 
     def test_pose_replay_uses_the_seed_from_the_environment(self, workspace, tmp_path, monkeypatch):
-        from epimatch.estimation import write_match_file
-
-        pair = load_pair_file(workspace / "dsA" / "pairs" / "00000.bin")
-        grid = GridSpec.for_image(*pair.image1.shape, 8)
-        targets, pts = gt_correspondence_grid(pair, grid)
-        valid = np.where(targets >= 0)[0]
-        rng = np.random.default_rng(3)
-        pts2 = pts[valid] + rng.normal(0.0, 1.0, (valid.size, 2))
-        pts2[::4] = rng.uniform(0, 128, (pts2[::4].shape[0], 2))  # outliers
-        mpath = tmp_path / "noisy.txt"
-        write_match_file(mpath, grid.cell_centers()[valid], pts2)
-        argv = ["pose", "--matches", str(mpath), "--fx", "110", "--fy", "110",
-                "--cx", "64", "--cy", "64"]
+        write_gt_matches(workspace, tmp_path / "noisy.txt", noisy=True)
+        argv = pose_argv(tmp_path / "noisy.txt")
         monkeypatch.setenv("EPIMATCH_SEED", "5")
-        assert main(argv + ["--out", str(tmp_path / "s5" / "pose.json")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "s5")]) == 0
         monkeypatch.delenv("EPIMATCH_SEED")
         manifest = tmp_path / "s5" / "run_manifest.json"
         assert json.loads(manifest.read_text())["config"]["seed"] == 5
-        assert main(["replay", "--manifest", str(manifest),
-                     "--out", str(tmp_path / "replay" / "pose.json")]) == 0
-        assert main(argv + ["--out", str(tmp_path / "s0" / "pose.json")]) == 0
+        assert main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "replay")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "s0")]) == 0
         seeded = (tmp_path / "s5" / "pose.json").read_bytes()
         assert (tmp_path / "replay" / "pose.json").read_bytes() == seeded
         assert (tmp_path / "s0" / "pose.json").read_bytes() != seeded
+
+    def test_sibling_pose_runs_keep_their_own_manifests(self, workspace, tmp_path):
+        write_gt_matches(workspace, tmp_path / "noisy.txt", noisy=True)
+        runs = {seed: tmp_path / "runs" / f"s{seed}" for seed in (1, 2)}
+        for seed, run in runs.items():
+            assert main([*pose_argv(tmp_path / "noisy.txt"), "--seed", str(seed), "--out", str(run)]) == 0
+        for seed, run in runs.items():
+            config = json.loads((run / "run_manifest.json").read_text())["config"]
+            assert (config["seed"], config["out"]) == (seed, str(run))
+            again = tmp_path / "again" / run.name
+            assert main(["replay", "--manifest", str(run / "run_manifest.json"), "--out", str(again)]) == 0
+            assert (again / "pose.json").read_bytes() == (run / "pose.json").read_bytes()
 
     def test_eval_manifest_records_the_seed_from_the_environment(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("EPIMATCH_SEED", "5")
@@ -177,8 +231,7 @@ class TestMatchPoseEval:
     def test_pose_names_the_line_of_a_short_match(self, tmp_path, capsys):
         mpath = tmp_path / "short.txt"
         mpath.write_text("1 2 3 4 1\n1 2 3 4\n")
-        rc = main(["pose", "--matches", str(mpath), "--fx", "110", "--fy", "110",
-                   "--cx", "64", "--cy", "64", "--out", str(tmp_path / "pose.json")])
+        rc = main([*pose_argv(mpath), "--out", str(tmp_path / "pose")])
         assert rc == 1
         err = capsys.readouterr().err
         assert "error[ValueError]" in err and "short.txt:2" in err
@@ -326,6 +379,37 @@ def test_help_renders(argv, capsys):
     assert capsys.readouterr().out.startswith(" ".join(["usage: epimatch", *argv]))
 
 
+DOCUMENTED_FILES = {command: set(re.findall(r"[\w/]+\.\w+", files))
+                    for command, files in re.findall(r"^  (\w+) +(.+)$", cli.__doc__, re.M)}
+
+
+@pytest.mark.parametrize("command", [c for c in _commands() if c not in ("gradcheck", "replay")])
+def test_run_directory_holds_the_documented_files(workspace, tmp_path, monkeypatch, command):
+    data = ["--data", str(workspace / "dsA")]
+    checkpoint = ["--checkpoint", str(workspace / "runA" / "checkpoint.bin")]
+    write_loop_poses(tmp_path / "poses.txt")
+    write_gt_matches(workspace, tmp_path / "gt.txt")
+    if command == "bootstrap":
+        # the workspace's matcher finds no matches, so keep every pair with its GT F
+        fs = [fundamental_from_pose(p.K, p.K, p.pose) for p in load_dataset(workspace / "dsA")]
+        monkeypatch.setattr(pipeline, "bootstrap_fundamentals",
+                            lambda *args, **kwargs: (fs, {"n_pairs": len(fs), "kept": len(fs)}))
+    argv = {
+        "synth": ["synth", "--domain", "A", "--pairs", "2"],
+        "pairs": ["pairs", "--poses", str(tmp_path / "poses.txt")],
+        "pretrain": ["pretrain", *data, "--epochs", "1"],
+        "finetune": ["finetune", *data, *checkpoint, "--epochs", "1"],
+        "bootstrap": ["bootstrap", *data, *checkpoint, "--epochs", "1"],
+        "match": ["match", *checkpoint, "--pair", str(workspace / "dsA" / "pairs" / "00000.bin")],
+        "pose": pose_argv(tmp_path / "gt.txt"),
+        "eval": ["eval", *data, *checkpoint, "--overlays", "2"],
+    }[command]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    found = {re.sub(r"\d", "N", f.relative_to(out).as_posix()) for f in out.rglob("*") if f.is_file()}
+    assert found == DOCUMENTED_FILES[command] | {"run_manifest.json"}
+
+
 class TestParserDefaults:
     """Each flag's default is read from the library's config object."""
 
@@ -372,3 +456,13 @@ class TestGradcheckCommand:
 
         monkeypatch.setattr(gc, "run_gradcheck", _small_gradcheck)
         assert main(["gradcheck", "--seed", "0", "--inject-fault", "sign-flip"]) == 1
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_unknown_fault_is_a_usage_error(self, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[gradcheck]\ninject_fault = flip\n")
+        flags = {"flag": ["--inject-fault", "flip"], "file": ["--config", str(cfg)]}[source]
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", *flags])
+        assert exc.value.code == 2
+        assert "argument --inject-fault: invalid choice: 'flip'" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epimatch import errors
+from epimatch.gradcheck import matcher_suite
 from epimatch.losses import (coarse_loss_grad, epipolar_classification_mask, gt_classification_mask,
                              naive_epipolar_mask)
 from epimatch.matcher import (
@@ -411,61 +412,10 @@ def dense_coarse_backward(cache, dC):
     return cc["X1"].T @ dY1 + cc["X2"].T @ dY2, dtau
 
 
-def linear_probe_loss(pred, G, g):
-    """Smooth scalar functional of the forward outputs for gradient checks."""
-    loss = float(np.sum(G * pred.C))
-    if pred.fine_x2.shape[0]:
-        loss += float(np.sum(g[: pred.fine_x2.shape[0]] * pred.fine_x2))
-    return loss
-
-
 class TestBackward:
-    def _fd_check(self, seed, h=1e-5):
-        rng = np.random.default_rng(seed)
-        img1, img2 = random_image(rng), random_image(rng)
-        params = init_params(SMALL, seed=seed)
-        pins = (np.array([5, 6, 9, 10]), np.array([10, 9, 6, 5]))
-        G = rng.normal(size=(16, 16))
-        g = rng.normal(size=(4, 2))
-
-        pred, cache = forward(img1, img2, params, SMALL, coarse_override=pins)
-        M = pred.fine_x2.shape[0]
-        grads = backward(cache, dC=every_entry(G), dfine=g[:M])
-
-        def loss_with(p):
-            pr, _ = forward(img1, img2, p, SMALL, coarse_override=pins)
-            return linear_probe_loss(pr, G, g)
-
-        max_rel = 0.0
-        for arr, garr in ((params.W_coarse, grads.dW_coarse), (params.W_fine, grads.dW_fine)):
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                lp = loss_with(params)
-                arr[idx] = orig - h
-                lm = loss_with(params)
-                arr[idx] = orig
-                fd = (lp - lm) / (2 * h)
-                denom = max(abs(fd), abs(garr[idx]), 1e-6)
-                max_rel = max(max_rel, abs(garr[idx] - fd) / denom)
-                it.iternext()
-        for attr, ganalytic in (("tau_coarse", grads.dtau_coarse), ("tau_fine", grads.dtau_fine)):
-            orig = getattr(params, attr)
-            setattr(params, attr, orig + h)
-            lp = loss_with(params)
-            setattr(params, attr, orig - h)
-            lm = loss_with(params)
-            setattr(params, attr, orig)
-            fd = (lp - lm) / (2 * h)
-            denom = max(abs(fd), abs(ganalytic), 1e-6)
-            max_rel = max(max_rel, abs(ganalytic - fd) / denom)
-        return max_rel
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_full_jacobian_finite_differences(self, seed):
-        assert self._fd_check(seed) < 1e-4
+        assert matcher_suite(seed) < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         img1, img2 = random_image(rng), random_image(rng)

@@ -26,6 +26,7 @@ from epimatch.pairgen import (
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 CENTRE = [[K.cx, K.cy]]  # the principal point as a one-pixel array
+ALONG_Y = (0, 1, 0)  # a driving direction
 
 
 def camera_at(position, yaw_deg=0.0, pitch_deg=0.0):
@@ -60,27 +61,27 @@ class TestPseudoDepthHemisphere:
 
 class TestPseudoDepthBox:
     def test_ray_along_driving_direction_is_excluded(self):
-        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0, driving_dir=(0, 1, 0))
+        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0)
         cam = camera_at([0, 0, 0])  # looking along +y = driving direction
-        assert np.isinf(pseudo_depth(model, cam, CENTRE)).all()
+        assert np.isinf(pseudo_depth(model, cam, CENTRE, driving_dir=ALONG_Y)).all()
 
     def test_sideways_ray_hits_side_plane(self):
-        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0, driving_dir=(0, 1, 0))
+        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0)
         cam = camera_at([0, 0, 0], yaw_deg=90.0)  # looking along -x? rotate about z
-        d = pseudo_depth(model, cam, CENTRE)
+        d = pseudo_depth(model, cam, CENTRE, driving_dir=ALONG_Y)
         assert d == pytest.approx([10.0], rel=1e-9)
 
     def test_side_plane_wins_a_tie_with_the_front_plane(self):
         # the ray (1, 1, 0) / sqrt(2) meets the right and front planes together
-        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=10.0, driving_dir=(0, 1, 0))
+        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=10.0)
         cam = camera_at([0, 0, 0])
-        d = pseudo_depth(model, cam, [[K.cx + K.fx, K.cy]])
+        d = pseudo_depth(model, cam, [[K.cx + K.fx, K.cy]], driving_dir=ALONG_Y)
         assert d == pytest.approx([10.0 * np.sqrt(2.0)], rel=1e-12)
 
     def test_straight_up_open_top_returns_none(self):
-        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0, driving_dir=(0, 1, 0))
+        model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0)
         cam = camera_at([0, 0, 0], pitch_deg=90.0)
-        assert np.isinf(pseudo_depth(model, cam, CENTRE)).all()
+        assert np.isinf(pseudo_depth(model, cam, CENTRE, driving_dir=ALONG_Y)).all()
 
 
 class TestPseudoOverlap:
@@ -279,8 +280,7 @@ def reference_pseudo_depth(model, camera, u, v, driving_dir=None):
     if isinstance(model, HemisphereModel):
         d = reference_hemisphere_depth(model, origin, direction)
     else:
-        d = reference_box_depth(model, origin, direction,
-                                driving_dir if driving_dir is not None else model.driving_dir)
+        d = reference_box_depth(model, origin, direction, driving_dir)
     return np.inf if d is None else d
 
 
@@ -337,8 +337,8 @@ def box_cases(rng):
     for yaw in (0.0, 37.0, -90.0):
         cases.append((model, camera_at([1.0, -2.0, 1.5], yaw), heading(yaw)))
         cases.append((model, camera_at([0.0, 0.0, 1.5], yaw, pitch_deg=90.0), heading(yaw)))
-    cases.append((BoxModel(side=4.0, bottom=-1.5, longitudinal=12.0, driving_dir=(0, 1, 0)),
-                  camera_at([0.5, 0, 0], 20.0, -10.0), None))
+    cases.append((BoxModel(side=4.0, bottom=-1.5, longitudinal=12.0),
+                  camera_at([0.5, 0, 0], 20.0, -10.0), ALONG_Y))
     return cases
 
 
