@@ -155,9 +155,7 @@ def cmd_pretrain(args):
 
 
 def _load_replay(args):
-    if args.no_replay or not args.replay_data:
-        return None
-    return load_dataset(args.replay_data)
+    return load_dataset(args.replay_data) if args.replay_data else None
 
 
 def cmd_finetune(args):
@@ -221,15 +219,14 @@ def cmd_pose(args):
 def cmd_eval(args):
     params = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    threshold = PRECISION_THRESHOLD_OUTDOOR if args.outdoor else args.threshold
-    report = evaluate(params, dataset, _ransac(args), precision_threshold=threshold)
+    report = evaluate(params, dataset, _ransac(args), precision_threshold=args.threshold)
     out = _run_dir(args)
     with open(out / "eval.json", "w") as fh:
         fh.write(report.to_json())
     with open(out / "eval.txt", "w") as fh:
         fh.write(report.to_table() + "\n")
     for i, pair in enumerate(dataset[: args.overlays]):
-        write_png(out / f"overlay_{i:03d}.png", _match(pair, params, threshold)[1])
+        write_png(out / f"overlay_{i:03d}.png", _match(pair, params, args.threshold)[1])
     print(report.to_table())
     return 0
 
@@ -320,7 +317,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--replay-data", help="source-domain dataset for batch replay")
-    p.add_argument("--no-replay", action="store_true")
     p.add_argument("--pose-noise-deg", type=float, default=0.0)
     p.add_argument("--naive-mask", action="store_true",
                    help="ablation: all on-line cells positive (no argmax)")
@@ -331,7 +327,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--replay-data")
-    p.add_argument("--no-replay", action="store_true")
     bootstrap_defaults = BootstrapConfig()
     p.add_argument("--min-matches", type=int, default=bootstrap_defaults.min_matches)
     p.add_argument("--min-inliers", type=int, default=bootstrap_defaults.min_inliers)
@@ -360,9 +355,9 @@ def build_parser():
     p = add_command("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=PRECISION_THRESHOLD_INDOOR)
-    p.add_argument("--outdoor", action="store_true",
-                   help="use the outdoor precision threshold 1e-4")
+    p.add_argument("--threshold", type=float, default=PRECISION_THRESHOLD_INDOOR,
+                   help=f"precision threshold; outdoor data takes {PRECISION_THRESHOLD_OUTDOOR:g}"
+                        " (PRECISION_THRESHOLD_OUTDOOR)")
     _add_ransac_flags(p, EVAL_RANSAC)
     p.add_argument("--overlays", type=int, default=4)
     _add_seed_flag(p)

@@ -35,7 +35,6 @@ def write_manifest(out_dir, command, resolved, version):
         "command": command,
         "config": resolved,
         "version": version,
-        "output_dir": str(out_dir),
     }
     path = out_dir / "run_manifest.json"
     with open(path, "w") as fh:

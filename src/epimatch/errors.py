@@ -1,4 +1,12 @@
-"""Exception taxonomy shared across the toolkit, and the checked binary read."""
+"""Exception taxonomy shared across the toolkit, and the array-record files.
+
+Pair files and checkpoints are record files: a sequence of float64 `.npy`
+records, written by `np.save` and read by `np.load` without pickling.
+"""
+
+import zipfile
+
+import numpy as np
 
 
 class EpimatchError(Exception):
@@ -65,10 +73,26 @@ class DegeneratePose(EpimatchError):
     """Pose sampling failed to produce a usable camera pair."""
 
 
-def read_exact(fh, n):
-    """Read n bytes from a binary file; a short read raises ValueError naming
-    the file and the bytes expected and read."""
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"{fh.name}: truncated at byte {fh.tell()}: expected {n} bytes, read {len(data)}")
-    return data
+def write_arrays(path, arrays):
+    """Write each array as one float64 `.npy` record, in order."""
+    with open(path, "wb") as fh:
+        for a in arrays:
+            np.save(fh, np.asarray(a, dtype=np.float64))
+
+
+def read_arrays(path, shapes):
+    """Read the records `write_arrays` wrote, one per shape in `shapes`; a
+    None axis takes any length. A file that holds anything else, or more or
+    fewer records, raises ValueError naming it."""
+    with open(path, "rb") as fh:
+        try:
+            arrays = [np.load(fh, allow_pickle=False) for _ in shapes]
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a file of {len(shapes)} array records: {exc}") from None
+        if fh.read(1):
+            raise ValueError(f"{path}: data after the last of {len(shapes)} array records")
+    for i, (a, shape) in enumerate(zip(arrays, shapes)):
+        if not (a.dtype == np.float64 and a.ndim == len(shape)
+                and all(n in (None, m) for n, m in zip(shape, a.shape))):
+            raise ValueError(f"{path}: record {i} is not a float64 array of shape {shape}")
+    return arrays

@@ -52,17 +52,19 @@ class RansacConfig:
 @dataclass
 class RansacResult:
     F: np.ndarray  # (3, 3), canonicalized
-    inlier_mask: np.ndarray
-    inlier_count: int
-    num_input_matches: int
-    no_consensus: bool = False
-    best_iteration: int = -1
+    inlier_mask: np.ndarray  # (n,) bool, one entry per input match
 
-    def __post_init__(self):
-        if self.inlier_count != int(np.sum(self.inlier_mask)):
-            raise ValueError("inlier_count does not match inlier_mask")
-        if self.inlier_count > self.num_input_matches:
-            raise ValueError("inlier_count exceeds num_input_matches")
+    @property
+    def inlier_count(self):
+        return int(np.count_nonzero(self.inlier_mask))
+
+    @property
+    def num_input_matches(self):
+        return self.inlier_mask.shape[0]
+
+    @property
+    def no_consensus(self):
+        return self.inlier_count <= MIN_SAMPLE
 
 
 def _hartley_transform(pts):
@@ -186,15 +188,7 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
             mask_final = inliers(F_final)
         except DegenerateConfiguration:
             pass
-    count_final = int(mask_final.sum())
-    return RansacResult(
-        F=F_final,
-        inlier_mask=mask_final,
-        inlier_count=count_final,
-        num_input_matches=n,
-        no_consensus=count_final <= MIN_SAMPLE,
-        best_iteration=best_iter,
-    )
+    return RansacResult(F_final, mask_final)
 
 
 def estimate_relative_pose(pts1, pts2, K1, K2, cfg: RansacConfig):

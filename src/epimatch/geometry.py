@@ -255,36 +255,6 @@ def quat_to_rotation(q):
     )
 
 
-def rotation_to_quat(R):
-    """Rotation matrix to unit quaternion (w, x, y, z), w >= 0."""
-    R = np.asarray(R, dtype=float)
-    tr = np.trace(R)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
-        if i == 0:
-            s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2
-            q = np.array(
-                [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-            )
-        elif i == 1:
-            s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2
-            q = np.array(
-                [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-            )
-        else:
-            s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2
-            q = np.array(
-                [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-            )
-    q = q / np.linalg.norm(q)
-    return q if q[0] >= 0 else -q
-
-
 def read_pose_file(path):
     """Read `id fx fy cx cy qw qx qy qz tx ty tz` lines (world-to-camera)
     into [(id, Camera), ...]."""

@@ -15,18 +15,15 @@ so `backward` takes a fine gradient for exactly the rows `refine_fine` got.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensions, NonFiniteGradient, read_exact
+from .errors import BadDimensions, NonFiniteGradient, read_arrays, write_arrays
 from .grid import GridSpec
 
 _NORM_EPS = 1e-12
 _TAU_MIN = 1e-3
-_CHECKPOINT_MAGIC = b"EPMATCH1"
-_CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -52,9 +49,9 @@ class MatcherConfig:
 class MatcherParams:
     """Two linear embeddings plus per-stage softmax temperatures.
 
-    A single shared temperature couples the stages destructively: the fine
-    stage prefers flatter heatmaps on weak texture, which would also flatten
-    the coarse selection, so each stage owns its temperature.
+    A single shared temperature would set the stages against each other: the
+    fine stage prefers flatter heatmaps on weak texture, which would also
+    flatten the coarse selection, so each stage owns its temperature.
     """
 
     W_coarse: np.ndarray  # (d_in, d)
@@ -386,26 +383,10 @@ def sgd_step(params: MatcherParams, grads: MatcherGrads, state: SgdState,
 
 
 def save_checkpoint(path, params: MatcherParams):
-    """Flat binary: magic, version, dims, tau, then row-major float64 data."""
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIII", _CHECKPOINT_VERSION,
-                             params.W_coarse.shape[0], params.W_coarse.shape[1],
-                             params.W_fine.shape[0], params.W_fine.shape[1]))
-        fh.write(struct.pack("<dd", params.tau_coarse, params.tau_fine))
-        fh.write(np.ascontiguousarray(params.W_coarse, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.W_fine, dtype="<f8").tobytes())
+    """Three float64 records: W_coarse, W_fine and (tau_coarse, tau_fine)."""
+    write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine)))
 
 
 def load_checkpoint(path) -> MatcherParams:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError("not a matcher checkpoint (bad magic)")
-        version, a, b, c, d = struct.unpack("<IIIII", read_exact(fh, 20))
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        tau_coarse, tau_fine = struct.unpack("<dd", read_exact(fh, 16))
-        Wc = np.frombuffer(read_exact(fh, a * b * 8), dtype="<f8").reshape(a, b).copy()
-        Wf = np.frombuffer(read_exact(fh, c * d * 8), dtype="<f8").reshape(c, d).copy()
-    return MatcherParams(Wc, Wf, tau_coarse, tau_fine)
+    Wc, Wf, (tau_coarse, tau_fine) = read_arrays(path, [(None, None), (None, None), (2,)])
+    return MatcherParams(Wc, Wf, float(tau_coarse), float(tau_fine))

@@ -4,33 +4,30 @@ Scenes are piecewise-planar rooms carrying band-limited value-noise textures;
 views are rendered by exact ray-plane intersection, so depth maps and the
 epipolar geometry agree to machine precision. Two named domains with
 different texture statistics and camera motion emulate a domain shift.
+
+A pair file holds seven float64 array records (see `errors.write_arrays`):
+image1, image2, depth1, depth2, (fx, fy, cx, cy), R and t, so a pair read
+from disk equals its render bit for bit.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegeneratePose, read_exact
+from .errors import DegeneratePose, read_arrays, write_arrays
 from .geometry import (
-    BASELINE_EPSILON,
     Camera,
     CameraIntrinsics,
     RelativePose,
     normalize_points,
     pixel_rays,
     project_points,
-    quat_to_rotation,
     rotation_from_axis_angle,
-    rotation_to_quat,
 )
 from .grid import GridSpec
-
-_PAIR_MAGIC = b"EPRPAIR1"
-_PAIR_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,6 @@ class RenderedPair:
     depth2: np.ndarray
     K: CameraIntrinsics
     pose: RelativePose  # camera 2 relative to camera 1 (view-1 frame is world)
-    index: int = -1
 
 
 def room_planes(width=8.0, depth=6.0, height=4.0):
@@ -205,10 +201,8 @@ def _lookat_rotation(position, target, up=(0.0, 0.0, 1.0)):
     return np.vstack([x, y, f])
 
 
-def _camera_from_position(K, position, target, jitter_rot=None):
+def _camera_from_position(K, position, target):
     R = _lookat_rotation(position, target)
-    if jitter_rot is not None:
-        R = jitter_rot @ R
     t = -R @ np.asarray(position, dtype=float)
     return Camera(K, RelativePose(R, t))
 
@@ -296,7 +290,7 @@ def sample_pair(spec: SceneSpec, index, pose_override: RelativePose | None = Non
 
     # relative pose of view 2 in the view-1 camera frame
     rel = cam2.pose.compose(cam1.pose.inverse())
-    return RenderedPair(image1, image2, depth1, depth2, K, rel, index)
+    return RenderedPair(image1, image2, depth1, depth2, K, rel)
 
 
 def gt_correspondence_grid(pair: RenderedPair, grid: GridSpec):
@@ -354,41 +348,16 @@ def make_domain(name, seed=0) -> SceneSpec:
 
 
 def save_pair_file(path, pair: RenderedPair):
-    """Binary layout: magic, version, index, H, W, intrinsics, baseline flag
-    and quaternion pose, then image1, image2, depth1, depth2 as little-endian
-    f8. The flag byte is 1 when |t| > BASELINE_EPSILON (the pose has an
-    epipolar geometry), else 0; readers derive it from the pose instead."""
-    H, W = pair.image1.shape
-    with open(path, "wb") as fh:
-        fh.write(_PAIR_MAGIC)
-        fh.write(struct.pack("<III", _PAIR_VERSION, max(pair.index, 0), 0))
-        fh.write(struct.pack("<II", H, W))
-        K = pair.K
-        fh.write(struct.pack("<dddd", K.fx, K.fy, K.cx, K.cy))
-        q = rotation_to_quat(pair.pose.R)
-        fh.write(struct.pack("<B", 1 if np.linalg.norm(pair.pose.t) > BASELINE_EPSILON else 0))
-        fh.write(struct.pack("<7d", *q, *pair.pose.t))
-        for arr in (pair.image1, pair.image2, pair.depth1, pair.depth2):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    K = pair.K
+    write_arrays(path, (pair.image1, pair.image2, pair.depth1, pair.depth2,
+                        (K.fx, K.fy, K.cx, K.cy), pair.pose.R, pair.pose.t))
 
 
 def load_pair_file(path) -> RenderedPair:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _PAIR_MAGIC:
-            raise ValueError("not a rendered-pair file (bad magic)")
-        version, index, _ = struct.unpack("<III", read_exact(fh, 12))
-        if version != _PAIR_VERSION:
-            raise ValueError(f"unsupported pair file version {version}")
-        H, W = struct.unpack("<II", read_exact(fh, 8))
-        fx, fy, cx, cy = struct.unpack("<dddd", read_exact(fh, 32))
-        read_exact(fh, 1)  # baseline flag: the pose below already says it
-        vals = struct.unpack("<7d", read_exact(fh, 56))
-        K = CameraIntrinsics(fx, fy, cx, cy)
-        pose = RelativePose(quat_to_rotation(vals[:4]), np.array(vals[4:]))
-        arrays = []
-        for _ in range(4):
-            arrays.append(np.frombuffer(read_exact(fh, H * W * 8), dtype="<f8").reshape(H, W).copy())
-    return RenderedPair(arrays[0], arrays[1], arrays[2], arrays[3], K, pose, index)
+    *planes, K, R, t = read_arrays(path, [(None, None)] * 4 + [(4,), (3, 3), (3,)])
+    if len({p.shape for p in planes}) != 1:
+        raise ValueError(f"{path}: image and depth planes differ in shape")
+    return RenderedPair(*planes, CameraIntrinsics(*K.tolist()), RelativePose(R, t))
 
 
 def save_dataset(spec: SceneSpec, n, out_dir):

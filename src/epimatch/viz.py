@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 import zlib
 
 import numpy as np
@@ -22,9 +21,9 @@ def write_png(path, rgb):
 
     def chunk(tag, data):
         body = tag + data
-        return struct.pack(">I", len(data)) + body + struct.pack(">I", zlib.crc32(body))
+        return len(data).to_bytes(4, "big") + body + zlib.crc32(body).to_bytes(4, "big")
 
-    header = struct.pack(">IIBBBBB", W, H, 8, 2, 0, 0, 0)
+    header = W.to_bytes(4, "big") + H.to_bytes(4, "big") + bytes([8, 2, 0, 0, 0])
     with open(path, "wb") as fh:
         fh.write(b"\x89PNG\r\n\x1a\n")
         fh.write(chunk(b"IHDR", header))

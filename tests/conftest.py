@@ -7,7 +7,6 @@ from epimatch.geometry import (
     RelativePose,
     project_points,
     rotation_from_axis_angle,
-    rotation_to_quat,
 )
 
 
@@ -59,6 +58,36 @@ def project_hom(cam, pts):
     return with_w(project_points(cam, pts)[0])
 
 
+def rotation_to_quat(R):
+    """Rotation matrix to unit quaternion (w, x, y, z), w >= 0."""
+    R = np.asarray(R, dtype=float)
+    tr = np.trace(R)
+    if tr > 0:
+        s = np.sqrt(tr + 1.0) * 2
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+        )
+    else:
+        i = int(np.argmax(np.diag(R)))
+        if i == 0:
+            s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2
+            q = np.array(
+                [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+            )
+        elif i == 1:
+            s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2
+            q = np.array(
+                [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+            )
+        else:
+            s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2
+            q = np.array(
+                [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+            )
+    q = q / np.linalg.norm(q)
+    return q if q[0] >= 0 else -q
+
+
 def write_pose_file(path, cameras):
     """Write [(id, Camera), ...] as the lines `geometry.read_pose_file` reads."""
     with open(path, "w") as fh:
@@ -66,6 +95,18 @@ def write_pose_file(path, cameras):
             k = cam.intrinsics
             fields = [k.fx, k.fy, k.cx, k.cy, *rotation_to_quat(cam.pose.R), *cam.pose.t]
             fh.write(f"{cam_id} " + " ".join(f"{v:.17g}" for v in fields) + "\n")
+
+
+def record_ends(path):
+    """Byte offset at which each `.npy` record of a record file ends."""
+    ends = []
+    with open(path, "rb") as fh:
+        while True:
+            try:
+                np.load(fh, allow_pickle=False)
+            except EOFError:
+                return ends
+            ends.append(fh.tell())
 
 
 @pytest.fixture

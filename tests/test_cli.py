@@ -11,7 +11,6 @@ from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main
 from epimatch.config import parse_config_file
 from epimatch.estimation import write_match_file
 from epimatch.geometry import Camera, CameraIntrinsics, RelativePose, fundamental_from_pose
-from epimatch.metrics import PRECISION_THRESHOLD_INDOOR, PRECISION_THRESHOLD_OUTDOOR
 from epimatch.grid import GridSpec
 from epimatch.pipeline import BootstrapConfig, TrainConfig, pretrain_config
 from epimatch.synth import gt_correspondence_grid, load_dataset, load_pair_file, save_pair_file
@@ -165,6 +164,12 @@ class TestMatchPoseEval:
         assert (out / "matches.txt").exists()
         assert (out / "overlay.png").read_bytes().startswith(b"\x89PNG")
 
+    def test_match_refuses_a_pair_file_as_checkpoint(self, workspace, tmp_path, capsys):
+        pair = workspace / "dsA" / "pairs" / "00000.bin"
+        rc = main(["match", "--checkpoint", str(pair), "--pair", str(pair), "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error[ValueError]: {pair}: ")
+
     def test_match_overlay_of_pure_rotation_pair(self, workspace, tmp_path):
         # same image twice under a zero-baseline pose: plenty of matches, no epipolar geometry
         pair = load_pair_file(workspace / "dsA" / "pairs" / "00000.bin")
@@ -235,6 +240,20 @@ class TestMatchPoseEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error[ValueError]" in err and "short.txt:2" in err
+
+    def test_eval_uses_the_given_threshold(self, workspace, tmp_path, monkeypatch):
+        thresholds = []
+
+        def recording_evaluate(*args, precision_threshold, **kwargs):
+            thresholds.append(precision_threshold)
+            return cli_evaluate(*args, precision_threshold=precision_threshold, **kwargs)
+
+        cli_evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        assert main(["eval", "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                     "--data", str(workspace / "dsA"), "--threshold", "3e-4", "--overlays", "0",
+                     "--out", str(tmp_path / "ev")]) == 0
+        assert thresholds == [3e-4]
 
     def test_eval_json_and_table_agree(self, workspace, tmp_path):
         out = tmp_path / "ev"
@@ -330,25 +349,44 @@ class TestConfigFile:
                         sorted((out / "pairs").glob("*.bin")), strict=True):
             assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("word, flags, outdoor", [("yes", [], True), ("no", [], False),
-                                                      ("no", ["--outdoor"], True)],
+    @staticmethod
+    def recorded_finetune(monkeypatch):
+        """Patch the finetune command's training call to record its keyword
+        arguments before it runs."""
+        calls = []
+
+        def recording_finetune(*args, **kwargs):
+            calls.append(kwargs)
+            return cli_finetune(*args, **kwargs)
+
+        cli_finetune = cli.finetune_pose_supervised
+        monkeypatch.setattr(cli, "finetune_pose_supervised", recording_finetune)
+        return calls
+
+    def finetune(self, workspace, out, *flags):
+        return main(["finetune", "--data", str(workspace / "dsA"),
+                     "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                     "--epochs", "0", *flags, "--out", str(out)])
+
+    @pytest.mark.parametrize("word, flags, naive", [("yes", [], True), ("no", [], False),
+                                                    ("no", ["--naive-mask"], True)],
                              ids=["yes", "no", "flag_wins"])
-    def test_store_true_flag_from_file(self, workspace, tmp_path, monkeypatch, word, flags, outdoor):
-        thresholds = []
-
-        def recording_evaluate(*args, precision_threshold, **kwargs):
-            thresholds.append(precision_threshold)
-            return cli_evaluate(*args, precision_threshold=precision_threshold, **kwargs)
-
-        cli_evaluate = cli.evaluate
-        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    def test_store_true_flag_from_file(self, workspace, tmp_path, monkeypatch, word, flags, naive):
+        calls = self.recorded_finetune(monkeypatch)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[eval]\noutdoor = {word}\n")
-        out = tmp_path / "ev"
-        assert main(["eval", "--config", str(cfg), "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
-                     "--data", str(workspace / "dsA"), "--overlays", "0", *flags, "--out", str(out)]) == 0
-        assert json.loads((out / "run_manifest.json").read_text())["config"]["outdoor"] is outdoor
-        assert thresholds == [PRECISION_THRESHOLD_OUTDOOR if outdoor else PRECISION_THRESHOLD_INDOOR]
+        cfg.write_text(f"[finetune]\nnaive-mask = {word}\n")
+        out = tmp_path / "ft"
+        assert self.finetune(workspace, out, "--config", str(cfg), *flags) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["config"]["naive_mask"] is naive
+        assert [c["naive_mask"] for c in calls] == [naive]
+
+    def test_empty_flag_clears_a_file_value(self, workspace, tmp_path, monkeypatch):
+        calls = self.recorded_finetune(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[finetune]\nreplay-data = {workspace / 'dsA'}\n")
+        assert self.finetune(workspace, tmp_path / "with", "--config", str(cfg)) == 0
+        assert self.finetune(workspace, tmp_path / "without", "--config", str(cfg), "--replay-data=") == 0
+        assert [c["replay_pairs"] is None for c in calls] == [False, True]
 
     def test_file_configured_run_replays_from_its_manifest(self, workspace, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +27,9 @@ from epimatch.matcher import (
     zero_grads,
 )
 from epimatch.matcher import _NORM_EPS, _embed_normalized, _normalize_backward, _patch_rows, _softmax
+from epimatch.synth import make_domain, sample_pair, save_pair_file
+
+from conftest import record_ends
 
 SMALL = MatcherConfig(patch_width=8, fine_patch=4, fine_stride=2, d=8, d_fine=6,
                       window_radius=2, match_threshold=0.2)
@@ -533,17 +537,23 @@ class TestCheckpoint:
         assert loaded.tau_coarse == params.tau_coarse
         assert loaded.tau_fine == params.tau_fine
 
-    def test_truncated_file_rejected(self, tmp_path):
-        params = init_params(MatcherConfig(), seed=5)
+    @pytest.mark.parametrize("where", ["header", "data", "boundary"])
+    def test_cut_file_names_itself(self, tmp_path, where):
         path = tmp_path / "params.bin"
-        save_checkpoint(path, params)
-        data = path.read_bytes()
-        fine = params.W_fine.size * 8
-        # cut inside the dimension header, then inside W_fine
-        for size, expected, read in ((20, 20, 12), (len(data) - 100, fine, fine - 100)):
-            path.write_bytes(data[:size])
-            with pytest.raises(ValueError, match=f"params.bin: truncated .*expected {expected} bytes, read {read}$"):
-                load_checkpoint(path)
+        save_checkpoint(path, init_params(MatcherConfig(), seed=5))
+        ends = record_ends(path)
+        assert len(ends) == 3
+        # inside W_fine's header, inside W_fine's data, or just after it
+        size = {"header": ends[0] + 20, "data": ends[1] - 100, "boundary": ends[1]}[where]
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    def test_pair_file_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "pair.bin"
+        save_pair_file(path, sample_pair(make_domain("A", seed=0), 0))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -31,7 +31,7 @@ from epimatch.pipeline import (
     pretrain_config,
     write_run_outputs,
 )
-from epimatch.synth import gt_correspondence_grid, make_domain, sample_pair
+from epimatch.synth import gt_correspondence_grid, load_dataset, make_domain, sample_pair, save_dataset
 
 MCFG = MatcherConfig()
 HISTORY_KEYS = {"epoch", "loss", "coarse_loss", "fine_loss", "skipped_pairs", "empty_mask_pairs",
@@ -418,6 +418,24 @@ class TestBootstrap:
     def test_invalid_filter(self):
         with pytest.raises(ValueError):
             BootstrapConfig(min_matches=5, min_inliers=10)
+
+
+def test_dataset_from_disk_trains_like_its_renders(tmp_path, tiny_data, warm_params):
+    a, b = tiny_data
+    for name, seed in (("A", 31), ("B", 32)):
+        save_dataset(make_domain(name, seed=seed), len(a), tmp_path / name)
+    runs = [
+        lambda a, b: pretrain(a, init_params(MCFG, seed=5), pretrain_config(epochs=2, seed=5)),
+        lambda a, b: finetune_pose_supervised(b, warm_params, TrainConfig(epochs=2, seed=4),
+                                              replay_pairs=a),
+    ]
+    for run in runs:
+        p1, h1 = run(a, b)
+        p2, h2 = run(load_dataset(tmp_path / "A"), load_dataset(tmp_path / "B"))
+        assert p1.W_coarse.tobytes() == p2.W_coarse.tobytes()
+        assert p1.W_fine.tobytes() == p2.W_fine.tobytes()
+        assert (p1.tau_coarse, p1.tau_fine) == (p2.tau_coarse, p2.tau_fine)
+        assert h1 == h2
 
 
 class TestRunOutputs:

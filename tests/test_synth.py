@@ -1,4 +1,5 @@
-from dataclasses import replace
+import re
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from epimatch.geometry import (
     fundamental_from_pose,
     pixel_rays,
     project_points,
-    quat_to_rotation,
     rotation_from_axis_angle,
 )
 from epimatch.grid import GridSpec
 from epimatch.losses import d_epi
+from epimatch.matcher import MatcherConfig, init_params, save_checkpoint
 from epimatch.synth import (
     Plane,
     PoseSampler,
@@ -34,6 +35,8 @@ from epimatch.synth import (
     save_dataset,
     save_pair_file,
 )
+
+from conftest import record_ends
 
 
 def small_domain(name="A", seed=3, noise=None):
@@ -268,25 +271,20 @@ class TestPairFiles:
         F_loaded = fundamental_from_pose(loaded.K, loaded.K, loaded.pose)
         assert np.allclose(F_loaded, fundamental_from_pose(pair.K, pair.K, pair.pose), atol=1e-12)
 
-    @pytest.mark.parametrize("override, flag", [
-        (None, 1),
-        (RelativePose(rotation_from_axis_angle([0, 1, 0], 0.1), np.zeros(3)), 0),  # pure rotation
-    ])
-    def test_baseline_flag_and_exact_round_trip(self, tmp_path, override, flag):
-        # the flag byte follows magic (8), version/index/reserved (12), H, W (8)
-        # and intrinsics (32); the quaternion and t follow it
+    @pytest.mark.parametrize("override", [
+        None,
+        RelativePose(rotation_from_axis_angle([0, 1, 0], 0.1), np.zeros(3)),
+    ], ids=["pose", "pure_rotation"])
+    def test_exact_round_trip(self, tmp_path, override):
         pair = sample_pair(small_domain(), 0, pose_override=override)
         path = tmp_path / "pair.bin"
         save_pair_file(path, pair)
-        data = path.read_bytes()
-        assert data[60] == flag
-        q = np.frombuffer(data[61:93], dtype="<f8")
         loaded = load_pair_file(path)
-        assert loaded.K == pair.K
-        assert loaded.pose.R.tobytes() == quat_to_rotation(q).tobytes()
-        assert loaded.pose.t.tobytes() == pair.pose.t.tobytes()
         for name in ("image1", "image2", "depth1", "depth2"):
             assert getattr(loaded, name).tobytes() == getattr(pair, name).tobytes()
+        assert np.array(astuple(loaded.K)).tobytes() == np.array(astuple(pair.K)).tobytes()
+        assert loaded.pose.R.tobytes() == pair.pose.R.tobytes()
+        assert loaded.pose.t.tobytes() == pair.pose.t.tobytes()
 
     def test_dataset_round_trip(self, tmp_path):
         spec = small_domain(seed=8)
@@ -303,17 +301,70 @@ class TestPairFiles:
         with pytest.raises(ValueError, match=r"index.txt:4: expected 2 fields per index line, got 1$"):
             load_dataset(tmp_path / "ds")
 
-    def test_truncated_file_rejected(self, tmp_path):
-        pair = sample_pair(small_domain(), 0)
+    @pytest.mark.parametrize("where", ["header", "data", "boundary"])
+    def test_cut_file_names_itself(self, tmp_path, where):
         path = tmp_path / "pair.bin"
-        save_pair_file(path, pair)
-        data = path.read_bytes()
-        plane = pair.image1.size * 8
-        # cut inside the intrinsics, before the baseline flag, then inside depth2
-        for size, expected, read in ((40, 32, 12), (60, 1, 0), (len(data) - 8, plane, plane - 8)):
-            path.write_bytes(data[:size])
-            with pytest.raises(ValueError, match=f"pair.bin: truncated .*expected {expected} bytes, read {read}$"):
-                load_pair_file(path)
+        save_pair_file(path, sample_pair(small_domain(), 0))
+        ends = record_ends(path)
+        assert len(ends) == 7
+        # inside depth1's header, inside depth2's data, or just after R
+        size = {"header": ends[1] + 20, "data": ends[3] - 8, "boundary": ends[5]}[where]
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_pair_file(path)
+
+    @staticmethod
+    def write_records(path, records, archive=None):
+        """np.save each record, then np.savez `archive` if one is given."""
+        with open(path, "wb") as fh:
+            for a in records:
+                np.save(fh, a)
+            if archive is not None:
+                np.savez(fh, **archive)
+
+    def pair_records(self):
+        pair = sample_pair(small_domain(), 0)
+        return [pair.image1, pair.image2, pair.depth1, pair.depth2,
+                np.array(astuple(pair.K)), pair.pose.R, pair.pose.t]
+
+    @pytest.mark.parametrize("slot, bad", [
+        (4, np.array([110.0, 110.0, 64.0, 64.0], dtype=np.float32)),
+        (4, np.array([110.0, None, 64.0, 64.0], dtype=object)),
+        (5, np.eye(4)),
+        (1, np.zeros((64, 64))),
+    ], ids=["float32_K", "object_K", "R_4x4", "small_image2"])
+    def test_bad_record_names_the_file(self, tmp_path, slot, bad):
+        records = self.pair_records()
+        records[slot] = bad
+        path = tmp_path / "pair.bin"
+        self.write_records(path, records)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_pair_file(path)
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["npz", "cut_npz"])
+    def test_zip_archive_for_a_record_names_the_file(self, tmp_path, cut):
+        # np.load opens a zip archive where a record should be
+        *records, t = self.pair_records()
+        path = tmp_path / "pair.bin"
+        self.write_records(path, records)
+        size = path.stat().st_size + 40
+        self.write_records(path, records, archive={"t": t})
+        if cut:
+            path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_pair_file(path)
+
+    def test_extra_record_names_the_file(self, tmp_path):
+        path = tmp_path / "pair.bin"
+        self.write_records(path, self.pair_records() + [np.zeros(2)])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: data after the last of 7"):
+            load_pair_file(path)
+
+    def test_checkpoint_is_not_a_pair_file(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_checkpoint(path, init_params(MatcherConfig(), seed=0))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_pair_file(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
