@@ -89,6 +89,16 @@ def _file_settings(args):
     return values
 
 
+def _count(minimum):
+    """An argparse type: an int no less than `minimum`."""
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def _run_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,7 +244,7 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     from .gradcheck import run_gradcheck
 
-    report = run_gradcheck(seed=args.seed, inject_fault=args.inject_fault)
+    report = run_gradcheck(seed=args.seed)
     for name, err, bound in report["components"]:
         status = "ok" if err < bound else "FAIL"
         print(f"{name:<28} max rel err {err:.3e}  (bound {bound:.0e})  {status}")
@@ -286,7 +296,7 @@ def build_parser():
 
     p = add_command("synth", help="generate a synthetic two-view dataset")
     p.add_argument("--domain", required=True, choices=["A", "B"])
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=_count(1), default=50)
     _add_seed_flag(p)
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_synth)
@@ -302,9 +312,9 @@ def build_parser():
     p.add_argument("--longitudinal", type=float, default=25.0)
     p.add_argument("--min-overlap", type=float, default=0.3)
     p.add_argument("--max-overlap", type=float, default=0.8)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--image-width", type=int, default=640)
-    p.add_argument("--image-height", type=int, default=480)
+    p.add_argument("--stride", type=_count(1), default=1)
+    p.add_argument("--image-width", type=_count(1), default=640)
+    p.add_argument("--image-height", type=_count(1), default=480)
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_pairs)
 
@@ -359,15 +369,13 @@ def build_parser():
                    help=f"precision threshold; outdoor data takes {PRECISION_THRESHOLD_OUTDOOR:g}"
                         " (PRECISION_THRESHOLD_OUTDOOR)")
     _add_ransac_flags(p, EVAL_RANSAC)
-    p.add_argument("--overlays", type=int, default=4)
+    p.add_argument("--overlays", type=_count(0), default=4)
     _add_seed_flag(p)
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_eval)
 
     p = add_command("gradcheck", help="finite-difference gradient suites")
     _add_seed_flag(p)
-    p.add_argument("--inject-fault", choices=["sign-flip"], default=None,
-                   help="test hook: corrupt one gradient to prove detection")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")

@@ -5,7 +5,9 @@ linearly embedded, re-normalized and compared by dual-softmax over scaled
 inner products. Fine stage: around each coarse match, a correlation heatmap
 between fine-patch embeddings feeds a soft-argmax that yields a subpixel
 match. Both stages backpropagate exactly into the two embedding matrices and
-their own softmax temperatures.
+their own softmax temperatures. `MatcherParams` is the one parameter-shaped
+type: the weights, `backward`'s gradients and `sgd_step`'s momentum velocity
+are all `MatcherParams`.
 
 A coarse match is refined only when `fine_in_bounds` holds for it, the one
 drop rule. `forward` runs every stage on the matches it selects; the training
@@ -47,7 +49,8 @@ class MatcherConfig:
 
 @dataclass
 class MatcherParams:
-    """Two linear embeddings plus per-stage softmax temperatures.
+    """Two linear embeddings plus per-stage softmax temperatures; gradients
+    and SGD velocities have the same shape and are MatcherParams too.
 
     A single shared temperature would set the stages against each other: the
     fine stage prefers flatter heatmaps on weak texture, which would also
@@ -63,28 +66,22 @@ class MatcherParams:
         return MatcherParams(self.W_coarse.copy(), self.W_fine.copy(),
                              float(self.tau_coarse), float(self.tau_fine))
 
-
-@dataclass
-class MatcherGrads:
-    dW_coarse: np.ndarray
-    dW_fine: np.ndarray
-    dtau_coarse: float
-    dtau_fine: float
+    def zeros_like(self):
+        return MatcherParams(np.zeros_like(self.W_coarse), np.zeros_like(self.W_fine), 0.0, 0.0)
 
     def scaled(self, c):
-        return MatcherGrads(c * self.dW_coarse, c * self.dW_fine,
-                            c * self.dtau_coarse, c * self.dtau_fine)
+        return MatcherParams(c * self.W_coarse, c * self.W_fine,
+                             c * self.tau_coarse, c * self.tau_fine)
 
     def add_(self, other):
-        self.dW_coarse += other.dW_coarse
-        self.dW_fine += other.dW_fine
-        self.dtau_coarse += other.dtau_coarse
-        self.dtau_fine += other.dtau_fine
+        self.W_coarse += other.W_coarse
+        self.W_fine += other.W_fine
+        self.tau_coarse += other.tau_coarse
+        self.tau_fine += other.tau_fine
         return self
 
-
-def zero_grads(params: MatcherParams) -> MatcherGrads:
-    return MatcherGrads(np.zeros_like(params.W_coarse), np.zeros_like(params.W_fine), 0.0, 0.0)
+    def finite(self):
+        return all(np.isfinite(a).all() for a in (self.W_coarse, self.W_fine, self.tau_coarse, self.tau_fine))
 
 
 def init_params(cfg: MatcherConfig, seed=0) -> MatcherParams:
@@ -287,8 +284,9 @@ def _normalize_backward(dD, D, n):
     return dD
 
 
-def backward(cache, dC=None, dfine=None) -> MatcherGrads:
-    """Exact reverse-mode gradients of the forward pass.
+def backward(cache, dC=None, dfine=None) -> MatcherParams:
+    """Exact reverse-mode gradients of the forward pass, as a MatcherParams
+    whose fields are the gradients of the same-named parameters.
 
     dC: upstream gradient on the confidence matrix as a (rows, cols, g)
     triple: g[k] is the gradient on entry (rows[k], cols[k]), every other
@@ -299,7 +297,7 @@ def backward(cache, dC=None, dfine=None) -> MatcherGrads:
     order of the prediction's fine matches.
     """
     params: MatcherParams = cache["params"]
-    grads = zero_grads(params)
+    grads = params.zeros_like()
 
     if dC is not None and np.any(dC[2]):
         tau = params.tau_coarse
@@ -318,13 +316,13 @@ def backward(cache, dC=None, dfine=None) -> MatcherGrads:
         dS += tmp
         dS[rows, cols] = rs * (g_rs - a[rows]) + cs * (g_cs - b[cols])
         np.multiply(dS, S, out=tmp)
-        grads.dtau_coarse += -float(np.sum(tmp)) / tau
+        grads.tau_coarse += -float(np.sum(tmp)) / tau
         dS /= tau
         dD1 = dS @ cc["D2"]
         dD2 = dS.T @ cc["D1"]
         dY1 = _normalize_backward(dD1, cc["D1"], cc["n1"])
         dY2 = _normalize_backward(dD2, cc["D2"], cc["n2"])
-        grads.dW_coarse += cc["X1"].T @ dY1 + cc["X2"].T @ dY2
+        grads.W_coarse += cc["X1"].T @ dY1 + cc["X2"].T @ dY2
 
     fc = cache["fine"]
     if dfine is not None and fc["M"] > 0 and np.any(dfine):
@@ -332,61 +330,53 @@ def backward(cache, dC=None, dfine=None) -> MatcherGrads:
         p, coords, corr = fc["p"], fc["coords"], fc["corr"]
         dp = np.einsum("mc,mkc->mk", dfine, coords)
         dlogits = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
-        grads.dtau_fine += -float(np.sum(dlogits * corr)) / (tau * tau)
+        grads.tau_fine += -float(np.sum(dlogits * corr)) / (tau * tau)
         dcorr = dlogits / tau
         de1 = np.einsum("mk,mkd->md", dcorr, fc["E2w"])
         dE2w = dcorr[:, :, None] * fc["e1"][:, None, :]
         M, Kw, d_in_f = fc["Xf2"].shape
         dY1f = _normalize_backward(de1, fc["e1"], fc["nf1"])
         dY2w = _normalize_backward(dE2w.reshape(M * Kw, -1), fc["E2w"].reshape(M * Kw, -1), fc["n2w"])
-        grads.dW_fine += fc["Xf1"].T @ dY1f
-        grads.dW_fine += fc["Xf2"].reshape(M * Kw, d_in_f).T @ dY2w
+        grads.W_fine += fc["Xf1"].T @ dY1f
+        grads.W_fine += fc["Xf2"].reshape(M * Kw, d_in_f).T @ dY2w
 
     return grads
 
 
-@dataclass
-class SgdState:
-    v_coarse: np.ndarray
-    v_fine: np.ndarray
-    v_tau_coarse: float = 0.0
-    v_tau_fine: float = 0.0
-
-    @staticmethod
-    def zeros(params: MatcherParams):
-        return SgdState(np.zeros_like(params.W_coarse), np.zeros_like(params.W_fine), 0.0, 0.0)
-
-
-def sgd_step(params: MatcherParams, grads: MatcherGrads, state: SgdState,
+def sgd_step(params: MatcherParams, grads: MatcherParams, velocity: MatcherParams,
              lr, momentum=0.9, weight_decay=0.0) -> MatcherParams:
-    """Momentum SGD: v = mu*v + g + wd*p, then p -= lr*v.
+    """Momentum SGD: v = mu*v + g + wd*p, then p -= lr*v, where the gradient
+    g and the velocity v, updated in place, are MatcherParams.
 
     Temperatures update multiplicatively (log-space step with rate lr/10)
-    and are clamped positive; their scale differs from the
-    embedding weights by orders of magnitude, so they get their own rate.
+    and are clamped positive; their scale differs from the embedding
+    weights by orders of magnitude, so they get their own rate.
     """
-    for g in (grads.dW_coarse, grads.dW_fine):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("non-finite entries in parameter gradient")
-    if not (np.isfinite(grads.dtau_coarse) and np.isfinite(grads.dtau_fine)):
-        raise NonFiniteGradient("non-finite temperature gradient")
+    if not grads.finite():
+        raise NonFiniteGradient("non-finite entries in parameter gradient")
     tau_lr = 0.1 * lr
-    state.v_coarse = momentum * state.v_coarse + grads.dW_coarse + weight_decay * params.W_coarse
-    state.v_fine = momentum * state.v_fine + grads.dW_fine + weight_decay * params.W_fine
-    state.v_tau_coarse = momentum * state.v_tau_coarse + grads.dtau_coarse * params.tau_coarse
-    state.v_tau_fine = momentum * state.v_tau_fine + grads.dtau_fine * params.tau_fine
-    params.W_coarse = params.W_coarse - lr * state.v_coarse
-    params.W_fine = params.W_fine - lr * state.v_fine
-    params.tau_coarse = float(np.clip(params.tau_coarse * np.exp(-tau_lr * state.v_tau_coarse), _TAU_MIN, 10.0))
-    params.tau_fine = float(np.clip(params.tau_fine * np.exp(-tau_lr * state.v_tau_fine), _TAU_MIN, 10.0))
+    velocity.W_coarse = momentum * velocity.W_coarse + grads.W_coarse + weight_decay * params.W_coarse
+    velocity.W_fine = momentum * velocity.W_fine + grads.W_fine + weight_decay * params.W_fine
+    velocity.tau_coarse = momentum * velocity.tau_coarse + grads.tau_coarse * params.tau_coarse
+    velocity.tau_fine = momentum * velocity.tau_fine + grads.tau_fine * params.tau_fine
+    params.W_coarse = params.W_coarse - lr * velocity.W_coarse
+    params.W_fine = params.W_fine - lr * velocity.W_fine
+    params.tau_coarse = float(np.clip(params.tau_coarse * np.exp(-tau_lr * velocity.tau_coarse), _TAU_MIN, 10.0))
+    params.tau_fine = float(np.clip(params.tau_fine * np.exp(-tau_lr * velocity.tau_fine), _TAU_MIN, 10.0))
     return params
 
 
 def save_checkpoint(path, params: MatcherParams):
-    """Three float64 records: W_coarse, W_fine and (tau_coarse, tau_fine)."""
+    """Three float64 records: W_coarse, W_fine and (tau_coarse, tau_fine).
+    Non-finite weights raise ValueError, on saving and on loading."""
+    if not params.finite():
+        raise ValueError(f"{path}: checkpoint weights must be finite")
     write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine)))
 
 
 def load_checkpoint(path) -> MatcherParams:
     Wc, Wf, (tau_coarse, tau_fine) = read_arrays(path, [(None, None), (None, None), (2,)])
-    return MatcherParams(Wc, Wf, float(tau_coarse), float(tau_fine))
+    params = MatcherParams(Wc, Wf, float(tau_coarse), float(tau_fine))
+    if not params.finite():
+        raise ValueError(f"{path}: checkpoint weights must be finite")
+    return params

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DegenerateBaseline, EmptyDatasetAfterFilter, EpimatchError, NonFiniteLoss,
-                     NotEnoughReplayPairs)
+from .errors import (DegenerateBaseline, EmptyDatasetAfterFilter, EmptyInput, EpimatchError,
+                     NonFiniteLoss, NotEnoughReplayPairs)
 from .estimation import RansacConfig, ransac_fundamental
 from .geometry import RelativePose, fundamental_from_pose, rotation_from_axis_angle
 from .grid import GridSpec
@@ -30,7 +30,6 @@ from .losses import (
 from .matcher import (
     MatcherConfig,
     MatcherParams,
-    SgdState,
     backward,
     confidence_matrix,
     extract_features,
@@ -40,7 +39,6 @@ from .matcher import (
     save_checkpoint,
     select_coarse,
     sgd_step,
-    zero_grads,
 )
 from .synth import RenderedPair, gt_correspondence_grid
 
@@ -60,8 +58,10 @@ class TrainConfig:
     tau_fine_lr_scale: float = 3.0
 
     def __post_init__(self):
-        if not self.lr > 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("lr, batch_size and epochs must be positive")
+        if not 0 < self.lr < np.inf or self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("lr, batch_size and epochs must be positive, lr finite")
+        if not (0 <= self.weight_decay < np.inf and 0 <= self.momentum < 1):
+            raise ValueError("weight_decay must be finite and non-negative, momentum in [0, 1)")
 
 
 # pretraining wants a larger step and learns only the coarse temperature:
@@ -122,11 +122,6 @@ def _grid_of(pair: RenderedPair, mcfg: MatcherConfig) -> GridSpec:
     return GridSpec.for_image(*pair.image1.shape, mcfg.patch_width)
 
 
-def _check_finite(loss, pair_index):
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(f"non-finite loss on pair {pair_index}")
-
-
 def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
     """Losses and gradients of one training pair; None when the classification
     mask has no positive (the caller counts the pair as skipped).
@@ -182,7 +177,7 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
 def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherConfig,
            naive_mask=False, replay=None):
     """The epoch loop of every regime: targets[k] supervises pairs[k], and a
-    None target skips the pair.
+    None target skips the pair. No pairs at all raise EmptyInput.
 
     replay: optional (pairs, gts) source set; each batch then adds as many
     source pairs, drawn without replacement, as it has target pairs. Each
@@ -193,9 +188,11 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
     coarse matches of the pairs that ran (replay included) that fail
     fine_in_bounds.
     """
+    if not len(pairs):
+        raise EmptyInput("no training pairs")
     skipped = sum(1 for t in targets if t is None)
     params = params0.copy()
-    state = SgdState.zeros(params)
+    velocity = params.zeros_like()
     rng = np.random.default_rng(cfg.seed)
     history = []
     for epoch in range(cfg.epochs):
@@ -208,7 +205,7 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
             if replay is not None:
                 ridx = rng.choice(len(replay[0]), size=len(batch), replace=False)
                 steps += [(replay[0][k], replay[1][k], k, [cfg.seed, 77, epoch, int(k)]) for k in ridx]
-            acc = zero_grads(params)
+            acc = params.zeros_like()
             used = 0
             for i, (pair, target, k, rng_key) in enumerate(steps):
                 if target is None:
@@ -218,7 +215,8 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
                     empty += 1
                     continue
                 grads, loss, lc, lf, dropped = out
-                _check_finite(loss, k)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(f"non-finite loss on pair {k}")
                 acc.add_(grads)
                 used += 1
                 fine_dropped += dropped
@@ -229,9 +227,9 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
                     n_logged += 1
             if used:
                 g = acc.scaled(1.0 / used)
-                g.dtau_coarse *= cfg.tau_coarse_lr_scale
-                g.dtau_fine *= cfg.tau_fine_lr_scale
-                sgd_step(params, g, state, lr=cfg.lr, momentum=cfg.momentum,
+                g.tau_coarse *= cfg.tau_coarse_lr_scale
+                g.tau_fine *= cfg.tau_fine_lr_scale
+                sgd_step(params, g, velocity, lr=cfg.lr, momentum=cfg.momentum,
                          weight_decay=cfg.weight_decay)
         n = max(n_logged, 1)
         history.append({"epoch": epoch, "loss": tot / n, "coarse_loss": tot_c / n,

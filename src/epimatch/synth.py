@@ -88,17 +88,6 @@ def room_planes(width=8.0, depth=6.0, height=4.0):
     )
 
 
-def cluttered_room_planes(width=8.0, depth=6.0, height=4.0):
-    """Room with freestanding interior panels: wide in-view depth range makes
-    the translation direction of a camera pair observable from matches."""
-    panels = (
-        Plane((width * 0.15, depth * 0.52, 0.0), (1, 0, 0), (0, 0, 1), width * 0.3, height * 0.6),
-        Plane((width * 0.58, depth * 0.68, height * 0.15), (1, 0, 0), (0, 0, 1), width * 0.3, height * 0.65),
-        Plane((width * 0.38, depth * 0.42, 0.0), (1, 0, 0), (0, 0, 1), width * 0.18, height * 0.4),
-    )
-    return room_planes(width, depth, height) + panels
-
-
 def _texture_tables(spec: SceneSpec):
     """Per-plane per-octave value-noise lattices, seeded deterministically."""
     tables = []

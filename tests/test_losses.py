@@ -382,13 +382,13 @@ class TestTotalLoss:
         grads, total, lc, lf = self._step(instance, LossConfig(lam=0.0))
         assert lf > 0.0
         assert total == pytest.approx(lc)
-        assert np.all(grads.dW_fine == 0.0) and grads.dtau_fine == 0.0
+        assert np.all(grads.W_fine == 0.0) and grads.tau_fine == 0.0
 
     def test_lambda_one_is_fine_only(self, instance):
         grads, total, lc, lf = self._step(instance, LossConfig(lam=1.0))
         assert lc > 0.0
         assert total == pytest.approx(lf)
-        assert np.all(grads.dW_coarse == 0.0) and grads.dtau_coarse == 0.0
+        assert np.all(grads.W_coarse == 0.0) and grads.tau_coarse == 0.0
 
     def test_convex_combination(self, instance):
         _, total, lc, lf = self._step(instance, LossConfig(lam=0.5))

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from epimatch import errors
+from epimatch.errors import write_arrays
 from epimatch.gradcheck import matcher_suite
 from epimatch.losses import (coarse_loss_grad, epipolar_classification_mask, gt_classification_mask,
                              naive_epipolar_mask)
 from epimatch.matcher import (
     MatcherConfig,
-    MatcherGrads,
     MatcherParams,
-    SgdState,
     backward,
     confidence_matrix,
     extract_features,
@@ -24,7 +23,6 @@ from epimatch.matcher import (
     save_checkpoint,
     select_coarse,
     sgd_step,
-    zero_grads,
 )
 from epimatch.matcher import _NORM_EPS, _embed_normalized, _normalize_backward, _patch_rows, _softmax
 from epimatch.synth import make_domain, sample_pair, save_pair_file
@@ -427,9 +425,9 @@ class TestBackward:
         pred, cache = forward(img1, img2, params, SMALL,
                               coarse_override=(np.array([5]), np.array([5])))
         grads = backward(cache, dC=every_entry(np.zeros((16, 16))), dfine=np.zeros((1, 2)))
-        assert np.allclose(grads.dW_coarse, 0.0)
-        assert np.allclose(grads.dW_fine, 0.0)
-        assert grads.dtau_coarse == 0.0 and grads.dtau_fine == 0.0
+        assert np.allclose(grads.W_coarse, 0.0)
+        assert np.allclose(grads.W_fine, 0.0)
+        assert grads.tau_coarse == 0.0 and grads.tau_fine == 0.0
 
     def test_upstream_linearity(self, rng):
         img1, img2 = random_image(rng), random_image(rng)
@@ -440,10 +438,10 @@ class TestBackward:
         g = rng.normal(size=(pred.fine_x2.shape[0], 2))
         g1 = backward(cache, dC=every_entry(G), dfine=g)
         g3 = backward(cache, dC=every_entry(3.0 * G), dfine=3.0 * g)
-        assert np.allclose(g3.dW_coarse, 3.0 * g1.dW_coarse)
-        assert np.allclose(g3.dW_fine, 3.0 * g1.dW_fine)
-        assert g3.dtau_coarse == pytest.approx(3.0 * g1.dtau_coarse)
-        assert g3.dtau_fine == pytest.approx(3.0 * g1.dtau_fine)
+        assert np.allclose(g3.W_coarse, 3.0 * g1.W_coarse)
+        assert np.allclose(g3.W_fine, 3.0 * g1.W_fine)
+        assert g3.tau_coarse == pytest.approx(3.0 * g1.tau_coarse)
+        assert g3.tau_fine == pytest.approx(3.0 * g1.tau_fine)
 
 
 class TestSparseCoarseBackward:
@@ -465,7 +463,7 @@ class TestSparseCoarseBackward:
         dense = np.zeros_like(cache["coarse"]["S"])
         dense[rows, cols] = g
         grads = backward(cache, dC=(rows, cols, g))
-        return (grads.dW_coarse, grads.dtau_coarse), dense_coarse_backward(cache, dense)
+        return (grads.W_coarse, grads.tau_coarse), dense_coarse_backward(cache, dense)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_entry_per_row_is_byte_equal(self, seed):
@@ -495,33 +493,33 @@ class TestSgdStep:
     def test_zero_lr_is_identity(self, rng):
         params = init_params(SMALL, seed=0)
         before = params.copy()
-        grads = zero_grads(params)
-        grads.dW_coarse += rng.normal(size=grads.dW_coarse.shape)
-        sgd_step(params, grads, SgdState.zeros(params), lr=0.0)
+        grads = params.zeros_like()
+        grads.W_coarse += rng.normal(size=grads.W_coarse.shape)
+        sgd_step(params, grads, params.zeros_like(), lr=0.0)
         assert np.array_equal(params.W_coarse, before.W_coarse)
 
     def test_weight_decay_shrinks(self):
         params = init_params(SMALL, seed=0)
         before = params.copy()
-        sgd_step(params, zero_grads(params), SgdState.zeros(params), lr=0.1, weight_decay=0.5)
+        sgd_step(params, params.zeros_like(), params.zeros_like(), lr=0.1, weight_decay=0.5)
         assert np.allclose(params.W_coarse, before.W_coarse * (1 - 0.1 * 0.5))
 
     def test_step_decreases_quadratic_toy_loss(self):
         # L = 0.5 * |W_coarse|^2, gradient = W_coarse
         params = init_params(SMALL, seed=1)
-        state = SgdState.zeros(params)
+        state = params.zeros_like()
         loss0 = 0.5 * np.sum(params.W_coarse ** 2)
-        grads = zero_grads(params)
-        grads.dW_coarse += params.W_coarse
+        grads = params.zeros_like()
+        grads.W_coarse += params.W_coarse
         sgd_step(params, grads, state, lr=0.1)
         assert 0.5 * np.sum(params.W_coarse ** 2) < loss0
 
     def test_non_finite_gradient_rejected(self):
         params = init_params(SMALL, seed=2)
-        grads = zero_grads(params)
-        grads.dW_fine[0, 0] = np.nan
+        grads = params.zeros_like()
+        grads.W_fine[0, 0] = np.nan
         with pytest.raises(errors.NonFiniteGradient):
-            sgd_step(params, grads, SgdState.zeros(params), lr=0.1)
+            sgd_step(params, grads, params.zeros_like(), lr=0.1)
 
 
 class TestCheckpoint:
@@ -546,6 +544,21 @@ class TestCheckpoint:
         # inside W_fine's header, inside W_fine's data, or just after it
         size = {"header": ends[0] + 20, "data": ends[1] - 100, "boundary": ends[1]}[where]
         path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["W_coarse", "tau_fine"])
+    def test_non_finite_weights_are_refused(self, tmp_path, field):
+        params = init_params(MatcherConfig(), seed=5)
+        if field == "W_coarse":
+            params.W_coarse[3, 1] = np.nan
+        else:
+            params.tau_fine = np.inf
+        with pytest.raises(ValueError, match="checkpoint weights must be finite"):
+            save_checkpoint(tmp_path / "refused.bin", params)
+        assert not (tmp_path / "refused.bin").exists()
+        path = tmp_path / "params.bin"
+        write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine)))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
 

@@ -68,6 +68,10 @@ class TestPretrain:
         assert np.array_equal(params.W_fine, params0.W_fine)
         assert history == []
 
+    def test_no_pairs_raises(self):
+        with pytest.raises(errors.EmptyInput):
+            pretrain([], init_params(MCFG, seed=1), pretrain_config(epochs=1))
+
     def test_deterministic(self, tiny_data):
         a, _ = tiny_data
         cfg = pretrain_config(epochs=2, seed=9)
@@ -166,14 +170,14 @@ class TestPairGrads:
             assert len(pred.fine_x2) > 0 and lf > 0.0
             assert (total, lc, lf) == (ref_total, ref_lc, ref_lf)
             assert dropped == pred.dropped
-            assert grads.dW_coarse.tobytes() == ref.dW_coarse.tobytes()
-            assert grads.dtau_coarse == ref.dtau_coarse
+            assert grads.W_coarse.tobytes() == ref.W_coarse.tobytes()
+            assert grads.tau_coarse == ref.tau_coarse
             # the skipped rows add exact zeros, but fewer rows change the
             # summation order: errors scale with the largest entry, not with
             # an entry that cancels to near zero
-            scale = np.abs(ref.dW_fine).max()
-            np.testing.assert_allclose(grads.dW_fine, ref.dW_fine, rtol=1e-12, atol=1e-12 * scale)
-            assert grads.dtau_fine == pytest.approx(ref.dtau_fine, rel=1e-12)
+            scale = np.abs(ref.W_fine).max()
+            np.testing.assert_allclose(grads.W_fine, ref.W_fine, rtol=1e-12, atol=1e-12 * scale)
+            assert grads.tau_fine == pytest.approx(ref.tau_fine, rel=1e-12)
 
     def test_refines_only_the_supervised_rows(self, tiny_data, warm_params, monkeypatch):
         a, _ = tiny_data
@@ -198,9 +202,9 @@ class TestPairGrads:
         ref, ref_total, ref_lc, _, pred = full_row_pair_grads(pair, target, warm_params, mcfg, LossConfig(), [0])
         assert rows == [] and lf == 0.0
         assert dropped == pred.dropped == np.count_nonzero(target[0] >= 0) > 0
-        assert not grads.dW_fine.any() and grads.dtau_fine == 0.0
+        assert not grads.W_fine.any() and grads.tau_fine == 0.0
         assert (total, lc) == (ref_total, ref_lc)
-        assert grads.dW_coarse.tobytes() == ref.dW_coarse.tobytes() and grads.dtau_coarse == ref.dtau_coarse
+        assert grads.W_coarse.tobytes() == ref.W_coarse.tobytes() and grads.tau_coarse == ref.tau_coarse
 
     def test_history_counts_dropped_matches(self, tiny_data):
         a, _ = tiny_data
@@ -240,13 +244,25 @@ class TestConfigRangeChecks:
         lambda x: PoseNoiseConfig(rotation_deg=x),
         lambda x: PoseNoiseConfig(translation_deg=x),
         lambda x: TrainConfig(lr=x),
+        lambda x: TrainConfig(weight_decay=x),
         lambda x: RansacConfig(inlier_threshold=x),
-    ], ids=["theta", "rotation_noise", "translation_noise", "lr", "inlier_threshold"])
+    ], ids=["theta", "rotation_noise", "translation_noise", "lr", "weight_decay", "inlier_threshold"])
     def test_nan_and_out_of_range_values_are_refused(self, make):
         for bad in (float("nan"), -1.0):
             with pytest.raises(ValueError):
                 make(bad)
         make(1.0)
+
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    def test_infinite_step_setting_is_refused(self, field):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: float("inf")})
+
+    def test_momentum_outside_the_unit_interval_is_refused(self):
+        for bad in (float("nan"), -0.1, 1.0):
+            with pytest.raises(ValueError):
+                TrainConfig(momentum=bad)
+        TrainConfig(momentum=0.0)
 
     def test_zero_pose_noise_is_allowed(self):
         assert PoseNoiseConfig(0.0, 0.0) == PoseNoiseConfig()

@@ -24,7 +24,6 @@ from epimatch.synth import (
     TextureSpec,
     _camera_from_position,
     _texture_tables,
-    cluttered_room_planes,
     gt_correspondence_grid,
     load_dataset,
     load_pair_file,
@@ -166,6 +165,17 @@ def gt_grid_oracle(pair, grid):
         targets[i] = r * grid.cols + c
         points[i] = (u2, v2)
     return targets, points, reasons
+
+
+def cluttered_room_planes(width=8.0, depth=6.0, height=4.0):
+    """Room with freestanding interior panels: wide in-view depth range makes
+    the translation direction of a camera pair observable from matches."""
+    panels = (
+        Plane((width * 0.15, depth * 0.52, 0.0), (1, 0, 0), (0, 0, 1), width * 0.3, height * 0.6),
+        Plane((width * 0.58, depth * 0.68, height * 0.15), (1, 0, 0), (0, 0, 1), width * 0.3, height * 0.65),
+        Plane((width * 0.38, depth * 0.42, 0.0), (1, 0, 0), (0, 0, 1), width * 0.18, height * 0.4),
+    )
+    return room_planes(width, depth, height) + panels
 
 
 class TestGtCorrespondenceGrid:
