@@ -2,13 +2,15 @@
 
 A setting's value is its flag's, else the --config file's (keys before any
 section, or in the command's [section]), else EPIMATCH_SEED's (--seed only),
-else the flag's default (0 for --seed). Every command but gradcheck and
-replay writes into the run directory --out, and once it succeeds adds
-run_manifest.json there for `epimatch replay`. Each run directory holds:
+else the flag's default (0 for --seed). Required flags (--domain, --data,
+--checkpoint, --out, ...) must be typed: a --config file cannot supply them.
+Every command but gradcheck and replay writes into the run directory --out,
+and once it succeeds adds run_manifest.json there for `epimatch replay`.
+Each run directory holds:
 
   synth      index.txt, pairs/NNNNN.bin
   pairs      pairs.txt
-  pretrain   checkpoint.bin, metrics.csv (one row per epoch)
+  pretrain   checkpoint.bin (weights and matcher config), metrics.csv (one row per epoch)
   finetune   checkpoint.bin, metrics.csv
   bootstrap  checkpoint.bin, metrics.csv, report.json
   match      matches.txt, overlay.png
@@ -40,7 +42,6 @@ from .metrics import (
 from .pairgen import BoxModel, HemisphereModel, OverlapRange, PoseRecord, PRESETS, generate_pairs, write_pairs_file
 from .pipeline import (
     BootstrapConfig,
-    PoseNoiseConfig,
     TrainConfig,
     bootstrap_finetune,
     finetune_pose_supervised,
@@ -110,9 +111,9 @@ def _ransac(args):
                         inlier_threshold=args.ransac_threshold, seed=args.seed)
 
 
-def _match(pair, params, threshold):
+def _match(pair, params, mcfg, threshold):
     """The matcher's prediction for one pair and its overlay image."""
-    pred, _ = forward(pair.image1, pair.image2, params, MatcherConfig())
+    pred, _ = forward(pair.image1, pair.image2, params, mcfg)
     canvas = match_overlay(pair.image1, pair.image2, pred.fine_x1, pred.fine_x2,
                            pair.pose, pair.K, threshold=threshold)
     return pred, canvas
@@ -157,9 +158,9 @@ def _train_config(args, for_pretrain=False):
 def cmd_pretrain(args):
     dataset = load_dataset(args.data)
     cfg = _train_config(args, for_pretrain=True)
-    params0 = init_params(MatcherConfig(), seed=cfg.seed)
-    params, history = pretrain(dataset, params0, cfg)
-    write_run_outputs(args.out, params, history)
+    mcfg = MatcherConfig()
+    params, history = pretrain(dataset, init_params(mcfg, seed=cfg.seed), cfg, mcfg)
+    write_run_outputs(args.out, params, mcfg, history)
     print(f"pretrained for {cfg.epochs} epochs; run directory: {args.out}")
     return 0
 
@@ -171,14 +172,11 @@ def _load_replay(args):
 def cmd_finetune(args):
     dataset = load_dataset(args.data)
     cfg = _train_config(args)
-    params0 = load_checkpoint(args.checkpoint)
-    noise = PoseNoiseConfig(rotation_deg=args.pose_noise_deg,
-                            translation_deg=args.pose_noise_deg)
-    replay = _load_replay(args)
+    params0, mcfg = load_checkpoint(args.checkpoint)
     params, history = finetune_pose_supervised(
-        dataset, params0, cfg, noise=noise, replay_pairs=replay,
-        naive_mask=args.naive_mask)
-    write_run_outputs(args.out, params, history)
+        dataset, params0, cfg, mcfg, noise_deg=args.pose_noise_deg,
+        replay_pairs=_load_replay(args), naive_mask=args.naive_mask)
+    write_run_outputs(args.out, params, mcfg, history)
     print(f"finetuned for {cfg.epochs} epochs; run directory: {args.out}")
     return 0
 
@@ -186,13 +184,12 @@ def cmd_finetune(args):
 def cmd_bootstrap(args):
     dataset = load_dataset(args.data)
     cfg = _train_config(args)
-    params0 = load_checkpoint(args.checkpoint)
+    params0, mcfg = load_checkpoint(args.checkpoint)
     bcfg = BootstrapConfig(min_matches=args.min_matches, min_inliers=args.min_inliers,
                            ransac=_ransac(args))
-    replay = _load_replay(args)
-    params, history, report = bootstrap_finetune(dataset, params0, cfg, bcfg,
-                                                 replay_pairs=replay)
-    write_run_outputs(args.out, params, history, extra=report)
+    params, history, report = bootstrap_finetune(dataset, params0, cfg, bcfg, mcfg,
+                                                 replay_pairs=_load_replay(args))
+    write_run_outputs(args.out, params, mcfg, history, extra=report)
     print(f"bootstrap-finetuned; kept {report['kept']}/{report['n_pairs']} pairs; run directory: {args.out}")
     return 0
 
@@ -200,8 +197,8 @@ def cmd_bootstrap(args):
 def cmd_match(args):
     from .synth import load_pair_file
 
-    params = load_checkpoint(args.checkpoint)
-    pred, canvas = _match(load_pair_file(args.pair), params, args.threshold)
+    params, mcfg = load_checkpoint(args.checkpoint)
+    pred, canvas = _match(load_pair_file(args.pair), params, mcfg, args.threshold)
     out = _run_dir(args)
     write_match_file(out / "matches.txt", pred.fine_x1, pred.fine_x2, pred.fine_conf)
     write_png(out / "overlay.png", canvas)
@@ -227,16 +224,16 @@ def cmd_pose(args):
 
 
 def cmd_eval(args):
-    params = load_checkpoint(args.checkpoint)
+    params, mcfg = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    report = evaluate(params, dataset, _ransac(args), precision_threshold=args.threshold)
+    report = evaluate(params, dataset, _ransac(args), mcfg, precision_threshold=args.threshold)
     out = _run_dir(args)
     with open(out / "eval.json", "w") as fh:
         fh.write(report.to_json())
     with open(out / "eval.txt", "w") as fh:
         fh.write(report.to_table() + "\n")
     for i, pair in enumerate(dataset[: args.overlays]):
-        write_png(out / f"overlay_{i:03d}.png", _match(pair, params, args.threshold)[1])
+        write_png(out / f"overlay_{i:03d}.png", _match(pair, params, mcfg, args.threshold)[1])
     print(report.to_table())
     return 0
 

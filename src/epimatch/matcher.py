@@ -7,7 +7,8 @@ between fine-patch embeddings feeds a soft-argmax that yields a subpixel
 match. Both stages backpropagate exactly into the two embedding matrices and
 their own softmax temperatures. `MatcherParams` is the one parameter-shaped
 type: the weights, `backward`'s gradients and `sgd_step`'s momentum velocity
-are all `MatcherParams`.
+are all `MatcherParams`. A checkpoint holds the weights and the
+`MatcherConfig` they were trained under.
 
 A coarse match is refined only when `fine_in_bounds` holds for it, the one
 drop rule. `forward` runs every stage on the matches it selects; the training
@@ -17,7 +18,7 @@ so `backward` takes a fine gradient for exactly the rows `refine_fine` got.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -366,17 +367,32 @@ def sgd_step(params: MatcherParams, grads: MatcherParams, velocity: MatcherParam
     return params
 
 
-def save_checkpoint(path, params: MatcherParams):
-    """Three float64 records: W_coarse, W_fine and (tau_coarse, tau_fine).
-    Non-finite weights raise ValueError, on saving and on loading."""
+def _check_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig) -> MatcherConfig:
+    """The one check of save_checkpoint and load_checkpoint: a ValueError
+    naming `path` unless mcfg's size fields are whole numbers and the weights
+    finite and shaped by mcfg. Returns mcfg with int size fields."""
+    sizes = {f.name: getattr(mcfg, f.name) for f in fields(mcfg) if f.type == "int"}
+    if not all(float(v).is_integer() for v in sizes.values()):
+        raise ValueError(f"{path}: checkpoint size fields must be whole numbers, got {sizes}")
+    mcfg = replace(mcfg, **{k: int(v) for k, v in sizes.items()})
     if not params.finite():
         raise ValueError(f"{path}: checkpoint weights must be finite")
-    write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine)))
+    shapes = (params.W_coarse.shape, params.W_fine.shape)
+    if shapes != ((mcfg.d_in, mcfg.d), (mcfg.d_in_fine, mcfg.d_fine)):
+        raise ValueError(f"{path}: weight shapes {shapes} disagree with {mcfg}")
+    return mcfg
 
 
-def load_checkpoint(path) -> MatcherParams:
-    Wc, Wf, (tau_coarse, tau_fine) = read_arrays(path, [(None, None), (None, None), (2,)])
+def save_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig):
+    """Four float64 records: W_coarse, W_fine, (tau_coarse, tau_fine) and
+    the MatcherConfig fields in declaration order."""
+    _check_checkpoint(path, params, mcfg)
+    write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine), astuple(mcfg)))
+
+
+def load_checkpoint(path):
+    """The (params, mcfg) that save_checkpoint wrote, under the same check."""
+    Wc, Wf, (tau_coarse, tau_fine), values = read_arrays(
+        path, [(None, None), (None, None), (2,), (len(fields(MatcherConfig)),)])
     params = MatcherParams(Wc, Wf, float(tau_coarse), float(tau_fine))
-    if not params.finite():
-        raise ValueError(f"{path}: checkpoint weights must be finite")
-    return params
+    return params, _check_checkpoint(path, params, MatcherConfig(*values.tolist()))

@@ -128,8 +128,7 @@ def matching_precision(pts1, pts2, pose: RelativePose, K1: CameraIntrinsics, K2:
     return float(100.0 * np.mean(d < threshold))
 
 
-def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig,
-             matcher_cfg: MatcherConfig | None = None,
+def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: MatcherConfig,
              precision_threshold=PRECISION_THRESHOLD_INDOOR) -> EvalReport:
     """Match every pair, estimate its relative pose and aggregate the report.
 
@@ -138,13 +137,12 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig,
     precision of a pair without matches or without an epipolar geometry
     contributes 0.
     """
-    matcher_cfg = matcher_cfg or MatcherConfig()
     errors = []
     rots, trans = [], []
     precisions = []
     n_matches = []
     for pair in dataset:
-        pred, _ = forward(pair.image1, pair.image2, params, matcher_cfg)
+        pred, _ = forward(pair.image1, pair.image2, params, mcfg)
         M = pred.fine_x2.shape[0]
         n_matches.append(M)
         precision, error = 0.0, np.inf

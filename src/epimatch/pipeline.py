@@ -91,30 +91,23 @@ class BootstrapConfig:
 PAPER_BOOTSTRAP_FILTER = BootstrapConfig(min_matches=100, min_inliers=20)
 
 
-@dataclass
-class PoseNoiseConfig:
-    rotation_deg: float = 0.0
-    translation_deg: float = 0.0
-
-    def __post_init__(self):
-        if not (self.rotation_deg >= 0 and self.translation_deg >= 0):
-            raise ValueError("noise magnitudes must be non-negative")
-
-
-def perturb_pose(pose: RelativePose, noise: PoseNoiseConfig, rng) -> RelativePose:
-    """Perturb the rotation by a random-axis rotation of the given magnitude
-    and tilt the translation direction by exactly the given angle."""
-    if noise.rotation_deg == 0.0 and noise.translation_deg == 0.0:
+def perturb_pose(pose: RelativePose, noise_deg, rng) -> RelativePose:
+    """Perturb the rotation by a random-axis rotation of noise_deg degrees
+    and tilt the translation direction by exactly noise_deg. A NaN or
+    negative angle raises ValueError."""
+    if not noise_deg >= 0:
+        raise ValueError(f"pose noise must be a non-negative angle, got {noise_deg}")
+    if noise_deg == 0.0:
         return pose
-    R_delta = rotation_from_axis_angle(rng.normal(size=3), np.radians(noise.rotation_deg))
+    R_delta = rotation_from_axis_angle(rng.normal(size=3), np.radians(noise_deg))
     t = pose.t
-    if noise.translation_deg > 0.0 and np.linalg.norm(t) > 0.0:
+    if np.linalg.norm(t) > 0.0:
         # rotate about a random axis perpendicular to t: the direction moves
         # by the full requested angle
         axis = np.cross(t, rng.normal(size=3))
         while np.linalg.norm(axis) < 1e-12:
             axis = np.cross(t, rng.normal(size=3))
-        t = rotation_from_axis_angle(axis, np.radians(noise.translation_deg)) @ t
+        t = rotation_from_axis_angle(axis, np.radians(noise_deg)) @ t
     return RelativePose(R_delta @ pose.R, t)
 
 
@@ -238,34 +231,29 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
     return params, history
 
 
-def pretrain(dataset_a, params0: MatcherParams, cfg: TrainConfig,
-             mcfg: MatcherConfig | None = None, gts=None):
+def pretrain(dataset_a, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherConfig, gts=None):
     """Correspondence-supervised training on ground-truth matches.
 
     Returns (params, history) where history rows carry per-epoch mean losses.
     """
-    mcfg = mcfg or MatcherConfig()
     if gts is None:
         gts = [gt_correspondence_grid(p, _grid_of(p, mcfg)) for p in dataset_a]
     return _train(dataset_a, gts, params0, cfg, mcfg)
 
 
-def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig,
-                             noise: PoseNoiseConfig | None = None,
-                             mcfg: MatcherConfig | None = None,
-                             replay_pairs=None, replay_gts=None,
-                             f_override=None, naive_mask=False):
-    """Epipolar finetuning with F from (optionally perturbed) poses.
+def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherConfig,
+                             noise_deg=0.0, replay_pairs=None, replay_gts=None, f_override=None,
+                             naive_mask=False):
+    """Epipolar finetuning with F from poses.
 
+    noise_deg: the angle perturb_pose turns each pose by before F is formed;
+    a NaN or negative angle raises ValueError before any training step.
     f_override: optional per-pair list of (3, 3) F arrays (or None to skip
     the pair) replacing the pose-derived F; used by the bootstrap regime.
     With non-empty replay_pairs, each batch adds an equal count of source
     pairs trained with the original supervised losses; a replay set smaller
     than one batch raises NotEnoughReplayPairs.
     """
-    mcfg = mcfg or MatcherConfig()
-    noise = noise or PoseNoiseConfig()
-
     if f_override is not None:
         f_per_pair = list(f_override)
     else:
@@ -273,7 +261,7 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
         for i, pair in enumerate(dataset_b):
             noise_rng = np.random.default_rng([cfg.seed, 101, i])
             try:
-                pose = perturb_pose(pair.pose, noise, noise_rng)
+                pose = perturb_pose(pair.pose, noise_deg, noise_rng)
                 f_per_pair.append(fundamental_from_pose(pair.K, pair.K, pose))
             except DegenerateBaseline:
                 f_per_pair.append(None)
@@ -293,14 +281,12 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
     return _train(dataset_b, f_per_pair, params0, cfg, mcfg, naive_mask=naive_mask, replay=replay)
 
 
-def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConfig,
-                           mcfg: MatcherConfig | None = None):
+def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConfig, mcfg: MatcherConfig):
     """Estimate a fundamental matrix per pair from the model's own matches.
 
     Returns (list of (3, 3) F arrays or None, report dict). Pairs failing
     the match-count or inlier-count filters yield None.
     """
-    mcfg = mcfg or MatcherConfig()
     f_list = []
     report = {"n_pairs": len(dataset_b), "kept": 0, "dropped_few_matches": 0,
               "dropped_few_inliers": 0, "dropped_estimation_failed": 0}
@@ -325,23 +311,22 @@ def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConf
     return f_list, report
 
 
-def bootstrap_finetune(dataset_b, params0: MatcherParams, cfg: TrainConfig,
-                       bcfg: BootstrapConfig, mcfg: MatcherConfig | None = None,
-                       replay_pairs=None, replay_gts=None):
+def bootstrap_finetune(dataset_b, params0: MatcherParams, cfg: TrainConfig, bcfg: BootstrapConfig,
+                       mcfg: MatcherConfig, replay_pairs=None, replay_gts=None):
     """Estimate F per pair once up-front, then finetune against those
     estimates."""
-    mcfg = mcfg or MatcherConfig()
     f_list, report = bootstrap_fundamentals(dataset_b, params0, bcfg, mcfg)
     if report["kept"] == 0:
         raise EmptyDatasetAfterFilter("bootstrap filter removed every pair")
     params, history = finetune_pose_supervised(
-        dataset_b, params0, cfg, mcfg=mcfg, replay_pairs=replay_pairs,
+        dataset_b, params0, cfg, mcfg, replay_pairs=replay_pairs,
         replay_gts=replay_gts, f_override=f_list)
     return params, history, report
 
 
-def write_run_outputs(run_dir, params, history, extra=None):
-    """Persist a training run's outputs: metrics CSV, checkpoint, report."""
+def write_run_outputs(run_dir, params, mcfg, history, extra=None):
+    """Persist a training run's outputs: metrics CSV, checkpoint (weights and
+    matcher config), report."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     if history:
@@ -349,7 +334,7 @@ def write_run_outputs(run_dir, params, history, extra=None):
             writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))
             writer.writeheader()
             writer.writerows(history)
-    save_checkpoint(run_dir / "checkpoint.bin", params)
+    save_checkpoint(run_dir / "checkpoint.bin", params, mcfg)
     if extra:
         with open(run_dir / "report.json", "w") as fh:
             json.dump(extra, fh, indent=2, sort_keys=True)

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +10,32 @@ from epimatch import cli, pipeline
 from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main
 from epimatch.config import parse_config_file
 from epimatch.errors import write_arrays
-from epimatch.estimation import write_match_file
+from epimatch.estimation import read_match_file, write_match_file
 from epimatch.geometry import Camera, CameraIntrinsics, RelativePose, fundamental_from_pose
 from epimatch.grid import GridSpec
-from epimatch.matcher import load_checkpoint
+from epimatch.matcher import MatcherConfig, forward, init_params, load_checkpoint, save_checkpoint
 from epimatch.pipeline import BootstrapConfig, TrainConfig, pretrain_config
 from epimatch.synth import (gt_correspondence_grid, load_dataset, load_pair_file, make_domain, save_dataset,
                             save_pair_file)
 
-from conftest import write_pose_file
+from conftest import record_ends, write_pose_file
+
+# a matcher config other than the default: narrower embeddings and fine
+# window, and no confidence threshold
+OWN_CONFIG = MatcherConfig(d=8, d_fine=6, window_radius=2, match_threshold=0.0)
+
+
+@pytest.fixture
+def own_checkpoint(tmp_path):
+    """A checkpoint of untrained weights saved under OWN_CONFIG."""
+    path = tmp_path / "own.bin"
+    save_checkpoint(path, init_params(OWN_CONFIG, seed=3), OWN_CONFIG)
+    return path
+
+
+def last_record(path):
+    """The bytes of a record file's last record."""
+    return path.read_bytes()[record_ends(path)[-2]:]
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +173,18 @@ class TestTrainCommands:
                      "--out", str(out)]) == 0
         assert (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("command", ["finetune", "bootstrap"])
+    def test_trains_with_and_writes_back_the_loaded_config(self, workspace, tmp_path, own_checkpoint, command):
+        out = tmp_path / "run"
+        assert main([command, "--data", str(workspace / "dsA"), "--checkpoint", str(own_checkpoint),
+                     "--epochs", "1", "--seed", "0", "--out", str(out)]) == 0
+        assert load_checkpoint(out / "checkpoint.bin")[1] == OWN_CONFIG
+        assert last_record(out / "checkpoint.bin") == last_record(own_checkpoint)
+        if command == "bootstrap":
+            # every pair kept: bootstrapping matched with the loaded config
+            report = json.loads((out / "report.json").read_text())
+            assert report["kept"] == report["n_pairs"] == 3
+
     @pytest.mark.parametrize("flag", ["--theta", "--pose-noise-deg", "--lr", "--weight-decay"])
     def test_nan_setting_is_refused_before_training(self, workspace, tmp_path, capsys, flag):
         out = tmp_path / "r"
@@ -205,14 +234,42 @@ class TestMatchPoseEval:
         assert capsys.readouterr().err.startswith(f"error[ValueError]: {pair}: ")
 
     def test_match_refuses_a_checkpoint_holding_nan(self, workspace, tmp_path, capsys):
-        params = load_checkpoint(workspace / "runA" / "checkpoint.bin")
+        params, mcfg = load_checkpoint(workspace / "runA" / "checkpoint.bin")
         params.W_fine[0, 0] = np.nan
         path = tmp_path / "nan.bin"
-        write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine)))
+        write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine), astuple(mcfg)))
         rc = main(["match", "--checkpoint", str(path), "--pair", str(workspace / "dsA" / "pairs" / "00000.bin"),
                    "--out", str(tmp_path / "m")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error[ValueError]: {path}: ")
+        assert not (tmp_path / "m").exists()
+
+    def test_match_uses_the_checkpoint_config(self, workspace, tmp_path, own_checkpoint):
+        pair_path = workspace / "dsA" / "pairs" / "00000.bin"
+        out = tmp_path / "m"
+        assert main(["match", "--checkpoint", str(own_checkpoint), "--pair", str(pair_path),
+                     "--out", str(out)]) == 0
+        pair = load_pair_file(pair_path)
+        pred, _ = forward(pair.image1, pair.image2, init_params(OWN_CONFIG, seed=3), OWN_CONFIG)
+        _, fine_x2, _ = read_match_file(out / "matches.txt")
+        assert len(pred.fine_x2) > 10
+        assert np.array_equal(fine_x2, pred.fine_x2)
+
+    @pytest.mark.parametrize("config, message", [
+        (MatcherConfig(), "weight shapes"),
+        (replace(OWN_CONFIG, window_radius=2.5), "checkpoint size fields must be whole numbers"),
+        (None, "not a file of 4 array records"),
+    ], ids=["shapes", "whole_number", "three_records"])
+    def test_match_refuses_a_checkpoint_that_disagrees_with_its_config(self, workspace, tmp_path, capsys,
+                                                                       config, message):
+        params = init_params(OWN_CONFIG, seed=3)
+        records = [params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine)]
+        path = tmp_path / "bad.bin"
+        write_arrays(path, records + ([astuple(config)] if config else []))
+        rc = main(["match", "--checkpoint", str(path), "--pair", str(workspace / "dsA" / "pairs" / "00000.bin"),
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error[ValueError]: {path}: {message}")
         assert not (tmp_path / "m").exists()
 
     def test_match_overlay_of_pure_rotation_pair(self, workspace, tmp_path):
@@ -335,6 +392,16 @@ class TestConfigFile:
             main(["pretrain", "--config", str(cfg), "--data", "d", "--epoch", "3", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "--epoch" in capsys.readouterr().err
+
+    def test_file_cannot_supply_a_required_flag(self, tmp_path, capsys):
+        # required flags are checked before the file is read: they must be typed
+        cfg = tmp_path / "req.cfg"
+        cfg.write_text("[synth]\ndomain = A\npairs = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+        assert exc.value.code == 2
+        assert "required: --domain" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
     def test_parse_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.cfg"

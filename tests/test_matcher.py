@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -524,28 +525,34 @@ class TestSgdStep:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        params = init_params(MatcherConfig(), seed=5)
+        params = init_params(SMALL, seed=5)
         params.tau_coarse = 0.07
         params.tau_fine = 0.21
         path = tmp_path / "params.bin"
-        save_checkpoint(path, params)
-        loaded = load_checkpoint(path)
+        save_checkpoint(path, params, SMALL)
+        loaded, mcfg = load_checkpoint(path)
         assert np.array_equal(loaded.W_coarse, params.W_coarse)
         assert np.array_equal(loaded.W_fine, params.W_fine)
         assert loaded.tau_coarse == params.tau_coarse
         assert loaded.tau_fine == params.tau_fine
+        assert mcfg == SMALL
+        assert [type(v) for v in astuple(mcfg)] == [type(v) for v in astuple(SMALL)]
 
     @pytest.mark.parametrize("where", ["header", "data", "boundary"])
     def test_cut_file_names_itself(self, tmp_path, where):
         path = tmp_path / "params.bin"
-        save_checkpoint(path, init_params(MatcherConfig(), seed=5))
+        save_checkpoint(path, init_params(MatcherConfig(), seed=5), MatcherConfig())
         ends = record_ends(path)
-        assert len(ends) == 3
+        assert len(ends) == 4
         # inside W_fine's header, inside W_fine's data, or just after it
         size = {"header": ends[0] + 20, "data": ends[1] - 100, "boundary": ends[1]}[where]
         path.write_bytes(path.read_bytes()[:size])
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
+
+    @staticmethod
+    def write_records(path, params, mcfg_values):
+        write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine), mcfg_values))
 
     @pytest.mark.parametrize("field", ["W_coarse", "tau_fine"])
     def test_non_finite_weights_are_refused(self, tmp_path, field):
@@ -555,11 +562,39 @@ class TestCheckpoint:
         else:
             params.tau_fine = np.inf
         with pytest.raises(ValueError, match="checkpoint weights must be finite"):
-            save_checkpoint(tmp_path / "refused.bin", params)
+            save_checkpoint(tmp_path / "refused.bin", params, MatcherConfig())
         assert not (tmp_path / "refused.bin").exists()
         path = tmp_path / "params.bin"
+        self.write_records(path, params, astuple(MatcherConfig()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint weights must be finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [dict(d=8), dict(patch_width=4), dict(fine_patch=3), dict(d_fine=6)])
+    def test_weights_shaped_by_another_config_are_refused(self, tmp_path, change):
+        params = init_params(MatcherConfig(), seed=5)
+        other = replace(MatcherConfig(), **change)
+        with pytest.raises(ValueError, match="weight shapes .* disagree with"):
+            save_checkpoint(tmp_path / "refused.bin", params, other)
+        assert not (tmp_path / "refused.bin").exists()
+        path = tmp_path / "params.bin"
+        self.write_records(path, params, astuple(other))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: weight shapes .* disagree with"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf])
+    def test_size_field_that_is_not_a_whole_number_is_refused(self, tmp_path, value):
+        path = tmp_path / "params.bin"
+        self.write_records(path, init_params(MatcherConfig(), seed=5),
+                           astuple(replace(MatcherConfig(), window_radius=value)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint size fields must be whole"):
+            load_checkpoint(path)
+
+    def test_three_record_checkpoint_is_refused(self, tmp_path):
+        # the weights-only layout that had no config record
+        params = init_params(MatcherConfig(), seed=5)
+        path = tmp_path / "params.bin"
         write_arrays(path, (params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine)))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a file of 4 array records"):
             load_checkpoint(path)
 
     def test_pair_file_is_not_a_checkpoint(self, tmp_path):

@@ -30,6 +30,8 @@ from epimatch.metrics import (
     translation_error,
 )
 
+MCFG = MatcherConfig()
+
 
 def dense_grid_auc(errors_list, T, n=10_000):
     """Trapezoid integration of the recall curve on a dense grid."""
@@ -193,8 +195,8 @@ class TestEvaluate:
         from epimatch.synth import make_domain, sample_pair
 
         pairs = [sample_pair(make_domain("A", seed=3), i) for i in range(4)]
-        params = init_params(MatcherConfig(), seed=0)
-        report = evaluate(params, pairs, RansacConfig(iterations=50, inlier_threshold=5e-4, seed=0))
+        params = init_params(MCFG, seed=0)
+        report = evaluate(params, pairs, RansacConfig(iterations=50, inlier_threshold=5e-4, seed=0), MCFG)
         assert report.auc5 <= report.auc10 <= report.auc20
         assert 0 <= report.precision <= 100
         assert report.n_pairs == 4
@@ -221,10 +223,10 @@ class TestEvaluate:
         from epimatch.synth import make_domain, sample_pair
 
         pairs = [sample_pair(make_domain("A", seed=5), i) for i in range(3)]
-        params = init_params(MatcherConfig(), seed=1)
+        params = init_params(MCFG, seed=1)
         cfg = RansacConfig(iterations=50, inlier_threshold=5e-4, seed=3)
-        a = evaluate(params, pairs, cfg)
-        b = evaluate(params, pairs, cfg)
+        a = evaluate(params, pairs, cfg, MCFG)
+        b = evaluate(params, pairs, cfg, MCFG)
         assert a == b
 
     @pytest.mark.parametrize("exc, counted", [(errors.NotEnoughMatches, True),
@@ -245,13 +247,13 @@ class TestEvaluate:
             raise exc("injected")
 
         monkeypatch.setattr(metrics, "estimate_relative_pose", estimate)
-        params = init_params(MatcherConfig(), seed=0)
+        params = init_params(MCFG, seed=0)
         if counted:
-            report = evaluate(params, pairs, RansacConfig(seed=0))
+            report = evaluate(params, pairs, RansacConfig(seed=0), MCFG)
             assert report.n_failed == 2 and report.mean_matches == 10
         else:
             with pytest.raises(exc):
-                evaluate(params, pairs, RansacConfig(seed=0))
+                evaluate(params, pairs, RansacConfig(seed=0), MCFG)
 
     def test_pure_rotation_pair_fails_with_precision_zero(self):
         # synth renders a pure rotation; the pair has no epipolar geometry,
@@ -264,7 +266,7 @@ class TestEvaluate:
         with pytest.raises(errors.DegenerateBaseline):
             fundamental_from_pose(rotation.K, rotation.K, rotation.pose)
         other = sample_pair(spec, 1)
-        params = init_params(MatcherConfig(), seed=0)
+        params = init_params(MCFG, seed=0)
         mcfg = MatcherConfig(match_threshold=0.0)
         cfg = RansacConfig(iterations=50, inlier_threshold=5e-4, seed=0)
         report = evaluate(params, [rotation, other], cfg, mcfg)

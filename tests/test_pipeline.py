@@ -5,7 +5,7 @@ import pytest
 
 from epimatch import errors, pipeline
 from epimatch.estimation import RansacConfig
-from epimatch.geometry import fundamental_from_pose, symmetric_epipolar_distance_sq
+from epimatch.geometry import RelativePose, fundamental_from_pose, symmetric_epipolar_distance_sq
 from epimatch.grid import GridSpec
 from epimatch.losses import (
     LossConfig,
@@ -21,7 +21,6 @@ from epimatch.metrics import rotation_error, translation_error
 from epimatch.pipeline import (
     BootstrapConfig,
     PAPER_BOOTSTRAP_FILTER,
-    PoseNoiseConfig,
     TrainConfig,
     bootstrap_finetune,
     bootstrap_fundamentals,
@@ -54,7 +53,7 @@ def tiny_data():
 def warm_params(tiny_data):
     a, _ = tiny_data
     cfg = pretrain_config(epochs=4, seed=5)
-    params, _ = pretrain(a, init_params(MCFG, seed=5), cfg)
+    params, _ = pretrain(a, init_params(MCFG, seed=5), cfg, MCFG)
     return params
 
 
@@ -63,20 +62,20 @@ class TestPretrain:
         a, _ = tiny_data
         params0 = init_params(MCFG, seed=1)
         cfg = pretrain_config(epochs=0, seed=1)
-        params, history = pretrain(a, params0, cfg)
+        params, history = pretrain(a, params0, cfg, MCFG)
         assert np.array_equal(params.W_coarse, params0.W_coarse)
         assert np.array_equal(params.W_fine, params0.W_fine)
         assert history == []
 
     def test_no_pairs_raises(self):
         with pytest.raises(errors.EmptyInput):
-            pretrain([], init_params(MCFG, seed=1), pretrain_config(epochs=1))
+            pretrain([], init_params(MCFG, seed=1), pretrain_config(epochs=1), MCFG)
 
     def test_deterministic(self, tiny_data):
         a, _ = tiny_data
         cfg = pretrain_config(epochs=2, seed=9)
-        p1, h1 = pretrain(a, init_params(MCFG, seed=9), cfg)
-        p2, h2 = pretrain(a, init_params(MCFG, seed=9), cfg)
+        p1, h1 = pretrain(a, init_params(MCFG, seed=9), cfg, MCFG)
+        p2, h2 = pretrain(a, init_params(MCFG, seed=9), cfg, MCFG)
         assert p1.W_coarse.tobytes() == p2.W_coarse.tobytes()
         assert p1.W_fine.tobytes() == p2.W_fine.tobytes()
         assert p1.tau_coarse == p2.tau_coarse and p1.tau_fine == p2.tau_fine
@@ -85,7 +84,7 @@ class TestPretrain:
     def test_training_reduces_coarse_loss(self, tiny_data):
         a, _ = tiny_data
         cfg = pretrain_config(epochs=8, seed=3)
-        _, history = pretrain(a, init_params(MCFG, seed=3), cfg)
+        _, history = pretrain(a, init_params(MCFG, seed=3), cfg, MCFG)
         assert history[-1]["coarse_loss"] < history[0]["coarse_loss"]
 
     def test_empty_gt_grid_skipped_and_counted(self, tiny_data):
@@ -94,7 +93,7 @@ class TestPretrain:
                for p in a]
         gts[2] = (np.full_like(gts[2][0], -1), gts[2][1])
         cfg = pretrain_config(epochs=2, seed=1)
-        _, history = pretrain(a, init_params(MCFG, seed=1), cfg, gts=gts)
+        _, history = pretrain(a, init_params(MCFG, seed=1), cfg, MCFG, gts=gts)
         assert [row["empty_mask_pairs"] for row in history] == [1, 1]
         assert all(set(row) == HISTORY_KEYS and row["skipped_pairs"] == 0 for row in history)
 
@@ -210,7 +209,7 @@ class TestPairGrads:
         a, _ = tiny_data
         gts = [self.target(p, "gt") for p in a]
         params0 = init_params(MCFG, seed=1)
-        _, history = pretrain(a, params0, pretrain_config(epochs=2, seed=1), gts=gts)
+        _, history = pretrain(a, params0, pretrain_config(epochs=2, seed=1), MCFG, gts=gts)
         drops = 0
         for pair, (targets, _) in zip(a, gts):
             valid = np.flatnonzero(targets >= 0)
@@ -225,13 +224,13 @@ class TestPerturbPose:
     def test_zero_noise_is_identity(self, tiny_data):
         _, b = tiny_data
         rng = np.random.default_rng(0)
-        pose = perturb_pose(b[0].pose, PoseNoiseConfig(0.0, 0.0), rng)
+        pose = perturb_pose(b[0].pose, 0.0, rng)
         assert np.array_equal(pose.R, b[0].pose.R)
 
     def test_magnitudes_respected(self, tiny_data):
         _, b = tiny_data
         rng = np.random.default_rng(0)
-        pose = perturb_pose(b[0].pose, PoseNoiseConfig(2.0, 2.0), rng)
+        pose = perturb_pose(b[0].pose, 2.0, rng)
         assert rotation_error(np.eye(3), pose.R @ b[0].pose.R.T) == pytest.approx(2.0, abs=1e-9)
         assert translation_error(pose.t, b[0].pose.t) == pytest.approx(2.0, abs=1e-6)
 
@@ -241,12 +240,11 @@ class TestConfigRangeChecks:
 
     @pytest.mark.parametrize("make", [
         lambda x: LossConfig(theta=x),
-        lambda x: PoseNoiseConfig(rotation_deg=x),
-        lambda x: PoseNoiseConfig(translation_deg=x),
+        lambda x: perturb_pose(RelativePose(np.eye(3), np.ones(3)), x, np.random.default_rng(0)),
         lambda x: TrainConfig(lr=x),
         lambda x: TrainConfig(weight_decay=x),
         lambda x: RansacConfig(inlier_threshold=x),
-    ], ids=["theta", "rotation_noise", "translation_noise", "lr", "weight_decay", "inlier_threshold"])
+    ], ids=["theta", "pose_noise", "lr", "weight_decay", "inlier_threshold"])
     def test_nan_and_out_of_range_values_are_refused(self, make):
         for bad in (float("nan"), -1.0):
             with pytest.raises(ValueError):
@@ -264,18 +262,15 @@ class TestConfigRangeChecks:
                 TrainConfig(momentum=bad)
         TrainConfig(momentum=0.0)
 
-    def test_zero_pose_noise_is_allowed(self):
-        assert PoseNoiseConfig(0.0, 0.0) == PoseNoiseConfig()
-
 
 class TestFinetune:
     def test_zero_noise_equals_exact_f(self, tiny_data, warm_params):
         a, b = tiny_data
         cfg = TrainConfig(epochs=2, seed=4)
         exact_fs = [fundamental_from_pose(p.K, p.K, p.pose) for p in b]
-        p1, h1 = finetune_pose_supervised(b, warm_params, cfg, noise=PoseNoiseConfig(0, 0),
+        p1, h1 = finetune_pose_supervised(b, warm_params, cfg, MCFG, noise_deg=0.0,
                                           replay_pairs=a)
-        p2, h2 = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a,
+        p2, h2 = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a,
                                           f_override=exact_fs)
         assert p1.W_coarse.tobytes() == p2.W_coarse.tobytes()
         assert p1.W_fine.tobytes() == p2.W_fine.tobytes()
@@ -284,8 +279,8 @@ class TestFinetune:
     def test_deterministic(self, tiny_data, warm_params):
         a, b = tiny_data
         cfg = TrainConfig(epochs=2, seed=4)
-        p1, _ = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a)
-        p2, _ = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a)
+        p1, _ = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a)
+        p2, _ = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a)
         assert p1.W_coarse.tobytes() == p2.W_coarse.tobytes()
 
     def test_full_batch_loss_non_increasing(self, tiny_data, warm_params):
@@ -295,7 +290,7 @@ class TestFinetune:
         cfg = TrainConfig(epochs=6, seed=2, batch_size=len(b), lr=1e-3, momentum=0.0,
                           weight_decay=0.0,
                           loss=LossConfig(fine_supervision_fraction=1.0))
-        _, history = finetune_pose_supervised(b, warm_params, cfg)
+        _, history = finetune_pose_supervised(b, warm_params, cfg, MCFG)
         losses = [row["loss"] for row in history]
         assert all(l2 <= l1 + 1e-9 for l1, l2 in zip(losses, losses[1:]))
 
@@ -304,9 +299,9 @@ class TestFinetune:
         # mean over the B pairs must not depend on the replayed source pairs
         a, b = tiny_data
         cfg = TrainConfig(epochs=1, seed=3, batch_size=len(b))
-        _, with_replay = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a)
+        _, with_replay = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a)
         _, without = finetune_pose_supervised(
-            b, warm_params, TrainConfig(epochs=1, seed=3, batch_size=len(b)))
+            b, warm_params, TrainConfig(epochs=1, seed=3, batch_size=len(b)), MCFG)
         for key in ("loss", "coarse_loss", "fine_loss"):
             assert with_replay[0][key] == without[0][key]
 
@@ -316,7 +311,7 @@ class TestFinetune:
         fs[0] = off_image_f()
         fs[1] = None
         cfg = TrainConfig(epochs=2, seed=4)
-        _, history = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a, f_override=fs)
+        _, history = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a, f_override=fs)
         assert [row["empty_mask_pairs"] for row in history] == [1, 1]
         assert all(set(row) == HISTORY_KEYS and row["skipped_pairs"] == 1 for row in history)
 
@@ -324,24 +319,24 @@ class TestFinetune:
         a, b = tiny_data
         cfg = TrainConfig(epochs=1, seed=0, batch_size=4)
         with pytest.raises(errors.NotEnoughReplayPairs, match=r"replays 4 source pairs.*holds 2"):
-            finetune_pose_supervised(b[:4], warm_params, cfg, replay_pairs=a[:2])
+            finetune_pose_supervised(b[:4], warm_params, cfg, MCFG, replay_pairs=a[:2])
         # a batch of 2 draws no more than the set holds
         cfg = TrainConfig(epochs=1, seed=0, batch_size=2)
-        _, history = finetune_pose_supervised(b[:4], warm_params, cfg, replay_pairs=a[:2])
+        _, history = finetune_pose_supervised(b[:4], warm_params, cfg, MCFG, replay_pairs=a[:2])
         assert len(history) == 1
 
     def test_all_pairs_unusable_raises(self, tiny_data, warm_params):
         _, b = tiny_data
         cfg = TrainConfig(epochs=1, seed=0)
         with pytest.raises(errors.EmptyDatasetAfterFilter):
-            finetune_pose_supervised(b, warm_params, cfg, f_override=[None] * len(b))
+            finetune_pose_supervised(b, warm_params, cfg, MCFG, f_override=[None] * len(b))
 
 
 class TestBootstrap:
     def test_filter_report_counts_sum(self, tiny_data, warm_params):
         _, b = tiny_data
         bcfg = BootstrapConfig(min_matches=5, min_inliers=5)
-        f_list, report = bootstrap_fundamentals(b, warm_params, bcfg)
+        f_list, report = bootstrap_fundamentals(b, warm_params, bcfg, MCFG)
         total = (report["kept"] + report["dropped_few_matches"]
                  + report["dropped_few_inliers"] + report["dropped_estimation_failed"])
         assert total == report["n_pairs"] == len(b)
@@ -350,7 +345,7 @@ class TestBootstrap:
     def test_min_matches_filter(self, tiny_data, warm_params):
         _, b = tiny_data
         bcfg = BootstrapConfig(min_matches=10_000, min_inliers=1)
-        f_list, report = bootstrap_fundamentals(b, warm_params, bcfg)
+        f_list, report = bootstrap_fundamentals(b, warm_params, bcfg, MCFG)
         assert report["kept"] == 0
         assert report["dropped_few_matches"] == len(b)
 
@@ -360,8 +355,8 @@ class TestBootstrap:
         exact_fs = [fundamental_from_pose(p.K, p.K, p.pose) for p in b]
         report = {"n_pairs": len(b), "kept": len(b)}
         monkeypatch.setattr(pipeline, "bootstrap_fundamentals", lambda *args, **kwargs: (exact_fs, report))
-        p1, h1, r1 = bootstrap_finetune(b, warm_params, cfg, BootstrapConfig(), replay_pairs=a)
-        p2, h2 = finetune_pose_supervised(b, warm_params, cfg, replay_pairs=a,
+        p1, h1, r1 = bootstrap_finetune(b, warm_params, cfg, BootstrapConfig(), MCFG, replay_pairs=a)
+        p2, h2 = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a,
                                           f_override=exact_fs)
         assert r1 is report
         assert p1.W_coarse.tobytes() == p2.W_coarse.tobytes()
@@ -381,7 +376,7 @@ class TestBootstrap:
             matches[id(pair.image1)] = (grid.cell_centers()[valid], points[valid])
         monkeypatch.setattr(pipeline, "forward", lambda img1, *args: (
             SimpleNamespace(fine_x1=matches[id(img1)][0], fine_x2=matches[id(img1)][1]), None))
-        f_list, report = bootstrap_fundamentals(b, warm_params, BootstrapConfig())
+        f_list, report = bootstrap_fundamentals(b, warm_params, BootstrapConfig(), MCFG)
         assert report["kept"] == len(b) - 1 and report["dropped_few_matches"] == 1
         assert f_list[0] is None
         for pair, F in zip(b[1:], f_list[1:]):
@@ -394,8 +389,8 @@ class TestBootstrap:
         # pose-derived Fs they agree with
         cfg = TrainConfig(epochs=2, seed=4)
         pose_fs = [None] + [fundamental_from_pose(p.K, p.K, p.pose) for p in b[1:]]
-        params, history = finetune_pose_supervised(b, warm_params, cfg, f_override=f_list)
-        _, reference = finetune_pose_supervised(b, warm_params, cfg, f_override=pose_fs)
+        params, history = finetune_pose_supervised(b, warm_params, cfg, MCFG, f_override=f_list)
+        _, reference = finetune_pose_supervised(b, warm_params, cfg, MCFG, f_override=pose_fs)
         assert not np.array_equal(params.W_coarse, warm_params.W_coarse)
         for row, ref in zip(history, reference):
             assert row["skipped_pairs"] == 1 and row["empty_mask_pairs"] == 0
@@ -413,19 +408,19 @@ class TestBootstrap:
         monkeypatch.setattr(pipeline, "forward", lambda *args, **kwargs: (pred, None))
         bcfg = BootstrapConfig(min_matches=5, min_inliers=5)
         if counted:
-            f_list, report = bootstrap_fundamentals(b[:2], warm_params, bcfg)
+            f_list, report = bootstrap_fundamentals(b[:2], warm_params, bcfg, MCFG)
             assert f_list == [None, None]
             assert report["dropped_estimation_failed"] == 2
         else:
             with pytest.raises(TypeError):
-                bootstrap_fundamentals(b[:2], warm_params, bcfg)
+                bootstrap_fundamentals(b[:2], warm_params, bcfg, MCFG)
 
     def test_empty_after_filter_raises(self, tiny_data, warm_params):
         a, b = tiny_data
         cfg = TrainConfig(epochs=1, seed=0)
         bcfg = BootstrapConfig(min_matches=10_000, min_inliers=1)
         with pytest.raises(errors.EmptyDatasetAfterFilter):
-            bootstrap_finetune(b, warm_params, cfg, bcfg, replay_pairs=a)
+            bootstrap_finetune(b, warm_params, cfg, bcfg, MCFG, replay_pairs=a)
 
     def test_paper_preset_values(self):
         assert PAPER_BOOTSTRAP_FILTER.min_matches == 100
@@ -441,8 +436,8 @@ def test_dataset_from_disk_trains_like_its_renders(tmp_path, tiny_data, warm_par
     for name, seed in (("A", 31), ("B", 32)):
         save_dataset(make_domain(name, seed=seed), len(a), tmp_path / name)
     runs = [
-        lambda a, b: pretrain(a, init_params(MCFG, seed=5), pretrain_config(epochs=2, seed=5)),
-        lambda a, b: finetune_pose_supervised(b, warm_params, TrainConfig(epochs=2, seed=4),
+        lambda a, b: pretrain(a, init_params(MCFG, seed=5), pretrain_config(epochs=2, seed=5), MCFG),
+        lambda a, b: finetune_pose_supervised(b, warm_params, TrainConfig(epochs=2, seed=4), MCFG,
                                               replay_pairs=a),
     ]
     for run in runs:
@@ -457,12 +452,13 @@ def test_dataset_from_disk_trains_like_its_renders(tmp_path, tiny_data, warm_par
 class TestRunOutputs:
     def test_run_directory_contents(self, tmp_path, warm_params):
         history = [{"epoch": 0, "loss": 1.0, "coarse_loss": 2.0, "fine_loss": 0.5}]
-        write_run_outputs(tmp_path / "run", warm_params, history, extra={"b": 2})
+        write_run_outputs(tmp_path / "run", warm_params, MCFG, history, extra={"b": 2})
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
             "checkpoint.bin", "metrics.csv", "report.json"]
         assert (tmp_path / "run" / "checkpoint.bin").exists()
         assert (tmp_path / "run" / "report.json").exists()
         from epimatch.matcher import load_checkpoint
 
-        loaded = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        loaded, mcfg = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         assert np.array_equal(loaded.W_coarse, warm_params.W_coarse)
+        assert mcfg == MCFG

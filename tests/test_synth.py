@@ -372,7 +372,7 @@ class TestPairFiles:
 
     def test_checkpoint_is_not_a_pair_file(self, tmp_path):
         path = tmp_path / "params.bin"
-        save_checkpoint(path, init_params(MatcherConfig(), seed=0))
+        save_checkpoint(path, init_params(MatcherConfig(), seed=0), MatcherConfig())
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_pair_file(path)
 
