@@ -240,11 +240,15 @@ class TestConfigRangeChecks:
 
     @pytest.mark.parametrize("make", [
         lambda x: LossConfig(theta=x),
+        # one angle drives both perturbations: a pure rotation (t = 0) and a
+        # pose whose translation direction is tilted as well
+        lambda x: perturb_pose(RelativePose(np.eye(3), np.zeros(3)), x, np.random.default_rng(0)),
         lambda x: perturb_pose(RelativePose(np.eye(3), np.ones(3)), x, np.random.default_rng(0)),
         lambda x: TrainConfig(lr=x),
         lambda x: TrainConfig(weight_decay=x),
         lambda x: RansacConfig(inlier_threshold=x),
-    ], ids=["theta", "pose_noise", "lr", "weight_decay", "inlier_threshold"])
+    ], ids=["theta", "rotation_noise", "translation_noise", "lr", "weight_decay",
+            "inlier_threshold"])
     def test_nan_and_out_of_range_values_are_refused(self, make):
         for bad in (float("nan"), -1.0):
             with pytest.raises(ValueError):
