@@ -369,12 +369,17 @@ def sgd_step(params: MatcherParams, grads: MatcherParams, velocity: MatcherParam
 
 def _check_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig) -> MatcherConfig:
     """The one check of save_checkpoint and load_checkpoint: a ValueError
-    naming `path` unless mcfg's size fields are whole numbers and the weights
-    finite and shaped by mcfg. Returns mcfg with int size fields."""
+    naming `path` unless mcfg's size fields are whole numbers, at least 1
+    (window_radius at least 0), match_threshold lies in [0, 1] and the
+    weights are finite and shaped by mcfg. Returns mcfg with int size fields."""
     sizes = {f.name: getattr(mcfg, f.name) for f in fields(mcfg) if f.type == "int"}
     if not all(float(v).is_integer() for v in sizes.values()):
         raise ValueError(f"{path}: checkpoint size fields must be whole numbers, got {sizes}")
     mcfg = replace(mcfg, **{k: int(v) for k, v in sizes.items()})
+    if min(v for k, v in sizes.items() if k != "window_radius") < 1 or mcfg.window_radius < 0:
+        raise ValueError(f"{path}: checkpoint sizes must be at least 1 and window_radius at least 0, got {sizes}")
+    if not 0.0 <= mcfg.match_threshold <= 1.0:
+        raise ValueError(f"{path}: checkpoint match_threshold must lie in [0, 1], got {mcfg.match_threshold}")
     if not params.finite():
         raise ValueError(f"{path}: checkpoint weights must be finite")
     shapes = (params.W_coarse.shape, params.W_fine.shape)

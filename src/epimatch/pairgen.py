@@ -4,6 +4,10 @@ Without depth, each view is assumed to observe an enclosing surface: a
 hemisphere (plane + dome centred under the camera) or a driving-direction
 aligned box. The overlap of a pair is the fraction of a fixed sample grid of
 one image whose assumed surface points project into the other image.
+
+Mining casts each view's sample-grid rays into the surface once and projects
+the resulting points into every other view: n views cost n casts, not one per
+ordered pair, and the cached points take at most 24 KB per view.
 """
 
 from __future__ import annotations
@@ -22,12 +26,20 @@ class HemisphereModel:
     z_plane: float  # ground plane height (m), below the camera
     r_sphere: float  # dome radius (m), centred at (x_cam, y_cam, z_plane)
 
+    def __post_init__(self):
+        if not (-np.inf < self.z_plane < np.inf and 0.0 < self.r_sphere < np.inf):
+            raise ValueError(f"need a finite z_plane and a finite r_sphere > 0, got {self}")
+
 
 @dataclass(frozen=True)
 class BoxModel:
     side: float  # lateral distance to the left/right planes (m)
     bottom: float  # signed height of the floor relative to the camera (m)
     longitudinal: float  # distance to the front/back planes (m)
+
+    def __post_init__(self):
+        if not (0.0 < self.side < np.inf and -np.inf < self.bottom < 0.0 and 0.0 < self.longitudinal < np.inf):
+            raise ValueError(f"need finite side > 0, bottom < 0 and longitudinal > 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -130,21 +142,34 @@ def pseudo_depth(model, camera: Camera, pix, driving_dir=None):
     return _surface_depth(model, camera.center(), _unit_rays(camera, pix), driving_dir)
 
 
-def _directional_overlap(model, cam_i: Camera, cam_j: Camera, image_size, driving_dir=None):
+def _surface_points(model, camera: Camera, image_size, driving_dir=None):
+    """(M, 3) world points where the rays of `camera`'s sample grid hit the
+    assumed surface, M <= SAMPLE_GRID ** 2; rays that miss are dropped."""
     W, H = image_size
     # cell centres of a SAMPLE_GRID x SAMPLE_GRID partition (not the exact
     # border, which would leave the frame under any forward motion)
     us = (np.arange(SAMPLE_GRID) + 0.5) * W / SAMPLE_GRID - 0.5
     vs = (np.arange(SAMPLE_GRID) + 0.5) * H / SAMPLE_GRID - 0.5
-    origin = cam_i.center()
-    dirs = _unit_rays(cam_i, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
+    origin = camera.center()
+    dirs = _unit_rays(camera, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
     depth = _surface_depth(model, origin, dirs, driving_dir)
     hit = np.isfinite(depth)
-    pix, z = project_points(cam_j, origin + depth[hit, None] * dirs[hit])
+    return origin + depth[hit, None] * dirs[hit]
+
+
+def _seen_share(points, camera: Camera, image_size):
+    """Share of the sample grid whose surface points project into `camera`'s
+    image in front of it."""
+    W, H = image_size
+    pix, z = project_points(camera, points)
     u2, v2 = pix.T
     eps = 1e-6  # keep boundary samples of an identical view inside
     inside = (z > 1e-9) & (-eps <= u2) & (u2 <= W - 1 + eps) & (-eps <= v2) & (v2 <= H - 1 + eps)
     return int(np.count_nonzero(inside)) / float(SAMPLE_GRID * SAMPLE_GRID)
+
+
+def _directional_overlap(model, cam_i: Camera, cam_j: Camera, image_size, driving_dir=None):
+    return _seen_share(_surface_points(model, cam_i, image_size, driving_dir), cam_j, image_size)
 
 
 def pseudo_overlap(model, cam_i: Camera, cam_j: Camera, image_size=(640, 480),
@@ -171,18 +196,21 @@ def driving_directions(records):
 
 def generate_pairs(records, model, overlap_range: OverlapRange, stride=1, image_size=(640, 480)):
     """All (i, j), i < j over the stride-subsampled records whose symmetrized
-    pseudo-overlap falls inside the accepted range. Deterministic order."""
-    idxs = list(range(0, len(records), stride))
+    pseudo-overlap falls inside the accepted range. Deterministic order.
+
+    Each view's surface points are cast once and projected into every other
+    view, so the scores equal pseudo_overlap's at one cast per view; the
+    cache holds at most SAMPLE_GRID ** 2 x 3 float64 (24 KB) per view."""
+    idxs = range(0, len(records), stride)
     ddirs = driving_directions(records) if isinstance(model, BoxModel) else None
+    points = [_surface_points(model, records[i].camera, image_size, None if ddirs is None else ddirs[i])
+              for i in idxs]
     out = []
-    for a in range(len(idxs)):
+    for a, i in enumerate(idxs):
         for b in range(a + 1, len(idxs)):
-            i, j = idxs[a], idxs[b]
-            s = pseudo_overlap(
-                model, records[i].camera, records[j].camera, image_size,
-                driving_dir_i=None if ddirs is None else ddirs[i],
-                driving_dir_j=None if ddirs is None else ddirs[j],
-            )
+            j = idxs[b]
+            s = min(_seen_share(points[a], records[j].camera, image_size),
+                    _seen_share(points[b], records[i].camera, image_size))
             if overlap_range.min <= s <= overlap_range.max:
                 out.append((records[i].id, records[j].id, s))
     return out

@@ -156,6 +156,19 @@ class TestPairs:
         assert main(["replay", "--manifest", str(out / "run_manifest.json"), "--out", str(again)]) == 0
         assert (again / "pairs.txt").read_bytes() == (out / "pairs.txt").read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "hemisphere", "--r-sphere", "-1"],
+        ["--model", "hemisphere", "--z-plane", "inf"],
+        ["--model", "box", "--longitudinal", "nan"],
+        ["--model", "box", "--bottom", "0"],
+    ], ids=["negative_radius", "infinite_plane", "nan_longitudinal", "floor_at_the_camera"])
+    def test_impossible_surface_is_refused(self, tmp_path, capsys, argv):
+        write_loop_poses(tmp_path / "poses.txt")
+        out = tmp_path / "run"
+        assert main(["pairs", "--poses", str(tmp_path / "poses.txt"), *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error[ValueError]: need ")
+        assert not (out / "pairs.txt").exists()
+
 
 class TestTrainCommands:
     def test_pretrain_outputs(self, workspace):
@@ -258,8 +271,11 @@ class TestMatchPoseEval:
     @pytest.mark.parametrize("config, message", [
         (MatcherConfig(), "weight shapes"),
         (replace(OWN_CONFIG, window_radius=2.5), "checkpoint size fields must be whole numbers"),
+        (replace(OWN_CONFIG, window_radius=-1), "checkpoint sizes must be at least 1"),
+        (replace(OWN_CONFIG, fine_stride=0), "checkpoint sizes must be at least 1"),
+        (replace(OWN_CONFIG, match_threshold=np.nan), "checkpoint match_threshold must lie in [0, 1]"),
         (None, "not a file of 4 array records"),
-    ], ids=["shapes", "whole_number", "three_records"])
+    ], ids=["shapes", "whole_number", "negative_radius", "zero_stride", "nan_threshold", "three_records"])
     def test_match_refuses_a_checkpoint_that_disagrees_with_its_config(self, workspace, tmp_path, capsys,
                                                                        config, message):
         params = init_params(OWN_CONFIG, seed=3)

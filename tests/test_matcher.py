@@ -589,6 +589,39 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint size fields must be whole"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("change", [dict(patch_width=0), dict(fine_patch=0), dict(fine_stride=0),
+                                        dict(d=0), dict(d_fine=-2), dict(window_radius=-1)],
+                             ids=["patch_width", "fine_patch", "fine_stride", "d", "d_fine", "window_radius"])
+    def test_size_below_its_minimum_is_refused(self, tmp_path, change):
+        params = init_params(MatcherConfig(), seed=5)
+        bad = replace(MatcherConfig(), **change)
+        with pytest.raises(ValueError, match="checkpoint sizes must be at least 1 and window_radius at least 0"):
+            save_checkpoint(tmp_path / "refused.bin", params, bad)
+        assert not (tmp_path / "refused.bin").exists()
+        path = tmp_path / "params.bin"
+        self.write_records(path, params, astuple(bad))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint sizes must be at least 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1, 1.5])
+    def test_match_threshold_outside_the_unit_interval_is_refused(self, tmp_path, value):
+        params = init_params(MatcherConfig(), seed=5)
+        bad = replace(MatcherConfig(), match_threshold=value)
+        with pytest.raises(ValueError, match=r"checkpoint match_threshold must lie in \[0, 1\]"):
+            save_checkpoint(tmp_path / "refused.bin", params, bad)
+        assert not (tmp_path / "refused.bin").exists()
+        path = tmp_path / "params.bin"
+        self.write_records(path, params, astuple(bad))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint match_threshold must lie"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [dict(window_radius=0), dict(match_threshold=0.0),
+                                        dict(match_threshold=1.0)])
+    def test_sizes_and_threshold_at_their_limits_are_kept(self, tmp_path, change):
+        mcfg = replace(MatcherConfig(), **change)
+        save_checkpoint(tmp_path / "params.bin", init_params(mcfg, seed=5), mcfg)
+        assert load_checkpoint(tmp_path / "params.bin")[1] == mcfg
+
     def test_three_record_checkpoint_is_refused(self, tmp_path):
         # the weights-only layout that had no config record
         params = init_params(MatcherConfig(), seed=5)

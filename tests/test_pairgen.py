@@ -9,6 +9,7 @@ from epimatch.geometry import (
     project_points,
     rotation_from_axis_angle,
 )
+from epimatch import pairgen
 from epimatch.pairgen import (
     BoxModel,
     HemisphereModel,
@@ -17,6 +18,7 @@ from epimatch.pairgen import (
     PRESETS,
     SAMPLE_GRID,
     _directional_overlap,
+    _surface_points,
     driving_directions,
     generate_pairs,
     pseudo_depth,
@@ -222,6 +224,80 @@ class TestGeneratePairs:
     def test_overlap_range_validation(self):
         with pytest.raises(ValueError):
             OverlapRange(0.8, 0.3)
+
+    @pytest.mark.parametrize("model, args", [
+        (HemisphereModel, (0.0, -1.0)), (HemisphereModel, (np.nan, 3.0)), (HemisphereModel, (0.0, 0.0)),
+        (HemisphereModel, (0.0, np.inf)), (BoxModel, (0.0, -2.0, 25.0)), (BoxModel, (10.0, 0.0, 25.0)),
+        (BoxModel, (10.0, -np.inf, 25.0)), (BoxModel, (10.0, -2.0, np.nan)), (BoxModel, (10.0, -2.0, -25.0)),
+    ])
+    def test_impossible_surface_is_refused(self, model, args):
+        with pytest.raises(ValueError, match="^need "):
+            model(*args)
+
+
+def loop_records(rng):
+    """Seven views on a 1 m loop at 1.4 m in the euroc-room dome, looking along
+    the loop and down; view 2 is lifted out of the dome, so all its rays miss."""
+    recs = []
+    for k in range(7):
+        a = 2.0 * np.pi * k / 7 + rng.normal(0.0, 0.1)
+        pos = [np.cos(a), np.sin(a), 4.0 if k == 2 else 1.4 + rng.normal(0.0, 0.1)]
+        recs.append(PoseRecord(f"loop{k}", camera_at(pos, np.degrees(a) + rng.normal(0.0, 10.0), -15.0)))
+    return recs
+
+
+def street_records(rng):
+    """Seven views 1 m apart along a street that turns 15 degrees a step, each
+    looking 40 to 80 degrees left of the road, so each view has its own
+    driving direction and shares a wall with the next views."""
+    recs, pos = [], np.array([0.0, 0.0, 1.5])
+    for k in range(7):
+        yaw = 15.0 * k
+        pos = pos + heading(yaw)
+        look = yaw + rng.uniform(40.0, 80.0)
+        recs.append(PoseRecord(f"street{k}", camera_at(pos, look, rng.uniform(-20.0, 0.0))))
+    return recs
+
+
+class TestMiningCastsEachViewOnce:
+    CASES = [(loop_records, PRESETS["euroc-room"]), (street_records, PRESETS["sf-street"])]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("make, model", CASES, ids=["hemisphere", "box"])
+    def test_pairs_equal_pseudo_overlap_per_candidate(self, make, model, stride):
+        recs = make(np.random.default_rng(17))
+        ddirs = driving_directions(recs) if isinstance(model, BoxModel) else [None] * len(recs)
+        idxs = range(0, len(recs), stride)
+        want = [(recs[i].id, recs[j].id,
+                 pseudo_overlap(model, recs[i].camera, recs[j].camera, (640, 480), ddirs[i], ddirs[j]))
+                for a, i in enumerate(idxs) for j in idxs[a + 1:]]
+        assert any(0.0 < s < 1.0 for _, _, s in want)
+        assert generate_pairs(recs, model, OverlapRange(0.0, 1.0), stride=stride) == want
+        kept = [p for p in want if 0.1 <= p[2] <= 0.5]
+        assert 0 < len(kept) < len(want)
+        assert generate_pairs(recs, model, OverlapRange(0.1, 0.5), stride=stride) == kept
+
+    def test_loop_holds_a_view_whose_rays_all_miss(self):
+        recs = loop_records(np.random.default_rng(17))
+        model = PRESETS["euroc-room"]
+        assert _surface_points(model, recs[2].camera, (640, 480)).shape == (0, 3)
+        assert all(len(_surface_points(model, r.camera, (640, 480))) > 0 for r in recs if r.id != "loop2")
+
+    @pytest.mark.parametrize("stride, casts", [(1, 7), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("make, model", CASES, ids=["hemisphere", "box"])
+    def test_one_surface_cast_per_strided_view(self, monkeypatch, make, model, stride, casts):
+        recs = make(np.random.default_rng(17))
+        calls = []
+        depth = pairgen._surface_depth
+
+        def counted(*args):
+            calls.append(args[1])
+            return depth(*args)
+
+        monkeypatch.setattr(pairgen, "_surface_depth", counted)
+        generate_pairs(recs, model, OverlapRange(0.0, 1.0), stride=stride)
+        assert len(calls) == casts
+        assert [tuple(o) for o in calls] == [tuple(r.camera.center()) for r in recs[::stride]]
 
 
 # Reference: the per-sample ray, depth and projection, one pixel at a time.
