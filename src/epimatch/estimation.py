@@ -7,6 +7,7 @@ correspondence: `u1 v1 u2 v2 conf`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,10 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not self.inlier_threshold > 0:
-            raise ValueError("inlier_threshold must be positive")
+        if not isinstance(self.iterations, numbers.Integral) or self.iterations < 1:
+            raise ValueError(f"iterations must be a whole number >= 1, got {self.iterations!r}")
+        if not 0 < self.inlier_threshold < np.inf:
+            raise ValueError(f"inlier_threshold must be finite and positive, got {self.inlier_threshold!r}")
 
     @property
     def min_sample(self):
@@ -147,9 +148,18 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
     """Seeded RANSAC over 8-point hypotheses with a final all-inlier refit.
 
     Every minimal sample comes from one `_draw_samples` call, and all
-    hypotheses are solved in one stacked QR (see `_eight_point_batch`) and
-    scored in blocks; the first hypothesis with the most inliers wins. The
-    refit on its consensus set is a least-squares SVD solve.
+    hypotheses are solved in one stacked QR (see `_eight_point_batch`); the
+    first hypothesis with the most inliers wins. The refit on its consensus
+    set is a least-squares SVD solve.
+
+    Scoring bails out exactly (after Capel, BMVC 2005): every valid
+    hypothesis is scored on the first k = ceil(n/2) matches, and the one with
+    the most inliers there is scored on the rest too. Its full count is a
+    floor under the best count, so a hypothesis whose partial count plus
+    n - k falls below it cannot win and is never scored on the rest. Every
+    hypothesis with the most inliers survives, so the winner is the one a
+    full scoring picks; the distances of a match do not depend on which rows
+    or hypotheses are scored with it, so the counts are the same bits too.
     """
     pts1 = np.asarray(pts1, dtype=float)
     pts2 = np.asarray(pts2, dtype=float)
@@ -162,30 +172,41 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
     x1n = normalize_points(K1, pts1)
     x2n = normalize_points(K2, pts2)
 
-    def inliers(F):
+    def inliers(E, rows=slice(None)):
         # scored in normalized coordinates; a vanishing epipolar line is an outlier
-        E = fundamental_to_essential(F, K1, K2)
-        return symmetric_epipolar_distance_sq(E, x1n, x2n) < cfg.inlier_threshold
+        return symmetric_epipolar_distance_sq(E, x1n[rows], x2n[rows]) < cfg.inlier_threshold
+
+    def counts(E, rows):
+        block = max(1, _SCORE_BLOCK // (rows.stop - rows.start))
+        return np.concatenate([inliers(E[b0:b0 + block], rows).sum(axis=1)
+                               for b0 in range(0, len(E), block)])
 
     idx = _draw_samples(np.random.default_rng(cfg.seed), n, cfg.iterations)
     F, ok = _eight_point_batch(pts1[idx], pts2[idx])
-    best_count, best_mask, best_iter = -1, None, -1
-    block = max(1, _SCORE_BLOCK // n)
-    for b0 in range(0, cfg.iterations, block):
-        masks = inliers(F[b0:b0 + block])
-        counts = np.where(ok[b0:b0 + block], masks.sum(axis=1), -1)
-        j = int(np.argmax(counts))
-        if counts[j] > best_count:
-            best_count, best_mask, best_iter = int(counts[j]), masks[j], b0 + j
-    if best_iter < 0:
+    valid = np.flatnonzero(ok)
+    if valid.size == 0:
         raise NoValidHypothesis("all RANSAC iterations were degenerate")
+    E = fundamental_to_essential(F[valid], K1, K2)
+    # a hypothesis can be dropped only while the leader's inliers outnumber
+    # the n - k matches left unscored; the half split keeps that within
+    # reach of any leader with more than half of the matches as inliers
+    k = (n + 1) // 2
+    head, tail = slice(0, k), slice(k, n)
+    partial = counts(E, head)
+    lead = int(np.argmax(partial))
+    floor = partial[lead] + counts(E[lead:lead + 1], tail)[0]
+    left = np.flatnonzero(partial + (n - k) >= floor)
+    total = partial[left] + counts(E[left], tail)
+    j = int(np.argmax(total))
+    best, best_count = left[j], int(total[j])
+    best_mask = inliers(E[best])
 
     # refit on the consensus set of the best hypothesis
-    F_final, mask_final = F[best_iter], best_mask
+    F_final, mask_final = F[valid[best]], best_mask
     if best_count >= MIN_SAMPLE:
         try:
             F_final = eight_point(pts1[best_mask], pts2[best_mask])
-            mask_final = inliers(F_final)
+            mask_final = inliers(fundamental_to_essential(F_final, K1, K2))
         except DegenerateConfiguration:
             pass
     return RansacResult(F_final, mask_final)

@@ -131,7 +131,9 @@ def symmetric_epipolar_distance_sq(F, x1, x2):
     """
     F = np.asarray(F, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    l2 = np.asarray(x1, dtype=float) @ np.swapaxes(F, -1, -2)  # F x1 per row
+    # a contiguous F^T: through the strided view the product is several times
+    # slower and rounds one-row inputs differently from longer ones
+    l2 = np.asarray(x1, dtype=float) @ np.ascontiguousarray(np.swapaxes(F, -1, -2))  # F x1 per row
     l1 = x2 @ F  # F^T x2 per row
     d2 = l2[..., 0] ** 2 + l2[..., 1] ** 2
     d1 = l1[..., 0] ** 2 + l1[..., 1] ** 2
@@ -190,10 +192,17 @@ def triangulate(P1, P2, x1n, x2n):
 
 
 def _cheirality_votes(R, t, x1n, x2n):
-    """Count correspondences with positive depth in both views for P2 = [R|t]."""
+    """Count correspondences with positive depth in both views for
+    P2 = [R|t] and for P2 = [R|-t]; returns the pair of counts.
+
+    One triangulation serves both: the DLT points for [R|-t] are the negated
+    points for [R|t], so their depths in both views flip sign.
+    """
     X, ok = triangulate(np.eye(3, 4), np.column_stack([R, t]), x1n, x2n)
+    z1 = X[:, 2]
     z2 = X @ R[2] + t[2]
-    return int(np.count_nonzero(ok & (X[:, 2] > 0) & (z2 > 0)))
+    return (int(np.count_nonzero(ok & (z1 > 0) & (z2 > 0))),
+            int(np.count_nonzero(ok & (z1 < 0) & (z2 < 0))))
 
 
 def decompose_essential(E, x1n, x2n) -> RelativePose:
@@ -201,7 +210,9 @@ def decompose_essential(E, x1n, x2n) -> RelativePose:
     cheirality vote.
 
     x1n, x2n: (N, 3) normalized (K = I) rows with w = 1, as
-    `normalize_points` gives them, N >= 1.
+    `normalize_points` gives them, N >= 1. The four candidates (R, +-t) for
+    the two rotations take two triangulations, one per rotation (Hartley &
+    Zisserman, Multiple View Geometry, 9.6).
     """
     x1n = np.atleast_2d(np.asarray(x1n, dtype=float))
     x2n = np.atleast_2d(np.asarray(x2n, dtype=float))
@@ -215,13 +226,10 @@ def decompose_essential(E, x1n, x2n) -> RelativePose:
     W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     t = U[:, 2]
     t = t / np.linalg.norm(t)
-    candidates = [
-        (U @ W @ Vt, t),
-        (U @ W @ Vt, -t),
-        (U @ W.T @ Vt, t),
-        (U @ W.T @ Vt, -t),
-    ]
-    votes = [_cheirality_votes(R, tc, x1n, x2n) for R, tc in candidates]
+    candidates, votes = [], []
+    for R in (U @ W @ Vt, U @ W.T @ Vt):
+        candidates += [(R, t), (R, -t)]
+        votes += _cheirality_votes(R, t, x1n, x2n)
     order = np.argsort(votes)[::-1]
     best, second = order[0], order[1]
     if votes[best] == votes[second]:

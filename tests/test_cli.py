@@ -318,6 +318,16 @@ class TestMatchPoseEval:
         err = capsys.readouterr().err
         assert "error[ValueError]" in err and "nan.txt:21" in err
 
+    def test_pose_refuses_an_infinite_threshold(self, tmp_path, capsys):
+        # an infinite threshold would count every match as an inlier
+        rng = np.random.default_rng(0)
+        pts1, pts2 = rng.uniform(0, 128, (2, 30, 2))
+        mpath = tmp_path / "m.txt"
+        write_match_file(mpath, pts1, pts2)
+        rc = main([*pose_argv(mpath), "--ransac-threshold", "inf", "--out", str(tmp_path / "pose")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[ValueError]: inlier_threshold")
+
     def test_pose_replay_uses_the_seed_from_the_environment(self, workspace, tmp_path, monkeypatch):
         write_gt_matches(workspace, tmp_path / "noisy.txt", noisy=True)
         argv = pose_argv(tmp_path / "noisy.txt")

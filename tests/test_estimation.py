@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epimatch import errors
+from epimatch import errors, estimation
 from epimatch.estimation import (
     _SCORE_BLOCK,
     _draw_samples,
@@ -156,6 +156,20 @@ def contaminated_matches(rng, n_in=100, n_out=50, reject_band=5e-3):
     gt_mask = np.zeros(n_in + n_out, dtype=bool)
     gt_mask[:n_in] = True
     return pts1, pts2, gt_mask, cam1, cam2, pose
+
+
+class TestRansacConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 0), ("iterations", -3), ("iterations", 2.5), ("iterations", 3.0),
+        ("inlier_threshold", 0.0), ("inlier_threshold", -1e-5),
+        ("inlier_threshold", np.inf), ("inlier_threshold", np.nan),
+    ])
+    def test_refuses_out_of_range_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RansacConfig(**{field: value})
+
+    def test_accepts_a_numpy_iteration_count(self):
+        assert RansacConfig(iterations=np.int64(5)).iterations == 5
 
 
 class TestRansac:
@@ -315,6 +329,54 @@ class TestBatchedRansac:
             pts2 = pts2 + rng.normal(0.0, (0.0, 0.3)[seed % 2], pts2.shape)
             cfg = RansacConfig(iterations=200, inlier_threshold=1e-5, seed=seed)
             self.assert_same_as_reference(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+
+    @pytest.mark.parametrize("n_in, n_out, noise, inliers_last", [
+        (60, 40, 0.3, False),
+        (80, 20, 0.3, True),
+        (40, 60, 0.3, False),
+        (30, 70, 0.3, True),
+        (60, 40, 0.0, True),
+        (7, 1, 0.3, False),
+        (8, 1, 0.0, True),
+    ], ids=["share_0.6", "share_0.8", "share_0.4", "share_0.3", "exact_ties", "n8", "n9"])
+    def test_early_out_byte_equal(self, n_in, n_out, noise, inliers_last):
+        # the early-out prunes only where the leader holds more inliers than
+        # the unscored half: at shares of 0.6 and up, not at 0.4 and below.
+        # Exact inliers tie, and with the inliers last a tied winner's
+        # partial count plus the unscored half just reaches the floor
+        for seed in range(3):
+            rng = np.random.default_rng(6300 + seed)
+            pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=n_in, n_out=n_out)
+            pts2 = pts2 + rng.normal(0.0, noise, pts2.shape)
+            if inliers_last:
+                pts1, pts2 = pts1[::-1].copy(), pts2[::-1].copy()
+            cfg = RansacConfig(iterations=200, inlier_threshold=1e-5, seed=seed)
+            self.assert_same_as_reference(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+
+    @pytest.mark.parametrize("n_in, n_out, slack", [(60, 40, 0), (30, 70, 3)],
+                             ids=["share_0.6", "share_0.3"])
+    def test_early_out_scores_fewer_entries(self, monkeypatch, n_in, n_out, slack):
+        # (hypothesis, match) entries scored, against the iterations * n of a
+        # full scoring. Where nothing can be dropped, the leader's second
+        # half, the winner's mask and the refit's mask add at most 3n
+        scored = []
+
+        def counting(F, x1, x2):
+            dist = symmetric_epipolar_distance_sq(F, x1, x2)
+            scored.append(dist.size)
+            return dist
+
+        monkeypatch.setattr(estimation, "symmetric_epipolar_distance_sq", counting)
+        rng = np.random.default_rng(6400)
+        pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=n_in, n_out=n_out)
+        pts2 = pts2 + rng.normal(0.0, 0.3, pts2.shape)
+        cfg = RansacConfig(iterations=200, inlier_threshold=1e-5, seed=0)
+        ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+        n = n_in + n_out
+        if slack:
+            assert sum(scored) <= cfg.iterations * n + slack * n
+        else:
+            assert sum(scored) < cfg.iterations * n
 
     def test_duplicated_points_give_degenerate_samples(self):
         degenerate = 0

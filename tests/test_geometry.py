@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epimatch import errors
+from epimatch import errors, geometry
 from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
@@ -234,6 +234,25 @@ class TestSymmetricEpipolarDistance:
             symmetric_epipolar_distance_sq(17.3 * F, x1, x2)
         )
 
+    def test_same_bits_however_scored(self, rng):
+        # RANSAC's early-out scores hypotheses as stacks and matches as
+        # slices, and relies on each distance not depending on either
+        n, H = 37, 6
+        F = rng.normal(size=(H, 3, 3))
+        x1, x2 = (with_w(p) for p in rng.uniform(-2, 2, size=(2, n, 2)))
+        whole = symmetric_epipolar_distance_sq(F, x1, x2)
+        for h in range(H):
+            assert symmetric_epipolar_distance_sq(F[h:h + 1], x1, x2)[0].tobytes() == whole[h].tobytes()
+            assert symmetric_epipolar_distance_sq(F[h], x1, x2).tobytes() == whole[h].tobytes()
+        for k in range(n + 1):
+            split = [symmetric_epipolar_distance_sq(F, x1[rows], x2[rows])
+                     for rows in (slice(0, k), slice(k, n))]
+            assert np.concatenate(split, axis=1).tobytes() == whole.tobytes()
+        for i in range(n):
+            row = slice(i, i + 1)
+            assert symmetric_epipolar_distance_sq(F, x1[row], x2[row])[:, 0].tobytes() == whole[:, i].tobytes()
+            assert symmetric_epipolar_distance_sq(F[0], x1[row], x2[row]).tobytes() == whole[0, row].tobytes()
+
 
 class TestNormalizePoint:
     def test_identity_intrinsics(self):
@@ -328,9 +347,10 @@ class TestDecomposeEssential:
         assert np.allclose(rec.t, [-1, 0, 0], atol=1e-9)
 
     def test_votes_match_per_point_triangulation(self, rng):
-        # the batched vote against a loop of single triangulations, over the
+        # the batched votes against a loop of single triangulations, over the
         # four decompositions of E, with points at infinity and outliers
-        # that the per-point rejections must drop
+        # that the per-point rejections must drop; the loop triangulates
+        # under each of the four P2, the vote once for each rotation
         axis = rng.normal(size=3)
         R = rotation_from_axis_angle(axis, np.radians(15.0))
         t = rng.normal(size=3)
@@ -342,22 +362,37 @@ class TestDecomposeEssential:
         x2[5:10, :2] = rng.uniform(-0.5, 0.5, (5, 2))
         twisted = rotation_from_axis_angle(t, np.pi) @ R
         loop_votes, rejected = [], 0
-        for Rc, tc in ((R, t), (R, -t), (twisted, t), (twisted, -t)):
-            P2 = np.column_stack([Rc, tc])
-            votes = 0
-            for a, b in zip(x1, x2):
-                X, ok = triangulate(np.eye(3, 4), P2, a[None], b[None])
-                if not ok[0]:
-                    rejected += 1
-                    continue
-                votes += bool(X[0, 2] > 0 and (Rc @ X[0] + tc)[2] > 0)
-            assert _cheirality_votes(Rc, tc, x1, x2) == votes
-            loop_votes.append(votes)
+        for Rc in (R, twisted):
+            for tc in (t, -t):
+                P2 = np.column_stack([Rc, tc])
+                votes = 0
+                for a, b in zip(x1, x2):
+                    X, ok = triangulate(np.eye(3, 4), P2, a[None], b[None])
+                    if not ok[0]:
+                        rejected += 1
+                        continue
+                    votes += bool(X[0, 2] > 0 and (Rc @ X[0] + tc)[2] > 0)
+                loop_votes.append(votes)
+            assert _cheirality_votes(Rc, t, x1, x2) == tuple(loop_votes[-2:])
         assert rejected > 0
         assert int(np.argmax(loop_votes)) == 0
         rec = decompose_essential(essential_from_pose(RelativePose(R, t)), x1, x2)
         assert small_rotation_angle_rad(rec.R.T @ R) < 1e-8
         assert np.allclose(rec.t, t, atol=1e-8)
+
+    def test_triangulates_once_per_rotation(self, rng, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return triangulate(*args)
+
+        monkeypatch.setattr(geometry, "triangulate", counting)
+        pose = random_camera_pair(rng)[2]
+        x1, x2 = self._normalized_tracks(rng, pose, 20)
+        rec = decompose_essential(essential_from_pose(pose), x1, x2)
+        assert small_rotation_angle_rad(rec.R.T @ pose.R) < 1e-8
+        assert len(calls) == 2
 
     def test_essential_invariants(self, rng):
         pose = random_camera_pair(rng)[2]
