@@ -106,24 +106,33 @@ def _sample_texture(octaves, a, b, contrast):
     """Bilinear value-noise lookup at local plane coordinates (a, b)."""
     total = np.zeros_like(a)
     for scale, amp, lattice in octaves:
+        ncols = lattice.shape[1]
         x = np.clip(a / scale, 0.0, lattice.shape[0] - 1.001)
-        y = np.clip(b / scale, 0.0, lattice.shape[1] - 1.001)
+        y = np.clip(b / scale, 0.0, ncols - 1.001)
         i0 = x.astype(int)
         j0 = y.astype(int)
         fx = x - i0
         fy = y - j0
+        gx = 1 - fx
+        gy = 1 - fy
+        k = i0 * ncols + j0  # flat index of lattice[i0, j0]
         v = (
-            lattice[i0, j0] * (1 - fx) * (1 - fy)
-            + lattice[i0 + 1, j0] * fx * (1 - fy)
-            + lattice[i0, j0 + 1] * (1 - fx) * fy
-            + lattice[i0 + 1, j0 + 1] * fx * fy
+            lattice.take(k) * gx * gy
+            + lattice.take(k + ncols) * fx * gy
+            + lattice.take(k + 1) * gx * fy
+            + lattice.take(k + ncols + 1) * fx * fy
         )
         total += amp * v
     return np.clip(0.5 + contrast * total, 0.0, 1.0)
 
 
 def _cast_rays(spec: SceneSpec, origin, dirs):
-    """Nearest plane hit of each ray origin + t * dirs (t > 0).
+    """Nearest plane hit of each ray origin + t * dirs.
+
+    A plane hits a ray at t > 1e-9 inside its extent, and only when t is
+    strictly below the ray's nearest hit so far, so of two planes at the same
+    t the earlier one wins. In-plane coordinates are computed only for the
+    rays a plane can still win.
 
     Returns (depth, plane_id, a, b): ray parameter t (inf on a miss), plane
     index (-1 on a miss) and in-plane coordinates along eu and ev.
@@ -134,29 +143,27 @@ def _cast_rays(spec: SceneSpec, origin, dirs):
     hit_a = np.zeros(n_rays)
     hit_b = np.zeros(n_rays)
     for idx, plane in enumerate(spec.planes):
-        eu = np.asarray(plane.eu, dtype=float)
-        ev = np.asarray(plane.ev, dtype=float)
-        niv = np.cross(eu, ev)
+        u0, u1, u2 = map(float, plane.eu)
+        v0, v1, v2 = map(float, plane.ev)
+        # eu x ev, rounded as np.cross rounds it
+        niv = np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+        eu = np.array([u0, u1, u2])
+        ev = np.array([v0, v1, v2])
         p0 = np.asarray(plane.origin, dtype=float)
         denom = dirs @ niv
         with np.errstate(divide="ignore", invalid="ignore"):
             t = ((p0 - origin) @ niv) / denom
-            local = origin + t[:, None] * dirs - p0
-            a = local @ eu
-            b = local @ ev
-        ok = (
-            (np.abs(denom) > 1e-12)
-            & (t > 1e-9)
-            & (t < depth)
-            & (a >= -1e-9)
-            & (a <= plane.su + 1e-9)
-            & (b >= -1e-9)
-            & (b <= plane.sv + 1e-9)
-        )
-        depth[ok] = t[ok]
-        plane_id[ok] = idx
-        hit_a[ok] = a[ok]
-        hit_b[ok] = b[ok]
+        cand = np.flatnonzero((np.abs(denom) > 1e-12) & (t > 1e-9) & (t < depth))
+        tc = t[cand]
+        local = origin + tc[:, None] * dirs[cand] - p0
+        a = local @ eu
+        b = local @ ev
+        ok = (a >= -1e-9) & (a <= plane.su + 1e-9) & (b >= -1e-9) & (b <= plane.sv + 1e-9)
+        hit = cand[ok]
+        depth[hit] = tc[ok]
+        plane_id[hit] = idx
+        hit_a[hit] = a[ok]
+        hit_b[hit] = b[ok]
     return depth, plane_id, hit_a, hit_b
 
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import astuple, replace
 
@@ -16,6 +17,7 @@ from epimatch.geometry import (
 from epimatch.grid import GridSpec
 from epimatch.losses import d_epi
 from epimatch.matcher import MatcherConfig, init_params, save_checkpoint
+from epimatch import synth
 from epimatch.synth import (
     Plane,
     PoseSampler,
@@ -23,6 +25,7 @@ from epimatch.synth import (
     SceneSpec,
     TextureSpec,
     _camera_from_position,
+    _cast_rays,
     _texture_tables,
     gt_correspondence_grid,
     load_dataset,
@@ -41,8 +44,6 @@ from conftest import record_ends
 def small_domain(name="A", seed=3, noise=None):
     spec = make_domain(name, seed=seed)
     if noise is not None:
-        from dataclasses import replace
-
         spec = replace(spec, noise_sigma=noise)
     return spec
 
@@ -122,8 +123,6 @@ class TestSamplePair:
         assert np.allclose(project_points(cam, X)[1], depth.ravel(), rtol=1e-12)
 
     def test_degenerate_pose_error(self):
-        from dataclasses import replace
-
         spec = replace(small_domain(), min_overlap=1.01, max_pose_retries=3)
         with pytest.raises(errors.DegeneratePose):
             sample_pair(spec, 0)
@@ -176,6 +175,149 @@ def cluttered_room_planes(width=8.0, depth=6.0, height=4.0):
         Plane((width * 0.38, depth * 0.42, 0.0), (1, 0, 0), (0, 0, 1), width * 0.18, height * 0.4),
     )
     return room_planes(width, depth, height) + panels
+
+
+def tilted_panel_planes(width=8.0, depth=6.0, height=4.0):
+    """Room with two panels that are not axis-aligned: one turned 25 degrees
+    about the vertical, one tilted about two axes."""
+    c, s = np.cos(np.radians(25.0)), np.sin(np.radians(25.0))
+    panels = (
+        Plane((width * 0.2, depth * 0.55, 0.3), (c, s, 0.0), (0.0, 0.0, 1.0), 2.0, 2.5),
+        Plane((width * 0.6, depth * 0.45, 0.5), (0.6, 0.8, 0.0), (-0.48, 0.36, 0.8), 1.8, 2.2),
+    )
+    return room_planes(width, depth, height) + panels
+
+
+def reference_sample_texture(octaves, a, b, contrast):
+    """Bilinear value-noise lookup as written before the flat-index gather."""
+    total = np.zeros_like(a)
+    for scale, amp, lattice in octaves:
+        x = np.clip(a / scale, 0.0, lattice.shape[0] - 1.001)
+        y = np.clip(b / scale, 0.0, lattice.shape[1] - 1.001)
+        i0 = x.astype(int)
+        j0 = y.astype(int)
+        fx = x - i0
+        fy = y - j0
+        v = (
+            lattice[i0, j0] * (1 - fx) * (1 - fy)
+            + lattice[i0 + 1, j0] * fx * (1 - fy)
+            + lattice[i0, j0 + 1] * (1 - fx) * fy
+            + lattice[i0 + 1, j0 + 1] * fx * fy
+        )
+        total += amp * v
+    return np.clip(0.5 + contrast * total, 0.0, 1.0)
+
+
+def reference_cast_rays(spec, origin, dirs):
+    """Ray casting that tests every ray against every plane, with np.cross."""
+    n_rays = dirs.shape[0]
+    depth = np.full(n_rays, np.inf)
+    plane_id = np.full(n_rays, -1)
+    hit_a = np.zeros(n_rays)
+    hit_b = np.zeros(n_rays)
+    for idx, plane in enumerate(spec.planes):
+        eu = np.asarray(plane.eu, dtype=float)
+        ev = np.asarray(plane.ev, dtype=float)
+        niv = np.cross(eu, ev)
+        p0 = np.asarray(plane.origin, dtype=float)
+        denom = dirs @ niv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ((p0 - origin) @ niv) / denom
+            local = origin + t[:, None] * dirs - p0
+            a = local @ eu
+            b = local @ ev
+        ok = (
+            (np.abs(denom) > 1e-12)
+            & (t > 1e-9)
+            & (t < depth)
+            & (a >= -1e-9)
+            & (a <= plane.su + 1e-9)
+            & (b >= -1e-9)
+            & (b <= plane.sv + 1e-9)
+        )
+        depth[ok] = t[ok]
+        plane_id[ok] = idx
+        hit_a[ok] = a[ok]
+        hit_b[ok] = b[ok]
+    return depth, plane_id, hit_a, hit_b
+
+
+def use_reference_renderer(monkeypatch):
+    monkeypatch.setattr(synth, "_cast_rays", reference_cast_rays)
+    monkeypatch.setattr(synth, "_sample_texture", reference_sample_texture)
+
+
+class TestRenderMatchesReference:
+    SCENES = {
+        "A": lambda: make_domain("A", seed=2),
+        "B": lambda: make_domain("B", seed=2),
+        "cluttered_A": lambda: replace(make_domain("A", seed=4), planes=cluttered_room_planes()),
+        "tilted_B": lambda: replace(make_domain("B", seed=4), planes=tilted_panel_planes()),
+    }
+    # (position, target): two oblique views from inside, one from outside the
+    # room whose corner rays miss every plane, and one a hair above the floor
+    # looking level, whose middle rows run nearly parallel to floor and ceiling
+    VIEWS = (
+        ([2.0, 1.5, 1.2], [6.5, 5.0, 2.5]),
+        ([6.0, 1.0, 3.0], [1.5, 4.5, 0.5]),
+        ([4.0, -5.0, 2.0], [4.0, 3.0, 2.0]),
+        ([4.0, 0.5, 1e-7], [4.0, 6.0, 1e-7]),
+    )
+
+    @pytest.mark.parametrize("scene", list(SCENES))
+    def test_render_view_byte_identical(self, scene, monkeypatch):
+        spec = self.SCENES[scene]()
+        tables = _texture_tables(spec)
+        cams = [_camera_from_position(spec.intrinsics, p, q) for p, q in self.VIEWS]
+        got = [render_view(spec, tables, cam) for cam in cams]
+        use_reference_renderer(monkeypatch)
+        want = [render_view(spec, tables, cam) for cam in cams]
+        for (image, depth), (ref_image, ref_depth) in zip(got, want):
+            assert image.tobytes() == ref_image.tobytes()
+            assert depth.tobytes() == ref_depth.tobytes()
+        assert np.any(want[2][1] == 0.0)  # the outside view has misses
+
+    @pytest.mark.parametrize("scene", ["cluttered_A", "tilted_B"])
+    def test_cast_rays_byte_identical_at_the_thresholds(self, scene):
+        spec = self.SCENES[scene]()
+        rng = np.random.default_rng(17)
+        # random directions, floor-grazing ones around the |denom| > 1e-12
+        # cut-off, and ones along both tilted-panel axes
+        dz = np.array([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 1e-10, 1e-6])
+        grazing = np.column_stack([np.full(dz.size, 0.3), np.full(dz.size, 0.95), dz])
+        along = np.array([p.eu for p in spec.planes[6:]] + [p.ev for p in spec.planes[6:]], dtype=float)
+        base = np.vstack([rng.normal(size=(400, 3)), grazing, -grazing, along, -along])
+        # rays toward each plane corner and toward points 5e-10 m past or
+        # short of it along both plane axes: at a room corner three planes
+        # meet at the same t, and a free panel edge is met inside its 1e-9
+        # tolerance
+        targets = np.array([
+            np.asarray(p.origin) + (i * p.su + off) * np.asarray(p.eu) + (j * p.sv + off) * np.asarray(p.ev)
+            for p in spec.planes for i, j in itertools.product((0, 1), (0, 1)) for off in (0.0, -5e-10, 5e-10)
+        ])
+        # origins inside, outside, on the floor, a hair above it (grazing rays
+        # hit at t near 1e-8) and at a corner
+        origins = ([4.0, 3.0, 2.0], [4.0, -5.0, 2.0], [3.0, 2.0, 0.0], [3.0, 2.0, 1e-20], [0.0, 0.0, 0.0])
+        for origin in origins:
+            origin = np.asarray(origin)
+            dirs = np.vstack([base, targets - origin])
+            got = _cast_rays(spec, origin, dirs)
+            want = reference_cast_rays(spec, origin, dirs)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("domain", ["A", "B"])
+    def test_sample_pair_byte_identical(self, domain, monkeypatch):
+        # covers the pose retries, whose overlap test casts rays too
+        spec = make_domain(domain, seed=9001)
+        got = [sample_pair(spec, i) for i in range(8)]
+        use_reference_renderer(monkeypatch)
+        for i, pair in enumerate(got):
+            ref = sample_pair(spec, i)
+            for name in ("image1", "image2", "depth1", "depth2"):
+                assert getattr(pair, name).tobytes() == getattr(ref, name).tobytes()
+            assert pair.pose.R.tobytes() == ref.pose.R.tobytes()
+            assert pair.pose.t.tobytes() == ref.pose.t.tobytes()
 
 
 class TestGtCorrespondenceGrid:
