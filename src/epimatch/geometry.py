@@ -166,8 +166,14 @@ def project_points(camera: Camera, X):
     non-finite) pixel, so callers filter on the depth with their own tolerance.
     """
     X = np.asarray(X, dtype=float)
-    # a stacked matmul keeps the rounding of the per-point R @ X
-    Xc = (camera.pose.R[None] @ X[:, :, None])[:, :, 0] + camera.pose.t
+    # each X @ R[k] is one BLAS matrix-vector product over all points. The
+    # per-point R @ X is one too, and both build a component from the same
+    # chain of fused multiply-adds, so for N >= 2 the camera-frame points
+    # equal the per-point R @ X bit for bit. At N = 1 numpy computes X @ R[k]
+    # as a dot product, whose chain starts from another term, and the last
+    # bit can differ; no seeded output projects a single point.
+    R = camera.pose.R
+    Xc = np.column_stack([X @ R[0], X @ R[1], X @ R[2]]) + camera.pose.t
     K = camera.intrinsics
     with np.errstate(divide="ignore", invalid="ignore"):
         pix = np.column_stack([K.fx * Xc[:, 0] / Xc[:, 2] + K.cx, K.fy * Xc[:, 1] / Xc[:, 2] + K.cy])

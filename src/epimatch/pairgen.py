@@ -7,7 +7,9 @@ one image whose assumed surface points project into the other image.
 
 Mining casts each view's sample-grid rays into the surface once and projects
 the resulting points into every other view: n views cost n casts, not one per
-ordered pair, and the cached points take at most 24 KB per view.
+ordered pair, and the cached points take at most 24 KB per view. Each
+candidate pair then costs two projections of at most SAMPLE_GRID ** 2 = 1,024
+points, one into each view.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ def _hemisphere_depth(model: HemisphereModel, origin, dirs):
     dz = dirs[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (model.z_plane - origin[2]) / dz
-        p = origin + t[:, None] * dirs
-    radial_sq = (p[:, 0] - origin[0]) ** 2 + (p[:, 1] - origin[1]) ** 2
+        px = origin[0] + t * dirs[:, 0]
+        py = origin[1] + t * dirs[:, 1]
+    radial_sq = (px - origin[0]) ** 2 + (py - origin[1]) ** 2
     on_plane = (dz < 0.0) & (t > 0) & (radial_sq <= model.r_sphere ** 2)  # under the dome
     depth[on_plane] = t[on_plane]
     # sphere centred at (x_cam, y_cam, z_plane): |o - c| = h along +z
@@ -91,8 +94,8 @@ def _hemisphere_depth(model: HemisphereModel, origin, dirs):
     disc = b * b - (h * h - model.r_sphere ** 2)
     with np.errstate(invalid="ignore"):
         t = -b + np.sqrt(disc)  # camera is inside: take the exit point
-    p = origin + t[:, None] * dirs
-    on_sphere = (disc >= 0.0) & (t > 0) & (p[:, 2] >= model.z_plane - 1e-9)
+    pz = origin[2] + t * dz
+    on_sphere = (disc >= 0.0) & (t > 0) & (pz >= model.z_plane - 1e-9)
     depth[on_sphere] = np.minimum(depth[on_sphere], t[on_sphere])
     return depth
 
@@ -153,8 +156,10 @@ def _surface_points(model, camera: Camera, image_size, driving_dir=None):
     origin = camera.center()
     dirs = _unit_rays(camera, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
     depth = _surface_depth(model, origin, dirs, driving_dir)
-    hit = np.isfinite(depth)
-    return origin + depth[hit, None] * dirs[hit]
+    hit = np.flatnonzero(np.isfinite(depth))
+    th = depth[hit]
+    # column by column, with the arithmetic of origin + depth * dirs per row
+    return np.column_stack([origin[k] + th * dirs[:, k].take(hit) for k in range(3)])
 
 
 def _seen_share(points, camera: Camera, image_size):

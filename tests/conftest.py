@@ -53,6 +53,17 @@ def with_w(pix):
     return np.column_stack([pix, np.ones(len(pix))])
 
 
+def reference_project_points(camera, X):
+    """project_points as a stacked matmul, one (3, 3) @ (3, 1) product per
+    point: the per-point R @ X that the three matrix-vector products match."""
+    X = np.asarray(X, dtype=float)
+    Xc = (camera.pose.R[None] @ X[:, :, None])[:, :, 0] + camera.pose.t
+    K = camera.intrinsics
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pix = np.column_stack([K.fx * Xc[:, 0] / Xc[:, 2] + K.cx, K.fy * Xc[:, 1] / Xc[:, 2] + K.cy])
+    return pix, Xc[:, 2]
+
+
 def project_hom(cam, pts):
     """Pixel projections of (N, 3) world points as (N, 3) rows with w = 1."""
     return with_w(project_points(cam, pts)[0])

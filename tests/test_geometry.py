@@ -25,8 +25,8 @@ from epimatch.geometry import (
 )
 from epimatch.losses import d_epi
 
-from conftest import (project_hom, random_camera_pair, random_intrinsics, random_pose, visible_points, with_w,
-                      write_pose_file)
+from conftest import (project_hom, random_camera_pair, random_intrinsics, random_pose, reference_project_points,
+                      visible_points, with_w, write_pose_file)
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -306,6 +306,57 @@ class TestProjectTriangulate:
         back, depth = project_points(cam, cam.center() + s * pixel_rays(cam, pix))
         assert np.allclose(back, pix, rtol=0, atol=1e-9)
         assert np.allclose(depth, s[:, 0], rtol=1e-12)
+
+
+def awkward_points(rng, pose, n):
+    """(n, 3) world points whose camera-frame points under `pose` lie in front
+    of the camera, behind it, on its plane z = 0 (up to the rounding of the
+    way back) or about 1e6 m away."""
+    xc = rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice([1.0, 50.0, 1e6], (n, 1))
+    xc[rng.random(n) < 0.2, 2] = 0.0
+    return (xc - pose.t) @ pose.R  # R.T @ (xc - t) for each row
+
+
+class TestProjectMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), on_plane=st.booleans())
+    def test_byte_identical(self, seed, n, on_plane):
+        rng = np.random.default_rng(seed)
+        pose = random_pose(rng, max_angle_deg=180.0, baseline=(0.0, 5.0))
+        if on_plane:
+            # with t = (t_x, 0, 0) the world origin lands exactly on the camera
+            # plane, camera-frame (t_x, 0, 0): an infinite u and a nan v
+            pose = RelativePose(pose.R, [pose.t[0], 0.0, 0.0])
+        cam = Camera(random_intrinsics(rng), pose)
+        X = awkward_points(rng, pose, n)
+        if on_plane:
+            X[:2] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]
+        pix, z = project_points(cam, X)
+        ref_pix, ref_z = reference_project_points(cam, X)
+        assert pix.shape == (n, 2) and z.shape == (n,)
+        assert pix.tobytes() == ref_pix.tobytes()
+        assert z.tobytes() == ref_z.tobytes()
+        if on_plane:
+            assert np.isinf(pix[0, 0]) and np.isnan(pix[0, 1]) and z[0] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_single_point_within_an_ulp_of_its_terms(self, seed):
+        # at N = 1 numpy computes X @ R[k] as a dot product, whose chain of
+        # fused multiply-adds starts from another term than the stacked
+        # matmul's, so the last bit can differ. Where the terms cancel, that
+        # is many ulps of the result, but it stays within one ulp of
+        # |R[k]| @ |X|, the largest magnitude a partial sum can reach. With
+        # the camera at the origin the depth is the bare sum, and rolling the
+        # rows of R puts each row in turn into the depth.
+        rng = np.random.default_rng(seed)
+        R = random_pose(rng, max_angle_deg=180.0).R
+        X = rng.normal(size=(1, 3)) * 10.0 ** rng.uniform(-2.0, 6.0)
+        for k in range(3):
+            cam = Camera(random_intrinsics(rng), RelativePose(np.roll(R, 2 - k, axis=0), np.zeros(3)))
+            _, z = project_points(cam, X)
+            _, ref_z = reference_project_points(cam, X)
+            assert abs(z[0] - ref_z[0]) <= np.spacing(np.abs(R[k]) @ np.abs(X[0]))
 
 
 def small_rotation_angle_rad(R):

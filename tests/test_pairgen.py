@@ -426,7 +426,33 @@ def sample_pixels(rng):
     return np.vstack([grid, CENTRE, rng.uniform([-50, -50], [W + 50, H + 50], (64, 2))])
 
 
+def reference_surface_points(model, camera, image_size, driving_dir=None):
+    """_surface_points with the hit rows as one (M, 3) expression."""
+    W, H = image_size
+    us = (np.arange(SAMPLE_GRID) + 0.5) * W / SAMPLE_GRID - 0.5
+    vs = (np.arange(SAMPLE_GRID) + 0.5) * H / SAMPLE_GRID - 0.5
+    origin = camera.center()
+    dirs = pairgen._unit_rays(camera, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
+    depth = pairgen._surface_depth(model, origin, dirs, driving_dir)
+    hit = np.isfinite(depth)
+    return origin + depth[hit, None] * dirs[hit]
+
+
 class TestArraysMatchPerSampleReference:
+    def test_surface_points_byte_identical(self):
+        rng = np.random.default_rng(53)
+        # a short, wide box seen along the driving direction: every ray meets
+        # the front plane first, so the view keeps no point
+        all_miss = (BoxModel(side=50.0, bottom=-50.0, longitudinal=1.0), camera_at([0, 0, 0], 0.0), ALONG_Y)
+        counts = []
+        for model, cam, dd in hemisphere_cases(rng) + box_cases(rng) + [all_miss]:
+            for size in ((640, 480), (97, 61)):
+                got = _surface_points(model, cam, size, dd)
+                want = reference_surface_points(model, cam, size, dd)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                counts.append(len(got))
+        assert counts[-1] == 0 and any(0 < m < SAMPLE_GRID ** 2 for m in counts)
+
     @pytest.mark.parametrize("cases", [hemisphere_cases, box_cases])
     def test_pseudo_depth_byte_identical(self, cases):
         rng = np.random.default_rng(31)

@@ -38,7 +38,7 @@ from epimatch.synth import (
     save_pair_file,
 )
 
-from conftest import record_ends
+from conftest import record_ends, reference_project_points
 
 
 def small_domain(name="A", seed=3, noise=None):
@@ -379,6 +379,27 @@ class TestGtCorrespondenceGrid:
         i = np.flatnonzero(targets >= 0)[::7]
         F = fundamental_from_pose(pair.K, pair.K, pair.pose)
         assert np.all(d_epi(F, grid.cell_centers()[i], points[i])[0] < 1e-6)
+
+
+class TestProjectionMatchesReference:
+    @pytest.mark.parametrize("domain", ["A", "B"])
+    def test_pairs_and_gt_grids_byte_identical(self, domain, monkeypatch):
+        # sample_pair's pose acceptance projects too, through _view_overlap
+        spec = make_domain(domain, seed=7)
+        grid = GridSpec.for_image(*spec.image_size, 8)
+        got = [sample_pair(spec, i) for i in range(8)]
+        grids = [gt_correspondence_grid(pair, grid) for pair in got]
+        monkeypatch.setattr(synth, "project_points", reference_project_points)
+        for i, (pair, (targets, points)) in enumerate(zip(got, grids)):
+            ref = sample_pair(spec, i)
+            for name in ("image1", "image2", "depth1", "depth2"):
+                assert getattr(pair, name).tobytes() == getattr(ref, name).tobytes()
+            assert pair.pose.R.tobytes() == ref.pose.R.tobytes()
+            assert pair.pose.t.tobytes() == ref.pose.t.tobytes()
+            ref_targets, ref_points = gt_correspondence_grid(ref, grid)
+            assert targets.dtype == ref_targets.dtype and targets.tobytes() == ref_targets.tobytes()
+            assert points.tobytes() == ref_points.tobytes()
+        assert all(np.any(t >= 0) and np.any(t < 0) for t, _ in grids)
 
 
 class TestDomains:
