@@ -163,7 +163,7 @@ def project_points(camera: Camera, X):
     """(N, 2) pixels and (N,) camera-frame depths of (N, 3) world points.
 
     No depth test: a point at or behind the camera gets a meaningless (or
-    non-finite) pixel, so callers filter on the depth with their own tolerance.
+    non-finite) pixel. `project_in_image` adds the visibility test.
     """
     X = np.asarray(X, dtype=float)
     # each X @ R[k] is one BLAS matrix-vector product over all points. The
@@ -178,6 +178,16 @@ def project_points(camera: Camera, X):
     with np.errstate(divide="ignore", invalid="ignore"):
         pix = np.column_stack([K.fx * Xc[:, 0] / Xc[:, 2] + K.cx, K.fy * Xc[:, 1] / Xc[:, 2] + K.cy])
     return pix, Xc[:, 2]
+
+
+def project_in_image(camera: Camera, X, image_size):
+    """project_points plus the one visibility rule, as (pix, z, seen): seen is
+    a depth above 1e-9 and a pixel inside the (W, H) image with 1e-6 px of
+    slack, which keeps the border samples of an identical view; NaN is unseen."""
+    W, H = image_size
+    pix, z = project_points(camera, X)
+    u, v = pix.T
+    return pix, z, (z > 1e-9) & (-1e-6 <= u) & (u <= W - 1 + 1e-6) & (-1e-6 <= v) & (v <= H - 1 + 1e-6)
 
 
 def triangulate(P1, P2, x1n, x2n):

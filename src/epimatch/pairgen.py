@@ -3,7 +3,8 @@
 Without depth, each view is assumed to observe an enclosing surface: a
 hemisphere (plane + dome centred under the camera) or a driving-direction
 aligned box. The overlap of a pair is the fraction of a fixed sample grid of
-one image whose assumed surface points project into the other image.
+one image whose assumed surface points the other camera sees, by the
+visibility rule of `geometry.project_in_image` that `synth` shares.
 
 Mining casts each view's sample-grid rays into the surface once and projects
 the resulting points into every other view: n views cost n casts, not one per
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, pixel_rays, project_points
+from .geometry import Camera, pixel_rays, project_in_image
 
 SAMPLE_GRID = 32
 
@@ -139,20 +140,16 @@ def _surface_depth(model, origin, dirs, driving_dir):
     raise TypeError(f"unknown pseudo-depth model {type(model).__name__}")
 
 
-def pseudo_depth(model, camera: Camera, pix, driving_dir=None):
-    """(N,) distances along the viewing rays through (N, 2) pixels to the
-    assumed surface; inf where a ray misses it."""
-    return _surface_depth(model, camera.center(), _unit_rays(camera, pix), driving_dir)
-
-
 def _surface_points(model, camera: Camera, image_size, driving_dir=None):
     """(M, 3) world points where the rays of `camera`'s sample grid hit the
     assumed surface, M <= SAMPLE_GRID ** 2; rays that miss are dropped."""
     W, H = image_size
     # cell centres of a SAMPLE_GRID x SAMPLE_GRID partition (not the exact
-    # border, which would leave the frame under any forward motion)
-    us = (np.arange(SAMPLE_GRID) + 0.5) * W / SAMPLE_GRID - 0.5
-    vs = (np.arange(SAMPLE_GRID) + 0.5) * H / SAMPLE_GRID - 0.5
+    # border, which would leave the frame under any forward motion); below
+    # SAMPLE_GRID px the outer centres fall off the image and are clipped in
+    cells = np.arange(SAMPLE_GRID) + 0.5
+    us = (cells * W / SAMPLE_GRID - 0.5).clip(0.0, W - 1.0)
+    vs = (cells * H / SAMPLE_GRID - 0.5).clip(0.0, H - 1.0)
     origin = camera.center()
     dirs = _unit_rays(camera, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
     depth = _surface_depth(model, origin, dirs, driving_dir)
@@ -163,26 +160,15 @@ def _surface_points(model, camera: Camera, image_size, driving_dir=None):
 
 
 def _seen_share(points, camera: Camera, image_size):
-    """Share of the sample grid whose surface points project into `camera`'s
-    image in front of it."""
-    W, H = image_size
-    pix, z = project_points(camera, points)
-    u2, v2 = pix.T
-    eps = 1e-6  # keep boundary samples of an identical view inside
-    inside = (z > 1e-9) & (-eps <= u2) & (u2 <= W - 1 + eps) & (-eps <= v2) & (v2 <= H - 1 + eps)
-    return int(np.count_nonzero(inside)) / float(SAMPLE_GRID * SAMPLE_GRID)
-
-
-def _directional_overlap(model, cam_i: Camera, cam_j: Camera, image_size, driving_dir=None):
-    return _seen_share(_surface_points(model, cam_i, image_size, driving_dir), cam_j, image_size)
+    """Share of the sample grid whose surface points `camera` sees."""
+    return int(np.count_nonzero(project_in_image(camera, points, image_size)[2])) / float(SAMPLE_GRID ** 2)
 
 
 def pseudo_overlap(model, cam_i: Camera, cam_j: Camera, image_size=(640, 480),
                    driving_dir_i=None, driving_dir_j=None):
     """Symmetrized pseudo-overlap score: min of the two directional scores."""
-    oij = _directional_overlap(model, cam_i, cam_j, image_size, driving_dir_i)
-    oji = _directional_overlap(model, cam_j, cam_i, image_size, driving_dir_j)
-    return min(oij, oji)
+    return min(_seen_share(_surface_points(model, cam_i, image_size, driving_dir_i), cam_j, image_size),
+               _seen_share(_surface_points(model, cam_j, image_size, driving_dir_j), cam_i, image_size))
 
 
 def driving_directions(records):

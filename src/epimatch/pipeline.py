@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +59,8 @@ class TrainConfig:
     tau_fine_lr_scale: float = 3.0
 
     def __post_init__(self):
+        if not (isinstance(self.batch_size, numbers.Integral) and isinstance(self.epochs, numbers.Integral)):
+            raise ValueError(f"batch_size and epochs must be whole numbers, got {self.batch_size!r}, {self.epochs!r}")
         if not 0 < self.lr < np.inf or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("lr, batch_size and epochs must be positive, lr finite")
         if not (0 <= self.weight_decay < np.inf and 0 <= self.momentum < 1):
@@ -83,6 +86,10 @@ class BootstrapConfig:
     ransac: RansacConfig = field(default_factory=lambda: RansacConfig(iterations=400, inlier_threshold=5e-4, seed=7))
 
     def __post_init__(self):
+        for name in ("min_matches", "min_inliers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
         if self.min_inliers > self.min_matches:
             raise ValueError("min_inliers must not exceed min_matches")
 

@@ -24,7 +24,7 @@ from .geometry import (
     RelativePose,
     normalize_points,
     pixel_rays,
-    project_points,
+    project_in_image,
     rotation_from_axis_angle,
 )
 from .grid import GridSpec
@@ -203,19 +203,17 @@ def _camera_from_position(K, position, target):
     return Camera(K, RelativePose(R, t))
 
 
-def _view_overlap(spec, cam1, cam2, samples=12):
-    """Fraction of a sparse view-1 grid whose surface points see camera 2."""
+def _view_overlap(spec, cam1, cam2):
+    """Fraction of a sparse 12 x 12 view-1 grid whose surface points camera 2 sees."""
     H, W = spec.image_size
-    us = np.linspace(4, W - 5, samples)
-    vs = np.linspace(4, H - 5, samples)
+    us = np.linspace(4, W - 5, 12)
+    vs = np.linspace(4, H - 5, 12)
     dirs = pixel_rays(cam1, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
     origin = cam1.center()
     depth = _cast_rays(spec, origin, dirs)[0]
     hit = np.isfinite(depth)
-    pix, z2 = project_points(cam2, origin + depth[hit, None] * dirs[hit])
-    u2, v2 = pix.T
-    inside = (z2 > 1e-6) & (u2 >= 0) & (u2 <= W - 1) & (v2 >= 0) & (v2 <= H - 1)
-    return int(np.count_nonzero(inside)) / samples ** 2
+    seen = project_in_image(cam2, origin + depth[hit, None] * dirs[hit], (W, H))[2]
+    return int(np.count_nonzero(seen)) / len(dirs)
 
 
 def sample_pair(spec: SceneSpec, index, pose_override: RelativePose | None = None) -> RenderedPair:
@@ -293,16 +291,16 @@ def gt_correspondence_grid(pair: RenderedPair, grid: GridSpec):
     """Per-coarse-cell ground truth: target cell index (-1 = none) plus the
     subpixel point in image 2. Backprojects cell centres through depth1 and
     applies a two-sided occlusion test against depth2 (1% tolerance)."""
-    H, W = pair.depth1.shape
     w = grid.patch_width
     centers = grid.cell_centers()
     d = pair.depth1[np.rint(centers[:, 1]).astype(int), np.rint(centers[:, 0]).astype(int)]
     # view 1's camera frame is the world frame
-    pix2, z2 = project_points(Camera(pair.K, pair.pose), d[:, None] * normalize_points(pair.K, centers))
+    pix2, z2, seen = project_in_image(Camera(pair.K, pair.pose), d[:, None] * normalize_points(pair.K, centers),
+                                      pair.depth1.shape[::-1])
     u2, v2 = pix2.T
     targets = np.full(grid.m, -1, dtype=int)
     points = np.full((grid.m, 2), np.nan)
-    idx = np.flatnonzero((d > 0) & (z2 > 1e-9) & (0.0 <= u2) & (u2 <= W - 1) & (0.0 <= v2) & (v2 <= H - 1))
+    idx = np.flatnonzero((d > 0) & seen)
     z2, u2, v2 = z2[idx], u2[idx], v2[idx]
     ui2, vi2 = np.rint(u2).astype(int), np.rint(v2).astype(int)
     d2 = pair.depth2[vi2, ui2]

@@ -17,6 +17,7 @@ from epimatch.geometry import (
     fundamental_to_essential,
     normalize_points,
     pixel_rays,
+    project_in_image,
     project_points,
     read_pose_file,
     rotation_from_axis_angle,
@@ -284,6 +285,25 @@ class TestProjectTriangulate:
         pix, depth = project_points(cam, [[0, 0, 5]])
         assert np.allclose(pix, [[0, 0]])
         assert depth == pytest.approx([5.0])
+
+    def test_visibility_rule_edges(self):
+        # identity pose and unit focal length: the point (x, y, z) lands on
+        # pixel (x / z, y / z) with no rounding
+        cam = Camera(CameraIntrinsics(1, 1, 0, 0), RelativePose.identity())
+        W, H = 4, 3
+        cases = [
+            ((-1e-6, 1.0, 1.0), True), ((-2e-6, 1.0, 1.0), False),  # 1e-6 px of border slack
+            ((1.0, -1e-6, 1.0), True), ((1.0, -2e-6, 1.0), False),
+            ((W - 1 + 1e-6, H - 1 + 1e-6, 1.0), True),
+            ((W - 1 + 2e-6, 1.0, 1.0), False), ((1.0, H - 1 + 2e-6, 1.0), False),
+            ((0.0, 0.0, 1e-3), True), ((0.0, 0.0, 1e-9), False),  # the depth floor
+            ((np.nan, 1.0, 1.0), False), ((1.0, np.nan, 1.0), False),
+        ]
+        X = np.array([x for x, _ in cases])
+        pix, z, seen = project_in_image(cam, X, (W, H))
+        assert seen.tolist() == [want for _, want in cases]
+        ref_pix, ref_z = project_points(cam, X)
+        assert pix.tobytes() == ref_pix.tobytes() and z.tobytes() == ref_z.tobytes()
 
     def test_triangulation_round_trip(self, rng):
         for _ in range(5):

@@ -17,11 +17,12 @@ from epimatch.pairgen import (
     PoseRecord,
     PRESETS,
     SAMPLE_GRID,
-    _directional_overlap,
+    _seen_share,
+    _surface_depth,
     _surface_points,
+    _unit_rays,
     driving_directions,
     generate_pairs,
-    pseudo_depth,
     pseudo_overlap,
     write_pairs_file,
 )
@@ -46,44 +47,44 @@ class TestPseudoDepthHemisphere:
         model = HemisphereModel(z_plane=0.0, r_sphere=3.0)
         cam = camera_at([0, 0, 1.5], pitch_deg=-90.0)
         # principal ray points straight down
-        d = pseudo_depth(model, cam, CENTRE)
+        d = _surface_depth(model, cam.center(), _unit_rays(cam, CENTRE), None)
         assert d == pytest.approx([1.5], rel=1e-9)
 
     def test_horizontal_from_dome_centre_hits_sphere(self):
         model = HemisphereModel(z_plane=0.0, r_sphere=3.0)
         cam = camera_at([0, 0, 0.0])  # at the dome centre, looking horizontally
-        d = pseudo_depth(model, cam, CENTRE)
+        d = _surface_depth(model, cam.center(), _unit_rays(cam, CENTRE), None)
         assert d == pytest.approx([3.0], rel=1e-9)
 
     def test_camera_outside_dome_returns_none(self):
         model = HemisphereModel(z_plane=0.0, r_sphere=3.0)
         cam = camera_at([0, 0, 5.0])
-        assert np.isinf(pseudo_depth(model, cam, CENTRE)).all()
+        assert np.isinf(_surface_depth(model, cam.center(), _unit_rays(cam, CENTRE), None)).all()
 
 
 class TestPseudoDepthBox:
     def test_ray_along_driving_direction_is_excluded(self):
         model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0)
         cam = camera_at([0, 0, 0])  # looking along +y = driving direction
-        assert np.isinf(pseudo_depth(model, cam, CENTRE, driving_dir=ALONG_Y)).all()
+        assert np.isinf(_surface_depth(model, cam.center(), _unit_rays(cam, CENTRE), ALONG_Y)).all()
 
     def test_sideways_ray_hits_side_plane(self):
         model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0)
         cam = camera_at([0, 0, 0], yaw_deg=90.0)  # looking along -x? rotate about z
-        d = pseudo_depth(model, cam, CENTRE, driving_dir=ALONG_Y)
+        d = _surface_depth(model, cam.center(), _unit_rays(cam, CENTRE), ALONG_Y)
         assert d == pytest.approx([10.0], rel=1e-9)
 
     def test_side_plane_wins_a_tie_with_the_front_plane(self):
         # the ray (1, 1, 0) / sqrt(2) meets the right and front planes together
         model = BoxModel(side=10.0, bottom=-2.0, longitudinal=10.0)
         cam = camera_at([0, 0, 0])
-        d = pseudo_depth(model, cam, [[K.cx + K.fx, K.cy]], driving_dir=ALONG_Y)
+        d = _surface_depth(model, cam.center(), _unit_rays(cam, [[K.cx + K.fx, K.cy]]), ALONG_Y)
         assert d == pytest.approx([10.0 * np.sqrt(2.0)], rel=1e-12)
 
     def test_straight_up_open_top_returns_none(self):
         model = BoxModel(side=10.0, bottom=-2.0, longitudinal=25.0)
         cam = camera_at([0, 0, 0], pitch_deg=90.0)
-        assert np.isinf(pseudo_depth(model, cam, CENTRE, driving_dir=ALONG_Y)).all()
+        assert np.isinf(_surface_depth(model, cam.center(), _unit_rays(cam, CENTRE), ALONG_Y)).all()
 
 
 class TestPseudoOverlap:
@@ -105,8 +106,8 @@ class TestPseudoOverlap:
                       camera_at([0, 0, 1.0]).pose)
         narrow = Camera(CameraIntrinsics(1200.0, 1200.0, 320.0, 240.0),
                         camera_at([0, 0, 1.0]).pose)
-        o_nw = _directional_overlap(model, narrow, wide, (640, 480))
-        o_wn = _directional_overlap(model, wide, narrow, (640, 480))
+        o_nw = _seen_share(_surface_points(model, narrow, (640, 480)), wide, (640, 480))
+        o_wn = _seen_share(_surface_points(model, wide, (640, 480)), narrow, (640, 480))
         assert o_nw != pytest.approx(o_wn, abs=1e-3)
         assert pseudo_overlap(model, narrow, wide) == pytest.approx(min(o_nw, o_wn))
 
@@ -129,8 +130,17 @@ class TestPseudoOverlap:
         for _ in range(200):
             pos = rng.uniform([-2, -2, model.z_plane + 0.1], [2, 2, model.z_plane + 2.5])
             cam = camera_at(pos, rng.uniform(-180, 180), rng.uniform(-80, 80))
-            hit_share = np.count_nonzero(np.isfinite(pseudo_depth(model, cam, pix))) / len(pix)
-            assert _directional_overlap(model, cam, cam, size) == hit_share
+            depth = _surface_depth(model, cam.center(), _unit_rays(cam, pix), None)
+            hit_share = np.count_nonzero(np.isfinite(depth)) / len(pix)
+            assert _seen_share(_surface_points(model, cam, size), cam, size) == hit_share
+
+    @pytest.mark.parametrize("size", [(32, 24), (16, 16), (8, 6)])
+    def test_image_smaller_than_the_sample_grid_overlaps_itself_whole(self, size):
+        # below SAMPLE_GRID px the outer cell centres fall off the image; they
+        # are clipped in, so a view still sees all of itself
+        W, H = size
+        cam = Camera(CameraIntrinsics(W, W, W / 2, H / 2), camera_at([0, 0, 1.5], pitch_deg=-90.0).pose)
+        assert pseudo_overlap(PRESETS["euroc-room"], cam, cam, size) == 1.0
 
     @staticmethod
     def _camera_on_sample_ray(offset):
@@ -142,7 +152,7 @@ class TestPseudoOverlap:
         pix = [[16.5 * W / SAMPLE_GRID - 0.5, 16.5 * H / SAMPLE_GRID - 0.5]]
         ray = normalize_points(K, pix)[0] @ cam_i.pose.R
         ray /= np.linalg.norm(ray)
-        point = cam_i.center() + pseudo_depth(model, cam_i, pix)[0] * ray
+        point = cam_i.center() + _surface_depth(model, cam_i.center(), _unit_rays(cam_i, pix), None)[0] * ray
         right = np.cross(ray, [0.0, 0.0, 1.0])
         right /= np.linalg.norm(right)
         R = np.stack([right, np.cross(ray, right), ray])  # optical axis along the ray
@@ -153,7 +163,7 @@ class TestPseudoOverlap:
         # only the sample on the shared ray lands in view, at depth 1e-3: a
         # depth floor above that would drop it
         model, cam_i, cam_j, size, _ = self._camera_on_sample_ray(-1e-3)
-        assert _directional_overlap(model, cam_i, cam_j, size) == 1.0 / SAMPLE_GRID ** 2
+        assert _seen_share(_surface_points(model, cam_i, size), cam_j, size) == 1.0 / SAMPLE_GRID ** 2
 
     def test_surface_point_behind_the_camera_does_not_count(self):
         # 1 mm past the surface point, the point lies behind cam_j yet its
@@ -161,7 +171,7 @@ class TestPseudoOverlap:
         model, cam_i, cam_j, size, point = self._camera_on_sample_ray(1e-3)
         pix, z = project_points(cam_j, [point])
         assert z[0] < 0.0 and np.allclose(pix, CENTRE)
-        assert _directional_overlap(model, cam_i, cam_j, size) == 0.0
+        assert _seen_share(_surface_points(model, cam_i, size), cam_j, size) == 0.0
 
     def test_forward_translation_monotonicity(self):
         # overlap never increases as the baseline grows
@@ -459,7 +469,7 @@ class TestArraysMatchPerSampleReference:
         pix = sample_pixels(rng)
         hit = []
         for model, cam, dd in cases(rng):
-            got = pseudo_depth(model, cam, pix, driving_dir=dd)
+            got = _surface_depth(model, cam.center(), _unit_rays(cam, pix), dd)
             want = np.array([reference_pseudo_depth(model, cam, u, v, dd) for u, v in pix])
             assert got.tobytes() == want.tobytes()
             hit.append(np.isfinite(want))
@@ -475,7 +485,7 @@ class TestArraysMatchPerSampleReference:
             R = rotation_from_axis_angle(rng.normal(size=3), np.radians(rng.uniform(0, 15))) @ cam_i.pose.R
             cam_j = Camera(K, RelativePose(R, -R @ (cam_i.center() + step)))
             for a, b in ((cam_i, cam_j), (cam_j, cam_i), (cam_i, cam_i)):
-                got = _directional_overlap(model, a, b, (640, 480), dd)
+                got = _seen_share(_surface_points(model, a, (640, 480), dd), b, (640, 480))
                 assert type(got) is float
                 assert got == reference_overlap(model, a, b, (640, 480), dd)
                 scores.append(got)

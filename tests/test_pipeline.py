@@ -266,6 +266,20 @@ class TestConfigRangeChecks:
                 TrainConfig(momentum=bad)
         TrainConfig(momentum=0.0)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_fractional_or_nan_count_is_refused(self, field):
+        # range() would raise TypeError on these only once training starts
+        for bad in (2.5, 1.5, float("nan"), 2.0):
+            with pytest.raises(ValueError, match="whole numbers"):
+                TrainConfig(**{field: bad})
+        TrainConfig(**{field: np.int64(2)})
+
+    @pytest.mark.parametrize("kwargs", [dict(min_matches=-5, min_inliers=-9), dict(min_inliers=-1),
+                                        dict(min_matches=30.5), dict(min_inliers=1.5), dict(min_inliers=float("nan"))])
+    def test_negative_or_fractional_bootstrap_count_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="whole number >= 0"):
+            BootstrapConfig(**kwargs)
+
 
 class TestFinetune:
     def test_zero_noise_equals_exact_f(self, tiny_data, warm_params):

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from epimatch import errors
+from epimatch import errors, geometry
 from epimatch.geometry import (
     CameraIntrinsics,
     RelativePose,
@@ -384,12 +384,13 @@ class TestGtCorrespondenceGrid:
 class TestProjectionMatchesReference:
     @pytest.mark.parametrize("domain", ["A", "B"])
     def test_pairs_and_gt_grids_byte_identical(self, domain, monkeypatch):
-        # sample_pair's pose acceptance projects too, through _view_overlap
+        # sample_pair's pose acceptance projects too: _view_overlap and the GT
+        # grid both project through geometry.project_in_image
         spec = make_domain(domain, seed=7)
         grid = GridSpec.for_image(*spec.image_size, 8)
         got = [sample_pair(spec, i) for i in range(8)]
         grids = [gt_correspondence_grid(pair, grid) for pair in got]
-        monkeypatch.setattr(synth, "project_points", reference_project_points)
+        monkeypatch.setattr(geometry, "project_points", reference_project_points)
         for i, (pair, (targets, points)) in enumerate(zip(got, grids)):
             ref = sample_pair(spec, i)
             for name in ("image1", "image2", "depth1", "depth2"):
@@ -399,6 +400,61 @@ class TestProjectionMatchesReference:
             ref_targets, ref_points = gt_correspondence_grid(ref, grid)
             assert targets.dtype == ref_targets.dtype and targets.tobytes() == ref_targets.tobytes()
             assert points.tobytes() == ref_points.tobytes()
+        assert all(np.any(t >= 0) and np.any(t < 0) for t, _ in grids)
+
+
+def reference_view_overlap(spec, cam1, cam2, samples=12):
+    """_view_overlap with its former own visibility rule: depth above 1e-6
+    and no border slack."""
+    H, W = spec.image_size
+    us = np.linspace(4, W - 5, samples)
+    vs = np.linspace(4, H - 5, samples)
+    dirs = pixel_rays(cam1, np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2))
+    origin = cam1.center()
+    depth = _cast_rays(spec, origin, dirs)[0]
+    hit = np.isfinite(depth)
+    pix, z2 = project_points(cam2, origin + depth[hit, None] * dirs[hit])
+    u2, v2 = pix.T
+    inside = (z2 > 1e-6) & (u2 >= 0) & (u2 <= W - 1) & (v2 >= 0) & (v2 <= H - 1)
+    return int(np.count_nonzero(inside)) / samples ** 2
+
+
+def reference_gt_visibility(camera, X, image_size):
+    """project_in_image under gt_correspondence_grid's former own rule: depth
+    above 1e-9 and no border slack."""
+    W, H = image_size
+    pix, z = project_points(camera, X)
+    u, v = pix.T
+    return pix, z, (z > 1e-9) & (0.0 <= u) & (u <= W - 1) & (0.0 <= v) & (v <= H - 1)
+
+
+class TestOneVisibilityRule:
+    """Pose acceptance and the GT grid share geometry.project_in_image; on
+    seeded pairs it decides as each caller's former rule did."""
+
+    @pytest.mark.parametrize("domain", ["A", "B"])
+    def test_scores_and_grids_equal_the_former_rules(self, domain, monkeypatch):
+        spec = make_domain(domain, seed=0)
+        calls = []
+        score = synth._view_overlap
+
+        def recorded(*args):
+            calls.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(synth, "_view_overlap", recorded)
+        pairs = [sample_pair(spec, i) for i in range(50)]
+        scores = [score(*args) for args in calls]
+        assert scores == [reference_view_overlap(*args) for args in calls]
+        # every pair is scored both ways, and views overlap in part
+        assert len(scores) >= 100 and any(0.0 < s < 1.0 for s in scores)
+
+        grid = GridSpec.for_image(*spec.image_size, 8)
+        grids = [gt_correspondence_grid(pair, grid) for pair in pairs[:8]]
+        monkeypatch.setattr(synth, "project_in_image", reference_gt_visibility)
+        for pair, (targets, points) in zip(pairs, grids):
+            ref_targets, ref_points = gt_correspondence_grid(pair, grid)
+            assert targets.tobytes() == ref_targets.tobytes() and points.tobytes() == ref_points.tobytes()
         assert all(np.any(t >= 0) and np.any(t < 0) for t, _ in grids)
 
 
