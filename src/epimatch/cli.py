@@ -100,6 +100,14 @@ def _count(minimum):
     return count
 
 
+def _positive(text):
+    """An argparse type: a finite float above zero."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {value}")
+    return value
+
+
 def _run_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,10 +142,8 @@ def cmd_pairs(args):
         model = PRESETS[args.model]
     elif args.model == "hemisphere":
         model = HemisphereModel(z_plane=args.z_plane, r_sphere=args.r_sphere)
-    elif args.model == "box":
-        model = BoxModel(side=args.side, bottom=args.bottom, longitudinal=args.longitudinal)
     else:
-        raise EpimatchError(f"unknown pseudo-depth model {args.model!r}")
+        model = BoxModel(side=args.side, bottom=args.bottom, longitudinal=args.longitudinal)
     rng = OverlapRange(args.min_overlap, args.max_overlap)
     pairs = generate_pairs(records, model, rng, stride=args.stride,
                            image_size=(args.image_width, args.image_height))
@@ -300,7 +306,7 @@ def build_parser():
 
     p = add_command("pairs", help="mine image pairs from poses alone")
     p.add_argument("--poses", required=True)
-    p.add_argument("--model", default="euroc-room",
+    p.add_argument("--model", default="euroc-room", choices=[*PRESETS, "hemisphere", "box"],
                    help="preset name, 'hemisphere' or 'box'")
     p.add_argument("--z-plane", type=float, default=0.0)
     p.add_argument("--r-sphere", type=float, default=3.0)
@@ -345,7 +351,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pair", required=True)
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--threshold", type=float, default=PRECISION_THRESHOLD_INDOOR)
+    p.add_argument("--threshold", type=_positive, default=PRECISION_THRESHOLD_INDOOR)
     p.set_defaults(func=cmd_match)
 
     p = add_command("pose", help="relative pose from a match file")
@@ -362,7 +368,7 @@ def build_parser():
     p = add_command("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=PRECISION_THRESHOLD_INDOOR,
+    p.add_argument("--threshold", type=_positive, default=PRECISION_THRESHOLD_INDOOR,
                    help=f"precision threshold; outdoor data takes {PRECISION_THRESHOLD_OUTDOOR:g}"
                         " (PRECISION_THRESHOLD_OUTDOOR)")
     _add_ransac_flags(p, EVAL_RANSAC)

@@ -25,6 +25,9 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"intrinsics {name} must be finite, got {getattr(self, name)}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 

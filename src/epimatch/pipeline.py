@@ -100,10 +100,10 @@ PAPER_BOOTSTRAP_FILTER = BootstrapConfig(min_matches=100, min_inliers=20)
 
 def perturb_pose(pose: RelativePose, noise_deg, rng) -> RelativePose:
     """Perturb the rotation by a random-axis rotation of noise_deg degrees
-    and tilt the translation direction by exactly noise_deg. A NaN or
-    negative angle raises ValueError."""
-    if not noise_deg >= 0:
-        raise ValueError(f"pose noise must be a non-negative angle, got {noise_deg}")
+    and tilt the translation direction by exactly noise_deg. A NaN, infinite
+    or negative angle raises ValueError."""
+    if not 0 <= noise_deg < np.inf:
+        raise ValueError(f"pose noise must be a finite non-negative angle, got {noise_deg}")
     if noise_deg == 0.0:
         return pose
     R_delta = rotation_from_axis_angle(rng.normal(size=3), np.radians(noise_deg))

@@ -4,6 +4,8 @@ Scenes are piecewise-planar rooms carrying band-limited value-noise textures;
 views are rendered by exact ray-plane intersection, so depth maps and the
 epipolar geometry agree to machine precision. Two named domains with
 different texture statistics and camera motion emulate a domain shift.
+`render_pair` renders a pair from two cameras; `sample_pair` draws the
+cameras of a pair index from the domain's pose sampler and calls it.
 
 A pair file holds seven float64 array records (see `errors.write_arrays`):
 image1, image2, depth1, depth2, (fx, fy, cx, cy), R and t, so a pair read
@@ -182,11 +184,11 @@ def render_view(spec: SceneSpec, tables, camera: Camera):
     return image.reshape(H, W), depth.reshape(H, W)
 
 
-def _lookat_rotation(position, target, up=(0.0, 0.0, 1.0)):
-    """World-to-camera rotation with +z toward the target, image v downward."""
+def _lookat_rotation(position, target):
+    """World-to-camera rotation with +z toward the target, image v downward, world z up."""
     f = np.asarray(target, dtype=float) - np.asarray(position, dtype=float)
     f = f / np.linalg.norm(f)
-    x = np.cross(f, np.asarray(up, dtype=float))
+    x = np.cross(f, np.array([0.0, 0.0, 1.0]))
     nx = np.linalg.norm(x)
     if nx < 1e-9:  # looking straight up/down: pick an arbitrary horizontal right
         x = np.array([1.0, 0.0, 0.0])
@@ -216,75 +218,70 @@ def _view_overlap(spec, cam1, cam2):
     return int(np.count_nonzero(seen)) / len(dirs)
 
 
-def sample_pair(spec: SceneSpec, index, pose_override: RelativePose | None = None) -> RenderedPair:
-    """Deterministic rendered pair for (spec.seed, index)."""
-    tables = _texture_tables(spec)
+def _sample_cameras(spec: SceneSpec, index):
+    """Cameras (cam1, cam2) of pair `index` from the [seed, 11, index] stream whose views
+    overlap by spec.min_overlap both ways; DegeneratePose after max_pose_retries draws."""
     rng = np.random.default_rng([spec.seed, 11, index])
-    noise_rng = np.random.default_rng([spec.seed, 13, index])
     K = spec.intrinsics
     corners = []
     for p in spec.planes:
         o = np.asarray(p.origin, dtype=float)
         corners += [o, o + p.su * np.asarray(p.eu) + p.sv * np.asarray(p.ev)]
-    hi = np.max(corners, axis=0)
-    room_w, room_d, room_h = hi
+    room_w, room_d, room_h = np.max(corners, axis=0)
+    ps = spec.pose_sampler
+    for _ in range(spec.max_pose_retries):
+        # oblique views across the room keep a wide depth range in frame,
+        # which keeps the translation direction observable from matches
+        pos1 = np.array(
+            [
+                room_w * rng.uniform(0.3, 0.7),
+                room_d * rng.uniform(0.15, 0.45),
+                room_h * rng.uniform(0.35, 0.65),
+            ]
+        )
+        target = np.array(
+            [
+                room_w * rng.uniform(0.1, 0.9),
+                room_d * rng.uniform(0.6, 1.0),
+                room_h * rng.uniform(0.2, 0.8),
+            ]
+        )
+        c1 = _camera_from_position(K, pos1, target)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        baseline = rng.uniform(*ps.baseline_range)
+        pos2 = pos1 + direction * baseline
+        if not (0.5 < pos2[0] < room_w - 0.5 and 0.5 < pos2[1] < room_d - 0.5 and 0.5 < pos2[2] < room_h - 0.5):
+            continue
+        jitter = rotation_from_axis_angle(
+            rng.normal(size=3), np.radians(rng.uniform(0, ps.lookat_jitter_deg))
+        )
+        delta = rotation_from_axis_angle(
+            rng.normal(size=3), np.radians(rng.uniform(*ps.rot_range_deg))
+        )
+        R2 = delta @ jitter @ c1.pose.R
+        c2 = Camera(K, RelativePose(R2, -R2 @ pos2))
+        if _view_overlap(spec, c1, c2) >= spec.min_overlap and _view_overlap(spec, c2, c1) >= spec.min_overlap:
+            return c1, c2
+    raise DegeneratePose(f"no valid pose in {spec.max_pose_retries} retries (pair {index})")
 
-    cam1 = cam2 = None
-    if pose_override is not None:
-        pos1 = np.array([room_w / 2, room_d * 0.25, room_h / 2])
-        target = np.array([room_w / 2, room_d, room_h / 2])
-        cam1 = _camera_from_position(K, pos1, target)
-        pose2 = pose_override.compose(cam1.pose)
-        cam2 = Camera(K, pose2)
-    else:
-        ps = spec.pose_sampler
-        for _ in range(spec.max_pose_retries):
-            # oblique views across the room keep a wide depth range in frame,
-            # which keeps the translation direction observable from matches
-            pos1 = np.array(
-                [
-                    room_w * rng.uniform(0.3, 0.7),
-                    room_d * rng.uniform(0.15, 0.45),
-                    room_h * rng.uniform(0.35, 0.65),
-                ]
-            )
-            target = np.array(
-                [
-                    room_w * rng.uniform(0.1, 0.9),
-                    room_d * rng.uniform(0.6, 1.0),
-                    room_h * rng.uniform(0.2, 0.8),
-                ]
-            )
-            c1 = _camera_from_position(K, pos1, target)
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            baseline = rng.uniform(*ps.baseline_range)
-            pos2 = pos1 + direction * baseline
-            if not (0.5 < pos2[0] < room_w - 0.5 and 0.5 < pos2[1] < room_d - 0.5 and 0.5 < pos2[2] < room_h - 0.5):
-                continue
-            jitter = rotation_from_axis_angle(
-                rng.normal(size=3), np.radians(rng.uniform(0, ps.lookat_jitter_deg))
-            )
-            delta = rotation_from_axis_angle(
-                rng.normal(size=3), np.radians(rng.uniform(*ps.rot_range_deg))
-            )
-            R2 = delta @ jitter @ c1.pose.R
-            c2 = Camera(K, RelativePose(R2, -R2 @ pos2))
-            if _view_overlap(spec, c1, c2) >= spec.min_overlap and _view_overlap(spec, c2, c1) >= spec.min_overlap:
-                cam1, cam2 = c1, c2
-                break
-        if cam1 is None:
-            raise DegeneratePose(f"no valid pose in {spec.max_pose_retries} retries (pair {index})")
 
+def render_pair(spec: SceneSpec, cam1: Camera, cam2: Camera, index) -> RenderedPair:
+    """Render two cameras that share one K, add the sensor noise of pair
+    `index` (the [seed, 13, index] stream), and pose camera 2 relative to camera 1."""
+    tables = _texture_tables(spec)
     image1, depth1 = render_view(spec, tables, cam1)
     image2, depth2 = render_view(spec, tables, cam2)
     if spec.noise_sigma > 0:
+        noise_rng = np.random.default_rng([spec.seed, 13, index])
         image1 = np.clip(image1 + noise_rng.normal(0, spec.noise_sigma, image1.shape), 0.0, 1.0)
         image2 = np.clip(image2 + noise_rng.normal(0, spec.noise_sigma, image2.shape), 0.0, 1.0)
+    return RenderedPair(image1, image2, depth1, depth2, cam1.intrinsics, cam2.pose.compose(cam1.pose.inverse()))
 
-    # relative pose of view 2 in the view-1 camera frame
-    rel = cam2.pose.compose(cam1.pose.inverse())
-    return RenderedPair(image1, image2, depth1, depth2, K, rel)
+
+def sample_pair(spec: SceneSpec, index) -> RenderedPair:
+    """Deterministic rendered pair for (spec.seed, index)."""
+    return render_pair(spec, *_sample_cameras(spec, index), index)
 
 
 def gt_correspondence_grid(pair: RenderedPair, grid: GridSpec):

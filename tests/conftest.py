@@ -10,6 +10,21 @@ from epimatch.geometry import (
 )
 
 
+def fixed_pair(spec, pose, index=0):
+    """Pair `index` of `spec` rendered from a fixed camera 1 and camera 2 at
+    `pose` relative to it. Camera 1 stands at (w/2, d/4, h/2) of the scene's
+    extent and looks at (w/2, d, h/2)."""
+    from epimatch.synth import _camera_from_position, render_pair
+
+    corners = []
+    for p in spec.planes:
+        o = np.asarray(p.origin, dtype=float)
+        corners += [o, o + p.su * np.asarray(p.eu) + p.sv * np.asarray(p.ev)]
+    w, d, h = np.max(corners, axis=0)
+    cam1 = _camera_from_position(spec.intrinsics, (w / 2, d / 4, h / 2), (w / 2, d, h / 2))
+    return render_pair(spec, cam1, Camera(spec.intrinsics, pose.compose(cam1.pose)), index)
+
+
 def random_intrinsics(rng):
     f = rng.uniform(300.0, 600.0)
     return CameraIntrinsics(f, f * rng.uniform(0.9, 1.1), rng.uniform(280.0, 360.0), rng.uniform(200.0, 280.0))

@@ -120,6 +120,20 @@ def test_count_below_its_minimum_is_a_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--checkpoint", "c.bin", "--data", "d"],
+    ["match", "--checkpoint", "c.bin", "--pair", "p.bin"],
+], ids=["eval", "match"])
+@pytest.mark.parametrize("bad", ["nan", "0", "-1", "inf"])
+def test_precision_threshold_must_be_finite_and_positive(tmp_path, capsys, command, bad):
+    # a NaN or non-positive threshold would report a precision of 0
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--threshold", bad, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "argument --threshold: must be a finite number above 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestReplay:
     def test_manifest_replay_reproduces_outputs(self, workspace, tmp_path):
         manifest = workspace / "dsA" / "run_manifest.json"
@@ -169,6 +183,15 @@ class TestPairs:
         assert capsys.readouterr().err.startswith("error[ValueError]: need ")
         assert not (out / "pairs.txt").exists()
 
+    def test_unknown_surface_model_is_usage_error(self, tmp_path, capsys):
+        write_loop_poses(tmp_path / "poses.txt")
+        with pytest.raises(SystemExit) as exc:
+            main(["pairs", "--poses", str(tmp_path / "poses.txt"), "--model", "cylinder",
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "argument --model: invalid choice: 'cylinder'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestTrainCommands:
     def test_pretrain_outputs(self, workspace):
@@ -207,6 +230,15 @@ class TestTrainCommands:
         assert rc == 1
         assert "error[ValueError]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_infinite_pose_noise_is_refused(self, workspace, tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = main(["finetune", "--data", str(workspace / "dsA"),
+                   "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                   "--epochs", "1", "--pose-noise-deg", "inf", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[ValueError]: pose noise must be a finite")
+        assert not (out / "checkpoint.bin").exists()
 
     def test_empty_dataset_is_refused(self, tmp_path, capsys):
         save_dataset(make_domain("A", seed=0), 0, tmp_path / "empty")
@@ -327,6 +359,16 @@ class TestMatchPoseEval:
         rc = main([*pose_argv(mpath), "--ransac-threshold", "inf", "--out", str(tmp_path / "pose")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[ValueError]: inlier_threshold")
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_pose_refuses_non_finite_intrinsics(self, workspace, tmp_path, capsys, field, bad):
+        write_gt_matches(workspace, tmp_path / "gt.txt")
+        argv = pose_argv(tmp_path / "gt.txt")
+        argv[argv.index(f"--{field}") + 1] = bad
+        assert main([*argv, "--out", str(tmp_path / "pose")]) == 1
+        assert capsys.readouterr().err.startswith(f"error[ValueError]: intrinsics {field} must be finite")
+        assert not (tmp_path / "pose").exists()
 
     def test_pose_replay_uses_the_seed_from_the_environment(self, workspace, tmp_path, monkeypatch):
         write_gt_matches(workspace, tmp_path / "noisy.txt", noisy=True)

@@ -32,6 +32,16 @@ from conftest import (project_hom, random_camera_pair, random_intrinsics, random
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
 
+class TestCameraIntrinsics:
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_field_is_refused_by_name(self, field, bad):
+        values = dict(fx=500.0, fy=480.0, cx=320.0, cy=240.0)
+        with pytest.raises(ValueError, match=f"intrinsics {field} must be finite"):
+            CameraIntrinsics(**{**values, field: bad})
+        CameraIntrinsics(**values)
+
+
 class TestCrossMatrix:
     def test_direct_expansion(self):
         expected = np.array([[0, -3, 2], [3, 0, -1], [-2, 1, 0]], dtype=float)

@@ -258,11 +258,12 @@ class TestEvaluate:
     def test_pure_rotation_pair_fails_with_precision_zero(self):
         # synth renders a pure rotation; the pair has no epipolar geometry,
         # so it fails instead of aborting the evaluation
+        from conftest import fixed_pair
         from epimatch.synth import make_domain, sample_pair
 
         spec = make_domain("A", seed=1)
         R = rotation_from_axis_angle([0, 1, 0], np.radians(5.0))
-        rotation = sample_pair(spec, 0, pose_override=RelativePose(R, np.zeros(3)))
+        rotation = fixed_pair(spec, RelativePose(R, np.zeros(3)))
         with pytest.raises(errors.DegenerateBaseline):
             fundamental_from_pose(rotation.K, rotation.K, rotation.pose)
         other = sample_pair(spec, 1)

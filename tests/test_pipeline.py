@@ -255,6 +255,12 @@ class TestConfigRangeChecks:
                 make(bad)
         make(1.0)
 
+    @pytest.mark.parametrize("t", [np.zeros(3), np.ones(3)], ids=["rotation_noise", "translation_noise"])
+    def test_infinite_pose_noise_is_refused(self, t):
+        # an infinite angle would turn every R into NaN and empty every mask
+        with pytest.raises(ValueError, match="finite non-negative angle"):
+            perturb_pose(RelativePose(np.eye(3), t), float("inf"), np.random.default_rng(0))
+
     @pytest.mark.parametrize("field", ["lr", "weight_decay"])
     def test_infinite_step_setting_is_refused(self, field):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from epimatch import errors, geometry
+from epimatch.errors import DegeneratePose
 from epimatch.geometry import (
+    Camera,
     CameraIntrinsics,
     RelativePose,
     fundamental_from_pose,
@@ -27,6 +29,7 @@ from epimatch.synth import (
     _camera_from_position,
     _cast_rays,
     _texture_tables,
+    _view_overlap,
     gt_correspondence_grid,
     load_dataset,
     load_pair_file,
@@ -38,7 +41,7 @@ from epimatch.synth import (
     save_pair_file,
 )
 
-from conftest import record_ends, reference_project_points
+from conftest import fixed_pair, record_ends, reference_project_points
 
 
 def small_domain(name="A", seed=3, noise=None):
@@ -72,7 +75,7 @@ class TestSamplePair:
 
     def test_identity_pose_hook(self):
         spec = small_domain(noise=0.0)
-        pair = sample_pair(spec, 0, pose_override=RelativePose.identity())
+        pair = fixed_pair(spec, RelativePose.identity())
         assert np.array_equal(pair.image1, pair.image2)
         with pytest.raises(errors.DegenerateBaseline):
             fundamental_from_pose(pair.K, pair.K, pair.pose)
@@ -126,6 +129,108 @@ class TestSamplePair:
         spec = replace(small_domain(), min_overlap=1.01, max_pose_retries=3)
         with pytest.raises(errors.DegeneratePose):
             sample_pair(spec, 0)
+
+
+def reference_sample_pair(spec: SceneSpec, index, pose_override: RelativePose | None = None) -> RenderedPair:
+    """sample_pair before it was split into camera sampling and render_pair."""
+    tables = _texture_tables(spec)
+    rng = np.random.default_rng([spec.seed, 11, index])
+    noise_rng = np.random.default_rng([spec.seed, 13, index])
+    K = spec.intrinsics
+    corners = []
+    for p in spec.planes:
+        o = np.asarray(p.origin, dtype=float)
+        corners += [o, o + p.su * np.asarray(p.eu) + p.sv * np.asarray(p.ev)]
+    hi = np.max(corners, axis=0)
+    room_w, room_d, room_h = hi
+
+    cam1 = cam2 = None
+    if pose_override is not None:
+        pos1 = np.array([room_w / 2, room_d * 0.25, room_h / 2])
+        target = np.array([room_w / 2, room_d, room_h / 2])
+        cam1 = _camera_from_position(K, pos1, target)
+        pose2 = pose_override.compose(cam1.pose)
+        cam2 = Camera(K, pose2)
+    else:
+        ps = spec.pose_sampler
+        for _ in range(spec.max_pose_retries):
+            # oblique views across the room keep a wide depth range in frame,
+            # which keeps the translation direction observable from matches
+            pos1 = np.array(
+                [
+                    room_w * rng.uniform(0.3, 0.7),
+                    room_d * rng.uniform(0.15, 0.45),
+                    room_h * rng.uniform(0.35, 0.65),
+                ]
+            )
+            target = np.array(
+                [
+                    room_w * rng.uniform(0.1, 0.9),
+                    room_d * rng.uniform(0.6, 1.0),
+                    room_h * rng.uniform(0.2, 0.8),
+                ]
+            )
+            c1 = _camera_from_position(K, pos1, target)
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            baseline = rng.uniform(*ps.baseline_range)
+            pos2 = pos1 + direction * baseline
+            if not (0.5 < pos2[0] < room_w - 0.5 and 0.5 < pos2[1] < room_d - 0.5 and 0.5 < pos2[2] < room_h - 0.5):
+                continue
+            jitter = rotation_from_axis_angle(
+                rng.normal(size=3), np.radians(rng.uniform(0, ps.lookat_jitter_deg))
+            )
+            delta = rotation_from_axis_angle(
+                rng.normal(size=3), np.radians(rng.uniform(*ps.rot_range_deg))
+            )
+            R2 = delta @ jitter @ c1.pose.R
+            c2 = Camera(K, RelativePose(R2, -R2 @ pos2))
+            if _view_overlap(spec, c1, c2) >= spec.min_overlap and _view_overlap(spec, c2, c1) >= spec.min_overlap:
+                cam1, cam2 = c1, c2
+                break
+        if cam1 is None:
+            raise DegeneratePose(f"no valid pose in {spec.max_pose_retries} retries (pair {index})")
+
+    image1, depth1 = render_view(spec, tables, cam1)
+    image2, depth2 = render_view(spec, tables, cam2)
+    if spec.noise_sigma > 0:
+        image1 = np.clip(image1 + noise_rng.normal(0, spec.noise_sigma, image1.shape), 0.0, 1.0)
+        image2 = np.clip(image2 + noise_rng.normal(0, spec.noise_sigma, image2.shape), 0.0, 1.0)
+
+    # relative pose of view 2 in the view-1 camera frame
+    rel = cam2.pose.compose(cam1.pose.inverse())
+    return RenderedPair(image1, image2, depth1, depth2, K, rel)
+
+
+def assert_pairs_byte_equal(got, want):
+    for name in ("image1", "image2", "depth1", "depth2"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert np.array(astuple(got.K)).tobytes() == np.array(astuple(want.K)).tobytes()
+    assert got.pose.R.tobytes() == want.pose.R.tobytes()
+    assert got.pose.t.tobytes() == want.pose.t.tobytes()
+
+
+class TestRenderPairMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 9001])
+    @pytest.mark.parametrize("domain", ["A", "B"])
+    def test_sample_pair_byte_identical(self, domain, seed):
+        spec = make_domain(domain, seed=seed)
+        for i in range(8):
+            assert_pairs_byte_equal(sample_pair(spec, i), reference_sample_pair(spec, i))
+
+    @pytest.mark.parametrize("scene, pose, index", [
+        ("small", RelativePose.identity(), 0),
+        ("A5", RelativePose(rotation_from_axis_angle([0.0, 1.0, 0.0], np.radians(70.0)), [0.2, 0.0, 0.0]), 2),
+        ("stereo", RelativePose(np.eye(3), [-0.4, 0.0, 0.0]), 0),
+        ("stereo", RelativePose(np.diag([-1.0, 1.0, -1.0]), [0.3, 0.0, 0.0]), 0),
+        ("A1", RelativePose(rotation_from_axis_angle([0, 1, 0], np.radians(5.0)), np.zeros(3)), 0),
+    ], ids=["identity", "pan_70deg", "stereo_baseline", "flipped_R", "pure_rotation"])
+    def test_fixed_camera_pairs_byte_identical(self, scene, pose, index):
+        # fixed_pair places the cameras that pose_override placed; domain A
+        # adds sensor noise, so the noise stream is compared too
+        spec = {"small": small_domain(noise=0.0), "A5": make_domain("A", seed=5),
+                "stereo": stereo_spec(), "A1": make_domain("A", seed=1)}[scene]
+        assert_pairs_byte_equal(fixed_pair(spec, pose, index), reference_sample_pair(spec, index, pose_override=pose))
 
 
 def gt_grid_oracle(pair, grid):
@@ -328,7 +433,7 @@ class TestGtCorrespondenceGrid:
         # a 70 degree pan puts part of the view behind camera 2, part beside it
         pan = RelativePose(rotation_from_axis_angle([0.0, 1.0, 0.0], np.radians(70.0)), [0.2, 0.0, 0.0])
         pairs = [sample_pair(spec, 0), sample_pair(spec, 1), sample_pair(cluttered, 0),
-                 sample_pair(cluttered, 1), sample_pair(spec, 2, pose_override=pan)]
+                 sample_pair(cluttered, 1), fixed_pair(spec, pan, 2)]
         grid = GridSpec.for_image(*spec.image_size, 8)
         reasons = set()
         for pair in pairs:
@@ -341,7 +446,7 @@ class TestGtCorrespondenceGrid:
 
     def test_identity_pose_maps_cells_to_themselves(self):
         spec = small_domain(noise=0.0)
-        pair = sample_pair(spec, 0, pose_override=RelativePose.identity())
+        pair = fixed_pair(spec, RelativePose.identity())
         grid = GridSpec.for_image(*spec.image_size, 8)
         targets, points = gt_correspondence_grid(pair, grid)
         centers = grid.cell_centers()
@@ -351,7 +456,7 @@ class TestGtCorrespondenceGrid:
     def test_stereo_constant_disparity(self):
         spec = stereo_spec()
         B = 0.4
-        pair = sample_pair(spec, 0, pose_override=RelativePose(np.eye(3), [-B, 0.0, 0.0]))
+        pair = fixed_pair(spec, RelativePose(np.eye(3), [-B, 0.0, 0.0]))
         grid = GridSpec.for_image(*spec.image_size, 8)
         targets, points = gt_correspondence_grid(pair, grid)
         K = spec.intrinsics
@@ -367,7 +472,7 @@ class TestGtCorrespondenceGrid:
         spec = stereo_spec()
         # camera 2 rotated 180 degrees: scene is behind it
         Rflip = np.diag([-1.0, 1.0, -1.0])
-        pair = sample_pair(spec, 0, pose_override=RelativePose(Rflip, [0.3, 0.0, 0.0]))
+        pair = fixed_pair(spec, RelativePose(Rflip, [0.3, 0.0, 0.0]))
         grid = GridSpec.for_image(*spec.image_size, 8)
         targets, _ = gt_correspondence_grid(pair, grid)
         assert np.all(targets == -1)
@@ -505,7 +610,7 @@ class TestPairFiles:
         RelativePose(rotation_from_axis_angle([0, 1, 0], 0.1), np.zeros(3)),
     ], ids=["pose", "pure_rotation"])
     def test_exact_round_trip(self, tmp_path, override):
-        pair = sample_pair(small_domain(), 0, pose_override=override)
+        pair = sample_pair(small_domain(), 0) if override is None else fixed_pair(small_domain(), override)
         path = tmp_path / "pair.bin"
         save_pair_file(path, pair)
         loaded = load_pair_file(path)
