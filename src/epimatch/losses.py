@@ -31,8 +31,8 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < np.inf:
+            raise ValueError("theta must be positive and finite")
         if not 0.0 < self.fine_supervision_fraction <= 1.0:
             raise ValueError("fine_supervision_fraction must be in (0, 1]")
 

@@ -11,9 +11,10 @@ are all `MatcherParams`. A checkpoint holds the weights and the
 `MatcherConfig` they were trained under.
 
 A coarse match is refined only when `fine_in_bounds` holds for it, the one
-drop rule. `forward` runs every stage on the matches it selects; the training
-step calls the stages itself and refines only the rows its fine loss reads,
-so `backward` takes a fine gradient for exactly the rows `refine_fine` got.
+drop rule; `forward` and the training step apply it, and `refine_fine`
+refines exactly the matches it is given. The training step refines only the
+in-bound rows its fine loss reads, so `backward` takes a fine gradient for
+exactly the rows `refine_fine` got.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .grid import GridSpec
 
 _NORM_EPS = 1e-12
 _TAU_MIN = 1e-3
+_TAU_MAX = 10.0
 
 
 @dataclass
@@ -95,8 +97,8 @@ def init_params(cfg: MatcherConfig, seed=0) -> MatcherParams:
 @dataclass
 class ImageFeatures:
     """Coarse descriptors of one image and its fine windows: a read-only
-    strided view of the image (no copy), which refine_fine normalizes per
-    call where it reads them."""
+    strided view of the image (no copy). refine_fine gathers and normalizes,
+    per call, only the window patches its matches read."""
 
     coarse: np.ndarray  # (m, d_in)
     grid: GridSpec
@@ -192,7 +194,7 @@ def _fine_cells(feats: ImageFeatures, idx, cfg: MatcherConfig):
 def fine_in_bounds(feats1: ImageFeatures, feats2: ImageFeatures, cfg: MatcherConfig, i_idx, j_idx):
     """True for each coarse match the fine stage can refine: image 1's centre
     cell lies on its fine grid and image 2's whole correlation window on its
-    own. The single drop rule of refine_fine and of the training step."""
+    own. The single drop rule, which refine_fine's callers apply."""
     r = cfg.window_radius
     fr1, fc1 = feats1.fine_windows.shape[:2]
     fr2, fc2 = feats2.fine_windows.shape[:2]
@@ -203,44 +205,37 @@ def fine_in_bounds(feats1: ImageFeatures, feats2: ImageFeatures, cfg: MatcherCon
 
 
 def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherParams,
-                cfg: MatcherConfig, i_idx, j_idx, conf):
-    """Soft-argmax refinement of coarse matches.
+                cfg: MatcherConfig, i_idx, j_idx):
+    """Soft-argmax refinement of every coarse match given; callers pass only
+    matches for which fine_in_bounds holds.
 
-    Returns (x1s, x2s, conf_kept, cache, dropped) where x1s are coarse cell
-    centres in image 1 and x2s the refined subpixel matches in image 2.
-    Matches that fail fine_in_bounds are dropped. Fine rows are built per
-    call: image 1's kept centre patches, and image 2's whole window grid
-    once, only when a match is kept.
+    Returns (x1s, x2s, cache) where x1s are coarse cell centres in image 1
+    and x2s the refined subpixel matches in image 2. Only the patches the
+    matches read are normalized, per call: image 1's centre patch and image
+    2's (2r+1)^2 window patches of each match.
     """
     r = cfg.window_radius
     fp, s = cfg.fine_patch, cfg.fine_stride
-    fr2, fc2 = feats2.fine_windows.shape[:2]
-    kept = np.flatnonzero(fine_in_bounds(feats1, feats2, cfg, i_idx, j_idx))
-    dropped = len(i_idx) - len(kept)
-    if not len(kept):
-        return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), dict(M=0), dropped
+    M = len(i_idx)
+    if not M:
+        return np.zeros((0, 2)), np.zeros((0, 2)), dict(M=0)
 
-    i_kept = np.asarray(i_idx, int)[kept]
-    p1, q1 = _fine_cells(feats1, i_kept, cfg)
-    p2, q2 = _fine_cells(feats2, np.asarray(j_idx, int)[kept], cfg)
+    p1, q1 = _fine_cells(feats1, i_idx, cfg)
+    p2, q2 = _fine_cells(feats2, j_idx, cfg)
     dp, dq = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
     pw = p2[:, None] + dp.ravel()  # (M, Kw) window cells in image 2
     qw = q2[:, None] + dq.ravel()
-    M, Kw = pw.shape
     Xf1 = _patch_rows(feats1.fine_windows[p1, q1].reshape(M, -1))
-    Xf2 = _patch_rows(feats2.fine_windows.reshape(fr2 * fc2, -1))[pw * fc2 + qw]  # (M, Kw, d_in_f)
+    Xf2 = _patch_rows(feats2.fine_windows[pw, qw].reshape(pw.size, -1))  # (M * Kw, d_in_f)
     e1, nf1 = _embed_normalized(Xf1, params.W_fine)
-    E2w, n2w = _embed_normalized(Xf2.reshape(M * Kw, -1), params.W_fine)
-    E2w = E2w.reshape(M, Kw, -1)
-    corr = np.einsum("mkd,md->mk", E2w, e1)
-    logits = corr / params.tau_fine
-    p = _softmax(logits, axis=1)
+    E2w, n2w = _embed_normalized(Xf2, params.W_fine)
+    corr = np.einsum("mkd,md->mk", E2w.reshape(*pw.shape, -1), e1)
+    p = _softmax(corr / params.tau_fine, axis=1)
     coords = np.stack([qw * s + fp // 2, pw * s + fp // 2], axis=-1).astype(float)  # (M, Kw, 2)
     x2s = np.einsum("mk,mkc->mc", p, coords)
-    x1s = feats1.grid.cell_centers()[i_kept]
-    cache = dict(M=M, kept=kept, Xf1=Xf1, Xf2=Xf2,
-                 e1=e1, nf1=nf1, E2w=E2w, n2w=n2w, corr=corr, p=p, coords=coords)
-    return x1s, x2s, np.asarray(conf)[kept], cache, dropped
+    x1s = feats1.grid.cell_centers()[i_idx]
+    cache = dict(M=M, Xf1=Xf1, Xf2=Xf2, e1=e1, nf1=nf1, E2w=E2w, n2w=n2w, corr=corr, p=p, coords=coords)
+    return x1s, x2s, cache
 
 
 @dataclass
@@ -250,8 +245,8 @@ class MatchPrediction:
     coarse_j: np.ndarray
     fine_x1: np.ndarray  # (M, 2) coarse cell centres, image 1
     fine_x2: np.ndarray  # (M, 2) refined subpixel matches, image 2
-    fine_conf: np.ndarray
-    dropped: int = 0
+    fine_conf: np.ndarray  # coarse confidence of the refined matches
+    dropped: int = 0  # coarse matches that fail fine_in_bounds
 
 
 def forward(image1, image2, params: MatcherParams, cfg: MatcherConfig, coarse_override=None):
@@ -268,10 +263,10 @@ def forward(image1, image2, params: MatcherParams, cfg: MatcherConfig, coarse_ov
     else:
         i_idx, j_idx = (np.asarray(a, int) for a in coarse_override)
         conf = C[i_idx, j_idx]
-    x1s, x2s, conf_kept, fcache, dropped = refine_fine(f1, f2, params, cfg, i_idx, j_idx, conf)
-    pred = MatchPrediction(C, i_idx, j_idx, x1s, x2s, conf_kept, dropped)
-    cache = dict(params=params, coarse=ccache, fine=fcache)
-    return pred, cache
+    ok = fine_in_bounds(f1, f2, cfg, i_idx, j_idx)
+    x1s, x2s, fcache = refine_fine(f1, f2, params, cfg, i_idx[ok], j_idx[ok])
+    pred = MatchPrediction(C, i_idx, j_idx, x1s, x2s, conf[ok], len(ok) - np.count_nonzero(ok))
+    return pred, dict(params=params, coarse=ccache, fine=fcache)
 
 
 def _normalize_backward(dD, D, n):
@@ -333,13 +328,13 @@ def backward(cache, dC=None, dfine=None) -> MatcherParams:
         dlogits = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
         grads.tau_fine += -float(np.sum(dlogits * corr)) / (tau * tau)
         dcorr = dlogits / tau
-        de1 = np.einsum("mk,mkd->md", dcorr, fc["E2w"])
-        dE2w = dcorr[:, :, None] * fc["e1"][:, None, :]
-        M, Kw, d_in_f = fc["Xf2"].shape
+        E2w = fc["E2w"]  # (M * Kw, d_fine)
+        de1 = np.einsum("mk,mkd->md", dcorr, E2w.reshape(*dcorr.shape, -1))
+        dE2w = (dcorr[:, :, None] * fc["e1"][:, None, :]).reshape(E2w.shape)
         dY1f = _normalize_backward(de1, fc["e1"], fc["nf1"])
-        dY2w = _normalize_backward(dE2w.reshape(M * Kw, -1), fc["E2w"].reshape(M * Kw, -1), fc["n2w"])
+        dY2w = _normalize_backward(dE2w, E2w, fc["n2w"])
         grads.W_fine += fc["Xf1"].T @ dY1f
-        grads.W_fine += fc["Xf2"].reshape(M * Kw, d_in_f).T @ dY2w
+        grads.W_fine += fc["Xf2"].T @ dY2w
 
     return grads
 
@@ -362,16 +357,17 @@ def sgd_step(params: MatcherParams, grads: MatcherParams, velocity: MatcherParam
     velocity.tau_fine = momentum * velocity.tau_fine + grads.tau_fine * params.tau_fine
     params.W_coarse = params.W_coarse - lr * velocity.W_coarse
     params.W_fine = params.W_fine - lr * velocity.W_fine
-    params.tau_coarse = float(np.clip(params.tau_coarse * np.exp(-tau_lr * velocity.tau_coarse), _TAU_MIN, 10.0))
-    params.tau_fine = float(np.clip(params.tau_fine * np.exp(-tau_lr * velocity.tau_fine), _TAU_MIN, 10.0))
+    params.tau_coarse = float(np.clip(params.tau_coarse * np.exp(-tau_lr * velocity.tau_coarse), _TAU_MIN, _TAU_MAX))
+    params.tau_fine = float(np.clip(params.tau_fine * np.exp(-tau_lr * velocity.tau_fine), _TAU_MIN, _TAU_MAX))
     return params
 
 
 def _check_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig) -> MatcherConfig:
     """The one check of save_checkpoint and load_checkpoint: a ValueError
     naming `path` unless mcfg's size fields are whole numbers, at least 1
-    (window_radius at least 0), match_threshold lies in [0, 1] and the
-    weights are finite and shaped by mcfg. Returns mcfg with int size fields."""
+    (window_radius at least 0), match_threshold lies in [0, 1], the weights
+    are finite and shaped by mcfg and both temperatures lie in sgd_step's
+    clamp. Returns mcfg with int size fields."""
     sizes = {f.name: getattr(mcfg, f.name) for f in fields(mcfg) if f.type == "int"}
     if not all(float(v).is_integer() for v in sizes.values()):
         raise ValueError(f"{path}: checkpoint size fields must be whole numbers, got {sizes}")
@@ -382,6 +378,9 @@ def _check_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig) -> Match
         raise ValueError(f"{path}: checkpoint match_threshold must lie in [0, 1], got {mcfg.match_threshold}")
     if not params.finite():
         raise ValueError(f"{path}: checkpoint weights must be finite")
+    taus = (params.tau_coarse, params.tau_fine)
+    if not all(_TAU_MIN <= tau <= _TAU_MAX for tau in taus):
+        raise ValueError(f"{path}: checkpoint temperatures must lie in [{_TAU_MIN}, {_TAU_MAX}], got {taus}")
     shapes = (params.W_coarse.shape, params.W_fine.shape)
     if shapes != ((mcfg.d_in, mcfg.d), (mcfg.d_in_fine, mcfg.d_fine)):
         raise ValueError(f"{path}: weight shapes {shapes} disagree with {mcfg}")

@@ -155,15 +155,13 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
     rows = np.flatnonzero(fine_in_bounds(f1, f2, mcfg, i_idx, j_idx))
     lam = loss_cfg.lam
     lc, (c_rows, c_cols, dc) = coarse_loss_grad(C, mask)
-    lf = 0.0
-    dfine = None
-    fcache = dict(M=0)
+    lf, dfine, fcache = 0.0, None, dict(M=0)
     M = rows.size
     if M:
         keep_n = max(1, int(round(loss_cfg.fine_supervision_fraction * M)))
         sub = rows[np.random.default_rng(rng_key).permutation(M)[:keep_n]]
         i_sub, j_sub = i_idx[sub], j_idx[sub]
-        x1s, x2s, _, fcache, _ = refine_fine(f1, f2, params, mcfg, i_sub, j_sub, C[i_sub, j_sub])
+        x1s, x2s, fcache = refine_fine(f1, f2, params, mcfg, i_sub, j_sub)
         if epipolar:
             lf, df = fine_loss_grad(target, x1s, x2s)
         else:

@@ -348,6 +348,9 @@ def load_pair_file(path) -> RenderedPair:
     *planes, K, R, t = read_arrays(path, [(None, None)] * 4 + [(4,), (3, 3), (3,)])
     if len({p.shape for p in planes}) != 1:
         raise ValueError(f"{path}: image and depth planes differ in shape")
+    if not (np.isfinite(np.append(R, t)).all() and np.linalg.det(R) > 0
+            and np.allclose(R.T @ R, np.eye(3), rtol=0.0, atol=1e-9)):
+        raise ValueError(f"{path}: R must be a rotation and t finite")
     return RenderedPair(*planes, CameraIntrinsics(*K.tolist()), RelativePose(R, t))
 
 

@@ -240,6 +240,15 @@ class TestTrainCommands:
         assert capsys.readouterr().err.startswith("error[ValueError]: pose noise must be a finite")
         assert not (out / "checkpoint.bin").exists()
 
+    def test_infinite_theta_is_refused(self, workspace, tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = main(["finetune", "--data", str(workspace / "dsA"),
+                   "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                   "--epochs", "1", "--theta", "inf", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[ValueError]: theta must be positive and finite")
+        assert not (out / "checkpoint.bin").exists()
+
     def test_empty_dataset_is_refused(self, tmp_path, capsys):
         save_dataset(make_domain("A", seed=0), 0, tmp_path / "empty")
         out = tmp_path / "r"

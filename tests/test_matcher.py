@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from epimatch import errors
+from epimatch import errors, matcher
 from epimatch.errors import write_arrays
 from epimatch.gradcheck import matcher_suite
 from epimatch.losses import (coarse_loss_grad, epipolar_classification_mask, gt_classification_mask,
@@ -220,12 +220,17 @@ ODD = MatcherConfig(patch_width=4, fine_patch=6, fine_stride=2, d=8, d_fine=6,
                     window_radius=1, match_threshold=0.2)
 
 
+# the fine stage at its widest tested setting: 8 px patches at stride 1 and
+# 11 x 11 correlation windows
+WIDE = MatcherConfig(fine_patch=8, fine_stride=1, window_radius=5)
+
+
 class TestRefineFine:
     @pytest.mark.parametrize("cfg,shape", [(SMALL, (32, 32)), (SMALL, (48, 80)),
-                                           (MatcherConfig(), (64, 96)), (ODD, (32, 48))])
+                                           (MatcherConfig(), (64, 96)), (ODD, (32, 48)), (WIDE, (64, 96))])
     def test_matches_per_match_loop(self, rng, cfg, shape):
-        f1 = extract_features(random_image(rng, *shape), cfg)
-        f2 = extract_features(random_image(rng, *shape), cfg)
+        img1, img2 = random_image(rng, *shape), random_image(rng, *shape)
+        f1, f2 = extract_features(img1, cfg), extract_features(img2, cfg)
         params = init_params(cfg, seed=3)
         m, cols = f1.grid.m, f1.grid.cols
         border = np.array([0, cols - 1, m - cols, m - 1, cols, 2 * cols - 1])
@@ -233,23 +238,48 @@ class TestRefineFine:
         i_idx = np.concatenate([rng.integers(0, m, 60), border, interior, [interior[0]] * 3])
         j_idx = np.concatenate([rng.integers(0, m, 60), interior[[0, 1, 0, 1, 0, 1]], border[:2],
                                 [interior[1]] * 3])
-        conf = rng.uniform(0.0, 1.0, i_idx.size)
-        got = refine_fine(f1, f2, params, cfg, i_idx, j_idx, conf)
-        want = refine_fine_loop(f1, f2, params, cfg, i_idx, j_idx, conf)
-        for a, b in zip(got[:3], want[:3]):
-            assert_same_bytes(a, b)
-        assert got[4] == want[4] and 0 < got[4] < i_idx.size
-        assert_same_bytes(got[3]["kept"], want[3]["kept"])
+        pred, _ = forward(img1, img2, params, cfg, coarse_override=(i_idx, j_idx))
+        want = refine_fine_loop(f1, f2, params, cfg, i_idx, j_idx, pred.C[i_idx, j_idx])
+        ok = fine_in_bounds(f1, f2, cfg, i_idx, j_idx)
+        assert_same_bytes(np.flatnonzero(ok), want[3]["kept"])
+        x1s, x2s, cache = refine_fine(f1, f2, params, cfg, i_idx[ok], j_idx[ok])
+        assert cache["M"] == np.count_nonzero(ok)
+        for got in ((x1s, x2s), (pred.fine_x1, pred.fine_x2)):
+            assert_same_bytes(got[0], want[0])
+            assert_same_bytes(got[1], want[1])
+        assert_same_bytes(pred.fine_conf, want[2])
+        assert pred.dropped == want[4] and 0 < pred.dropped < i_idx.size
+
+    @pytest.mark.parametrize("cfg", [SMALL, WIDE])
+    def test_normalizes_only_the_patches_the_matches_read(self, rng, cfg, monkeypatch):
+        # one centre patch per match in image 1 and (2r + 1)^2 window patches
+        # per match in image 2, not image 2's whole fine grid
+        img1, img2 = random_image(rng, 64, 64), random_image(rng, 64, 64)
+        f1, f2 = extract_features(img1, cfg), extract_features(img2, cfg)
+        i_idx = np.flatnonzero(fine_in_bounds(f1, f2, cfg, np.arange(f1.grid.m), np.arange(f2.grid.m)))
+        M = i_idx.size
+        assert M > 1
+        rows = []
+        original = matcher._patch_rows
+
+        def spy(stack):
+            rows.append(len(stack))
+            return original(stack)
+
+        monkeypatch.setattr(matcher, "_patch_rows", spy)
+        refine_fine(f1, f2, init_params(cfg, seed=3), cfg, i_idx, i_idx)
+        assert sum(rows) == M + M * (2 * cfg.window_radius + 1) ** 2
 
     @pytest.mark.parametrize("cfg", [SMALL, ODD])
     def test_empty_and_all_dropped(self, rng, cfg):
-        f1 = extract_features(random_image(rng), cfg)
-        f2 = extract_features(random_image(rng), cfg)
+        img1, img2 = random_image(rng), random_image(rng)
+        f1, f2 = extract_features(img1, cfg), extract_features(img2, cfg)
         params = init_params(cfg, seed=3)
         for idx in (np.zeros(0, int), np.array([0, 0])):
-            x1s, x2s, conf, cache, dropped = refine_fine(f1, f2, params, cfg, idx, idx, np.ones(idx.size))
-            assert x1s.shape == x2s.shape == (0, 2) and conf.shape == (0,)
-            assert cache == dict(M=0) and dropped == idx.size
+            assert not fine_in_bounds(f1, f2, cfg, idx, idx).any()
+            pred, cache = forward(img1, img2, params, cfg, coarse_override=(idx, idx))
+            assert pred.fine_x1.shape == pred.fine_x2.shape == (0, 2) and pred.fine_conf.shape == (0,)
+            assert cache["fine"] == dict(M=0) and pred.dropped == idx.size
 
     def test_flat_window_gives_window_centre(self, rng):
         # textureless image 2: uniform heatmap, soft-argmax = window centre
@@ -260,8 +290,8 @@ class TestRefineFine:
         params = init_params(SMALL, seed=0)
         i_idx = np.array([5])  # cell (1,1): centre (12,12), interior
         j_idx = np.array([5])
-        x1s, x2s, conf, cache, dropped = refine_fine(f1, f2, params, SMALL, i_idx, j_idx, np.ones(1))
-        assert dropped == 0
+        assert fine_in_bounds(f1, f2, SMALL, i_idx, j_idx).all()
+        x1s, x2s, cache = refine_fine(f1, f2, params, SMALL, i_idx, j_idx)
         assert np.allclose(x2s[0], [12.0, 12.0])
 
     def test_shifted_copy_recovers_offset(self, rng):
@@ -275,9 +305,8 @@ class TestRefineFine:
         # interior coarse cells refined at their own index (offset < one cell)
         interior = [r * 6 + c for r in range(2, 4) for c in range(2, 4)]
         i_idx = np.array(interior)
-        x1s, x2s, conf, cache, dropped = refine_fine(
-            f1, f2, params, SMALL, i_idx, i_idx, np.ones(len(interior)))
-        assert dropped == 0
+        assert fine_in_bounds(f1, f2, SMALL, i_idx, i_idx).all()
+        x1s, x2s, cache = refine_fine(f1, f2, params, SMALL, i_idx, i_idx)
         err = x2s - (x1s + np.array([2.0, -2.0]))
         assert np.max(np.abs(err)) < 0.5
 
@@ -287,27 +316,26 @@ class TestRefineFine:
         f2 = extract_features(img2, SMALL)
         params = init_params(SMALL, seed=4)
         i_idx = np.array([5, 6, 9, 10])
-        x1s, x2s, conf, cache, dropped = refine_fine(f1, f2, params, SMALL, i_idx, i_idx, np.ones(4))
+        x1s, x2s, cache = refine_fine(f1, f2, params, SMALL, i_idx, i_idx)
         for k in range(x2s.shape[0]):
             lo = cache["coords"][k].min(axis=0)
             hi = cache["coords"][k].max(axis=0)
             assert np.all(x2s[k] >= lo - 1e-12) and np.all(x2s[k] <= hi + 1e-12)
 
     def test_border_windows_dropped_with_counter(self, rng):
-        f1 = extract_features(random_image(rng), SMALL)
-        f2 = extract_features(random_image(rng), SMALL)
-        params = init_params(SMALL, seed=4)
+        img1, img2 = random_image(rng), random_image(rng)
+        f1, f2 = extract_features(img1, SMALL), extract_features(img2, SMALL)
         i_idx = np.array([0])  # corner cell: window leaves the fine grid
-        *_, dropped = refine_fine(f1, f2, params, SMALL, i_idx, i_idx, np.ones(1))
-        assert dropped == 1
-
+        assert not fine_in_bounds(f1, f2, SMALL, i_idx, i_idx).any()
+        pred, _ = forward(img1, img2, init_params(SMALL, seed=4), SMALL, coarse_override=(i_idx, i_idx))
+        assert pred.dropped == 1 and len(pred.fine_x2) == 0
 
     @pytest.mark.parametrize("cfg,shape", [(SMALL, (32, 32)), (SMALL, (48, 80)), (MatcherConfig(), (64, 96))])
     def test_one_drop_rule_on_every_border(self, rng, cfg, shape):
         # image 2 cells on the top, bottom, left and right borders: their
         # windows leave the fine grid; interior cells keep theirs
-        f1 = extract_features(random_image(rng, *shape), cfg)
-        f2 = extract_features(random_image(rng, *shape), cfg)
+        img1, img2 = random_image(rng, *shape), random_image(rng, *shape)
+        f1, f2 = extract_features(img1, cfg), extract_features(img2, cfg)
         rows, cols = f2.grid.rows, f2.grid.cols
         cells = np.arange(f2.grid.m).reshape(rows, cols)
         borders = [cells[0], cells[-1], cells[:, 0], cells[:, -1]]
@@ -317,9 +345,9 @@ class TestRefineFine:
         n_border = sum(b.size for b in borders)
         assert not ok[:n_border].any() and ok[n_border:].all()
         params = init_params(cfg, seed=3)
-        *_, cache, dropped = refine_fine(f1, f2, params, cfg, i_idx, j_idx, np.ones(j_idx.size))
-        assert dropped == np.count_nonzero(~ok) == n_border
-        assert_same_bytes(cache["kept"], np.flatnonzero(ok))
+        pred, _ = forward(img1, img2, params, cfg, coarse_override=(i_idx, j_idx))
+        assert pred.dropped == np.count_nonzero(~ok) == n_border
+        assert_same_bytes(pred.fine_x1, f1.grid.cell_centers()[i_idx[ok]])
 
 
 class TestRowNormalization:
@@ -568,6 +596,28 @@ class TestCheckpoint:
         self.write_records(path, params, astuple(MatcherConfig()))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint weights must be finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["tau_coarse", "tau_fine"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1e-4, 10.5, 1e6])
+    def test_temperature_outside_the_clamp_is_refused(self, tmp_path, field, value):
+        # a zero tau_coarse makes forward's C non-finite, with no match
+        params = init_params(MatcherConfig(), seed=5)
+        setattr(params, field, value)
+        with pytest.raises(ValueError, match=r"checkpoint temperatures must lie in \[0.001, 10.0\]"):
+            save_checkpoint(tmp_path / "refused.bin", params, MatcherConfig())
+        assert not (tmp_path / "refused.bin").exists()
+        path = tmp_path / "params.bin"
+        self.write_records(path, params, astuple(MatcherConfig()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint temperatures must lie"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [1e-3, 10.0])
+    def test_temperatures_at_the_clamp_are_kept(self, tmp_path, value):
+        params = init_params(MatcherConfig(), seed=5)
+        params.tau_coarse = params.tau_fine = value
+        save_checkpoint(tmp_path / "params.bin", params, MatcherConfig())
+        loaded, _ = load_checkpoint(tmp_path / "params.bin")
+        assert loaded.tau_coarse == loaded.tau_fine == value
 
     @pytest.mark.parametrize("change", [dict(d=8), dict(patch_width=4), dict(fine_patch=3), dict(d_fine=6)])
     def test_weights_shaped_by_another_config_are_refused(self, tmp_path, change):

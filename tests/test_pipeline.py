@@ -16,7 +16,7 @@ from epimatch.losses import (
     gt_classification_mask,
     gt_fine_loss_grad,
 )
-from epimatch.matcher import MatcherConfig, backward, forward, init_params
+from epimatch.matcher import MatcherConfig, backward, extract_features, fine_in_bounds, forward, init_params
 from epimatch.metrics import rotation_error, translation_error
 from epimatch.pipeline import (
     BootstrapConfig,
@@ -111,6 +111,8 @@ def full_row_pair_grads(pair, target, params, mcfg, loss_cfg, rng_key):
         targets, points = target
         valid = np.flatnonzero(targets >= 0)
         pred, cache = forward(pair.image1, pair.image2, params, mcfg, coarse_override=(valid, targets[valid]))
+        ok = fine_in_bounds(extract_features(pair.image1, mcfg), extract_features(pair.image2, mcfg), mcfg,
+                            valid, targets[valid])
         mask = gt_classification_mask(targets)
     lam = loss_cfg.lam
     lc, (rows, cols, dc) = coarse_loss_grad(pred.C, mask)
@@ -122,7 +124,7 @@ def full_row_pair_grads(pair, target, params, mcfg, loss_cfg, rng_key):
         if epipolar:
             lf, df = fine_loss_grad(target, pred.fine_x1[sub], pred.fine_x2[sub])
         else:
-            lf, df = gt_fine_loss_grad(pred.fine_x2[sub], points[valid][cache["fine"]["kept"]][sub])
+            lf, df = gt_fine_loss_grad(pred.fine_x2[sub], points[valid][ok][sub])
         dfine = np.zeros_like(pred.fine_x2)
         dfine[sub] = lam * df
     grads = backward(cache, dC=(rows, cols, (1.0 - lam) * dc), dfine=dfine)
@@ -148,9 +150,9 @@ class TestPairGrads:
         rows = []
         original = pipeline.refine_fine
 
-        def spy(feats1, feats2, params, cfg, i_idx, j_idx, conf):
+        def spy(feats1, feats2, params, cfg, i_idx, j_idx):
             rows.append(len(i_idx))
-            return original(feats1, feats2, params, cfg, i_idx, j_idx, conf)
+            return original(feats1, feats2, params, cfg, i_idx, j_idx)
 
         monkeypatch.setattr(pipeline, "refine_fine", spy)
         return rows
@@ -250,7 +252,7 @@ class TestConfigRangeChecks:
     ], ids=["theta", "rotation_noise", "translation_noise", "lr", "weight_decay",
             "inlier_threshold"])
     def test_nan_and_out_of_range_values_are_refused(self, make):
-        for bad in (float("nan"), -1.0):
+        for bad in (float("nan"), -1.0, float("inf")):
             with pytest.raises(ValueError):
                 make(bad)
         make(1.0)

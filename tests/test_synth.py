@@ -688,6 +688,32 @@ class TestPairFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_pair_file(path)
 
+    @pytest.mark.parametrize("slot, bad", [
+        (5, 2.0 * rotation_from_axis_angle([0, 1, 0], 0.1)),
+        (5, np.diag([1.0, 1.0, -1.0])),
+        (5, np.full((3, 3), np.nan)),
+        (5, np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+        (5, np.eye(3) + 1e-7),
+        (6, np.array([np.nan, 0.0, 0.0])),
+        (6, np.array([0.0, np.inf, 0.0])),
+    ], ids=["scaled_R", "reflection_R", "nan_R", "inf_R", "near_R", "nan_t", "inf_t"])
+    def test_pose_that_is_not_a_rigid_motion_names_the_file(self, tmp_path, slot, bad):
+        records = self.pair_records()
+        records[slot] = bad
+        path = tmp_path / "pair.bin"
+        self.write_records(path, records)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: R must be a rotation and t finite"):
+            load_pair_file(path)
+
+    def test_nan_depth_planes_load(self, tmp_path):
+        # depth-free pairs are the premise: only the pose is checked
+        records = self.pair_records()
+        records[2] = np.full_like(records[2], np.nan)
+        records[3] = np.full_like(records[3], np.nan)
+        path = tmp_path / "pair.bin"
+        self.write_records(path, records)
+        assert np.isnan(load_pair_file(path).depth1).all()
+
     def test_extra_record_names_the_file(self, tmp_path):
         path = tmp_path / "pair.bin"
         self.write_records(path, self.pair_records() + [np.zeros(2)])
