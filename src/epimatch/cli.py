@@ -222,6 +222,7 @@ def cmd_pose(args):
         "inlier_count": int(result.inlier_count),
         "num_matches": int(result.num_input_matches),
         "no_consensus": bool(result.no_consensus),
+        "hypotheses": result.hypotheses,
     }
     with open(_run_dir(args) / "pose.json", "w") as fh:
         json.dump(report, fh, indent=2)
@@ -281,7 +282,9 @@ def _add_seed_flag(p):
 
 
 def _add_ransac_flags(p, cfg: RansacConfig):
-    p.add_argument("--ransac-iterations", type=int, default=cfg.iterations)
+    p.add_argument("--ransac-iterations", type=int, default=cfg.iterations,
+                   help="most hypotheses to solve; RANSAC stops earlier once it is 99%% confident "
+                        "that it has drawn an all-inlier sample")
     p.add_argument("--ransac-threshold", type=float, default=cfg.inlier_threshold)
 
 

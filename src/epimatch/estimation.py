@@ -7,6 +7,7 @@ correspondence: `u1 v1 u2 v2 conf`.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -30,17 +31,27 @@ MIN_SAMPLE = 8
 # most (hypothesis, match) pairs scored at once: the scorer's temporaries
 # stay near 3 MB, or hold one hypothesis beyond 2**15 matches
 _SCORE_BLOCK = 1 << 15
+# RANSAC stops once it has drawn an all-inlier sample of its best consensus
+# with this probability; its first block of hypotheses is this large
+_CONFIDENCE = 0.99
+_FIRST_BLOCK = 64
+
+
+def _is_whole(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
 class RansacConfig:
-    iterations: int = 500
+    iterations: int = 500  # most hypotheses solved; RANSAC stops earlier once confident
     inlier_threshold: float = 1e-5  # squared symmetric epipolar distance, normalized units
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.iterations, numbers.Integral) or self.iterations < 1:
+        if not _is_whole(self.iterations) or self.iterations < 1:
             raise ValueError(f"iterations must be a whole number >= 1, got {self.iterations!r}")
+        if not _is_whole(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a whole number >= 0, got {self.seed!r}")
         if not 0 < self.inlier_threshold < np.inf:
             raise ValueError(f"inlier_threshold must be finite and positive, got {self.inlier_threshold!r}")
 
@@ -54,6 +65,7 @@ class RansacConfig:
 class RansacResult:
     F: np.ndarray  # (3, 3), canonicalized
     inlier_mask: np.ndarray  # (n,) bool, one entry per input match
+    hypotheses: int  # minimal samples solved before the stopping rule held
 
     @property
     def inlier_count(self):
@@ -117,7 +129,7 @@ def _eight_point_batch(pts1, pts2):
     if n < MIN_SAMPLE:
         raise NotEnoughMatches(f"eight_point needs >= 8 matches, got {n}")
     if pts2.shape != pts1.shape:
-        raise ValueError("match arrays disagree in length")
+        raise ValueError(f"match arrays disagree in shape: {pts1.shape} and {pts2.shape}")
     q1, T1, ok1 = _hartley_transform(pts1)
     q2, T2, ok2 = _hartley_transform(pts2)
     u1, v1 = q1[..., 0], q1[..., 1]
@@ -144,25 +156,51 @@ def eight_point(pts1, pts2):
     return F[0]
 
 
+def _needed(best_count, n, done, cap):
+    """N(w) = ceil(log(1 - p) / log(1 - w^8)) with w = best_count / n and
+    p = _CONFIDENCE: N draws hold a sample of eight inliers of the best
+    consensus with probability p. `cap` while no match is an inlier (or w^8
+    underflows) and at most `cap`; `done` once every match is an inlier."""
+    w8 = (best_count / n) ** MIN_SAMPLE
+    if w8 >= 1.0:
+        return done
+    if w8 == 0.0:
+        return cap
+    needed = math.log(1.0 - _CONFIDENCE) / math.log1p(-w8)
+    return cap if needed >= cap else math.ceil(needed)
+
+
 def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, cfg: RansacConfig) -> RansacResult:
-    """Seeded RANSAC over 8-point hypotheses with a final all-inlier refit.
+    """Seeded RANSAC over 8-point hypotheses that stops once it is confident,
+    with a final all-inlier refit.
 
-    Every minimal sample comes from one `_draw_samples` call, and all
-    hypotheses are solved in one stacked QR (see `_eight_point_batch`); the
-    first hypothesis with the most inliers wins. The refit on its consensus
-    set is a least-squares SVD solve.
+    Every minimal sample comes from one `_draw_samples` call of
+    `cfg.iterations` rows, and the hypotheses are solved in stacked QRs (see
+    `_eight_point_batch`) and scored in consecutive blocks. The first block
+    holds _FIRST_BLOCK hypotheses. After each block, with w the best inlier
+    share so far, RANSAC stops once the hypotheses done reach
+    N(w) = ceil(log(1 - p) / log(1 - w^8)), p = _CONFIDENCE (Fischler &
+    Bolles, CACM 1981; Hartley & Zisserman, MVG 4.7.1); `cfg.iterations`
+    caps N. Otherwise the next block holds min(N - done, done) hypotheses,
+    so a block never more than doubles the hypotheses done. A block replaces
+    the best hypothesis only with strictly more inliers, so the first
+    hypothesis with the most inliers wins, and the result is the same bits
+    as a full scoring of the first `hypotheses` samples. The refit on the
+    winner's consensus set is a least-squares SVD solve.
 
-    Scoring bails out exactly (after Capel, BMVC 2005): every valid
-    hypothesis is scored on the first k = ceil(n/2) matches, and the one with
-    the most inliers there is scored on the rest too. Its full count is a
-    floor under the best count, so a hypothesis whose partial count plus
-    n - k falls below it cannot win and is never scored on the rest. Every
-    hypothesis with the most inliers survives, so the winner is the one a
-    full scoring picks; the distances of a match do not depend on which rows
-    or hypotheses are scored with it, so the counts are the same bits too.
+    Scoring bails out exactly within each block (after Capel, BMVC 2005):
+    every valid hypothesis is scored on the first k = ceil(n/2) matches, and
+    the one with the most inliers there is scored on the rest too. Its full
+    count, and the best count so far plus one, are floors that a hypothesis
+    must reach to win, so one whose partial count plus n - k falls below the
+    larger is never scored on the rest. The distances of a match do not
+    depend on which rows or hypotheses are scored with it, so the counts are
+    the same bits as a full scoring's.
     """
     pts1 = np.asarray(pts1, dtype=float)
     pts2 = np.asarray(pts2, dtype=float)
+    if pts1.ndim != 2 or pts1.shape[1] != 2 or pts2.shape != pts1.shape:
+        raise ValueError(f"match arrays must both be (N, 2) with the same N, got {pts1.shape} and {pts2.shape}")
     n = pts1.shape[0]
     if n < MIN_SAMPLE:
         raise NotEnoughMatches(f"RANSAC needs >= {MIN_SAMPLE} matches, got {n}")
@@ -182,34 +220,42 @@ def ransac_fundamental(pts1, pts2, K1: CameraIntrinsics, K2: CameraIntrinsics, c
                                for b0 in range(0, len(E), block)])
 
     idx = _draw_samples(np.random.default_rng(cfg.seed), n, cfg.iterations)
-    F, ok = _eight_point_batch(pts1[idx], pts2[idx])
-    valid = np.flatnonzero(ok)
-    if valid.size == 0:
-        raise NoValidHypothesis("all RANSAC iterations were degenerate")
-    E = fundamental_to_essential(F[valid], K1, K2)
-    # a hypothesis can be dropped only while the leader's inliers outnumber
-    # the n - k matches left unscored; the half split keeps that within
-    # reach of any leader with more than half of the matches as inliers
+    # a hypothesis can be dropped only while the floor exceeds the n - k
+    # matches left unscored; the half split keeps that within reach of any
+    # leader with more than half of the matches as inliers
     k = (n + 1) // 2
     head, tail = slice(0, k), slice(k, n)
-    partial = counts(E, head)
-    lead = int(np.argmax(partial))
-    floor = partial[lead] + counts(E[lead:lead + 1], tail)[0]
-    left = np.flatnonzero(partial + (n - k) >= floor)
-    total = partial[left] + counts(E[left], tail)
-    j = int(np.argmax(total))
-    best, best_count = left[j], int(total[j])
-    best_mask = inliers(E[best])
+    best_count, best_F, best_E = -1, None, None
+    done, size = 0, min(_FIRST_BLOCK, cfg.iterations)
+    while size > 0:
+        F, ok = _eight_point_batch(pts1[idx[done:done + size]], pts2[idx[done:done + size]])
+        done += size
+        valid = np.flatnonzero(ok)
+        if valid.size:
+            E = fundamental_to_essential(F[valid], K1, K2)
+            partial = counts(E, head)
+            lead = int(np.argmax(partial))
+            lead_count = partial[lead] + counts(E[lead:lead + 1], tail)[0]
+            left = np.flatnonzero(partial + (n - k) >= max(lead_count, best_count + 1))
+            if left.size:
+                total = partial[left] + counts(E[left], tail)
+                j = int(np.argmax(total))
+                if total[j] > best_count:
+                    best_count, best_F, best_E = int(total[j]), F[valid[left[j]]], E[left[j]]
+        size = min(_needed(max(best_count, 0), n, done, cfg.iterations) - done, done)
+    if best_F is None:
+        raise NoValidHypothesis("all RANSAC iterations were degenerate")
+    best_mask = inliers(best_E)
 
     # refit on the consensus set of the best hypothesis
-    F_final, mask_final = F[valid[best]], best_mask
+    F_final, mask_final = best_F, best_mask
     if best_count >= MIN_SAMPLE:
         try:
             F_final = eight_point(pts1[best_mask], pts2[best_mask])
             mask_final = inliers(fundamental_to_essential(F_final, K1, K2))
         except DegenerateConfiguration:
             pass
-    return RansacResult(F_final, mask_final)
+    return RansacResult(F_final, mask_final, done)
 
 
 def estimate_relative_pose(pts1, pts2, K1, K2, cfg: RansacConfig):

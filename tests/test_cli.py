@@ -347,6 +347,20 @@ class TestMatchPoseEval:
         assert main([*pose_argv(tmp_path / "gt.txt"), "--seed", "0", "--out", str(out)]) == 0
         report = json.loads((out / "pose.json").read_text())
         assert report["inlier_count"] > 0.9 * n
+        # no outlier, so the first block of 64 hypotheses leaves RANSAC confident
+        assert report["hypotheses"] == 64
+
+    def test_pose_hypotheses_stay_within_the_cap(self, workspace, tmp_path):
+        write_gt_matches(workspace, tmp_path / "noisy.txt", noisy=True)
+        out = tmp_path / "pose"
+        assert main([*pose_argv(tmp_path / "noisy.txt"), "--ransac-iterations", "300", "--out", str(out)]) == 0
+        assert 64 <= json.loads((out / "pose.json").read_text())["hypotheses"] <= 300
+
+    def test_ransac_iterations_help_calls_it_a_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["pose", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--ransac-iterations" in help_text and "99% confident" in help_text
 
     def test_pose_rejects_non_finite_match(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -1,3 +1,6 @@
+import re
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from epimatch.estimation import (
     _draw_samples,
     _eight_point_batch,
     _hartley_transform,
+    _needed,
     MIN_SAMPLE,
     RansacConfig,
     eight_point,
@@ -161,6 +165,7 @@ def contaminated_matches(rng, n_in=100, n_out=50, reject_band=5e-3):
 class TestRansacConfig:
     @pytest.mark.parametrize("field, value", [
         ("iterations", 0), ("iterations", -3), ("iterations", 2.5), ("iterations", 3.0),
+        ("iterations", True), ("seed", -1), ("seed", 1.5), ("seed", True),
         ("inlier_threshold", 0.0), ("inlier_threshold", -1e-5),
         ("inlier_threshold", np.inf), ("inlier_threshold", np.nan),
     ])
@@ -170,6 +175,7 @@ class TestRansacConfig:
 
     def test_accepts_a_numpy_iteration_count(self):
         assert RansacConfig(iterations=np.int64(5)).iterations == 5
+        assert RansacConfig(seed=np.uint32(7)).seed == 7
 
 
 class TestRansac:
@@ -230,7 +236,8 @@ class TestRansac:
             pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=60, n_out=30)
             cfg = RansacConfig(iterations=100, inlier_threshold=1e-6, seed=seed)
             res = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
-            F, mask, it, _ = ransac_reference(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+            F, mask, it, _ = ransac_reference(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg,
+                                              iterations=res.hypotheses)
             assert res.F.tobytes() == F.tobytes() and res.inlier_mask.tobytes() == mask.tobytes()
             # replay the winning minimal hypothesis to get its inlier set
             samples = _draw_samples(np.random.default_rng(cfg.seed), pts1.shape[0], cfg.iterations)
@@ -254,9 +261,17 @@ class TestRansac:
         x1, x2, cam1, cam2, _ = pixel_matches(rng, MIN_SAMPLE)
         cfg = RansacConfig(iterations=500, inlier_threshold=1e-6)
         res = ransac_fundamental(x1, x2, cam1.intrinsics, cam2.intrinsics, cfg)
-        F, _, it, _ = ransac_reference(x1, x2, cam1.intrinsics, cam2.intrinsics, cfg)
+        F, _, it, _ = ransac_reference(x1, x2, cam1.intrinsics, cam2.intrinsics, cfg, iterations=res.hypotheses)
         assert res.F.tobytes() == F.tobytes()
-        assert res.inlier_count == MIN_SAMPLE and it == 0
+        assert res.inlier_count == MIN_SAMPLE and it == 0 and res.hypotheses == 64
+
+    @pytest.mark.parametrize("shape1, shape2", [((20, 2), (12, 2)), ((12, 2), (20, 2)),
+                                                ((20, 2), (20, 3)), ((20,), (20,))],
+                             ids=["first_longer", "second_longer", "three_columns", "one_dimensional"])
+    def test_mismatched_match_arrays_name_both_shapes(self, rng, shape1, shape2):
+        K = CameraIntrinsics(500, 500, 320, 240)
+        with pytest.raises(ValueError, match=re.escape(f"got {shape1} and {shape2}")):
+            ransac_fundamental(rng.uniform(0, 480, shape1), rng.uniform(0, 480, shape2), K, K, RansacConfig())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_match_raises_value_error(self, rng, bad):
@@ -280,42 +295,66 @@ def score_one(F, x1n, x2n, K1, K2, threshold):
     return np.where(np.isfinite(dist), dist, np.inf) < threshold
 
 
-def ransac_reference(pts1, pts2, K1, K2, cfg):
-    """Reference loop: one eight_point and one scoring per iteration.
-
-    Returns (F, inlier mask, best iteration, degenerate sample count).
-    """
+def reference_hypotheses(pts1, pts2, K1, K2, cfg):
+    """Each of cfg's hypotheses in draw order, one eight_point and one
+    scoring at a time: (F, inlier mask), or None for a degenerate sample."""
     x1n = normalize_points(K1, pts1)
     x2n = normalize_points(K2, pts2)
-    samples = _draw_samples(np.random.default_rng(cfg.seed), len(pts1), cfg.iterations)
-    best_count, best, degenerate = -1, None, 0
-    for it, idx in enumerate(samples):
+    for idx in _draw_samples(np.random.default_rng(cfg.seed), len(pts1), cfg.iterations):
         try:
             F = eight_point(pts1[idx], pts2[idx])
         except errors.DegenerateConfiguration:
-            degenerate += 1
+            yield None
             continue
-        mask = score_one(F, x1n, x2n, K1, K2, cfg.inlier_threshold)
-        if mask.sum() > best_count:
-            best_count, best = int(mask.sum()), (F, mask, it)
+        yield F, score_one(F, x1n, x2n, K1, K2, cfg.inlier_threshold)
+
+
+def ransac_reference(pts1, pts2, K1, K2, cfg, iterations=None):
+    """Reference loop over the first `iterations` of cfg's draws (all of
+    them by default), with no stopping rule.
+
+    Returns (F, inlier mask, best iteration, degenerate sample count).
+    """
+    best_count, best, degenerate = -1, None, 0
+    hypotheses = reference_hypotheses(pts1, pts2, K1, K2, cfg)
+    for it, hyp in enumerate(islice(hypotheses, iterations)):
+        if hyp is None:
+            degenerate += 1
+        elif hyp[1].sum() > best_count:
+            best_count, best = int(hyp[1].sum()), (*hyp, it)
     if best is None:
         raise errors.NoValidHypothesis("all iterations degenerate")
     F, mask, it = best
     if best_count >= MIN_SAMPLE:
         try:
             F = eight_point(pts1[mask], pts2[mask])
-            mask = score_one(F, x1n, x2n, K1, K2, cfg.inlier_threshold)
+            mask = score_one(F, normalize_points(K1, pts1), normalize_points(K2, pts2),
+                             K1, K2, cfg.inlier_threshold)
         except errors.DegenerateConfiguration:
             pass
     return F, mask, it, degenerate
 
 
+def running_best(pts1, pts2, K1, K2, cfg):
+    """(iterations,) most inliers among the first i + 1 hypotheses."""
+    counts = [0 if hyp is None else int(hyp[1].sum())
+              for hyp in reference_hypotheses(pts1, pts2, K1, K2, cfg)]
+    return np.maximum.accumulate(counts)
+
+
+def confident(best, n, hypotheses):
+    """Whether `hypotheses` draws hold an all-inlier sample of a best
+    consensus of `best` among n matches with probability >= 0.99."""
+    return (1.0 - (best / n) ** MIN_SAMPLE) ** hypotheses <= 1.0 - 0.99
+
+
 class TestBatchedRansac:
-    """The stacked solve and blocked scoring against the reference loop."""
+    """The stacked solve and blocked scoring against the reference loop over
+    the hypotheses that RANSAC solved before it stopped."""
 
     def assert_same_as_reference(self, pts1, pts2, K1, K2, cfg):
         res = ransac_fundamental(pts1, pts2, K1, K2, cfg)
-        F, mask, it, degenerate = ransac_reference(pts1, pts2, K1, K2, cfg)
+        F, mask, it, degenerate = ransac_reference(pts1, pts2, K1, K2, cfg, iterations=res.hypotheses)
         assert res.F.tobytes() == F.tobytes()
         assert res.inlier_mask.tobytes() == mask.tobytes()
         return it, degenerate
@@ -353,12 +392,14 @@ class TestBatchedRansac:
             cfg = RansacConfig(iterations=200, inlier_threshold=1e-5, seed=seed)
             self.assert_same_as_reference(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
 
-    @pytest.mark.parametrize("n_in, n_out, slack", [(60, 40, 0), (30, 70, 3)],
+    @pytest.mark.parametrize("n_in, n_out, blocks", [(60, 40, None), (30, 70, 3)],
                              ids=["share_0.6", "share_0.3"])
-    def test_early_out_scores_fewer_entries(self, monkeypatch, n_in, n_out, slack):
-        # (hypothesis, match) entries scored, against the iterations * n of a
-        # full scoring. Where nothing can be dropped, the leader's second
-        # half, the winner's mask and the refit's mask add at most 3n
+    def test_early_out_scores_fewer_entries(self, monkeypatch, n_in, n_out, blocks):
+        # (hypothesis, match) entries scored, against the hypotheses * n of a
+        # full scoring. Where nothing can be dropped, each block's leader has
+        # its second half scored twice, and the winner's mask and the refit's
+        # mask add 2n; at a share of 0.3 the 200 hypotheses run to the cap in
+        # blocks of 64, 64 and 72
         scored = []
 
         def counting(F, x1, x2):
@@ -371,12 +412,13 @@ class TestBatchedRansac:
         pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=n_in, n_out=n_out)
         pts2 = pts2 + rng.normal(0.0, 0.3, pts2.shape)
         cfg = RansacConfig(iterations=200, inlier_threshold=1e-5, seed=0)
-        ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+        res = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
         n = n_in + n_out
-        if slack:
-            assert sum(scored) <= cfg.iterations * n + slack * n
+        if blocks:
+            assert res.hypotheses == cfg.iterations
+            assert sum(scored) <= res.hypotheses * n + blocks * (n - (n + 1) // 2) + 2 * n
         else:
-            assert sum(scored) < cfg.iterations * n
+            assert sum(scored) < res.hypotheses * n
 
     def test_duplicated_points_give_degenerate_samples(self):
         degenerate = 0
@@ -413,6 +455,96 @@ class TestBatchedRansac:
         pts2 = np.tile([[150.0, 210.0]], (30, 1))
         with pytest.raises(errors.NoValidHypothesis):
             ransac_fundamental(pts1, pts2, K, K, RansacConfig(iterations=50))
+
+
+class TestStoppingRule:
+    """RANSAC stops after the first block that leaves it 99 % confident of
+    an all-inlier sample of the best consensus so far."""
+
+    def solve(self, monkeypatch, pts1, pts2, K1, K2, cfg):
+        """The result and the sizes of the blocks it solved; the refit solves
+        more than MIN_SAMPLE matches, so it is not counted as a block."""
+        blocks = []
+
+        def recording(p1, p2):
+            if p1.shape[1] == MIN_SAMPLE:
+                blocks.append(p1.shape[0])
+            return solve(p1, p2)
+
+        solve = estimation._eight_point_batch
+        with monkeypatch.context() as patch:
+            patch.setattr(estimation, "_eight_point_batch", recording)
+            res = ransac_fundamental(pts1, pts2, K1, K2, cfg)
+        return res, blocks
+
+    @pytest.mark.parametrize("n_in, n_out, noise", [
+        (80, 20, 0.3), (70, 30, 0.3), (65, 35, 0.3), (60, 40, 0.0),
+    ], ids=["share_0.8", "share_0.7", "share_0.65", "exact_ties"])
+    def test_stops_at_the_first_confident_block(self, monkeypatch, n_in, n_out, noise):
+        early = 0
+        for seed in range(3):
+            rng = np.random.default_rng(6500 + seed)
+            pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=n_in, n_out=n_out)
+            pts2 = pts2 + rng.normal(0.0, noise, pts2.shape)
+            K1, K2, n = cam1.intrinsics, cam2.intrinsics, n_in + n_out
+            cfg = RansacConfig(iterations=500, inlier_threshold=1e-5, seed=seed)
+            res, blocks = self.solve(monkeypatch, pts1, pts2, K1, K2, cfg)
+            # the schedule: 64 first, no block more than doubles the count
+            assert blocks[0] == 64 and sum(blocks) == res.hypotheses <= cfg.iterations
+            assert all(b <= sum(blocks[:i]) for i, b in enumerate(blocks) if i)
+            best = running_best(pts1, pts2, K1, K2, cfg)
+            h = res.hypotheses
+            assert h == cfg.iterations or confident(best[h - 1], n, h)
+            if len(blocks) > 1:
+                before = h - blocks[-1]
+                assert not confident(best[before - 1], n, before)
+            F, mask, _, _ = ransac_reference(pts1, pts2, K1, K2, cfg, iterations=h)
+            assert res.F.tobytes() == F.tobytes() and res.inlier_mask.tobytes() == mask.tobytes()
+            early += h < cfg.iterations
+        assert early > 0
+
+    def test_noise_free_matches_stop_after_the_first_block(self, monkeypatch, rng):
+        # w = 1: every sample is all-inlier, so the first block is enough
+        x1, x2, cam1, cam2, _ = pixel_matches(rng, 100)
+        cfg = RansacConfig(iterations=500, inlier_threshold=1e-8)
+        res, blocks = self.solve(monkeypatch, x1, x2, cam1.intrinsics, cam2.intrinsics, cfg)
+        assert blocks == [64] and res.hypotheses == 64 and res.inlier_count == 100
+
+    def test_no_inlier_runs_to_the_cap(self, monkeypatch):
+        # random matches under a tiny threshold: not even a sample's own
+        # points are inliers once the solve is held to rank 2
+        rng = np.random.default_rng(2000)
+        pts1 = np.column_stack([rng.uniform(0, 640, 40), rng.uniform(0, 480, 40)])
+        pts2 = np.column_stack([rng.uniform(0, 640, 40), rng.uniform(0, 480, 40)])
+        K = CameraIntrinsics(500, 500, 320, 240)
+        cfg = RansacConfig(iterations=300, inlier_threshold=1e-14)
+        res, blocks = self.solve(monkeypatch, pts1, pts2, K, K, cfg)
+        assert res.inlier_count == 0
+        assert blocks == [64, 64, 128, 44] and res.hypotheses == 300
+
+    def test_low_inlier_share_runs_to_the_cap(self):
+        # at a share of 0.3 the rule asks for tens of thousands of
+        # hypotheses, so the cap holds and the full scoring's result stands
+        rng = np.random.default_rng(6300)
+        pts1, pts2, _, cam1, cam2, _ = contaminated_matches(rng, n_in=30, n_out=70)
+        pts2 = pts2 + rng.normal(0.0, 0.3, pts2.shape)
+        cfg = RansacConfig(iterations=200, inlier_threshold=1e-5, seed=0)
+        res = ransac_fundamental(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+        F, mask, _, _ = ransac_reference(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+        assert res.hypotheses == cfg.iterations
+        assert res.F.tobytes() == F.tobytes() and res.inlier_mask.tobytes() == mask.tobytes()
+
+    @pytest.mark.parametrize("best", [20, 30, 50, 60, 75, 90, 99])
+    def test_needed_is_the_fewest_confident_hypotheses(self, best):
+        k = _needed(best, 100, 64, 10 ** 12)
+        assert confident(best, 100, k) and not confident(best, 100, k - 1)
+
+    def test_needed_at_the_ends(self):
+        # no warning either way: pytest turns warnings into errors
+        assert _needed(100, 100, 64, 500) == 64
+        assert _needed(0, 100, 64, 500) == 500
+        assert _needed(1, 10 ** 40, 64, 500) == 500  # the quotient overflows
+        assert _needed(1, 10 ** 50, 64, 500) == 500  # w^8 underflows
 
 
 class TestEstimateRelativePose:
