@@ -15,7 +15,6 @@ from .geometry import (
     fundamental_to_essential,
     project_points,
     symmetric_epipolar_distance_sq,
-    triangulate,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "fundamental_to_essential",
     "project_points",
     "symmetric_epipolar_distance_sq",
-    "triangulate",
 ]

@@ -3,6 +3,8 @@
 Conventions: image points are (N, 2) pixel arrays; `normalize_points` turns
 them into (N, 3) normalized rows (K = I) with w = 1. F and E are plain (3, 3)
 arrays, F in the form `canonicalize` gives. Poses are world-to-camera.
+`decompose_essential` picks among the four poses of an E by the signs of
+closed-form ray depths; no point is triangulated.
 """
 
 from __future__ import annotations
@@ -193,35 +195,29 @@ def project_in_image(camera: Camera, X, image_size):
     return pix, z, (z > 1e-9) & (-1e-6 <= u) & (u <= W - 1 + 1e-6) & (-1e-6 <= v) & (v <= H - 1 + 1e-6)
 
 
-def triangulate(P1, P2, x1n, x2n):
-    """Linear (DLT) triangulation under the (3, 4) projections P1, P2 of
-    (N, 3) point rows with w = 1 (normalized when P = [R|t]).
-
-    Returns (X, ok): (N, 3) points and an (N,) mask that is False where the
-    system is rank-deficient or the point lies at infinity.
-    """
-    A = np.stack([x1n[:, :1] * P1[2] - P1[0], x1n[:, 1:2] * P1[2] - P1[1],
-                  x2n[:, :1] * P2[2] - P2[0], x2n[:, 1:2] * P2[2] - P2[1]], axis=1)
-    _, s, Vt = np.linalg.svd(A)
-    X = Vt[:, -1]
-    # the matmul form sums like np.linalg.norm of one vector, bit for bit
-    norm = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0, 0]
-    ok = ~(s[:, -2] < 1e-12 * s[:, 0]) & ~(np.abs(X[:, 3]) < 1e-12 * norm)
-    return X[:, :3] / np.where(ok, X[:, 3], 1.0)[:, None], ok
-
-
 def _cheirality_votes(R, t, x1n, x2n):
     """Count correspondences with positive depth in both views for
     P2 = [R|t] and for P2 = [R|-t]; returns the pair of counts.
 
-    One triangulation serves both: the DLT points for [R|-t] are the negated
-    points for [R|t], so their depths in both views flip sign.
+    The depths solve z1 a + t = z2 b in least squares for a = R x1, b = x2
+    (Hartley & Sturm, CVIU 1997): with D = |a x b|^2 > 0, z1 D = (a.b)(b.t)
+    - (a.t)(b.b) and z2 D = (a.a)(b.t) - (a.b)(a.t). Under -t both flip sign.
+    Rays parallel to ~1e-12 rad (D <= 1e-24 (a.a)(b.b), a point at infinity)
+    vote for neither.
     """
-    X, ok = triangulate(np.eye(3, 4), np.column_stack([R, t]), x1n, x2n)
-    z1 = X[:, 2]
-    z2 = X @ R[2] + t[2]
-    return (int(np.count_nonzero(ok & (z1 > 0) & (z2 > 0))),
-            int(np.count_nonzero(ok & (z1 < 0) & (z2 < 0))))
+    a = x1n @ R.T
+    ab = np.einsum("ij,ij->i", a, x2n)
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = np.einsum("ij,ij->i", x2n, x2n)
+    at, bt = a @ t, x2n @ t
+    # D from the cross product a x b, which stays near 0 for near-parallel
+    # rays where (a.a)(b.b) - (a.b)^2 would cancel to rounding noise
+    c = a[:, [1, 2, 0]] * x2n[:, [2, 0, 1]] - a[:, [2, 0, 1]] * x2n[:, [1, 2, 0]]
+    ok = np.einsum("ij,ij->i", c, c) > 1e-24 * aa * bb
+    s1 = ab * bt - at * bb
+    s2 = aa * bt - ab * at
+    return (int(np.count_nonzero(ok & (s1 > 0) & (s2 > 0))),
+            int(np.count_nonzero(ok & (s1 < 0) & (s2 < 0))))
 
 
 def decompose_essential(E, x1n, x2n) -> RelativePose:
@@ -230,11 +226,13 @@ def decompose_essential(E, x1n, x2n) -> RelativePose:
 
     x1n, x2n: (N, 3) normalized (K = I) rows with w = 1, as
     `normalize_points` gives them, N >= 1. The four candidates (R, +-t) for
-    the two rotations take two triangulations, one per rotation (Hartley &
-    Zisserman, Multiple View Geometry, 9.6).
+    the two rotations take two closed-form ray-depth solves, one per rotation
+    (Hartley & Zisserman, Multiple View Geometry, 9.6).
     """
-    x1n = np.atleast_2d(np.asarray(x1n, dtype=float))
-    x2n = np.atleast_2d(np.asarray(x2n, dtype=float))
+    x1n = np.asarray(x1n, dtype=float)
+    x2n = np.asarray(x2n, dtype=float)
+    if x1n.ndim != 2 or x1n.shape[1] != 3 or x1n.shape != x2n.shape:
+        raise ValueError(f"x1n and x2n must both be (N, 3) with the same N, got {x1n.shape} and {x2n.shape}")
     if x1n.shape[0] < 1:
         raise DegenerateConfiguration("need at least one correspondence")
     U, _, Vt = np.linalg.svd(E)

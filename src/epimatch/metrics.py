@@ -45,6 +45,13 @@ class EvalReport:
     n_pairs: int
     n_failed: int
     mean_matches: float = 0.0
+    # the AUCs of the rotation error alone and the translation error alone
+    rot_auc5: float = 0.0
+    rot_auc10: float = 0.0
+    rot_auc20: float = 0.0
+    trans_auc5: float = 0.0
+    trans_auc10: float = 0.0
+    trans_auc20: float = 0.0
 
     def to_json(self):
         """Strict JSON: a non-finite value (a median over no pose) is null."""
@@ -58,11 +65,15 @@ class EvalReport:
             f"{'matcher':<16}{self.auc5:>8.1f}{self.auc10:>8.1f}"
             f"{self.auc20:>8.1f}{self.precision:>8.1f}"
         )
+        split = (
+            f"{'  rotation':<16}{self.rot_auc5:>8.1f}{self.rot_auc10:>8.1f}{self.rot_auc20:>8.1f}\n"
+            f"{'  translation':<16}{self.trans_auc5:>8.1f}{self.trans_auc10:>8.1f}{self.trans_auc20:>8.1f}"
+        )
         extra = (
             f"median rot {self.median_rot_deg:.2f} deg, median trans "
             f"{self.median_trans_deg:.2f} deg, pairs {self.n_pairs}, failed {self.n_failed}"
         )
-        return "\n".join([header, row, extra])
+        return "\n".join([header, row, split, extra])
 
 
 def rotation_error(R_gt, R_est):
@@ -133,19 +144,18 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
     """Match every pair, estimate its relative pose and aggregate the report.
 
     Pairs with too few matches, a ground truth without an epipolar geometry
-    (pure rotation) or failed estimation count as infinite pose error; the
-    precision of a pair without matches or without an epipolar geometry
-    contributes 0.
+    (pure rotation) or failed estimation count as infinite pose error, in
+    the rotation-only and translation-only AUCs too; the precision of a pair
+    without matches or without an epipolar geometry contributes 0.
     """
-    errors = []
-    rots, trans = [], []
+    rots, trans = [], []  # per pair, inf where the pair failed
     precisions = []
     n_matches = []
     for pair in dataset:
         pred, _ = forward(pair.image1, pair.image2, params, mcfg)
         M = pred.fine_x2.shape[0]
         n_matches.append(M)
-        precision, error = 0.0, np.inf
+        precision, rot, tran = 0.0, np.inf, np.inf
         try:
             if M:
                 precision = matching_precision(pred.fine_x1, pred.fine_x2, pair.pose, pair.K, pair.K,
@@ -153,23 +163,27 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
             if M >= MIN_SAMPLE:
                 est, _ = estimate_relative_pose(pred.fine_x1, pred.fine_x2, pair.K, pair.K, ransac_cfg)
                 err = pose_error(pair.pose, est)
-                error = err.combined
-                rots.append(err.rotation_deg)
-                trans.append(err.translation_deg)
+                rot, tran = err.rotation_deg, err.translation_deg
         except (EpimatchError, np.linalg.LinAlgError):
             pass
         precisions.append(precision)
-        errors.append(error)
-    n_failed = int(np.count_nonzero(np.isinf(errors)))
+        rots.append(rot)
+        trans.append(tran)
+    rots, trans = np.array(rots), np.array(trans)
+    errors = np.maximum(rots, trans)  # PoseError.combined per pair
+    ok = np.isfinite(errors)
     auc5, auc10, auc20 = pose_auc(errors)
+    split = {f"{name}_auc{T:g}": auc for name, errs in (("rot", rots), ("trans", trans))
+             for T, auc in zip(AUC_THRESHOLDS, pose_auc(errs))}
     return EvalReport(
         auc5=auc5,
         auc10=auc10,
         auc20=auc20,
         precision=float(np.mean(precisions)),
-        median_rot_deg=float(np.median(rots)) if rots else float("inf"),
-        median_trans_deg=float(np.median(trans)) if trans else float("inf"),
+        median_rot_deg=float(np.median(rots[ok])) if ok.any() else float("inf"),
+        median_trans_deg=float(np.median(trans[ok])) if ok.any() else float("inf"),
         n_pairs=len(dataset),
-        n_failed=n_failed,
+        n_failed=int(np.count_nonzero(~ok)),
         mean_matches=float(np.mean(n_matches)) if n_matches else 0.0,
+        **split,
     )

@@ -5,6 +5,7 @@ from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
     RelativePose,
+    normalize_points,
     project_points,
     rotation_from_axis_angle,
 )
@@ -82,6 +83,12 @@ def reference_project_points(camera, X):
 def project_hom(cam, pts):
     """Pixel projections of (N, 3) world points as (N, 3) rows with w = 1."""
     return with_w(project_points(cam, pts)[0])
+
+
+def infinite_matches(pts1, K1, K2, R):
+    """(N, 2) pixels in view 2 of the points at infinity seen at the (N, 2)
+    pixels pts1 of view 1: every match fits E = [t]x R for any t."""
+    return project_points(Camera(K2, RelativePose(R, np.zeros(3))), normalize_points(K1, pts1))[0]
 
 
 def rotation_to_quat(R):

@@ -32,7 +32,7 @@ from epimatch.geometry import (
 )
 from epimatch.metrics import rotation_error, translation_error
 
-from conftest import project_hom, random_camera_pair, visible_points
+from conftest import infinite_matches, project_hom, random_camera_pair, visible_points
 
 
 def pixel_matches(rng, n, cam1=None, cam2=None, pose=None):
@@ -584,6 +584,20 @@ class TestEstimateRelativePose:
         K = CameraIntrinsics(1, 1, 0, 0)
         with pytest.raises(errors.NotEnoughMatches):
             estimate_relative_pose(np.zeros((4, 2)), np.zeros((4, 2)), K, K, RansacConfig())
+
+    @pytest.mark.parametrize("exc", [errors.AmbiguousCheirality, errors.DegenerateConfiguration])
+    def test_cheirality_failures_propagate(self, rng, monkeypatch, exc):
+        # RANSAC returns the true F; the vote then sees only points at
+        # infinity (a tie at 0 votes) or no inliers at all
+        x1, _, cam1, cam2, pose = pixel_matches(rng, 30)
+        x2 = infinite_matches(x1, cam1.intrinsics, cam2.intrinsics, pose.R)
+        F = fundamental_from_pose(cam1.intrinsics, cam2.intrinsics, pose)
+        mask = np.full(30, exc is errors.AmbiguousCheirality)
+        monkeypatch.setattr(estimation, "ransac_fundamental",
+                            lambda *args: estimation.RansacResult(F, mask, 1))
+        with pytest.raises(exc):
+            estimate_relative_pose(x1, x2, cam1.intrinsics, cam2.intrinsics, RansacConfig())
+
 
 
 class TestMatchFile:

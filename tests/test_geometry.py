@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epimatch import errors, geometry
+from epimatch.estimation import RansacConfig, estimate_relative_pose
 from epimatch.geometry import (
     Camera,
     CameraIntrinsics,
@@ -22,7 +25,6 @@ from epimatch.geometry import (
     read_pose_file,
     rotation_from_axis_angle,
     symmetric_epipolar_distance_sq,
-    triangulate,
 )
 from epimatch.losses import d_epi
 
@@ -30,6 +32,30 @@ from conftest import (project_hom, random_camera_pair, random_intrinsics, random
                       visible_points, with_w, write_pose_file)
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+
+
+def dlt_triangulate(P1, P2, x1n, x2n):
+    """Reference linear (DLT) triangulation under the (3, 4) projections P1,
+    P2 of (N, 3) point rows with w = 1: (N, 3) points and an (N,) mask that
+    is False where the system is rank-deficient or the point lies at
+    infinity."""
+    A = np.stack([x1n[:, :1] * P1[2] - P1[0], x1n[:, 1:2] * P1[2] - P1[1],
+                  x2n[:, :1] * P2[2] - P2[0], x2n[:, 1:2] * P2[2] - P2[1]], axis=1)
+    _, s, Vt = np.linalg.svd(A)
+    X = Vt[:, -1]
+    norm = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    ok = ~(s[:, -2] < 1e-12 * s[:, 0]) & ~(np.abs(X[:, 3]) < 1e-12 * norm)
+    return X[:, :3] / np.where(ok, X[:, 3], 1.0)[:, None], ok
+
+
+def dlt_votes(R, t, x1n, x2n):
+    """The reference for `_cheirality_votes`: the (R, t) and (R, -t) counts
+    of DLT points in front of both cameras; the points for -t are the
+    negated points for t."""
+    X, ok = dlt_triangulate(np.eye(3, 4), np.column_stack([R, t]), x1n, x2n)
+    z1, z2 = X[:, 2], X @ R[2] + t[2]
+    return (int(np.count_nonzero(ok & (z1 > 0) & (z2 > 0))),
+            int(np.count_nonzero(ok & (z1 < 0) & (z2 < 0))))
 
 
 class TestCameraIntrinsics:
@@ -322,7 +348,7 @@ class TestProjectTriangulate:
             x1n = normalize_points(cam1.intrinsics, project_points(cam1, X)[0])
             x2n = normalize_points(cam2.intrinsics, project_points(cam2, X)[0])
             P1, P2 = (np.column_stack([c.pose.R, c.pose.t]) for c in (cam1, cam2))
-            X_rec, ok = triangulate(P1, P2, x1n, x2n)
+            X_rec, ok = dlt_triangulate(P1, P2, x1n, x2n)
             assert ok.all() and np.allclose(X_rec, X, atol=1e-8)
 
     @settings(max_examples=50, deadline=None)
@@ -427,53 +453,115 @@ class TestDecomposeEssential:
         rec = decompose_essential(essential_from_pose(pose), x1, x2)
         assert np.allclose(rec.t, [-1, 0, 0], atol=1e-9)
 
-    def test_votes_match_per_point_triangulation(self, rng):
-        # the batched votes against a loop of single triangulations, over the
-        # four decompositions of E, with points at infinity and outliers
-        # that the per-point rejections must drop; the loop triangulates
-        # under each of the four P2, the vote once for each rotation
-        axis = rng.normal(size=3)
-        R = rotation_from_axis_angle(axis, np.radians(15.0))
+    def _posed_tracks(self, rng, n):
+        """(R, twisted, t, x1, x2): a 15 degree rotation R, E = [t]x R's
+        other rotation (the twisted pair), a unit t and n exact tracks."""
+        R = rotation_from_axis_angle(rng.normal(size=3), np.radians(15.0))
         t = rng.normal(size=3)
         t /= np.linalg.norm(t)
-        x1, x2 = self._normalized_tracks(rng, RelativePose(R, t), 40)
+        x1, x2 = self._normalized_tracks(rng, RelativePose(R, t), n)
+        return R, rotation_from_axis_angle(t, np.pi) @ R, t, x1, x2
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_votes_equal_dlt_on_inlier_tracks(self, rng, noise):
+        for _ in range(5):
+            R, twisted, t, x1, x2 = self._posed_tracks(rng, 40)
+            x2[:, :2] += rng.normal(0.0, noise, (40, 2))
+            for Rc in (R, twisted):
+                assert _cheirality_votes(Rc, t, x1, x2) == dlt_votes(Rc, t, x1, x2)
+            assert _cheirality_votes(R, t, x1, x2)[0] == 40
+
+    def test_votes_match_per_row_depths(self, rng):
+        # far points and outliers against a loop of the closed-form depths
+        # one row at a time; the far rows are parallel rays and vote for none
+        R, twisted, t, x1, x2 = self._posed_tracks(rng, 40)
         x2[:, :2] += rng.normal(0.0, 1e-3, (40, 2))
         far = x1[:5] @ R.T
         x2[:5] = far / far[:, 2:]
         x2[5:10, :2] = rng.uniform(-0.5, 0.5, (5, 2))
-        twisted = rotation_from_axis_angle(t, np.pi) @ R
-        loop_votes, rejected = [], 0
+        votes, reference, parallel = [], [], 0
         for Rc in (R, twisted):
-            for tc in (t, -t):
-                P2 = np.column_stack([Rc, tc])
-                votes = 0
-                for a, b in zip(x1, x2):
-                    X, ok = triangulate(np.eye(3, 4), P2, a[None], b[None])
-                    if not ok[0]:
-                        rejected += 1
-                        continue
-                    votes += bool(X[0, 2] > 0 and (Rc @ X[0] + tc)[2] > 0)
-                loop_votes.append(votes)
-            assert _cheirality_votes(Rc, t, x1, x2) == tuple(loop_votes[-2:])
-        assert rejected > 0
-        assert int(np.argmax(loop_votes)) == 0
+            loop = [0, 0]
+            for a, b in zip(x1 @ Rc.T, x2):
+                c = np.cross(a, b)
+                if c @ c <= 1e-24 * (a @ a) * (b @ b):
+                    parallel += 1
+                    continue
+                s1 = (a @ b) * (b @ t) - (a @ t) * (b @ b)
+                s2 = (a @ a) * (b @ t) - (a @ b) * (a @ t)
+                loop[0] += bool(s1 > 0 and s2 > 0)
+                loop[1] += bool(s1 < 0 and s2 < 0)
+            assert _cheirality_votes(Rc, t, x1, x2) == tuple(loop)
+            votes += loop
+            reference += dlt_votes(Rc, t, x1, x2)
+        assert parallel == 5
+        assert int(np.argmax(votes)) == int(np.argmax(reference)) == 0
         rec = decompose_essential(essential_from_pose(RelativePose(R, t)), x1, x2)
         assert small_rotation_angle_rad(rec.R.T @ R) < 1e-8
         assert np.allclose(rec.t, t, atol=1e-8)
 
-    def test_triangulates_once_per_rotation(self, rng, monkeypatch):
+    def test_solves_depths_once_per_rotation(self, rng, monkeypatch):
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return triangulate(*args)
+            return _cheirality_votes(*args)
 
-        monkeypatch.setattr(geometry, "triangulate", counting)
+        monkeypatch.setattr(geometry, "_cheirality_votes", counting)
         pose = random_camera_pair(rng)[2]
         x1, x2 = self._normalized_tracks(rng, pose, 20)
         rec = decompose_essential(essential_from_pose(pose), x1, x2)
         assert small_rotation_angle_rad(rec.R.T @ pose.R) < 1e-8
         assert len(calls) == 2
+        # the solve for t counts the candidate -t too: its depths flip sign
+        for R, t, _, _ in calls:
+            assert _cheirality_votes(R, -t, x1, x2) == _cheirality_votes(R, t, x1, x2)[::-1]
+
+    def test_tracks_at_infinity_tie(self, rng):
+        # x2 ~ R x1: every ray pair under R is parallel, and under the twisted
+        # rotation the depths take opposite signs, so no candidate gets a vote
+        R, twisted, t, x1, _ = self._posed_tracks(rng, 30)
+        far = x1 @ R.T
+        x2 = far / far[:, 2:]
+        for Rc in (R, twisted):
+            assert _cheirality_votes(Rc, t, x1, x2) == (0, 0)
+        with pytest.raises(errors.AmbiguousCheirality, match="tie at 0 votes"):
+            decompose_essential(essential_from_pose(RelativePose(R, t)), x1, x2)
+
+    @pytest.mark.parametrize("gap, votes", [(1e-11, (1, 0)), (-1e-11, (0, 1)), (1e-13, (0, 0))])
+    def test_parallel_ray_cutoff(self, gap, votes):
+        # rays along z and (gap, 0, 1) meet at depth 1 / gap under t = x:
+        # sin^2 of their angle is gap^2, so 1e-22 votes and 1e-26 does not
+        x1, x2 = np.array([[0.0, 0.0, 1.0]]), np.array([[gap, 0.0, 1.0]])
+        assert _cheirality_votes(np.eye(3), np.array([1.0, 0.0, 0.0]), x1, x2) == votes
+
+    def test_no_rows_is_degenerate(self):
+        E = essential_from_pose(RelativePose(np.eye(3), [1.0, 0, 0]))
+        with pytest.raises(errors.DegenerateConfiguration):
+            decompose_essential(E, np.empty((0, 3)), np.empty((0, 3)))
+
+    @pytest.mark.parametrize("shape1, shape2", [((5, 2), (5, 2)), ((5, 3), (4, 3)), ((3,), (3,)),
+                                                ((5, 3), (5, 2)), ((5, 3, 1), (5, 3, 1))])
+    def test_track_shapes_are_checked_by_name(self, shape1, shape2):
+        E = essential_from_pose(RelativePose(np.eye(3), [1.0, 0, 0]))
+        want = re.escape(f"x1n and x2n must both be (N, 3) with the same N, got {shape1} and {shape2}")
+        with pytest.raises(ValueError, match=want):
+            decompose_essential(E, np.ones(shape1), np.ones(shape2))
+
+    def test_pose_equals_dlt_vote_on_contaminated_matches(self, rng, monkeypatch):
+        # RANSAC's consensus set keeps a few outliers near their epipolar
+        # lines; the pose stays byte-equal under the reference vote
+        cam1, cam2, _ = random_camera_pair(rng)
+        X = visible_points(rng, cam1, cam2, 80)
+        pts1 = project_points(cam1, X)[0] + rng.normal(0.0, 0.5, (80, 2))
+        pts2 = project_points(cam2, X)[0] + rng.normal(0.0, 0.5, (80, 2))
+        pts2[:20] = rng.uniform(0.0, 480.0, (20, 2))
+        cfg = RansacConfig(iterations=200, inlier_threshold=1e-3, seed=7)
+        est, res = estimate_relative_pose(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+        assert res.inlier_mask[:20].any()
+        monkeypatch.setattr(geometry, "_cheirality_votes", dlt_votes)
+        ref, _ = estimate_relative_pose(pts1, pts2, cam1.intrinsics, cam2.intrinsics, cfg)
+        assert est.R.tobytes() == ref.R.tobytes() and est.t.tobytes() == ref.t.tobytes()
 
     def test_essential_invariants(self, rng):
         pose = random_camera_pair(rng)[2]

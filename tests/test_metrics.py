@@ -210,6 +210,68 @@ class TestEvaluate:
         table = report.to_table()
         assert "44.4" in table and "AUC@20" in table
 
+    def test_rotation_and_translation_aucs_in_json_and_table(self):
+        import json
+
+        report = EvalReport(1.0, 2.0, 3.0, 44.4, 1.5, 2.5, 10, 2, 33.0,
+                            rot_auc5=61.5, rot_auc10=72.5, rot_auc20=83.5,
+                            trans_auc5=4.5, trans_auc10=5.5, trans_auc20=6.5)
+        parsed = json.loads(report.to_json())
+        assert [parsed[f"rot_auc{T}"] for T in (5, 10, 20)] == [61.5, 72.5, 83.5]
+        assert [parsed[f"trans_auc{T}"] for T in (5, 10, 20)] == [4.5, 5.5, 6.5]
+        lines = report.to_table().splitlines()
+        assert lines[2].split() == ["rotation", "61.5", "72.5", "83.5"]
+        assert lines[3].split() == ["translation", "4.5", "5.5", "6.5"]
+
+    def test_rotation_only_auc_ignores_a_wrong_translation(self, monkeypatch):
+        # the estimator returns the GT rotation with t turned by 30 degrees,
+        # and fails on the third pair: that pair is inf in every AUC
+        from epimatch import metrics
+        from epimatch.synth import make_domain, sample_pair
+
+        pairs = [sample_pair(make_domain("B", seed=3), i) for i in range(3)]
+        x = np.random.default_rng(0).uniform(8.0, 56.0, (10, 2))
+        pred = SimpleNamespace(fine_x1=x, fine_x2=x + 1.0)
+        monkeypatch.setattr(metrics, "forward", lambda *args, **kwargs: (pred, None))
+        calls = iter(pairs)
+
+        def estimate(*args, **kwargs):
+            pose = next(calls).pose
+            if pose is pairs[2].pose:
+                raise errors.NoValidHypothesis("injected")
+            turn = rotation_from_axis_angle(np.cross(pose.t, [0.0, 0.0, 1.0]), np.radians(30.0))
+            return RelativePose(pose.R, turn @ pose.t), None
+
+        monkeypatch.setattr(metrics, "estimate_relative_pose", estimate)
+        report = evaluate(init_params(MCFG, seed=0), pairs, RansacConfig(seed=0), MCFG)
+        assert report.n_failed == 1
+        assert np.allclose([report.rot_auc5, report.rot_auc10, report.rot_auc20], 200.0 / 3.0)
+        assert report.trans_auc5 == report.trans_auc10 == report.trans_auc20 == 0.0
+        assert report.auc20 == report.trans_auc20
+        assert report.median_rot_deg < 1e-6 and abs(report.median_trans_deg - 30.0) < 1e-6
+
+    @pytest.mark.parametrize("exc", [errors.AmbiguousCheirality, errors.DegenerateConfiguration])
+    def test_cheirality_failures_are_failed_pairs(self, monkeypatch, exc):
+        # RANSAC returns the true F; the vote then sees only points at
+        # infinity (a tie at 0 votes) or no inliers, and the pair fails
+        from epimatch import estimation, metrics
+        from epimatch.estimation import RansacResult
+        from epimatch.synth import make_domain, sample_pair
+
+        from conftest import infinite_matches
+
+        pair = sample_pair(make_domain("B", seed=3), 0)
+        x1 = np.random.default_rng(0).uniform(8.0, 56.0, (20, 2))
+        pred = SimpleNamespace(fine_x1=x1, fine_x2=infinite_matches(x1, pair.K, pair.K, pair.pose.R))
+        monkeypatch.setattr(metrics, "forward", lambda *args, **kwargs: (pred, None))
+        F = fundamental_from_pose(pair.K, pair.K, pair.pose)
+        mask = np.full(20, exc is errors.AmbiguousCheirality)
+        monkeypatch.setattr(estimation, "ransac_fundamental", lambda *args: RansacResult(F, mask, 1))
+        with pytest.raises(exc):
+            estimation.estimate_relative_pose(pred.fine_x1, pred.fine_x2, pair.K, pair.K, RansacConfig())
+        report = evaluate(init_params(MCFG, seed=0), [pair], RansacConfig(seed=0), MCFG)
+        assert report.n_failed == 1 and report.auc20 == report.rot_auc20 == report.trans_auc20 == 0.0
+
     def test_non_finite_medians_are_null_in_json_and_inf_in_table(self):
         import json
 
