@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .geometry import canonicalize
@@ -10,6 +12,13 @@ from .matcher import MatcherConfig, backward, forward, init_params
 
 D_EPI_BOUND = 1e-5
 MATCHER_BOUND = 1e-4
+
+# the suite's matcher on its 32x32 instance, and the same with 8 px fine
+# patches at stride 1 and 11 x 11 correlation windows; every pinned match
+# is refined under both
+SUITE_CFG = MatcherConfig(patch_width=8, fine_patch=4, fine_stride=2, d=8, d_fine=6,
+                          window_radius=2, match_threshold=0.2)
+WIDE_FINE_CFG = replace(SUITE_CFG, fine_patch=8, fine_stride=1, window_radius=5)
 
 
 def d_epi_suite(seed=0, instances=1000, h=1e-6, min_resid=1e-2):
@@ -32,10 +41,9 @@ def d_epi_suite(seed=0, instances=1000, h=1e-6, min_resid=1e-2):
     return float(rel.max())
 
 
-def matcher_suite(seed=0, h=1e-5):
-    """Full-Jacobian check of the matcher backward on a 4x4-cell instance."""
-    cfg = MatcherConfig(patch_width=8, fine_patch=4, fine_stride=2, d=8, d_fine=6,
-                        window_radius=2, match_threshold=0.2)
+def matcher_suite(seed=0, h=1e-5, cfg=SUITE_CFG):
+    """Full-Jacobian check of the matcher backward on a 4x4-cell instance
+    under cfg, with four pinned coarse matches that are all refined."""
     rng = np.random.default_rng(seed)
     img1 = rng.uniform(0, 1, (32, 32))
     img2 = rng.uniform(0, 1, (32, 32))
@@ -45,16 +53,14 @@ def matcher_suite(seed=0, h=1e-5):
     g = rng.normal(size=(4, 2))
 
     pred, cache = forward(img1, img2, params, cfg, coarse_override=pins)
-    M = pred.fine_x2.shape[0]
+    if pred.dropped:
+        raise ValueError(f"{pred.dropped} pinned matches leave the fine grid under {cfg}")
     every = np.divmod(np.arange(G.size), G.shape[1])
-    grads = backward(cache, dC=(*every, G.ravel()), dfine=g[:M])
+    grads = backward(cache, dC=(*every, G.ravel()), dfine=g)
 
     def loss_with(p):
         pr, _ = forward(img1, img2, p, cfg, coarse_override=pins)
-        value = float(np.sum(G * pr.C))
-        if pr.fine_x2.shape[0]:
-            value += float(np.sum(g[: pr.fine_x2.shape[0]] * pr.fine_x2))
-        return value
+        return float(np.sum(G * pr.C)) + float(np.sum(g * pr.fine_x2))
 
     worst = 0.0
     for arr, garr in ((params.W_coarse, grads.W_coarse), (params.W_fine, grads.W_fine)):
@@ -85,14 +91,13 @@ def matcher_suite(seed=0, h=1e-5):
 
 
 def run_gradcheck(seed=0, d_epi_instances=1000, matcher_seeds=20):
-    """Both suites; returns a report with per-component worst errors."""
+    """Both suites, the matcher's at SUITE_CFG and WIDE_FINE_CFG; returns a
+    report with per-component worst errors."""
     e1 = d_epi_suite(seed=seed, instances=d_epi_instances)
-    e2 = 0.0
-    for s in range(matcher_seeds):
-        e2 = max(e2, matcher_suite(seed=seed + s))
-    components = [
-        ("epipolar-distance gradient", e1, D_EPI_BOUND),
-        ("matcher backward jacobian", e2, MATCHER_BOUND),
-    ]
+    components = [("epipolar-distance gradient", e1, D_EPI_BOUND)]
+    for name, cfg in (("matcher backward jacobian", SUITE_CFG),
+                      ("matcher backward jacobian, 8/1/5 fine stage", WIDE_FINE_CFG)):
+        err = max((matcher_suite(seed=seed + s, cfg=cfg) for s in range(matcher_seeds)), default=0.0)
+        components.append((name, err, MATCHER_BOUND))
     passed = all(err < bound for _, err, bound in components)
     return {"components": components, "passed": passed}

@@ -4,11 +4,15 @@ Coarse stage: raw w x w intensity patches (mean-subtracted, unit-norm) are
 linearly embedded, re-normalized and compared by dual-softmax over scaled
 inner products. Fine stage: around each coarse match, a correlation heatmap
 between fine-patch embeddings feeds a soft-argmax that yields a subpixel
-match. Both stages backpropagate exactly into the two embedding matrices and
-their own softmax temperatures. `MatcherParams` is the one parameter-shaped
-type: the weights, `backward`'s gradients and `sgd_step`'s momentum velocity
-are all `MatcherParams`. A checkpoint holds the weights and the
-`MatcherConfig` they were trained under.
+match. The fine stage embeds raw windows x through W_fine with its columns
+centred, W_c = W_fine - W_fine.mean(axis=0): x W_c is the mean-subtracted
+window times W_fine, and the row normalization that follows cancels the
+window's scale, so no normalized copy of the windows is made. Both stages
+backpropagate exactly into the two embedding matrices and their own softmax
+temperatures. `MatcherParams` is the one parameter-shaped type: the weights,
+`backward`'s gradients and `sgd_step`'s momentum velocity are all
+`MatcherParams`. A checkpoint holds the weights and the `MatcherConfig` they
+were trained under.
 
 A coarse match is refined only when `fine_in_bounds` holds for it, the one
 drop rule; `forward` and the training step apply it, and `refine_fine`
@@ -97,8 +101,9 @@ def init_params(cfg: MatcherConfig, seed=0) -> MatcherParams:
 @dataclass
 class ImageFeatures:
     """Coarse descriptors of one image and its fine windows: a read-only
-    strided view of the image (no copy). refine_fine gathers and normalizes,
-    per call, only the window patches its matches read."""
+    strided view of the image (no copy). refine_fine gathers, per call, only
+    the raw windows its matches read and embeds them through the centred
+    W_fine."""
 
     coarse: np.ndarray  # (m, d_in)
     grid: GridSpec
@@ -109,7 +114,7 @@ def _patch_rows(stack):
     """Mean-subtract and unit-normalize flattened (N, k) patches; flat
     patches come out as zero rows."""
     x = stack - stack.mean(axis=1, keepdims=True)
-    n = np.linalg.norm(x, axis=1)
+    n = np.sqrt(np.einsum("ij,ij->i", x, x))
     flat = n < _NORM_EPS
     x /= np.where(flat, 1.0, n)[:, None]
     x[flat] = 0.0
@@ -138,7 +143,7 @@ def _embed_normalized(X, W):
     Rows whose norm is not above _NORM_EPS (zero or NaN) come out as zeros.
     """
     D = X @ W
-    n = np.linalg.norm(D, axis=1)
+    n = np.sqrt(np.einsum("ij,ij->i", D, D))
     good = n > _NORM_EPS
     D /= np.where(good, n, 1.0)[:, None]
     D[~good] = 0.0
@@ -161,12 +166,11 @@ def confidence_matrix(feats1: ImageFeatures, feats2: ImageFeatures, params: Matc
     """
     D1, n1 = _embed_normalized(feats1.coarse, params.W_coarse)
     D2, n2 = _embed_normalized(feats2.coarse, params.W_coarse)
-    S = D1 @ D2.T
-    S /= params.tau_coarse
+    S = (D1 / params.tau_coarse) @ D2.T
     RS = _softmax(S, axis=1)
     CS = _softmax(S, axis=0)
     C = RS * CS
-    cache = dict(D1=D1, D2=D2, n1=n1, n2=n2, S=S, RS=RS, CS=CS,
+    cache = dict(D1=D1, D2=D2, n1=n1, n2=n2, RS=RS, CS=CS,
                  X1=feats1.coarse, X2=feats2.coarse)
     return C, cache
 
@@ -210,9 +214,12 @@ def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherPar
     matches for which fine_in_bounds holds.
 
     Returns (x1s, x2s, cache) where x1s are coarse cell centres in image 1
-    and x2s the refined subpixel matches in image 2. Only the patches the
-    matches read are normalized, per call: image 1's centre patch and image
-    2's (2r+1)^2 window patches of each match.
+    and x2s the refined subpixel matches in image 2. Only the raw windows the
+    matches read are gathered, per call: image 1's centre window and image
+    2's (2r+1)^2 correlation windows of each match. They are embedded through
+    the column-centred W_fine, which equals embedding each window
+    mean-subtracted and unit-normalized; a constant window embeds to a zero
+    row.
     """
     r = cfg.window_radius
     fp, s = cfg.fine_patch, cfg.fine_stride
@@ -225,10 +232,11 @@ def refine_fine(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherPar
     dp, dq = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
     pw = p2[:, None] + dp.ravel()  # (M, Kw) window cells in image 2
     qw = q2[:, None] + dq.ravel()
-    Xf1 = _patch_rows(feats1.fine_windows[p1, q1].reshape(M, -1))
-    Xf2 = _patch_rows(feats2.fine_windows[pw, qw].reshape(pw.size, -1))  # (M * Kw, d_in_f)
-    e1, nf1 = _embed_normalized(Xf1, params.W_fine)
-    E2w, n2w = _embed_normalized(Xf2, params.W_fine)
+    Xf1 = feats1.fine_windows[p1, q1].reshape(M, -1)
+    Xf2 = feats2.fine_windows[pw, qw].reshape(pw.size, -1)  # (M * Kw, d_in_f)
+    Wc = params.W_fine - params.W_fine.mean(axis=0)
+    e1, nf1 = _embed_normalized(Xf1, Wc)
+    E2w, n2w = _embed_normalized(Xf2, Wc)
     corr = np.einsum("mkd,md->mk", E2w.reshape(*pw.shape, -1), e1)
     p = _softmax(corr / params.tau_fine, axis=1)
     coords = np.stack([qw * s + fp // 2, pw * s + fp // 2], axis=-1).astype(float)  # (M, Kw, 2)
@@ -298,7 +306,7 @@ def backward(cache, dC=None, dfine=None) -> MatcherParams:
     if dC is not None and np.any(dC[2]):
         tau = params.tau_coarse
         cc = cache["coarse"]
-        RS, CS, S = cc["RS"], cc["CS"], cc["S"]
+        RS, CS, D1, D2 = cc["RS"], cc["CS"], cc["D1"], cc["D2"]
         rows, cols, g = dC
         rs, cs = RS[rows, cols], CS[rows, cols]
         g_rs = g * cs  # dC * CS and dC * RS at the entries
@@ -308,16 +316,16 @@ def backward(cache, dC=None, dfine=None) -> MatcherParams:
         b = np.bincount(cols, weights=g_cs * cs, minlength=RS.shape[1])
         # off the entries dC is 0, so dS = RS * (-a) + CS * (-b) there
         dS = RS * -a[:, None]
-        tmp = CS * -b
-        dS += tmp
+        dS += CS * -b
         dS[rows, cols] = rs * (g_rs - a[rows]) + cs * (g_cs - b[cols])
-        np.multiply(dS, S, out=tmp)
-        grads.tau_coarse += -float(np.sum(tmp)) / tau
-        dS /= tau
-        dD1 = dS @ cc["D2"]
-        dD2 = dS.T @ cc["D1"]
-        dY1 = _normalize_backward(dD1, cc["D1"], cc["n1"])
-        dY2 = _normalize_backward(dD2, cc["D2"], cc["n2"])
+        # S = D1 D2^T / tau, so sum(dS * S) = sum((dS @ D2) * D1) / tau
+        dD1 = dS @ D2
+        grads.tau_coarse += -float(np.einsum("ij,ij->", dD1, D1)) / (tau * tau)
+        dD1 /= tau
+        dD2 = dS.T @ D1
+        dD2 /= tau
+        dY1 = _normalize_backward(dD1, D1, cc["n1"])
+        dY2 = _normalize_backward(dD2, D2, cc["n2"])
         grads.W_coarse += cc["X1"].T @ dY1 + cc["X2"].T @ dY2
 
     fc = cache["fine"]
@@ -333,8 +341,12 @@ def backward(cache, dC=None, dfine=None) -> MatcherParams:
         dE2w = (dcorr[:, :, None] * fc["e1"][:, None, :]).reshape(E2w.shape)
         dY1f = _normalize_backward(de1, fc["e1"], fc["nf1"])
         dY2w = _normalize_backward(dE2w, E2w, fc["n2w"])
-        grads.W_fine += fc["Xf1"].T @ dY1f
-        grads.W_fine += fc["Xf2"].T @ dY2w
+        # the forward pass embeds through W_c = P W_fine, P the centring
+        # projection, so the W_fine gradient is P times the W_c gradient
+        G = fc["Xf1"].T @ dY1f
+        G += fc["Xf2"].T @ dY2w
+        G -= G.mean(axis=0)
+        grads.W_fine = G
 
     return grads
 

@@ -7,7 +7,7 @@ import pytest
 
 from epimatch import errors, matcher
 from epimatch.errors import write_arrays
-from epimatch.gradcheck import matcher_suite
+from epimatch.gradcheck import WIDE_FINE_CFG, matcher_suite
 from epimatch.losses import (coarse_loss_grad, epipolar_classification_mask, gt_classification_mask,
                              naive_epipolar_mask)
 from epimatch.matcher import (
@@ -42,7 +42,7 @@ def masked_embed_normalized(X, W):
     """Reference row normalization that copies the rows above _NORM_EPS out
     through a boolean mask."""
     Y = X @ W
-    n = np.linalg.norm(Y, axis=1)
+    n = np.sqrt(np.einsum("ij,ij->i", Y, Y))
     D = np.zeros_like(Y)
     good = n > _NORM_EPS
     D[good] = Y[good] / n[good][:, None]
@@ -58,11 +58,11 @@ def masked_normalize_backward(dD, D, n):
 
 
 def fine_table(feats, cfg):
-    """Every stride-s fine patch of an image, normalized, with its centre
-    pixel: (rows, cols, (rows * cols, fp * fp) patches, (rows * cols, 2))."""
+    """Every stride-s raw fine patch of an image with its centre pixel:
+    (rows, cols, (rows * cols, fp * fp) patches, (rows * cols, 2))."""
     fp, s = cfg.fine_patch, cfg.fine_stride
     fr, fc = feats.fine_windows.shape[:2]
-    fine = _patch_rows(feats.fine_windows.reshape(fr * fc, fp * fp).copy())
+    fine = feats.fine_windows.reshape(fr * fc, fp * fp)
     uu, vv = np.meshgrid(np.arange(fc) * s + fp // 2, np.arange(fr) * s + fp // 2)
     centers = np.column_stack([uu.ravel(), vv.ravel()]).astype(float)
     return fr, fc, fine, centers
@@ -71,7 +71,8 @@ def fine_table(feats, cfg):
 def refine_fine_loop(feats1, feats2, params, cfg, i_idx, j_idx, conf):
     """Per-match reference for refine_fine over each image's full fine table:
     the fine cell under each coarse centre by scalar rounding, one window
-    meshgrid per match."""
+    meshgrid per match, raw windows embedded through the column-centred
+    W_fine."""
     fp, s, r = cfg.fine_patch, cfg.fine_stride, cfg.window_radius
     fr1, fc1, fine1, _ = fine_table(feats1, cfg)
     fr2, fc2, fine2, centers2 = fine_table(feats2, cfg)
@@ -102,8 +103,9 @@ def refine_fine_loop(feats1, feats2, params, cfg, i_idx, j_idx, conf):
     if not kept:
         return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), dict(M=0), dropped
     kept, widx, cidx = np.array(kept, int), np.array(widx, int), np.array(cidx, int)
-    e1, _ = masked_embed_normalized(fine1[cidx], params.W_fine)
-    E2w, _ = masked_embed_normalized(fine2[widx].reshape(widx.size, -1), params.W_fine)
+    Wc = params.W_fine - params.W_fine.mean(axis=0)
+    e1, _ = masked_embed_normalized(fine1[cidx], Wc)
+    E2w, _ = masked_embed_normalized(fine2[widx].reshape(widx.size, -1), Wc)
     corr = np.einsum("mkd,md->mk", E2w.reshape(*widx.shape, -1), e1)
     p = _softmax(corr / params.tau_fine, axis=1)
     x2s = np.einsum("mk,mkc->mc", p, centers2[widx])
@@ -251,24 +253,21 @@ class TestRefineFine:
         assert pred.dropped == want[4] and 0 < pred.dropped < i_idx.size
 
     @pytest.mark.parametrize("cfg", [SMALL, WIDE])
-    def test_normalizes_only_the_patches_the_matches_read(self, rng, cfg, monkeypatch):
-        # one centre patch per match in image 1 and (2r + 1)^2 window patches
-        # per match in image 2, not image 2's whole fine grid
+    def test_gathers_only_the_rows_the_matches_read(self, rng, cfg, monkeypatch):
+        # one centre window per match in image 1 and (2r + 1)^2 windows per
+        # match in image 2, not image 2's whole fine grid, and no normalized
+        # copy of any of them
         img1, img2 = random_image(rng, 64, 64), random_image(rng, 64, 64)
         f1, f2 = extract_features(img1, cfg), extract_features(img2, cfg)
         i_idx = np.flatnonzero(fine_in_bounds(f1, f2, cfg, np.arange(f1.grid.m), np.arange(f2.grid.m)))
         M = i_idx.size
         assert M > 1
-        rows = []
-        original = matcher._patch_rows
-
-        def spy(stack):
-            rows.append(len(stack))
-            return original(stack)
-
-        monkeypatch.setattr(matcher, "_patch_rows", spy)
-        refine_fine(f1, f2, init_params(cfg, seed=3), cfg, i_idx, i_idx)
-        assert sum(rows) == M + M * (2 * cfg.window_radius + 1) ** 2
+        calls = []
+        monkeypatch.setattr(matcher, "_patch_rows", lambda stack: calls.append(len(stack)))
+        _, _, cache = refine_fine(f1, f2, init_params(cfg, seed=3), cfg, i_idx, i_idx)
+        assert not calls
+        assert cache["Xf1"].shape == (M, cfg.d_in_fine)
+        assert cache["Xf2"].shape == (M * (2 * cfg.window_radius + 1) ** 2, cfg.d_in_fine)
 
     @pytest.mark.parametrize("cfg", [SMALL, ODD])
     def test_empty_and_all_dropped(self, rng, cfg):
@@ -381,6 +380,38 @@ class TestRowNormalization:
         assert_same_bytes(dY, masked_normalize_backward(dD, D, n))
 
 
+class TestFoldedFineEmbedding:
+    """refine_fine embeds raw windows through W_c = W - W.mean(axis=0), which
+    equals embedding the mean-subtracted, unit-norm windows through W."""
+
+    @staticmethod
+    def both_forms(X, W):
+        folded, _ = _embed_normalized(X, W - W.mean(axis=0))
+        reference, _ = _embed_normalized(_patch_rows(X), W)
+        return folded, reference
+
+    @pytest.mark.parametrize("cfg", [SMALL, ODD, WIDE])
+    def test_random_windows(self, rng, cfg):
+        X = rng.uniform(0.0, 1.0, (200, cfg.d_in_fine))
+        folded, reference = self.both_forms(X, init_params(cfg, seed=5).W_fine)
+        assert np.max(np.abs(folded - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("cfg", [SMALL, ODD, WIDE])
+    def test_near_flat_windows(self, rng, cfg):
+        # both forms lose about 9 of their 16 digits to cancellation here
+        X = 0.5 + 1e-9 * rng.uniform(0.0, 1.0, (200, cfg.d_in_fine))
+        folded, reference = self.both_forms(X, init_params(cfg, seed=5).W_fine)
+        assert np.isfinite(folded).all()
+        assert np.allclose(np.linalg.norm(folded, axis=1), 1.0)
+        assert np.max(np.abs(folded - reference)) <= 1e-5
+
+    @pytest.mark.parametrize("cfg", [SMALL, ODD, WIDE])
+    def test_constant_windows_give_zero_rows(self, cfg):
+        X = np.repeat([0.0, 0.3, 0.5, 1.0], cfg.d_in_fine).reshape(4, -1)
+        folded, reference = self.both_forms(X, init_params(cfg, seed=5).W_fine)
+        assert np.all(folded == 0.0) and np.all(reference == 0.0)
+
+
 class TestForward:
     def test_deterministic(self, rng):
         img1, img2 = random_image(rng), random_image(rng)
@@ -425,21 +456,30 @@ def every_entry(G):
     return rows, cols, G.ravel()
 
 
-def dense_coarse_backward(cache, dC):
-    """Reference coarse backward over a dense (m1, m2) upstream gradient dC:
-    the full dual-softmax Jacobian-vector product, every sum over whole rows
-    and columns. Returns (dW_coarse, dtau_coarse)."""
-    tau = cache["params"].tau_coarse
+def dense_dS(cache, dC):
+    """The gradient on the scaled similarities S = D1 D2^T / tau_coarse under
+    a dense (m1, m2) upstream gradient dC: the full dual-softmax
+    Jacobian-vector product, every sum over whole rows and columns."""
     cc = cache["coarse"]
-    RS, CS, S = cc["RS"], cc["CS"], cc["S"]
+    RS, CS = cc["RS"], cc["CS"]
     G_RS = dC * CS
     G_CS = dC * RS
     dS = RS * (G_RS - np.sum(G_RS * RS, axis=1, keepdims=True))
     dS += CS * (G_CS - np.sum(G_CS * CS, axis=0, keepdims=True))
-    dtau = -float(np.sum(dS * S)) / tau
-    dA = dS / tau
-    dY1 = masked_normalize_backward(dA @ cc["D2"], cc["D1"], cc["n1"])
-    dY2 = masked_normalize_backward(dA.T @ cc["D1"], cc["D2"], cc["n2"])
+    return dS
+
+
+def dense_coarse_backward(cache, dC):
+    """Reference coarse backward over a dense (m1, m2) upstream gradient dC,
+    with tau_coarse's gradient from the (m, d) products:
+    sum(dS * S) = sum((dS @ D2) * D1) / tau. Returns (dW_coarse, dtau_coarse)."""
+    tau = cache["params"].tau_coarse
+    cc = cache["coarse"]
+    dS = dense_dS(cache, dC)
+    dD1 = dS @ cc["D2"]
+    dtau = -float(np.einsum("ij,ij->", dD1, cc["D1"])) / (tau * tau)
+    dY1 = masked_normalize_backward(dD1 / tau, cc["D1"], cc["n1"])
+    dY2 = masked_normalize_backward(dS.T @ cc["D1"] / tau, cc["D2"], cc["n2"])
     return cc["X1"].T @ dY1 + cc["X2"].T @ dY2, dtau
 
 
@@ -447,6 +487,11 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_full_jacobian_finite_differences(self, seed):
         assert matcher_suite(seed) < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_jacobian_at_wide_fine_settings(self, seed):
+        assert (WIDE_FINE_CFG.fine_patch, WIDE_FINE_CFG.fine_stride, WIDE_FINE_CFG.window_radius) == (8, 1, 5)
+        assert matcher_suite(seed, cfg=WIDE_FINE_CFG) < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         img1, img2 = random_image(rng), random_image(rng)
@@ -489,7 +534,7 @@ class TestSparseCoarseBackward:
 
     @staticmethod
     def compare(cache, rows, cols, g):
-        dense = np.zeros_like(cache["coarse"]["S"])
+        dense = np.zeros_like(cache["coarse"]["RS"])
         dense[rows, cols] = g
         grads = backward(cache, dC=(rows, cols, g))
         return (grads.W_coarse, grads.tau_coarse), dense_coarse_backward(cache, dense)
@@ -516,6 +561,18 @@ class TestSparseCoarseBackward:
             (dW, dtau), (ref_dW, ref_dtau) = self.compare(cache, rows, cols, g)
             assert np.max(np.abs(dW - ref_dW)) <= 1e-12 * np.max(np.abs(ref_dW))
             assert dtau == pytest.approx(ref_dtau, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tau_gradient_equals_dense_similarity_sum(self, seed):
+        # backward never forms S; its tau_coarse gradient equals the dense
+        # -sum(dS * S) / tau over the (m1, m2) similarities
+        rng, C, cache = self.coarse_cache(seed)
+        cc, tau = cache["coarse"], cache["params"].tau_coarse
+        G = rng.normal(size=C.shape)
+        S = cc["D1"] @ cc["D2"].T / tau
+        want = -float(np.sum(dense_dS(cache, G) * S)) / tau
+        got = backward(cache, dC=every_entry(G)).tau_coarse
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestSgdStep:
