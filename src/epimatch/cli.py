@@ -45,6 +45,7 @@ from .pipeline import (
     TrainConfig,
     bootstrap_finetune,
     finetune_pose_supervised,
+    pose_fundamentals,
     pretrain,
     pretrain_config,
     write_run_outputs,
@@ -153,12 +154,12 @@ def cmd_pairs(args):
     return 0
 
 
-def _train_config(args, for_pretrain=False):
+def _train_config(args, for_pretrain=False, naive_mask=False):
     return (pretrain_config if for_pretrain else TrainConfig)(
         lr=args.lr, weight_decay=args.weight_decay, batch_size=args.batch_size,
         epochs=args.epochs, seed=args.seed,
         loss=LossConfig(lam=args.lam, theta=args.theta,
-                        fine_supervision_fraction=args.fine_fraction))
+                        fine_supervision_fraction=args.fine_fraction, naive_mask=naive_mask))
 
 
 def cmd_pretrain(args):
@@ -177,11 +178,11 @@ def _load_replay(args):
 
 def cmd_finetune(args):
     dataset = load_dataset(args.data)
-    cfg = _train_config(args)
+    cfg = _train_config(args, naive_mask=args.naive_mask)
     params0, mcfg = load_checkpoint(args.checkpoint)
-    params, history = finetune_pose_supervised(
-        dataset, params0, cfg, mcfg, noise_deg=args.pose_noise_deg,
-        replay_pairs=_load_replay(args), naive_mask=args.naive_mask)
+    fundamentals = pose_fundamentals(dataset, args.pose_noise_deg, cfg.seed)
+    params, history = finetune_pose_supervised(dataset, params0, cfg, mcfg, fundamentals=fundamentals,
+                                               replay_pairs=_load_replay(args))
     write_run_outputs(args.out, params, mcfg, history)
     print(f"finetuned for {cfg.epochs} epochs; run directory: {args.out}")
     return 0

@@ -27,6 +27,7 @@ class LossConfig:
     lam: float = 0.5  # fine-term weight in the total loss
     theta: float = float(np.sqrt(2.0))  # line thickness factor
     fine_supervision_fraction: float = 0.3
+    naive_mask: bool = False  # ablation: every on-line cell is a positive, not the row's argmax
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:

@@ -41,7 +41,7 @@ from .matcher import (
     select_coarse,
     sgd_step,
 )
-from .synth import RenderedPair, gt_correspondence_grid
+from .synth import gt_correspondence_grid
 
 
 @dataclass
@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("lr, batch_size and epochs must be positive, lr finite")
         if not (0 <= self.weight_decay < np.inf and 0 <= self.momentum < 1):
             raise ValueError("weight_decay must be finite and non-negative, momentum in [0, 1)")
+        if not (0 <= self.tau_coarse_lr_scale < np.inf and 0 <= self.tau_fine_lr_scale < np.inf):
+            raise ValueError("tau_coarse_lr_scale and tau_fine_lr_scale must be finite and non-negative")
 
 
 # pretraining wants a larger step and learns only the coarse temperature:
@@ -118,21 +120,36 @@ def perturb_pose(pose: RelativePose, noise_deg, rng) -> RelativePose:
     return RelativePose(R_delta @ pose.R, t)
 
 
-def _grid_of(pair: RenderedPair, mcfg: MatcherConfig) -> GridSpec:
-    return GridSpec.for_image(*pair.image1.shape, mcfg.patch_width)
+def pose_fundamentals(dataset, noise_deg, seed):
+    """Per-pair F from each pair's pose, turned by perturb_pose(noise_deg)
+    on the [seed, 101, i] stream; None where the baseline is degenerate. A
+    NaN or negative angle raises ValueError."""
+    fs = []
+    for i, pair in enumerate(dataset):
+        try:
+            pose = perturb_pose(pair.pose, noise_deg, np.random.default_rng([seed, 101, i]))
+            fs.append(fundamental_from_pose(pair.K, pair.K, pose))
+        except DegenerateBaseline:
+            fs.append(None)
+    return fs
 
 
-def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
+def _gt_grids(pairs, mcfg: MatcherConfig):
+    return [gt_correspondence_grid(p, GridSpec.for_image(*p.image1.shape, mcfg.patch_width)) for p in pairs]
+
+
+def _pair_grads(pair, target, params, mcfg, loss_cfg, rng_key):
     """Losses and gradients of one training pair; None when the classification
     mask has no positive (the caller counts the pair as skipped).
 
     target is either a (targets, points) ground-truth grid tuple
     (teacher-forced coarse matches, one-hot mask, distance to the GT point)
-    or a (3, 3) F array (epipolar supervision: line-set mask, mutual-argmax
-    coarse matches, distance to the epipolar line). The fine loss supervises a
-    random fraction of the M coarse matches that pass fine_in_bounds, drawn
-    from rng_key; only those rows are refined and back-propagated, so the
-    coarse stage runs here rather than through `forward`.
+    or a (3, 3) F array (epipolar supervision: the line-set mask that
+    loss_cfg.naive_mask picks, mutual-argmax coarse matches, distance to the
+    epipolar line). The fine loss supervises a random fraction of the M
+    coarse matches that pass fine_in_bounds, drawn from rng_key; only those
+    rows are refined and back-propagated, so the coarse stage runs here
+    rather than through `forward`.
 
     Returns (grads, loss, coarse loss, fine loss, dropped), where dropped
     counts the coarse matches that fail fine_in_bounds.
@@ -143,13 +160,12 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
     C, ccache = confidence_matrix(f1, f2, params)
     if epipolar:
         sets = epipolar_line_set(target, f1.grid, f2.grid, loss_cfg.theta)
-        mask = naive_epipolar_mask(sets) if naive_mask else epipolar_classification_mask(C, sets)
+        mask = naive_epipolar_mask(sets) if loss_cfg.naive_mask else epipolar_classification_mask(C, sets)
         i_idx, j_idx, _ = select_coarse(C, mcfg.match_threshold)
     else:
         targets, points = target
         mask = gt_classification_mask(targets)
-        i_idx = np.flatnonzero(targets >= 0)
-        j_idx = targets[i_idx]
+        i_idx, j_idx = mask.rows, mask.cols
     if not mask.values.any():
         return None
     rows = np.flatnonzero(fine_in_bounds(f1, f2, mcfg, i_idx, j_idx))
@@ -172,10 +188,10 @@ def _pair_grads(pair, target, params, mcfg, loss_cfg, naive_mask, rng_key):
     return grads, (1.0 - lam) * lc + lam * lf, lc, lf, len(i_idx) - M
 
 
-def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherConfig,
-           naive_mask=False, replay=None):
+def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherConfig, replay=None):
     """The epoch loop of every regime: targets[k] supervises pairs[k], and a
-    None target skips the pair. No pairs at all raise EmptyInput.
+    None target skips the pair. No pairs raise EmptyInput, and targets (or
+    replay gts) that do not pair up one to one raise ValueError.
 
     replay: optional (pairs, gts) source set; each batch then adds as many
     source pairs, drawn without replacement, as it has target pairs. Each
@@ -188,6 +204,8 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
     """
     if not len(pairs):
         raise EmptyInput("no training pairs")
+    if len(targets) != len(pairs) or (replay is not None and len(replay[1]) != len(replay[0])):
+        raise ValueError("every pair, replay pairs included, needs exactly one target")
     skipped = sum(1 for t in targets if t is None)
     params = params0.copy()
     velocity = params.zeros_like()
@@ -208,7 +226,7 @@ def _train(pairs, targets, params0: MatcherParams, cfg: TrainConfig, mcfg: Match
             for i, (pair, target, k, rng_key) in enumerate(steps):
                 if target is None:
                     continue
-                out = _pair_grads(pair, target, params, mcfg, cfg.loss, naive_mask, rng_key)
+                out = _pair_grads(pair, target, params, mcfg, cfg.loss, rng_key)
                 if out is None:
                     empty += 1
                     continue
@@ -241,36 +259,21 @@ def pretrain(dataset_a, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherC
 
     Returns (params, history) where history rows carry per-epoch mean losses.
     """
-    if gts is None:
-        gts = [gt_correspondence_grid(p, _grid_of(p, mcfg)) for p in dataset_a]
-    return _train(dataset_a, gts, params0, cfg, mcfg)
+    return _train(dataset_a, _gt_grids(dataset_a, mcfg) if gts is None else gts, params0, cfg, mcfg)
 
 
 def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig, mcfg: MatcherConfig,
-                             noise_deg=0.0, replay_pairs=None, replay_gts=None, f_override=None,
-                             naive_mask=False):
-    """Epipolar finetuning with F from poses.
-
-    noise_deg: the angle perturb_pose turns each pose by before F is formed;
-    a NaN or negative angle raises ValueError before any training step.
-    f_override: optional per-pair list of (3, 3) F arrays (or None to skip
-    the pair) replacing the pose-derived F; used by the bootstrap regime.
-    With non-empty replay_pairs, each batch adds an equal count of source
-    pairs trained with the original supervised losses; a replay set smaller
-    than one batch raises NotEnoughReplayPairs.
+                             fundamentals=None, replay_pairs=None, replay_gts=None):
+    """Epipolar finetuning: fundamentals[k], a (3, 3) F or None to skip the
+    pair, supervises dataset_b[k]. None takes each pair's exact pose F
+    (pose_fundamentals at zero noise); noisy poses and bootstrap estimates
+    come in as lists. With non-empty replay_pairs, each batch adds an equal
+    count of source pairs trained with the original supervised losses; a
+    replay set smaller than one batch raises NotEnoughReplayPairs.
     """
-    if f_override is not None:
-        f_per_pair = list(f_override)
-    else:
-        f_per_pair = []
-        for i, pair in enumerate(dataset_b):
-            noise_rng = np.random.default_rng([cfg.seed, 101, i])
-            try:
-                pose = perturb_pose(pair.pose, noise_deg, noise_rng)
-                f_per_pair.append(fundamental_from_pose(pair.K, pair.K, pose))
-            except DegenerateBaseline:
-                f_per_pair.append(None)
-    if all(f is None for f in f_per_pair):
+    if fundamentals is None:
+        fundamentals = pose_fundamentals(dataset_b, 0.0, cfg.seed)
+    if all(f is None for f in fundamentals):
         raise EmptyDatasetAfterFilter("no pair has a usable fundamental matrix")
 
     replay = None
@@ -280,10 +283,8 @@ def finetune_pose_supervised(dataset_b, params0: MatcherParams, cfg: TrainConfig
             raise NotEnoughReplayPairs(
                 f"each batch replays {draw} source pairs without replacement, "
                 f"but the replay set holds {len(replay_pairs)}")
-        if replay_gts is None:
-            replay_gts = [gt_correspondence_grid(p, _grid_of(p, mcfg)) for p in replay_pairs]
-        replay = (replay_pairs, replay_gts)
-    return _train(dataset_b, f_per_pair, params0, cfg, mcfg, naive_mask=naive_mask, replay=replay)
+        replay = (replay_pairs, _gt_grids(replay_pairs, mcfg) if replay_gts is None else replay_gts)
+    return _train(dataset_b, fundamentals, params0, cfg, mcfg, replay=replay)
 
 
 def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConfig, mcfg: MatcherConfig):
@@ -325,7 +326,7 @@ def bootstrap_finetune(dataset_b, params0: MatcherParams, cfg: TrainConfig, bcfg
         raise EmptyDatasetAfterFilter("bootstrap filter removed every pair")
     params, history = finetune_pose_supervised(
         dataset_b, params0, cfg, mcfg, replay_pairs=replay_pairs,
-        replay_gts=replay_gts, f_override=f_list)
+        replay_gts=replay_gts, fundamentals=f_list)
     return params, history, report
 
 

@@ -240,6 +240,16 @@ class TestTrainCommands:
         assert capsys.readouterr().err.startswith("error[ValueError]: pose noise must be a finite")
         assert not (out / "checkpoint.bin").exists()
 
+    def test_negative_pose_noise_is_refused_before_training(self, workspace, tmp_path, capsys, monkeypatch):
+        calls = TestConfigFile.recorded_finetune(monkeypatch)
+        out = tmp_path / "r"
+        rc = main(["finetune", "--data", str(workspace / "dsA"),
+                   "--checkpoint", str(workspace / "runA" / "checkpoint.bin"),
+                   "--epochs", "1", "--pose-noise-deg=-1", "--out", str(out)])
+        assert rc == 1 and calls == []
+        assert capsys.readouterr().err.startswith("error[ValueError]: pose noise must be a finite")
+        assert not out.exists()
+
     def test_infinite_theta_is_refused(self, workspace, tmp_path, capsys):
         out = tmp_path / "r"
         rc = main(["finetune", "--data", str(workspace / "dsA"),
@@ -567,11 +577,12 @@ class TestConfigFile:
     @staticmethod
     def recorded_finetune(monkeypatch):
         """Patch the finetune command's training call to record its keyword
-        arguments before it runs."""
+        arguments, and the naive_mask of its TrainConfig's loss, before it
+        runs."""
         calls = []
 
         def recording_finetune(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append(dict(kwargs, naive_mask=args[2].loss.naive_mask))
             return cli_finetune(*args, **kwargs)
 
         cli_finetune = cli.finetune_pose_supervised

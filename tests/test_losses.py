@@ -15,7 +15,7 @@ from epimatch.losses import (
     gt_fine_loss_grad,
     naive_epipolar_mask,
 )
-from epimatch.matcher import MatcherConfig, init_params
+from epimatch.matcher import MatcherConfig, confidence_matrix, extract_features, init_params
 from epimatch.pipeline import _pair_grads
 from epimatch.synth import make_domain, sample_pair
 
@@ -374,7 +374,7 @@ class TestTotalLoss:
 
     def _step(self, instance, cfg, F=None):
         pair, F0, params = instance
-        out = _pair_grads(pair, F0 if F is None else F, params, self.MCFG, cfg, False, [0])
+        out = _pair_grads(pair, F0 if F is None else F, params, self.MCFG, cfg, [0])
         assert out is not None
         return out[:4]
 
@@ -401,3 +401,20 @@ class TestTotalLoss:
         _, t1, *_ = self._step(instance, cfg)
         _, t2, *_ = self._step(instance, cfg, -7.0 * instance[1])
         assert t1 == pytest.approx(t2)
+
+    @pytest.mark.parametrize("naive, mask_of", [
+        (True, lambda C, sets: naive_epipolar_mask(sets)),
+        (False, epipolar_classification_mask),
+    ], ids=["naive", "classification"])
+    def test_mask_rule_reaches_the_coarse_loss(self, instance, naive, mask_of):
+        pair, F, params = instance
+        f1, f2 = (extract_features(img, self.MCFG) for img in (pair.image1, pair.image2))
+        C, _ = confidence_matrix(f1, f2, params)
+        sets = epipolar_line_set(F, f1.grid, f2.grid, LossConfig().theta)
+        _, _, lc, _ = self._step(instance, LossConfig(naive_mask=naive))
+        assert lc == coarse_loss_grad(C, mask_of(C, sets))[0]
+
+    def test_naive_rule_changes_the_coarse_loss(self, instance):
+        _, _, naive, _ = self._step(instance, LossConfig(naive_mask=True))
+        _, _, argmax, _ = self._step(instance, LossConfig())
+        assert naive != pytest.approx(argmax)

@@ -26,6 +26,7 @@ from epimatch.pipeline import (
     bootstrap_fundamentals,
     finetune_pose_supervised,
     perturb_pose,
+    pose_fundamentals,
     pretrain,
     pretrain_config,
     write_run_outputs,
@@ -165,7 +166,7 @@ class TestPairGrads:
             target = self.target(pair, kind)
             key = [7, 0, k]
             grads, total, lc, lf, dropped = pipeline._pair_grads(pair, target, warm_params, self.MCFG,
-                                                                 loss_cfg, False, key)
+                                                                 loss_cfg, key)
             ref, ref_total, ref_lc, ref_lf, pred = full_row_pair_grads(pair, target, warm_params, self.MCFG,
                                                                        loss_cfg, key)
             assert len(pred.fine_x2) > 0 and lf > 0.0
@@ -188,7 +189,7 @@ class TestPairGrads:
             valid = np.flatnonzero(targets >= 0)
             pred, _ = forward(pair.image1, pair.image2, warm_params, MCFG, coarse_override=(valid, targets[valid]))
             M = len(pred.fine_x2)
-            pipeline._pair_grads(pair, target, warm_params, MCFG, LossConfig(), False, [k])
+            pipeline._pair_grads(pair, target, warm_params, MCFG, LossConfig(), [k])
             assert rows[-1] == max(1, round(0.3 * M)) < M
 
     def test_no_in_bound_match_refines_nothing(self, tiny_data, warm_params, monkeypatch):
@@ -198,8 +199,7 @@ class TestPairGrads:
         pair = a[0]
         target = self.target(pair, "gt")
         rows = self.spy_refine_fine(monkeypatch)
-        grads, total, lc, lf, dropped = pipeline._pair_grads(pair, target, warm_params, mcfg, LossConfig(),
-                                                             False, [0])
+        grads, total, lc, lf, dropped = pipeline._pair_grads(pair, target, warm_params, mcfg, LossConfig(), [0])
         ref, ref_total, ref_lc, _, pred = full_row_pair_grads(pair, target, warm_params, mcfg, LossConfig(), [0])
         assert rows == [] and lf == 0.0
         assert dropped == pred.dropped == np.count_nonzero(target[0] >= 0) > 0
@@ -248,9 +248,11 @@ class TestConfigRangeChecks:
         lambda x: perturb_pose(RelativePose(np.eye(3), np.ones(3)), x, np.random.default_rng(0)),
         lambda x: TrainConfig(lr=x),
         lambda x: TrainConfig(weight_decay=x),
+        lambda x: TrainConfig(tau_coarse_lr_scale=x),
+        lambda x: TrainConfig(tau_fine_lr_scale=x),
         lambda x: RansacConfig(inlier_threshold=x),
     ], ids=["theta", "rotation_noise", "translation_noise", "lr", "weight_decay",
-            "inlier_threshold"])
+            "tau_coarse_lr_scale", "tau_fine_lr_scale", "inlier_threshold"])
     def test_nan_and_out_of_range_values_are_refused(self, make):
         for bad in (float("nan"), -1.0, float("inf")):
             with pytest.raises(ValueError):
@@ -267,6 +269,14 @@ class TestConfigRangeChecks:
     def test_infinite_step_setting_is_refused(self, field):
         with pytest.raises(ValueError):
             TrainConfig(**{field: float("inf")})
+
+    def test_frozen_temperature_is_allowed(self):
+        # a NaN scale would surface mid-run as NonFiniteGradient and a
+        # negative one would move tau up its gradient; zero freezes tau
+        with pytest.raises(ValueError, match="tau_coarse_lr_scale"):
+            TrainConfig(tau_coarse_lr_scale=float("nan"), tau_fine_lr_scale=-3.0)
+        assert pretrain_config().tau_fine_lr_scale == 0.0
+        TrainConfig(tau_coarse_lr_scale=0.0, tau_fine_lr_scale=0.0)
 
     def test_momentum_outside_the_unit_interval_is_refused(self):
         for bad in (float("nan"), -0.1, 1.0):
@@ -289,15 +299,82 @@ class TestConfigRangeChecks:
             BootstrapConfig(**kwargs)
 
 
+class TestPoseFundamentals:
+    NOISE = 5.0
+
+    def test_entries_are_perturbed_pose_fs(self, tiny_data):
+        _, b = tiny_data
+        for i, F in enumerate(pose_fundamentals(b, self.NOISE, 9)):
+            pose = perturb_pose(b[i].pose, self.NOISE, np.random.default_rng([9, 101, i]))
+            assert F.tobytes() == fundamental_from_pose(b[i].K, b[i].K, pose).tobytes()
+
+    def test_a_prefix_gets_the_same_fs(self, tiny_data):
+        _, b = tiny_data
+        prefix, full = pose_fundamentals(b[:2], self.NOISE, 9), pose_fundamentals(b, self.NOISE, 9)
+        assert [F.tobytes() for F in prefix] == [F.tobytes() for F in full[:2]]
+
+    def test_pure_rotation_gives_none(self, tiny_data):
+        _, b = tiny_data
+        rotation = SimpleNamespace(pose=RelativePose(b[0].pose.R, np.zeros(3)), K=b[0].K)
+        fs = pose_fundamentals([b[0], rotation, b[1]], self.NOISE, 9)
+        assert [F is None for F in fs] == [False, True, False]
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_nan_or_negative_angle_is_refused(self, tiny_data, bad):
+        _, b = tiny_data
+        with pytest.raises(ValueError, match="finite non-negative angle"):
+            pose_fundamentals(b, bad, 9)
+
+
+class TestTargetCounts:
+    """Every training pair, replay pairs included, takes exactly one target:
+    a list of another length is refused before any step."""
+
+    @pytest.fixture(autouse=True)
+    def no_step(self, monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(pipeline, "_pair_grads", step)
+
+    @staticmethod
+    def resized(targets, how):
+        # too long: the extra entries are Nones, which would count as skipped
+        return targets[:-1] if how == "short" else targets + [None, None]
+
+    @pytest.mark.parametrize("how", ["short", "long"])
+    def test_pretrain_gts(self, tiny_data, how):
+        a, _ = tiny_data
+        gts = [TestPairGrads.target(p, "gt") for p in a[:3]]
+        with pytest.raises(ValueError, match="exactly one target"):
+            pretrain(a[:3], init_params(MCFG, seed=1), pretrain_config(epochs=1), MCFG, gts=self.resized(gts, how))
+
+    @pytest.mark.parametrize("how", ["short", "long"])
+    def test_finetune_fundamentals(self, tiny_data, warm_params, how):
+        _, b = tiny_data
+        fs = pose_fundamentals(b[:3], 0.0, 0)
+        with pytest.raises(ValueError, match="exactly one target"):
+            finetune_pose_supervised(b[:3], warm_params, TrainConfig(epochs=1), MCFG,
+                                     fundamentals=self.resized(fs, how))
+
+    @pytest.mark.parametrize("how", ["short", "long"])
+    def test_replay_gts(self, tiny_data, warm_params, how):
+        a, b = tiny_data
+        gts = [TestPairGrads.target(p, "gt") for p in a]
+        with pytest.raises(ValueError, match="exactly one target"):
+            finetune_pose_supervised(b, warm_params, TrainConfig(epochs=1), MCFG, replay_pairs=a,
+                                     replay_gts=self.resized(gts, how))
+
+
 class TestFinetune:
     def test_zero_noise_equals_exact_f(self, tiny_data, warm_params):
         a, b = tiny_data
         cfg = TrainConfig(epochs=2, seed=4)
         exact_fs = [fundamental_from_pose(p.K, p.K, p.pose) for p in b]
-        p1, h1 = finetune_pose_supervised(b, warm_params, cfg, MCFG, noise_deg=0.0,
-                                          replay_pairs=a)
+        p1, h1 = finetune_pose_supervised(b, warm_params, cfg, MCFG,
+                                          fundamentals=pose_fundamentals(b, 0.0, cfg.seed), replay_pairs=a)
         p2, h2 = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a,
-                                          f_override=exact_fs)
+                                          fundamentals=exact_fs)
         assert p1.W_coarse.tobytes() == p2.W_coarse.tobytes()
         assert p1.W_fine.tobytes() == p2.W_fine.tobytes()
         assert h1 == h2
@@ -337,7 +414,7 @@ class TestFinetune:
         fs[0] = off_image_f()
         fs[1] = None
         cfg = TrainConfig(epochs=2, seed=4)
-        _, history = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a, f_override=fs)
+        _, history = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a, fundamentals=fs)
         assert [row["empty_mask_pairs"] for row in history] == [1, 1]
         assert all(set(row) == HISTORY_KEYS and row["skipped_pairs"] == 1 for row in history)
 
@@ -355,7 +432,7 @@ class TestFinetune:
         _, b = tiny_data
         cfg = TrainConfig(epochs=1, seed=0)
         with pytest.raises(errors.EmptyDatasetAfterFilter):
-            finetune_pose_supervised(b, warm_params, cfg, MCFG, f_override=[None] * len(b))
+            finetune_pose_supervised(b, warm_params, cfg, MCFG, fundamentals=[None] * len(b))
 
 
 class TestBootstrap:
@@ -383,7 +460,7 @@ class TestBootstrap:
         monkeypatch.setattr(pipeline, "bootstrap_fundamentals", lambda *args, **kwargs: (exact_fs, report))
         p1, h1, r1 = bootstrap_finetune(b, warm_params, cfg, BootstrapConfig(), MCFG, replay_pairs=a)
         p2, h2 = finetune_pose_supervised(b, warm_params, cfg, MCFG, replay_pairs=a,
-                                          f_override=exact_fs)
+                                          fundamentals=exact_fs)
         assert r1 is report
         assert p1.W_coarse.tobytes() == p2.W_coarse.tobytes()
         assert p1.W_fine.tobytes() == p2.W_fine.tobytes()
@@ -415,8 +492,8 @@ class TestBootstrap:
         # pose-derived Fs they agree with
         cfg = TrainConfig(epochs=2, seed=4)
         pose_fs = [None] + [fundamental_from_pose(p.K, p.K, p.pose) for p in b[1:]]
-        params, history = finetune_pose_supervised(b, warm_params, cfg, MCFG, f_override=f_list)
-        _, reference = finetune_pose_supervised(b, warm_params, cfg, MCFG, f_override=pose_fs)
+        params, history = finetune_pose_supervised(b, warm_params, cfg, MCFG, fundamentals=f_list)
+        _, reference = finetune_pose_supervised(b, warm_params, cfg, MCFG, fundamentals=pose_fs)
         assert not np.array_equal(params.W_coarse, warm_params.W_coarse)
         for row, ref in zip(history, reference):
             assert row["skipped_pairs"] == 1 and row["empty_mask_pairs"] == 0
