@@ -21,6 +21,7 @@ Each run directory holds:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -28,12 +29,11 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .config import parse_config_file, read_manifest, write_manifest
 from .errors import EpimatchError
 from .estimation import RansacConfig, estimate_relative_pose, read_match_file, write_match_file
 from .geometry import CameraIntrinsics, read_pose_file
 from .losses import LossConfig
-from .matcher import MatcherConfig, forward, init_params, load_checkpoint
+from .matcher import MatcherConfig, forward, init_params, load_checkpoint, save_checkpoint
 from .metrics import (
     PRECISION_THRESHOLD_INDOOR,
     PRECISION_THRESHOLD_OUTDOOR,
@@ -48,13 +48,15 @@ from .pipeline import (
     pose_fundamentals,
     pretrain,
     pretrain_config,
-    write_run_outputs,
 )
 from .synth import load_dataset, make_domain, save_dataset
 from .viz import match_overlay, write_png
 
 # RANSAC defaults of the `pose` and `eval` commands
 EVAL_RANSAC = RansacConfig(iterations=600, inlier_threshold=5e-4)
+
+# the commands that write run_manifest.json, so the ones `replay` re-runs
+RECORDED = ("synth", "pairs", "pretrain", "finetune", "bootstrap", "match", "pose", "eval")
 
 
 def _resolved(args, skip=("func", "config", "command")):
@@ -74,6 +76,26 @@ def _flags(settings):
     return argv
 
 
+def parse_config_file(path):
+    """(section, key, value) of each `key = value` line of a flat config
+    file, in order; keys before any [section] header are in section ''.
+    Text after a '#' is a comment. A key holding a '.' is refused: a
+    section is named only by its [section] header."""
+    entries = []
+    section = ""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            key, eq, value = line.partition("=")
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip()
+            elif eq and "." not in key:
+                entries.append((section, key.strip(), value.strip()))
+            elif line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', with no '.' in the key")
+    return entries
+
+
 def _file_settings(args):
     """The values `args.config` gives `args.command`'s flags, keyed by dest.
 
@@ -82,8 +104,7 @@ def _file_settings(args):
     or on, and left unset by any other word."""
     settings = _resolved(args)
     values = {}
-    for full_key, raw in parse_config_file(args.config).items():
-        section, _, key = full_key.rpartition(".")
+    for section, key, raw in parse_config_file(args.config):
         key = key.replace("-", "_")
         if section in ("", args.command) and key in settings:
             switch = isinstance(settings[key], bool)
@@ -113,6 +134,21 @@ def _run_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_training_run(args, params, mcfg, history, report=None):
+    """A training command's outputs: checkpoint.bin, metrics.csv (one row
+    per history entry, if any) and report.json (if given)."""
+    out = _run_dir(args)
+    if history:
+        with open(out / "metrics.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))
+            writer.writeheader()
+            writer.writerows(history)
+    save_checkpoint(out / "checkpoint.bin", params, mcfg)
+    if report:
+        with open(out / "report.json", "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
 
 
 def _ransac(args):
@@ -167,7 +203,7 @@ def cmd_pretrain(args):
     cfg = _train_config(args, for_pretrain=True)
     mcfg = MatcherConfig()
     params, history = pretrain(dataset, init_params(mcfg, seed=cfg.seed), cfg, mcfg)
-    write_run_outputs(args.out, params, mcfg, history)
+    _write_training_run(args, params, mcfg, history)
     print(f"pretrained for {cfg.epochs} epochs; run directory: {args.out}")
     return 0
 
@@ -183,7 +219,7 @@ def cmd_finetune(args):
     fundamentals = pose_fundamentals(dataset, args.pose_noise_deg, cfg.seed)
     params, history = finetune_pose_supervised(dataset, params0, cfg, mcfg, fundamentals=fundamentals,
                                                replay_pairs=_load_replay(args))
-    write_run_outputs(args.out, params, mcfg, history)
+    _write_training_run(args, params, mcfg, history)
     print(f"finetuned for {cfg.epochs} epochs; run directory: {args.out}")
     return 0
 
@@ -196,7 +232,7 @@ def cmd_bootstrap(args):
                            ransac=_ransac(args))
     params, history, report = bootstrap_finetune(dataset, params0, cfg, bcfg, mcfg,
                                                  replay_pairs=_load_replay(args))
-    write_run_outputs(args.out, params, mcfg, history, extra=report)
+    _write_training_run(args, params, mcfg, history, report)
     print(f"bootstrap-finetuned; kept {report['kept']}/{report['n_pairs']} pairs; run directory: {args.out}")
     return 0
 
@@ -258,8 +294,13 @@ def cmd_gradcheck(args):
 
 
 def cmd_replay(args):
-    manifest = read_manifest(args.manifest)
-    config = dict(manifest["config"], out=args.out or manifest["config"]["out"])
+    with open(args.manifest) as fh:
+        manifest = json.load(fh)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and manifest.get("command") in RECORDED):
+        raise ValueError(f"{args.manifest}: not a run manifest: expected a JSON object with a "
+                         f"'config' object and a 'command' among {', '.join(RECORDED)}")
+    config = dict(manifest["config"], out=args.out or manifest["config"].get("out"))
     # every option is a flag, so a replay is the recorded command line again
     return main([manifest["command"], *_flags(config)])
 
@@ -401,8 +442,11 @@ def main(argv=None):
             # argparse checks them and a typed flag still wins
             args = build_parser().parse_args([args.command, *_flags(_file_settings(args)), *argv[1:]])
         rc = args.func(args)
-        if rc == 0 and args.command not in ("gradcheck", "replay"):
-            write_manifest(args.out, args.command, _resolved(args), __version__)
+        if rc == 0 and args.command in RECORDED:
+            # everything needed to replay the run bit-identically
+            manifest = {"command": args.command, "config": _resolved(args), "version": __version__}
+            with open(Path(args.out) / "run_manifest.json", "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
         return rc
     except (EpimatchError, OSError, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)

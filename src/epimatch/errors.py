@@ -1,7 +1,8 @@
-"""Exception taxonomy shared across the toolkit, and the array-record files.
+"""Exception taxonomy shared across the toolkit, and the file readers.
 
 Pair files and checkpoints are record files: a sequence of float64 `.npy`
-records, written by `np.save` and read by `np.load` without pickling.
+records, written by `np.save` and read by `np.load` without pickling. Match
+and pose files are text files of whitespace-separated rows.
 """
 
 import zipfile
@@ -96,3 +97,25 @@ def read_arrays(path, shapes):
                 and all(n in (None, m) for n, m in zip(shape, a.shape))):
             raise ValueError(f"{path}: record {i} is not a float64 array of shape {shape}")
     return arrays
+
+
+def read_rows(path, n_fields, kind, labels=0):
+    """Yield (where, label fields, floats) per row of a text file, where is
+    'path:lineno' and a row's first `labels` fields stay text. Blank lines
+    and '#' lines are skipped. A row of other than n_fields fields, or with
+    a field that is not a finite number, raises ValueError naming its line."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            where = f"{path}:{lineno}"
+            if len(fields) != n_fields:
+                raise ValueError(f"{where}: expected {n_fields} fields per {kind} line, got {len(fields)}")
+            try:
+                values = [float(v) for v in fields[labels:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{where}: non-finite value in {kind} line")
+            yield where, fields[:labels], values

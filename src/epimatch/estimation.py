@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    NotEnoughMatches,
-    NoValidHypothesis,
-)
+from .errors import DegenerateConfiguration, NotEnoughMatches, NoValidHypothesis, read_rows
 from .geometry import (
     CameraIntrinsics,
     canonicalize,
@@ -282,21 +278,7 @@ def write_match_file(path, pts1, pts2, conf=None):
 
 
 def read_match_file(path):
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields per match line, got {len(fields)}")
-            try:
-                vals = [float(v) for v in fields]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"{path}:{lineno}: non-finite value in match line")
-            rows.append(vals)
+    """Read `u1 v1 u2 v2 conf` lines into (pts1, pts2, conf) arrays."""
+    rows = [values for _, _, values in read_rows(path, 5, "match")]
     arr = np.array(rows, dtype=float).reshape(-1, 5)
     return arr[:, 0:2], arr[:, 2:4], arr[:, 4]

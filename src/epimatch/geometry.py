@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousCheirality, DegenerateBaseline, DegenerateConfiguration
+from .errors import AmbiguousCheirality, DegenerateBaseline, DegenerateConfiguration, read_rows
 
 # Translations below this norm (times scene scale) are rejected as pure rotation.
 BASELINE_EPSILON = 1e-8
@@ -284,24 +284,12 @@ def read_pose_file(path):
     """Read `id fx fy cx cy qw qx qy qz tx ty tz` lines (world-to-camera)
     into [(id, Camera), ...]."""
     cameras = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 12:
-                raise ValueError(f"{path}:{lineno}: expected 12 fields per pose line, got {len(parts)}")
-            try:
-                vals = [float(v) for v in parts[1:]]
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError("non-finite value in pose line")
-                if np.linalg.norm(vals[4:8]) == 0.0:
-                    raise ValueError("quaternion of zero norm")
-                k = CameraIntrinsics(*vals[0:4])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            R = quat_to_rotation(vals[4:8])
-            t = np.array(vals[8:11])
-            cameras.append((parts[0], Camera(k, RelativePose(R, t))))
+    for where, (cam_id,), vals in read_rows(path, 12, "pose", labels=1):
+        try:
+            if np.linalg.norm(vals[4:8]) == 0.0:
+                raise ValueError("quaternion of zero norm")
+            k = CameraIntrinsics(*vals[0:4])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        cameras.append((cam_id, Camera(k, RelativePose(quat_to_rotation(vals[4:8]), np.array(vals[8:11])))))
     return cameras

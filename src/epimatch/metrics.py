@@ -52,6 +52,7 @@ class EvalReport:
     trans_auc5: float = 0.0
     trans_auc10: float = 0.0
     trans_auc20: float = 0.0
+    fine_dropped: int = 0  # coarse matches, over all pairs, that fail fine_in_bounds
 
     def to_json(self):
         """Strict JSON: a non-finite value (a median over no pose) is null."""
@@ -71,7 +72,8 @@ class EvalReport:
         )
         extra = (
             f"median rot {self.median_rot_deg:.2f} deg, median trans "
-            f"{self.median_trans_deg:.2f} deg, pairs {self.n_pairs}, failed {self.n_failed}"
+            f"{self.median_trans_deg:.2f} deg, pairs {self.n_pairs}, failed {self.n_failed}, "
+            f"fine dropped {self.fine_dropped}"
         )
         return "\n".join([header, row, split, extra])
 
@@ -151,8 +153,10 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
     rots, trans = [], []  # per pair, inf where the pair failed
     precisions = []
     n_matches = []
+    fine_dropped = 0
     for pair in dataset:
         pred, _ = forward(pair.image1, pair.image2, params, mcfg)
+        fine_dropped += pred.dropped
         M = pred.fine_x2.shape[0]
         n_matches.append(M)
         precision, rot, tran = 0.0, np.inf, np.inf
@@ -186,4 +190,5 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
         n_failed=int(np.count_nonzero(~ok)),
         mean_matches=float(np.mean(n_matches)) if n_matches else 0.0,
         **split,
+        fine_dropped=int(fine_dropped),
     )

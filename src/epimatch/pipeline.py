@@ -5,11 +5,8 @@ matrices. All regimes are bit-deterministic given their seeds.
 
 from __future__ import annotations
 
-import csv
-import json
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +34,6 @@ from .matcher import (
     fine_in_bounds,
     forward,
     refine_fine,
-    save_checkpoint,
     select_coarse,
     sgd_step,
 )
@@ -329,18 +325,3 @@ def bootstrap_finetune(dataset_b, params0: MatcherParams, cfg: TrainConfig, bcfg
         replay_gts=replay_gts, fundamentals=f_list)
     return params, history, report
 
-
-def write_run_outputs(run_dir, params, mcfg, history, extra=None):
-    """Persist a training run's outputs: metrics CSV, checkpoint (weights and
-    matcher config), report."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    if history:
-        with open(run_dir / "metrics.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))
-            writer.writeheader()
-            writer.writerows(history)
-    save_checkpoint(run_dir / "checkpoint.bin", params, mcfg)
-    if extra:
-        with open(run_dir / "report.json", "w") as fh:
-            json.dump(extra, fh, indent=2, sort_keys=True)

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from dataclasses import astuple, replace
@@ -6,12 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epimatch import cli, pipeline
-from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main
-from epimatch.config import parse_config_file
+from epimatch import cli
+from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main, parse_config_file
 from epimatch.errors import write_arrays
 from epimatch.estimation import read_match_file, write_match_file
-from epimatch.geometry import Camera, CameraIntrinsics, RelativePose, fundamental_from_pose
+from epimatch.geometry import Camera, CameraIntrinsics, RelativePose
 from epimatch.grid import GridSpec
 from epimatch.matcher import MatcherConfig, forward, init_params, load_checkpoint, save_checkpoint
 from epimatch.pipeline import BootstrapConfig, TrainConfig, pretrain_config
@@ -152,6 +152,22 @@ class TestReplay:
             main(["replay", "--manifest", str(edited), "--out", str(tmp_path / "ds")])
         assert exc.value.code == 2
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("case", ["no_config", "not_an_object", "replays_itself", "gradcheck"])
+    def test_malformed_manifest_is_refused(self, tmp_path, capsys, case):
+        path, out = tmp_path / "run_manifest.json", tmp_path / "ds"
+        manifest = {
+            "no_config": {"command": "synth"},
+            "not_an_object": [1, 2],
+            # replaying it would replay itself until RecursionError
+            "replays_itself": {"command": "replay", "config": {"manifest": str(path), "out": str(out)}},
+            "gradcheck": {"command": "gradcheck", "config": {"seed": 0}},
+        }[case]
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", "--manifest", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error[ValueError]" in err and f"{path}: not a run manifest" in err
+        assert not out.exists()
 
 
 class TestPairs:
@@ -525,6 +541,17 @@ class TestConfigFile:
         assert "error[ValueError]" in (err := capsys.readouterr().err)
         assert "bad.cfg:1: expected 'key = value'" in err
 
+    @pytest.mark.parametrize("text", ["synth.pairs = 2\n", "[synth]\nsynth.pairs = 2\n"])
+    def test_dotted_key_is_an_error(self, tmp_path, capsys, text):
+        # a section is named by its [header] only; a dotted key is refused,
+        # not dropped, so no setting of an older file is lost unnoticed
+        cfg = tmp_path / "dot.cfg"
+        cfg.write_text(text)
+        assert self.synth(tmp_path / "ds", "--config", str(cfg)) == 1
+        lineno = text.count("\n")
+        assert f"dot.cfg:{lineno}: expected 'key = value', with no '.' in the key" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
     def test_value_is_converted_by_its_flag_type(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[pretrain]\nepochs = 3.5\n")
@@ -647,31 +674,49 @@ DOCUMENTED_FILES = {command: set(re.findall(r"[\w/]+\.\w+", files))
                     for command, files in re.findall(r"^  (\w+) +(.+)$", cli.__doc__, re.M)}
 
 
+def param_bytes(params):
+    return [np.asarray(value).tobytes() for value in astuple(params)]
+
+
 @pytest.mark.parametrize("command", [c for c in _commands() if c not in ("gradcheck", "replay")])
-def test_run_directory_holds_the_documented_files(workspace, tmp_path, monkeypatch, command):
+def test_run_directory_holds_the_documented_files(workspace, tmp_path, monkeypatch, own_checkpoint, command):
     data = ["--data", str(workspace / "dsA")]
     checkpoint = ["--checkpoint", str(workspace / "runA" / "checkpoint.bin")]
     write_loop_poses(tmp_path / "poses.txt")
     write_gt_matches(workspace, tmp_path / "gt.txt")
-    if command == "bootstrap":
-        # the workspace's matcher finds no matches, so keep every pair with its GT F
-        fs = [fundamental_from_pose(p.K, p.K, p.pose) for p in load_dataset(workspace / "dsA")]
-        monkeypatch.setattr(pipeline, "bootstrap_fundamentals",
-                            lambda *args, **kwargs: (fs, {"n_pairs": len(fs), "kept": len(fs)}))
     argv = {
         "synth": ["synth", "--domain", "A", "--pairs", "2"],
         "pairs": ["pairs", "--poses", str(tmp_path / "poses.txt")],
         "pretrain": ["pretrain", *data, "--epochs", "1"],
         "finetune": ["finetune", *data, *checkpoint, "--epochs", "1"],
-        "bootstrap": ["bootstrap", *data, *checkpoint, "--epochs", "1"],
+        # the workspace's matcher finds no matches, so bootstrapping it keeps no pair
+        "bootstrap": ["bootstrap", *data, "--checkpoint", str(own_checkpoint), "--epochs", "1"],
         "match": ["match", *checkpoint, "--pair", str(workspace / "dsA" / "pairs" / "00000.bin")],
         "pose": pose_argv(tmp_path / "gt.txt"),
         "eval": ["eval", *data, *checkpoint, "--overlays", "2"],
     }[command]
+    trained = []  # what the training call returned, for the round trip below
+    train_name = {"pretrain": "pretrain", "finetune": "finetune_pose_supervised",
+                  "bootstrap": "bootstrap_finetune"}.get(command)
+    if train_name:
+        train = getattr(cli, train_name)
+        monkeypatch.setattr(cli, train_name, lambda *args, **kwargs: trained.append(train(*args, **kwargs))
+                            or trained[-1])
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 0
     found = {re.sub(r"\d", "N", f.relative_to(out).as_posix()) for f in out.rglob("*") if f.is_file()}
     assert found == DOCUMENTED_FILES[command] | {"run_manifest.json"}
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["config"]["out"]) == (command, str(out))
+    if train_name:
+        (params, history, *report), = trained
+        loaded, mcfg = load_checkpoint(out / "checkpoint.bin")
+        assert param_bytes(loaded) == param_bytes(params)
+        assert mcfg == (OWN_CONFIG if command == "bootstrap" else MatcherConfig())
+        with open(out / "metrics.csv", newline="") as fh:
+            assert list(csv.DictReader(fh)) == [{k: str(v) for k, v in row.items()} for row in history]
+        if report:
+            assert json.loads((out / "report.json").read_text()) == report[0]
 
 
 class TestParserDefaults:

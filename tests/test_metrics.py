@@ -201,6 +201,23 @@ class TestEvaluate:
         assert 0 <= report.precision <= 100
         assert report.n_pairs == 4
 
+    def test_counts_the_matches_dropped_at_the_border(self):
+        # a wide fine window with no confidence threshold: coarse matches near
+        # the border have no room for their window and are dropped
+        import json
+
+        from epimatch.matcher import forward
+        from epimatch.synth import make_domain, sample_pair
+
+        mcfg = MatcherConfig(window_radius=6, match_threshold=0.0)
+        pairs = [sample_pair(make_domain("A", seed=3), i) for i in range(3)]
+        params = init_params(mcfg, seed=0)
+        dropped = [forward(p.image1, p.image2, params, mcfg)[0].dropped for p in pairs]
+        report = evaluate(params, pairs, RansacConfig(iterations=50, seed=0), mcfg)
+        assert report.fine_dropped == sum(dropped) > 0
+        assert json.loads(report.to_json())["fine_dropped"] == sum(dropped)
+        assert report.to_table().splitlines()[-1].endswith(f"fine dropped {sum(dropped)}")
+
     def test_json_and_table_consistent(self):
         report = EvalReport(1.0, 2.0, 3.0, 44.4, 1.5, 2.5, 10, 2, 33.0)
         import json
@@ -231,7 +248,7 @@ class TestEvaluate:
 
         pairs = [sample_pair(make_domain("B", seed=3), i) for i in range(3)]
         x = np.random.default_rng(0).uniform(8.0, 56.0, (10, 2))
-        pred = SimpleNamespace(fine_x1=x, fine_x2=x + 1.0)
+        pred = SimpleNamespace(fine_x1=x, fine_x2=x + 1.0, dropped=0)
         monkeypatch.setattr(metrics, "forward", lambda *args, **kwargs: (pred, None))
         calls = iter(pairs)
 
@@ -262,7 +279,7 @@ class TestEvaluate:
 
         pair = sample_pair(make_domain("B", seed=3), 0)
         x1 = np.random.default_rng(0).uniform(8.0, 56.0, (20, 2))
-        pred = SimpleNamespace(fine_x1=x1, fine_x2=infinite_matches(x1, pair.K, pair.K, pair.pose.R))
+        pred = SimpleNamespace(fine_x1=x1, fine_x2=infinite_matches(x1, pair.K, pair.K, pair.pose.R), dropped=0)
         monkeypatch.setattr(metrics, "forward", lambda *args, **kwargs: (pred, None))
         F = fundamental_from_pose(pair.K, pair.K, pair.pose)
         mask = np.full(20, exc is errors.AmbiguousCheirality)
@@ -302,7 +319,7 @@ class TestEvaluate:
 
         pairs = [sample_pair(make_domain("A", seed=3), i) for i in range(2)]
         x = np.random.default_rng(0).uniform(8.0, 56.0, (10, 2))
-        pred = SimpleNamespace(fine_x1=x, fine_x2=x + 1.0)
+        pred = SimpleNamespace(fine_x1=x, fine_x2=x + 1.0, dropped=0)
         monkeypatch.setattr(metrics, "forward", lambda *args, **kwargs: (pred, None))
 
         def estimate(*args, **kwargs):

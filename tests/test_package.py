@@ -47,3 +47,11 @@ def test_every_function_perfbench_traces_exists():
         if not callable(getattr(importlib.import_module(f"epimatch.{module}"), fn, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_only_the_cli_names_run_directory_files():
+    # the run-directory layout is decided in one module
+    src = Path(epimatch.__file__).resolve().parent
+    naming = [path.name for path in sorted(src.glob("*.py"))
+              if any(name in path.read_text() for name in ("run_manifest.json", "metrics.csv", "report.json"))]
+    assert naming == ["cli.py"]

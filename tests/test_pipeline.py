@@ -29,7 +29,6 @@ from epimatch.pipeline import (
     pose_fundamentals,
     pretrain,
     pretrain_config,
-    write_run_outputs,
 )
 from epimatch.synth import gt_correspondence_grid, load_dataset, make_domain, sample_pair, save_dataset
 
@@ -554,14 +553,16 @@ def test_dataset_from_disk_trains_like_its_renders(tmp_path, tiny_data, warm_par
 
 class TestRunOutputs:
     def test_run_directory_contents(self, tmp_path, warm_params):
+        # a training run's outputs are written by the CLI, from what pipeline returns
+        from epimatch.cli import _write_training_run
+        from epimatch.matcher import load_checkpoint
+
         history = [{"epoch": 0, "loss": 1.0, "coarse_loss": 2.0, "fine_loss": 0.5}]
-        write_run_outputs(tmp_path / "run", warm_params, MCFG, history, extra={"b": 2})
+        _write_training_run(SimpleNamespace(out=tmp_path / "run"), warm_params, MCFG, history, report={"b": 2})
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
             "checkpoint.bin", "metrics.csv", "report.json"]
         assert (tmp_path / "run" / "checkpoint.bin").exists()
         assert (tmp_path / "run" / "report.json").exists()
-        from epimatch.matcher import load_checkpoint
-
         loaded, mcfg = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         assert np.array_equal(loaded.W_coarse, warm_params.W_coarse)
         assert mcfg == MCFG
