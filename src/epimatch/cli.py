@@ -286,9 +286,10 @@ def cmd_gradcheck(args):
     from .gradcheck import run_gradcheck
 
     report = run_gradcheck(seed=args.seed)
+    width = max(len(name) for name, _, _ in report["components"])
     for name, err, bound in report["components"]:
         status = "ok" if err < bound else "FAIL"
-        print(f"{name:<28} max rel err {err:.3e}  (bound {bound:.0e})  {status}")
+        print(f"{name:<{width}} max rel err {err:.3e}  (bound {bound:.0e})  {status}")
     print("gradcheck:", "pass" if report["passed"] else "fail")
     return 0 if report["passed"] else 1
 

@@ -43,7 +43,10 @@ def d_epi_suite(seed=0, instances=1000, h=1e-6, min_resid=1e-2):
 
 def matcher_suite(seed=0, h=1e-5, cfg=SUITE_CFG):
     """Full-Jacobian check of the matcher backward on a 4x4-cell instance
-    under cfg, with four pinned coarse matches that are all refined."""
+    under cfg, with four pinned coarse matches that are all refined.
+    Returns the worst relative errors of the coarse stage (W_coarse and
+    tau_coarse entries) and of the fine stage (W_fine and tau_fine), each
+    stage on its own."""
     rng = np.random.default_rng(seed)
     img1 = rng.uniform(0, 1, (32, 32))
     img2 = rng.uniform(0, 1, (32, 32))
@@ -62,8 +65,9 @@ def matcher_suite(seed=0, h=1e-5, cfg=SUITE_CFG):
         pr, _ = forward(img1, img2, p, cfg, coarse_override=pins)
         return float(np.sum(G * pr.C)) + float(np.sum(g * pr.fine_x2))
 
-    worst = 0.0
-    for arr, garr in ((params.W_coarse, grads.W_coarse), (params.W_fine, grads.W_fine)):
+    worst = dict(coarse=0.0, fine=0.0)
+    for stage in worst:
+        arr, garr = getattr(params, f"W_{stage}"), getattr(grads, f"W_{stage}")
         it = np.nditer(arr, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
@@ -75,9 +79,9 @@ def matcher_suite(seed=0, h=1e-5, cfg=SUITE_CFG):
             arr[idx] = orig
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), abs(garr[idx]), 1e-6)
-            worst = max(worst, abs(garr[idx] - fd) / denom)
+            worst[stage] = max(worst[stage], abs(garr[idx] - fd) / denom)
             it.iternext()
-    for attr in ("tau_coarse", "tau_fine"):
+        attr = f"tau_{stage}"
         orig, ganalytic = getattr(params, attr), getattr(grads, attr)
         setattr(params, attr, orig + h)
         lp = loss_with(params)
@@ -86,18 +90,19 @@ def matcher_suite(seed=0, h=1e-5, cfg=SUITE_CFG):
         setattr(params, attr, orig)
         fd = (lp - lm) / (2 * h)
         denom = max(abs(fd), abs(ganalytic), 1e-6)
-        worst = max(worst, abs(ganalytic - fd) / denom)
-    return worst
+        worst[stage] = max(worst[stage], abs(ganalytic - fd) / denom)
+    return worst["coarse"], worst["fine"]
 
 
 def run_gradcheck(seed=0, d_epi_instances=1000, matcher_seeds=20):
     """Both suites, the matcher's at SUITE_CFG and WIDE_FINE_CFG; returns a
-    report with per-component worst errors."""
+    report with per-component worst errors, the matcher's as one coarse-stage
+    and one fine-stage row per config."""
     e1 = d_epi_suite(seed=seed, instances=d_epi_instances)
     components = [("epipolar-distance gradient", e1, D_EPI_BOUND)]
-    for name, cfg in (("matcher backward jacobian", SUITE_CFG),
-                      ("matcher backward jacobian, 8/1/5 fine stage", WIDE_FINE_CFG)):
-        err = max((matcher_suite(seed=seed + s, cfg=cfg) for s in range(matcher_seeds)), default=0.0)
-        components.append((name, err, MATCHER_BOUND))
+    for label, cfg in (("", SUITE_CFG), (", 8/1/5 fine stage", WIDE_FINE_CFG)):
+        errs = [matcher_suite(seed=seed + s, cfg=cfg) for s in range(matcher_seeds)]
+        for stage, stage_errs in zip(("coarse", "fine"), zip(*errs)):
+            components.append((f"matcher {stage} backward jacobian{label}", max(stage_errs), MATCHER_BOUND))
     passed = all(err < bound for _, err, bound in components)
     return {"components": components, "passed": passed}

@@ -2,17 +2,22 @@
 
 Coarse stage: raw w x w intensity patches (mean-subtracted, unit-norm) are
 linearly embedded, re-normalized and compared by dual-softmax over scaled
-inner products. Fine stage: around each coarse match, a correlation heatmap
-between fine-patch embeddings feeds a soft-argmax that yields a subpixel
-match. The fine stage embeds raw windows x through W_fine with its columns
-centred, W_c = W_fine - W_fine.mean(axis=0): x W_c is the mean-subtracted
-window times W_fine, and the row normalization that follows cancels the
-window's scale, so no normalized copy of the windows is made. Both stages
+inner products S. Both softmaxes come from one shared exponential
+E = exp(S - 1/tau_coarse) and its row and column sums, which the forward
+pass caches for backward in place of the two softmax arrays. Fine stage:
+around each coarse match, a correlation heatmap between fine-patch
+embeddings feeds a soft-argmax that yields a subpixel match. The fine stage
+embeds raw windows x through W_fine with its columns centred,
+W_c = W_fine - W_fine.mean(axis=0): x W_c is the mean-subtracted window
+times W_fine, and the row normalization that follows cancels the window's
+scale, so no normalized copy of the windows is made. Both stages
 backpropagate exactly into the two embedding matrices and their own softmax
-temperatures. `MatcherParams` is the one parameter-shaped type: the weights,
-`backward`'s gradients and `sgd_step`'s momentum velocity are all
-`MatcherParams`. A checkpoint holds the weights and the `MatcherConfig` they
-were trained under.
+temperatures; the fine backward takes each window row's gradient in closed
+form from its correlation, with no (M * Kw, d_fine) outer product.
+`MatcherParams` is the one parameter-shaped type: the weights, `backward`'s
+gradients and `sgd_step`'s momentum velocity are all `MatcherParams`. A
+checkpoint holds the weights and the `MatcherConfig` they were trained
+under.
 
 A coarse match is refined only when `fine_in_bounds` holds for it, the one
 drop rule; `forward` and the training step apply it, and `refine_fine`
@@ -31,7 +36,9 @@ from .errors import BadDimensions, NonFiniteGradient, read_arrays, write_arrays
 from .grid import GridSpec
 
 _NORM_EPS = 1e-12
-_TAU_MIN = 1e-3
+# confidence_matrix's exp(S - 1/tau) is at least exp(-2/tau), a normal
+# double (about 1.9e-174) for tau >= 5e-3
+_TAU_MIN = 5e-3
 _TAU_MAX = 10.0
 
 
@@ -161,16 +168,26 @@ def _softmax(z, axis):
 def confidence_matrix(feats1: ImageFeatures, feats2: ImageFeatures, params: MatcherParams):
     """Dual-softmax confidence over embedded coarse descriptors.
 
+    Both softmaxes share one exponential E = exp(S - 1/tau) of the scaled
+    similarities S = D1 D2^T / tau: every row of D is unit or zero, so
+    |S| <= 1/tau and the constant shift replaces both max passes, and at
+    tau >= _TAU_MIN every entry of E is a normal double. With zr and zc the
+    row and column sums of E, C = (E / zr) * (E / zc), formed without E * E,
+    which would underflow where C does not.
+
     Returns the (m1, m2) confidence array, in [0, 1], and the cache dict for
     backward.
     """
     D1, n1 = _embed_normalized(feats1.coarse, params.W_coarse)
     D2, n2 = _embed_normalized(feats2.coarse, params.W_coarse)
-    S = (D1 / params.tau_coarse) @ D2.T
-    RS = _softmax(S, axis=1)
-    CS = _softmax(S, axis=0)
-    C = RS * CS
-    cache = dict(D1=D1, D2=D2, n1=n1, n2=n2, RS=RS, CS=CS,
+    E = (D1 / params.tau_coarse) @ D2.T
+    E -= 1.0 / params.tau_coarse
+    np.exp(E, out=E)
+    zr, zc = E.sum(axis=1), E.sum(axis=0)
+    C = E / zr[:, None]
+    C *= E
+    C /= zc
+    cache = dict(D1=D1, D2=D2, n1=n1, n2=n2, E=E, zr=zr, zc=zc,
                  X1=feats1.coarse, X2=feats2.coarse)
     return C, cache
 
@@ -273,7 +290,7 @@ def forward(image1, image2, params: MatcherParams, cfg: MatcherConfig, coarse_ov
         conf = C[i_idx, j_idx]
     ok = fine_in_bounds(f1, f2, cfg, i_idx, j_idx)
     x1s, x2s, fcache = refine_fine(f1, f2, params, cfg, i_idx[ok], j_idx[ok])
-    pred = MatchPrediction(C, i_idx, j_idx, x1s, x2s, conf[ok], len(ok) - np.count_nonzero(ok))
+    pred = MatchPrediction(C, i_idx, j_idx, x1s, x2s, conf[ok], int(len(ok) - np.count_nonzero(ok)))
     return pred, dict(params=params, coarse=ccache, fine=fcache)
 
 
@@ -294,9 +311,10 @@ def backward(cache, dC=None, dfine=None) -> MatcherParams:
 
     dC: upstream gradient on the confidence matrix as a (rows, cols, g)
     triple: g[k] is the gradient on entry (rows[k], cols[k]), every other
-    entry has gradient zero, and no entry appears twice. Row sums add a row's
-    entries in the order given, so one entry per row reproduces the dense
-    dual-softmax backward bit for bit.
+    entry has gradient zero, and no entry appears twice. Off those entries
+    the gradient on S is E * (-a / zr - b / zc), from the cached shared
+    exponential, which equals the textbook RS * (-a) + CS * (-b) up to
+    rounding.
     dfine: (M, 2) upstream gradient on the refined match coordinates, in the
     order of the prediction's fine matches.
     """
@@ -306,17 +324,19 @@ def backward(cache, dC=None, dfine=None) -> MatcherParams:
     if dC is not None and np.any(dC[2]):
         tau = params.tau_coarse
         cc = cache["coarse"]
-        RS, CS, D1, D2 = cc["RS"], cc["CS"], cc["D1"], cc["D2"]
+        E, zr, zc, D1, D2 = cc["E"], cc["zr"], cc["zc"], cc["D1"], cc["D2"]
         rows, cols, g = dC
-        rs, cs = RS[rows, cols], CS[rows, cols]
+        e = E[rows, cols]
+        rs, cs = e / zr[rows], e / zc[cols]  # RS and CS at the entries
         g_rs = g * cs  # dC * CS and dC * RS at the entries
         g_cs = g * rs
         # a = sum(dC * CS * RS, axis=1), b = sum(dC * RS * CS, axis=0)
-        a = np.bincount(rows, weights=g_rs * rs, minlength=RS.shape[0])
-        b = np.bincount(cols, weights=g_cs * cs, minlength=RS.shape[1])
-        # off the entries dC is 0, so dS = RS * (-a) + CS * (-b) there
-        dS = RS * -a[:, None]
-        dS += CS * -b
+        a = np.bincount(rows, weights=g_rs * rs, minlength=E.shape[0])
+        b = np.bincount(cols, weights=g_cs * cs, minlength=E.shape[1])
+        # off the entries dC is 0, so dS = RS * (-a) + CS * (-b) there,
+        # which is E * (-a / zr - b / zc)
+        dS = np.add.outer(-a / zr, -b / zc)
+        dS *= E
         dS[rows, cols] = rs * (g_rs - a[rows]) + cs * (g_cs - b[cols])
         # S = D1 D2^T / tau, so sum(dS * S) = sum((dS @ D2) * D1) / tau
         dD1 = dS @ D2
@@ -336,15 +356,21 @@ def backward(cache, dC=None, dfine=None) -> MatcherParams:
         dlogits = p * (dp - np.sum(dp * p, axis=1, keepdims=True))
         grads.tau_fine += -float(np.sum(dlogits * corr)) / (tau * tau)
         dcorr = dlogits / tau
-        E2w = fc["E2w"]  # (M * Kw, d_fine)
+        e1, E2w, Xf2 = fc["e1"], fc["E2w"], fc["Xf2"]  # E2w, Xf2: (M * Kw, .)
         de1 = np.einsum("mk,mkd->md", dcorr, E2w.reshape(*dcorr.shape, -1))
-        dE2w = (dcorr[:, :, None] * fc["e1"][:, None, :]).reshape(E2w.shape)
-        dY1f = _normalize_backward(de1, fc["e1"], fc["nf1"])
-        dY2w = _normalize_backward(dE2w, E2w, fc["n2w"])
+        dY1f = _normalize_backward(de1, e1, fc["nf1"])
+        # window row mk gets dcorr_mk * e1_m, whose component along E2w_mk is
+        # dcorr_mk * corr_mk, so through the normalization its gradient is
+        # a_mk (e1_m - corr_mk E2w_mk), a = dcorr / n2w and 0 on zero rows
+        n2w = fc["n2w"].reshape(dcorr.shape)
+        good = n2w > _NORM_EPS
+        a = dcorr / np.where(good, n2w, 1.0)
+        a[~good] = 0.0
         # the forward pass embeds through W_c = P W_fine, P the centring
         # projection, so the W_fine gradient is P times the W_c gradient
         G = fc["Xf1"].T @ dY1f
-        G += fc["Xf2"].T @ dY2w
+        G += np.einsum("mk,mkd->dm", a, Xf2.reshape(*a.shape, -1)) @ e1
+        G -= Xf2.T @ (E2w * (a * corr).reshape(-1, 1))
         G -= G.mean(axis=0)
         grads.W_fine = G
 

@@ -190,5 +190,5 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
         n_failed=int(np.count_nonzero(~ok)),
         mean_matches=float(np.mean(n_matches)) if n_matches else 0.0,
         **split,
-        fine_dropped=int(fine_dropped),
+        fine_dropped=fine_dropped,
     )

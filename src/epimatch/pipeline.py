@@ -287,13 +287,16 @@ def bootstrap_fundamentals(dataset_b, params: MatcherParams, bcfg: BootstrapConf
     """Estimate a fundamental matrix per pair from the model's own matches.
 
     Returns (list of (3, 3) F arrays or None, report dict). Pairs failing
-    the match-count or inlier-count filters yield None.
+    the match-count or inlier-count filters yield None. The report counts
+    the pairs by outcome and, as `fine_dropped`, the coarse matches over all
+    pairs that fail fine_in_bounds.
     """
     f_list = []
     report = {"n_pairs": len(dataset_b), "kept": 0, "dropped_few_matches": 0,
-              "dropped_few_inliers": 0, "dropped_estimation_failed": 0}
+              "dropped_few_inliers": 0, "dropped_estimation_failed": 0, "fine_dropped": 0}
     for pair in dataset_b:
         pred, _ = forward(pair.image1, pair.image2, params, mcfg)
+        report["fine_dropped"] += pred.dropped
         if pred.fine_x2.shape[0] < bcfg.min_matches:
             f_list.append(None)
             report["dropped_few_matches"] += 1

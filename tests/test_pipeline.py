@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -444,6 +445,17 @@ class TestBootstrap:
         assert total == report["n_pairs"] == len(b)
         assert sum(f is not None for f in f_list) == report["kept"]
 
+    def test_report_counts_the_matches_dropped_at_the_border(self, tiny_data, warm_params):
+        # a wide fine window with no confidence threshold: coarse matches near
+        # the border have no room for their window and are dropped
+        _, b = tiny_data
+        mcfg = replace(MCFG, window_radius=6, match_threshold=0.0)
+        dropped = [forward(p.image1, p.image2, warm_params, mcfg)[0].dropped for p in b[:3]]
+        _, report = bootstrap_fundamentals(b[:3], warm_params, BootstrapConfig(), mcfg)
+        assert report["fine_dropped"] == sum(dropped) > 0
+        outcomes = sum(v for k, v in report.items() if k.startswith("dropped_"))
+        assert report["kept"] + outcomes == report["n_pairs"] == 3
+
     def test_min_matches_filter(self, tiny_data, warm_params):
         _, b = tiny_data
         bcfg = BootstrapConfig(min_matches=10_000, min_inliers=1)
@@ -477,7 +489,7 @@ class TestBootstrap:
             valid = np.flatnonzero(targets >= 0)[:10 if k == 0 else None]
             matches[id(pair.image1)] = (grid.cell_centers()[valid], points[valid])
         monkeypatch.setattr(pipeline, "forward", lambda img1, *args: (
-            SimpleNamespace(fine_x1=matches[id(img1)][0], fine_x2=matches[id(img1)][1]), None))
+            SimpleNamespace(fine_x1=matches[id(img1)][0], fine_x2=matches[id(img1)][1], dropped=0), None))
         f_list, report = bootstrap_fundamentals(b, warm_params, BootstrapConfig(), MCFG)
         assert report["kept"] == len(b) - 1 and report["dropped_few_matches"] == 1
         assert f_list[0] is None
@@ -506,7 +518,7 @@ class TestBootstrap:
         # (counted); complex coordinates raise TypeError, a defect that
         # propagates
         _, b = tiny_data
-        pred = SimpleNamespace(fine_x1=fine_x1, fine_x2=np.zeros((5, 2)))
+        pred = SimpleNamespace(fine_x1=fine_x1, fine_x2=np.zeros((5, 2)), dropped=0)
         monkeypatch.setattr(pipeline, "forward", lambda *args, **kwargs: (pred, None))
         bcfg = BootstrapConfig(min_matches=5, min_inliers=5)
         if counted:
