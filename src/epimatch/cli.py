@@ -49,7 +49,7 @@ from .pipeline import (
     pretrain,
     pretrain_config,
 )
-from .synth import load_dataset, make_domain, save_dataset
+from .synth import DOMAINS, load_dataset, make_domain, save_dataset
 from .viz import match_overlay, write_png
 
 # RANSAC defaults of the `pose` and `eval` commands
@@ -316,7 +316,6 @@ def _add_common_train_flags(p, pretrain_mode=False):
     p.add_argument("--theta", type=float, default=cfg.loss.theta)
     p.add_argument("--fine-fraction", type=float, default=cfg.loss.fine_supervision_fraction)
     _add_seed_flag(p)
-    p.add_argument("--out", required=True, help="run directory")
 
 
 def _add_seed_flag(p):
@@ -341,13 +340,17 @@ def build_parser():
                                 parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
     configurable = argparse.ArgumentParser(add_help=False)
     configurable.add_argument("--config", help="flat key = value config file")
-    add_command = partial(sub.add_parser, parents=[configurable])
+    recorded = argparse.ArgumentParser(add_help=False)
+    recorded.add_argument("--out", required=True, help="run directory")
+
+    def add_command(name, **kw):
+        parents = [configurable, recorded] if name in RECORDED else [configurable]
+        return sub.add_parser(name, parents=parents, **kw)
 
     p = add_command("synth", help="generate a synthetic two-view dataset")
-    p.add_argument("--domain", required=True, choices=["A", "B"])
+    p.add_argument("--domain", required=True, choices=list(DOMAINS))
     p.add_argument("--pairs", type=_count(1), default=50)
     _add_seed_flag(p)
-    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_synth)
 
     p = add_command("pairs", help="mine image pairs from poses alone")
@@ -364,7 +367,6 @@ def build_parser():
     p.add_argument("--stride", type=_count(1), default=1)
     p.add_argument("--image-width", type=_count(1), default=640)
     p.add_argument("--image-height", type=_count(1), default=480)
-    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_pairs)
 
     p = add_command("pretrain", help="correspondence-supervised pretraining")
@@ -396,7 +398,6 @@ def build_parser():
     p = add_command("match", help="match one rendered pair")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--threshold", type=_positive, default=PRECISION_THRESHOLD_INDOOR)
     p.set_defaults(func=cmd_match)
 
@@ -408,7 +409,6 @@ def build_parser():
     p.add_argument("--cy", type=float, required=True)
     _add_ransac_flags(p, EVAL_RANSAC)
     _add_seed_flag(p)
-    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_pose)
 
     p = add_command("eval", help="evaluate a checkpoint on a dataset")
@@ -420,7 +420,6 @@ def build_parser():
     _add_ransac_flags(p, EVAL_RANSAC)
     p.add_argument("--overlays", type=_count(0), default=4)
     _add_seed_flag(p)
-    p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_eval)
 
     p = add_command("gradcheck", help="finite-difference gradient suites")

@@ -1,10 +1,11 @@
-"""Exception taxonomy shared across the toolkit, and the file readers.
+"""Exception taxonomy, the one count rule (`check_count`) and the file readers.
 
 Pair files and checkpoints are record files: a sequence of float64 `.npy`
 records, written by `np.save` and read by `np.load` without pickling. Match
 and pose files are text files of whitespace-separated rows.
 """
 
+import numbers
 import zipfile
 
 import numpy as np
@@ -72,6 +73,12 @@ class EmptyInput(EpimatchError):
 
 class DegeneratePose(EpimatchError):
     """Pose sampling failed to produce a usable camera pair."""
+
+
+def check_count(name, value, minimum):
+    """ValueError naming `name` unless `value` is a non-bool whole number >= `minimum`."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
 
 
 def write_arrays(path, arrays):

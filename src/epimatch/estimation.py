@@ -8,12 +8,11 @@ correspondence: `u1 v1 u2 v2 conf`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, NotEnoughMatches, NoValidHypothesis, read_rows
+from .errors import DegenerateConfiguration, NotEnoughMatches, NoValidHypothesis, check_count, read_rows
 from .geometry import (
     CameraIntrinsics,
     canonicalize,
@@ -33,10 +32,6 @@ _CONFIDENCE = 0.99
 _FIRST_BLOCK = 64
 
 
-def _is_whole(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass
 class RansacConfig:
     iterations: int = 500  # most hypotheses solved; RANSAC stops earlier once confident
@@ -44,10 +39,8 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_whole(self.iterations) or self.iterations < 1:
-            raise ValueError(f"iterations must be a whole number >= 1, got {self.iterations!r}")
-        if not _is_whole(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a whole number >= 0, got {self.seed!r}")
+        check_count("iterations", self.iterations, 1)
+        check_count("seed", self.seed, 0)
         if not 0 < self.inlier_threshold < np.inf:
             raise ValueError(f"inlier_threshold must be finite and positive, got {self.inlier_threshold!r}")
 

@@ -28,11 +28,11 @@ exactly the rows `refine_fine` got.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import BadDimensions, NonFiniteGradient, read_arrays, write_arrays
+from .errors import BadDimensions, NonFiniteGradient, check_count, read_arrays, write_arrays
 from .grid import GridSpec
 
 _NORM_EPS = 1e-12
@@ -42,7 +42,7 @@ _TAU_MIN = 5e-3
 _TAU_MAX = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatcherConfig:
     patch_width: int = 8
     fine_patch: int = 4
@@ -51,6 +51,13 @@ class MatcherConfig:
     d_fine: int = 16
     window_radius: int = 3
     match_threshold: float = 0.2
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int":
+                check_count(f.name, getattr(self, f.name), 0 if f.name == "window_radius" else 1)
+        if not 0.0 <= self.match_threshold <= 1.0:
+            raise ValueError(f"match_threshold must lie in [0, 1], got {self.match_threshold!r}")
 
     @property
     def d_in(self):
@@ -400,20 +407,10 @@ def sgd_step(params: MatcherParams, grads: MatcherParams, velocity: MatcherParam
     return params
 
 
-def _check_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig) -> MatcherConfig:
-    """The one check of save_checkpoint and load_checkpoint: a ValueError
-    naming `path` unless mcfg's size fields are whole numbers, at least 1
-    (window_radius at least 0), match_threshold lies in [0, 1], the weights
-    are finite and shaped by mcfg and both temperatures lie in sgd_step's
-    clamp. Returns mcfg with int size fields."""
-    sizes = {f.name: getattr(mcfg, f.name) for f in fields(mcfg) if f.type == "int"}
-    if not all(float(v).is_integer() for v in sizes.values()):
-        raise ValueError(f"{path}: checkpoint size fields must be whole numbers, got {sizes}")
-    mcfg = replace(mcfg, **{k: int(v) for k, v in sizes.items()})
-    if min(v for k, v in sizes.items() if k != "window_radius") < 1 or mcfg.window_radius < 0:
-        raise ValueError(f"{path}: checkpoint sizes must be at least 1 and window_radius at least 0, got {sizes}")
-    if not 0.0 <= mcfg.match_threshold <= 1.0:
-        raise ValueError(f"{path}: checkpoint match_threshold must lie in [0, 1], got {mcfg.match_threshold}")
+def _check_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig):
+    """The checks a checkpoint adds to MatcherConfig's own: a ValueError
+    naming `path` unless the weights are finite and shaped by mcfg and both
+    temperatures lie in sgd_step's clamp."""
     if not params.finite():
         raise ValueError(f"{path}: checkpoint weights must be finite")
     taus = (params.tau_coarse, params.tau_fine)
@@ -422,7 +419,6 @@ def _check_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig) -> Match
     shapes = (params.W_coarse.shape, params.W_fine.shape)
     if shapes != ((mcfg.d_in, mcfg.d), (mcfg.d_in_fine, mcfg.d_fine)):
         raise ValueError(f"{path}: weight shapes {shapes} disagree with {mcfg}")
-    return mcfg
 
 
 def save_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig):
@@ -433,8 +429,18 @@ def save_checkpoint(path, params: MatcherParams, mcfg: MatcherConfig):
 
 
 def load_checkpoint(path):
-    """The (params, mcfg) that save_checkpoint wrote, under the same check."""
+    """The (params, mcfg) that save_checkpoint wrote; a config record that
+    MatcherConfig refuses, or a failed _check_checkpoint, names `path`."""
     Wc, Wf, (tau_coarse, tau_fine), values = read_arrays(
         path, [(None, None), (None, None), (2,), (len(fields(MatcherConfig)),)])
     params = MatcherParams(Wc, Wf, float(tau_coarse), float(tau_fine))
-    return params, _check_checkpoint(path, params, MatcherConfig(*values.tolist()))
+    record = dict(zip((f.name for f in fields(MatcherConfig)), values.tolist()))
+    sizes = {f.name: record[f.name] for f in fields(MatcherConfig) if f.type == "int"}
+    if not all(v.is_integer() for v in sizes.values()):
+        raise ValueError(f"{path}: checkpoint size fields must be whole numbers, got {sizes}")
+    try:
+        mcfg = MatcherConfig(**{**record, **{k: int(v) for k, v in sizes.items()}})
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint {exc}") from None
+    _check_checkpoint(path, params, mcfg)
+    return params, mcfg

@@ -5,13 +5,12 @@ matrices. All regimes are bit-deterministic given their seeds.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DegenerateBaseline, EmptyDatasetAfterFilter, EmptyInput, EpimatchError,
-                     NonFiniteLoss, NotEnoughReplayPairs)
+                     NonFiniteLoss, NotEnoughReplayPairs, check_count)
 from .estimation import RansacConfig, ransac_fundamental
 from .geometry import RelativePose, fundamental_from_pose, rotation_from_axis_angle
 from .grid import GridSpec
@@ -55,10 +54,10 @@ class TrainConfig:
     tau_fine_lr_scale: float = 3.0
 
     def __post_init__(self):
-        if not (isinstance(self.batch_size, numbers.Integral) and isinstance(self.epochs, numbers.Integral)):
-            raise ValueError(f"batch_size and epochs must be whole numbers, got {self.batch_size!r}, {self.epochs!r}")
-        if not 0 < self.lr < np.inf or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("lr, batch_size and epochs must be positive, lr finite")
+        check_count("batch_size", self.batch_size, 1)
+        check_count("epochs", self.epochs, 0)
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if not (0 <= self.weight_decay < np.inf and 0 <= self.momentum < 1):
             raise ValueError("weight_decay must be finite and non-negative, momentum in [0, 1)")
         if not (0 <= self.tau_coarse_lr_scale < np.inf and 0 <= self.tau_fine_lr_scale < np.inf):
@@ -84,10 +83,8 @@ class BootstrapConfig:
     ransac: RansacConfig = field(default_factory=lambda: RansacConfig(iterations=400, inlier_threshold=5e-4, seed=7))
 
     def __post_init__(self):
-        for name in ("min_matches", "min_inliers"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 0:
-                raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
+        check_count("min_matches", self.min_matches, 0)
+        check_count("min_inliers", self.min_inliers, 0)
         if self.min_inliers > self.min_matches:
             raise ValueError("min_inliers must not exceed min_matches")
 

@@ -2,8 +2,8 @@
 
 Scenes are piecewise-planar rooms carrying band-limited value-noise textures;
 views are rendered by exact ray-plane intersection, so depth maps and the
-epipolar geometry agree to machine precision. Two named domains with
-different texture statistics and camera motion emulate a domain shift.
+epipolar geometry agree to machine precision. The named domains of `DOMAINS`
+differ in texture statistics and camera motion to emulate a domain shift.
 `render_pair` renders a pair from two cameras; `sample_pair` draws the
 cameras of a pair index from the domain's pose sampler and calls it.
 
@@ -14,7 +14,7 @@ from disk equals its render bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -308,34 +308,37 @@ def gt_correspondence_grid(pair: RenderedPair, grid: GridSpec):
     return targets, points
 
 
+# Two visually distinct data distributions:
+# Domain A: fine, high-contrast texture, small handheld-like motion.
+# Domain B: coarse, low-contrast texture, larger drone-like motion, more noise.
+#
+# The domains differ in image gradient magnitude through their texture:
+# rendered noise-free, A's mean gradient is about 7-9x B's. At B's default
+# noise_sigma of 0.03, B's per-pixel gradient is mostly sensor noise
+# (Gaussian noise alone gives a mean gradient of about 0.886 * sigma).
+DOMAINS = {
+    "A": SceneSpec(
+        planes=room_planes(),
+        texture=TextureSpec(scales=(0.7, 0.35, 0.18), amplitudes=(0.45, 0.3, 0.25), contrast=0.95),
+        pose_sampler=PoseSampler(rot_range_deg=(2.0, 10.0), baseline_range=(0.15, 0.45), lookat_jitter_deg=3.0),
+        noise_sigma=0.01,
+        seed=0,
+    ),
+    "B": SceneSpec(
+        planes=room_planes(),
+        texture=TextureSpec(scales=(2.2, 1.1), amplitudes=(0.65, 0.35), contrast=0.35),
+        pose_sampler=PoseSampler(rot_range_deg=(4.0, 35.0), baseline_range=(0.2, 1.0), lookat_jitter_deg=6.0),
+        noise_sigma=0.03,
+        seed=0,
+    ),
+}
+
+
 def make_domain(name, seed=0) -> SceneSpec:
-    """Two visually distinct data distributions.
-
-    Domain A: fine, high-contrast texture, small handheld-like motion.
-    Domain B: coarse, low-contrast texture, larger drone-like motion, more noise.
-
-    The domains differ in image gradient magnitude through their texture:
-    rendered noise-free, A's mean gradient is about 7-9x B's. At B's default
-    noise_sigma of 0.03, B's per-pixel gradient is mostly sensor noise
-    (Gaussian noise alone gives a mean gradient of about 0.886 * sigma).
-    """
-    if name == "A":
-        return SceneSpec(
-            planes=room_planes(),
-            texture=TextureSpec(scales=(0.7, 0.35, 0.18), amplitudes=(0.45, 0.3, 0.25), contrast=0.95),
-            pose_sampler=PoseSampler(rot_range_deg=(2.0, 10.0), baseline_range=(0.15, 0.45), lookat_jitter_deg=3.0),
-            noise_sigma=0.01,
-            seed=seed,
-        )
-    if name == "B":
-        return SceneSpec(
-            planes=room_planes(),
-            texture=TextureSpec(scales=(2.2, 1.1), amplitudes=(0.65, 0.35), contrast=0.35),
-            pose_sampler=PoseSampler(rot_range_deg=(4.0, 35.0), baseline_range=(0.2, 1.0), lookat_jitter_deg=6.0),
-            noise_sigma=0.03,
-            seed=seed,
-        )
-    raise ValueError(f"unknown domain {name!r} (expected 'A' or 'B')")
+    """The DOMAINS entry `name`, seeded by `seed`."""
+    if name not in DOMAINS:
+        raise ValueError(f"unknown domain {name!r} (expected {' or '.join(map(repr, DOMAINS))})")
+    return replace(DOMAINS[name], seed=seed)
 
 
 def save_pair_file(path, pair: RenderedPair):

@@ -1,28 +1,34 @@
 import csv
 import json
 import re
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epimatch import cli
-from epimatch.cli import EVAL_RANSAC, _train_config, build_parser, main, parse_config_file
+from epimatch import cli, synth
+from epimatch.cli import EVAL_RANSAC, RECORDED, _train_config, build_parser, main, parse_config_file
 from epimatch.errors import write_arrays
 from epimatch.estimation import read_match_file, write_match_file
 from epimatch.geometry import Camera, CameraIntrinsics, RelativePose
 from epimatch.grid import GridSpec
 from epimatch.matcher import MatcherConfig, forward, init_params, load_checkpoint, save_checkpoint
 from epimatch.pipeline import BootstrapConfig, TrainConfig, pretrain_config
-from epimatch.synth import (gt_correspondence_grid, load_dataset, load_pair_file, make_domain, save_dataset,
-                            save_pair_file)
+from epimatch.synth import (gt_correspondence_grid, load_dataset, load_pair_file, make_domain, sample_pair,
+                            save_dataset, save_pair_file)
 
 from conftest import record_ends, write_pose_file
 
 # a matcher config other than the default: narrower embeddings and fine
 # window, and no confidence threshold
 OWN_CONFIG = MatcherConfig(d=8, d_fine=6, window_radius=2, match_threshold=0.0)
+
+
+def own_record(**change):
+    """OWN_CONFIG's checkpoint config record with `change` swapped in: a raw
+    tuple, since MatcherConfig itself refuses a bad value."""
+    return tuple({**asdict(OWN_CONFIG), **change}.values())
 
 
 @pytest.fixture
@@ -102,6 +108,28 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--domain", "Q", "--pairs", "1", "--out", "/tmp/x"])
         assert exc.value.code == 2
+
+    def test_a_domain_added_to_the_table_is_a_choice(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(synth.DOMAINS, "B2", replace(synth.DOMAINS["B"], noise_sigma=0.0))
+        assert main(["synth", "--domain", "B2", "--pairs", "1", "--seed", "0", "--out", str(tmp_path / "ds")]) == 0
+        save_pair_file(tmp_path / "expected.bin", sample_pair(make_domain("B2", seed=0), 0))
+        written, = (tmp_path / "ds" / "pairs").glob("*.bin")
+        assert written.read_bytes() == (tmp_path / "expected.bin").read_bytes()
+
+
+@pytest.mark.parametrize("command", RECORDED)
+def test_recorded_command_requires_out(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err.split("required: ")[1].strip().split(", ")
+
+
+def test_gradcheck_takes_no_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["gradcheck", "--out", "o"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out o" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,20 +363,20 @@ class TestMatchPoseEval:
         assert len(pred.fine_x2) > 10
         assert np.array_equal(fine_x2, pred.fine_x2)
 
-    @pytest.mark.parametrize("config, message", [
-        (MatcherConfig(), "weight shapes"),
-        (replace(OWN_CONFIG, window_radius=2.5), "checkpoint size fields must be whole numbers"),
-        (replace(OWN_CONFIG, window_radius=-1), "checkpoint sizes must be at least 1"),
-        (replace(OWN_CONFIG, fine_stride=0), "checkpoint sizes must be at least 1"),
-        (replace(OWN_CONFIG, match_threshold=np.nan), "checkpoint match_threshold must lie in [0, 1]"),
+    @pytest.mark.parametrize("record, message", [
+        (astuple(MatcherConfig()), "weight shapes"),
+        (own_record(window_radius=2.5), "checkpoint size fields must be whole numbers"),
+        (own_record(window_radius=-1), "checkpoint window_radius must be a whole number >= 0"),
+        (own_record(fine_stride=0), "checkpoint fine_stride must be a whole number >= 1"),
+        (own_record(match_threshold=np.nan), "checkpoint match_threshold must lie in [0, 1]"),
         (None, "not a file of 4 array records"),
     ], ids=["shapes", "whole_number", "negative_radius", "zero_stride", "nan_threshold", "three_records"])
     def test_match_refuses_a_checkpoint_that_disagrees_with_its_config(self, workspace, tmp_path, capsys,
-                                                                       config, message):
+                                                                       record, message):
         params = init_params(OWN_CONFIG, seed=3)
         records = [params.W_coarse, params.W_fine, (params.tau_coarse, params.tau_fine)]
         path = tmp_path / "bad.bin"
-        write_arrays(path, records + ([astuple(config)] if config else []))
+        write_arrays(path, records + ([record] if record else []))
         rc = main(["match", "--checkpoint", str(path), "--pair", str(workspace / "dsA" / "pairs" / "00000.bin"),
                    "--out", str(tmp_path / "m")])
         assert rc == 1

@@ -1,6 +1,6 @@
 import re
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -706,6 +706,24 @@ class TestSgdStep:
         assert (params.tau_coarse, params.tau_fine) == (_TAU_MIN, 10.0) == (5e-3, 10.0)
 
 
+class TestMatcherConfig:
+    # unchecked, fine_patch=0 gave NaN matches, fine_stride=0 a zero slice
+    # step, patch_width=0 a ZeroDivisionError, and d=0 or a threshold above 1
+    # silently gave no match
+    @pytest.mark.parametrize("change", [dict(fine_patch=0), dict(fine_stride=0), dict(patch_width=0), dict(d=0),
+                                        dict(window_radius=-1), dict(match_threshold=2.0), dict(d_fine=True)],
+                             ids=["fine_patch", "fine_stride", "patch_width", "d", "window_radius",
+                                  "match_threshold", "bool_size"])
+    def test_bad_config_is_refused_when_built(self, change):
+        with pytest.raises(ValueError, match=f"^{next(iter(change))} must "):
+            MatcherConfig(**change)
+
+    def test_config_is_frozen(self):
+        mcfg = MatcherConfig()
+        with pytest.raises(FrozenInstanceError):
+            mcfg.d = 8
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_params(SMALL, seed=5)
@@ -788,39 +806,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: weight shapes .* disagree with"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf])
-    def test_size_field_that_is_not_a_whole_number_is_refused(self, tmp_path, value):
+    def refused_record(self, tmp_path, change, message):
+        """Assert that MatcherConfig(**change) is refused, and that a
+        checkpoint whose config record is the default one with `change`
+        swapped in is refused on load with `message`, naming the file."""
+        with pytest.raises(ValueError):
+            MatcherConfig(**change)
         path = tmp_path / "params.bin"
         self.write_records(path, init_params(MatcherConfig(), seed=5),
-                           astuple(replace(MatcherConfig(), window_radius=value)))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint size fields must be whole"):
+                           tuple({**asdict(MatcherConfig()), **change}.values()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint {message}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf])
+    def test_size_field_that_is_not_a_whole_number_is_refused(self, tmp_path, value):
+        self.refused_record(tmp_path, dict(window_radius=value), "size fields must be whole numbers")
 
     @pytest.mark.parametrize("change", [dict(patch_width=0), dict(fine_patch=0), dict(fine_stride=0),
                                         dict(d=0), dict(d_fine=-2), dict(window_radius=-1)],
                              ids=["patch_width", "fine_patch", "fine_stride", "d", "d_fine", "window_radius"])
     def test_size_below_its_minimum_is_refused(self, tmp_path, change):
-        params = init_params(MatcherConfig(), seed=5)
-        bad = replace(MatcherConfig(), **change)
-        with pytest.raises(ValueError, match="checkpoint sizes must be at least 1 and window_radius at least 0"):
-            save_checkpoint(tmp_path / "refused.bin", params, bad)
-        assert not (tmp_path / "refused.bin").exists()
-        path = tmp_path / "params.bin"
-        self.write_records(path, params, astuple(bad))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint sizes must be at least 1"):
-            load_checkpoint(path)
+        (name, value), = change.items()
+        minimum = 0 if name == "window_radius" else 1
+        self.refused_record(tmp_path, change, f"{name} must be a whole number >= {minimum}, got {value}")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1, 1.5])
     def test_match_threshold_outside_the_unit_interval_is_refused(self, tmp_path, value):
-        params = init_params(MatcherConfig(), seed=5)
-        bad = replace(MatcherConfig(), match_threshold=value)
-        with pytest.raises(ValueError, match=r"checkpoint match_threshold must lie in \[0, 1\]"):
-            save_checkpoint(tmp_path / "refused.bin", params, bad)
-        assert not (tmp_path / "refused.bin").exists()
-        path = tmp_path / "params.bin"
-        self.write_records(path, params, astuple(bad))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint match_threshold must lie"):
-            load_checkpoint(path)
+        self.refused_record(tmp_path, dict(match_threshold=value), r"match_threshold must lie in \[0, 1\]")
 
     @pytest.mark.parametrize("change", [dict(window_radius=0), dict(match_threshold=0.0),
                                         dict(match_threshold=1.0)])

@@ -288,9 +288,19 @@ class TestConfigRangeChecks:
     def test_fractional_or_nan_count_is_refused(self, field):
         # range() would raise TypeError on these only once training starts
         for bad in (2.5, 1.5, float("nan"), 2.0):
-            with pytest.raises(ValueError, match="whole numbers"):
+            with pytest.raises(ValueError, match=f"{field} must be a whole number >="):
                 TrainConfig(**{field: bad})
         TrainConfig(**{field: np.int64(2)})
+
+    @pytest.mark.parametrize("kwargs", [dict(batch_size=True), dict(epochs=False)])
+    def test_bool_train_count_is_refused(self, kwargs):
+        # True and False are ints to isinstance, but no count is a bool
+        with pytest.raises(ValueError, match="whole number >="):
+            TrainConfig(**kwargs)
+
+    def test_bool_bootstrap_count_is_refused(self):
+        with pytest.raises(ValueError, match="whole number >= 0"):
+            BootstrapConfig(min_matches=True, min_inliers=False)
 
     @pytest.mark.parametrize("kwargs", [dict(min_matches=-5, min_inliers=-9), dict(min_inliers=-1),
                                         dict(min_matches=30.5), dict(min_inliers=1.5), dict(min_inliers=float("nan"))])
