@@ -29,7 +29,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .errors import EpimatchError
+from .errors import EpimatchError, check_count
 from .estimation import RansacConfig, estimate_relative_pose, read_match_file, write_match_file
 from .geometry import CameraIntrinsics, read_pose_file
 from .losses import LossConfig
@@ -113,11 +113,13 @@ def _file_settings(args):
 
 
 def _count(minimum):
-    """An argparse type: an int no less than `minimum`."""
+    """An argparse type: an int that passes check_count(minimum)."""
     def count(text):
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        try:
+            check_count("value", value, minimum)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return count
 

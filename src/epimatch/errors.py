@@ -1,8 +1,9 @@
 """Exception taxonomy, the one count rule (`check_count`) and the file readers.
 
 Pair files and checkpoints are record files: a sequence of float64 `.npy`
-records, written by `np.save` and read by `np.load` without pickling. Match
-and pose files are text files of whitespace-separated rows.
+records, written by `np.save` and read by `np.load` without pickling. Pose,
+match and dataset index files are text files of whitespace-separated rows,
+each read through `read_rows`.
 """
 
 import numbers
@@ -60,7 +61,7 @@ class NonFiniteLoss(EpimatchError):
 
 
 class EmptyDatasetAfterFilter(EpimatchError):
-    """Bootstrap filtering removed every training pair."""
+    """No training pair has a usable fundamental matrix."""
 
 
 class ZeroTranslation(EpimatchError):

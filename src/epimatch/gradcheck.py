@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -65,33 +66,22 @@ def matcher_suite(seed=0, h=1e-5, cfg=SUITE_CFG):
         pr, _ = forward(img1, img2, p, cfg, coarse_override=pins)
         return float(np.sum(G * pr.C)) + float(np.sum(g * pr.fine_x2))
 
-    worst = dict(coarse=0.0, fine=0.0)
-    for stage in worst:
-        arr, garr = getattr(params, f"W_{stage}"), getattr(grads, f"W_{stage}")
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + h
-            lp = loss_with(params)
-            arr[idx] = orig - h
-            lm = loss_with(params)
-            arr[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            denom = max(abs(fd), abs(garr[idx]), 1e-6)
-            worst[stage] = max(worst[stage], abs(garr[idx] - fd) / denom)
-            it.iternext()
-        attr = f"tau_{stage}"
-        orig, ganalytic = getattr(params, attr), getattr(grads, attr)
-        setattr(params, attr, orig + h)
+    def rel_err(put, orig, analytic):
+        put(orig + h)
         lp = loss_with(params)
-        setattr(params, attr, orig - h)
+        put(orig - h)
         lm = loss_with(params)
-        setattr(params, attr, orig)
+        put(orig)
         fd = (lp - lm) / (2 * h)
-        denom = max(abs(fd), abs(ganalytic), 1e-6)
-        worst[stage] = max(worst[stage], abs(ganalytic - fd) / denom)
-    return worst["coarse"], worst["fine"]
+        return abs(analytic - fd) / max(abs(fd), abs(analytic), 1e-6)
+
+    def worst(stage):
+        arr, garr = getattr(params, f"W_{stage}"), getattr(grads, f"W_{stage}")
+        tau = f"tau_{stage}"
+        errs = [rel_err(partial(arr.__setitem__, idx), arr[idx], garr[idx]) for idx in np.ndindex(arr.shape)]
+        return max(errs + [rel_err(partial(setattr, params, tau), getattr(params, tau), getattr(grads, tau))])
+
+    return worst("coarse"), worst("fine")
 
 
 def run_gradcheck(seed=0, d_epi_instances=1000, matcher_seeds=20):

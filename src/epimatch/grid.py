@@ -1,4 +1,5 @@
 """Coarse-grid bookkeeping shared by the losses, matcher and data generator.
+`GridSpec` alone decides which grid sizes are valid and which images fit one.
 
 Pixel (i, j) has its centre at continuous coordinates (u, v) = (j, i); rays
 are cast through integer coordinates. Coarse cell (r, c) covers the pixel
@@ -13,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import BadDimensions, check_count
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -21,8 +24,8 @@ class GridSpec:
     patch_width: int = 8
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1 or self.patch_width < 1:
-            raise ValueError("grid dimensions must be positive")
+        for name in ("rows", "cols", "patch_width"):
+            check_count(name, getattr(self, name), 1)
 
     @property
     def m(self):
@@ -36,7 +39,7 @@ class GridSpec:
     @staticmethod
     def for_image(height, width, patch_width=8):
         if height % patch_width or width % patch_width:
-            raise ValueError("image dimensions must be multiples of the patch width")
+            raise BadDimensions(f"image {height}x{width} not a multiple of patch width {patch_width}")
         return GridSpec(height // patch_width, width // patch_width, patch_width)
 
 

@@ -139,11 +139,8 @@ def extract_features(image, cfg: MatcherConfig) -> ImageFeatures:
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise BadDimensions("expected a 2D intensity grid")
-    H, W = image.shape
     w = cfg.patch_width
-    if H % w or W % w:
-        raise BadDimensions(f"image {H}x{W} not a multiple of patch width {w}")
-    grid = GridSpec.for_image(H, W, w)
+    grid = GridSpec.for_image(*image.shape, w)
     blocks = image.reshape(grid.rows, w, grid.cols, w).transpose(0, 2, 1, 3)
     coarse = _patch_rows(blocks.reshape(grid.m, w * w))
     fp, s = cfg.fine_patch, cfg.fine_stride

@@ -4,7 +4,8 @@ whole-dataset reports."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,6 +54,7 @@ class EvalReport:
     trans_auc10: float = 0.0
     trans_auc20: float = 0.0
     fine_dropped: int = 0  # coarse matches, over all pairs, that fail fine_in_bounds
+    failures: dict = field(default_factory=dict)  # reason -> failed pairs; sums to n_failed
 
     def to_json(self):
         """Strict JSON: a non-finite value (a median over no pose) is null."""
@@ -70,10 +72,11 @@ class EvalReport:
             f"{'  rotation':<16}{self.rot_auc5:>8.1f}{self.rot_auc10:>8.1f}{self.rot_auc20:>8.1f}\n"
             f"{'  translation':<16}{self.trans_auc5:>8.1f}{self.trans_auc10:>8.1f}{self.trans_auc20:>8.1f}"
         )
+        failed = ", ".join(f"{reason} {n}" for reason, n in self.failures.items())
         extra = (
             f"median rot {self.median_rot_deg:.2f} deg, median trans "
-            f"{self.median_trans_deg:.2f} deg, pairs {self.n_pairs}, failed {self.n_failed}, "
-            f"fine dropped {self.fine_dropped}"
+            f"{self.median_trans_deg:.2f} deg, pairs {self.n_pairs}, failed {self.n_failed}"
+            f"{f' ({failed})' if failed else ''}, fine dropped {self.fine_dropped}"
         )
         return "\n".join([header, row, split, extra])
 
@@ -148,9 +151,10 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
     Pairs with too few matches, a ground truth without an epipolar geometry
     (pure rotation) or failed estimation count as infinite pose error, in
     the rotation-only and translation-only AUCs too; the precision of a pair
-    without matches or without an epipolar geometry contributes 0.
+    without matches or without an epipolar geometry contributes 0. Failed
+    pairs count by reason: NoMatches, NotEnoughMatches or the exception's name.
     """
-    rots, trans = [], []  # per pair, inf where the pair failed
+    rots, trans, reasons = [], [], []  # per pair; rot and trans are inf where the pair failed
     precisions = []
     n_matches = []
     fine_dropped = 0
@@ -160,6 +164,7 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
         M = pred.fine_x2.shape[0]
         n_matches.append(M)
         precision, rot, tran = 0.0, np.inf, np.inf
+        reason = "NotEnoughMatches" if M else "NoMatches"
         try:
             if M:
                 precision = matching_precision(pred.fine_x1, pred.fine_x2, pair.pose, pair.K, pair.K,
@@ -168,8 +173,9 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
                 est, _ = estimate_relative_pose(pred.fine_x1, pred.fine_x2, pair.K, pair.K, ransac_cfg)
                 err = pose_error(pair.pose, est)
                 rot, tran = err.rotation_deg, err.translation_deg
-        except (EpimatchError, np.linalg.LinAlgError):
-            pass
+        except (EpimatchError, np.linalg.LinAlgError) as exc:
+            reason = type(exc).__name__
+        reasons.append(reason)
         precisions.append(precision)
         rots.append(rot)
         trans.append(tran)
@@ -191,4 +197,5 @@ def evaluate(params: MatcherParams, dataset, ransac_cfg: RansacConfig, mcfg: Mat
         mean_matches=float(np.mean(n_matches)) if n_matches else 0.0,
         **split,
         fine_dropped=fine_dropped,
+        failures=dict(sorted(Counter(r for r, good in zip(reasons, ok) if not good).items())),
     )

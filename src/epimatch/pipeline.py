@@ -318,8 +318,6 @@ def bootstrap_finetune(dataset_b, params0: MatcherParams, cfg: TrainConfig, bcfg
     """Estimate F per pair once up-front, then finetune against those
     estimates."""
     f_list, report = bootstrap_fundamentals(dataset_b, params0, bcfg, mcfg)
-    if report["kept"] == 0:
-        raise EmptyDatasetAfterFilter("bootstrap filter removed every pair")
     params, history = finetune_pose_supervised(
         dataset_b, params0, cfg, mcfg, replay_pairs=replay_pairs,
         replay_gts=replay_gts, fundamentals=f_list)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegeneratePose, read_arrays, write_arrays
+from .errors import DegeneratePose, read_arrays, read_rows, write_arrays
 from .geometry import (
     Camera,
     CameraIntrinsics,
@@ -358,29 +358,16 @@ def load_pair_file(path) -> RenderedPair:
 
 
 def save_dataset(spec: SceneSpec, n, out_dir):
-    """Write pairs/NNNNN.bin plus index.txt; returns the pair list."""
+    """Write pairs/NNNNN.bin plus index.txt."""
     out = Path(out_dir)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
-    pairs = []
     with open(out / "index.txt", "w") as idx:
         for i in range(n):
-            pair = sample_pair(spec, i)
             name = f"pairs/{i:05d}.bin"
-            save_pair_file(out / name, pair)
+            save_pair_file(out / name, sample_pair(spec, i))
             idx.write(f"{i} {name}\n")
-            pairs.append(pair)
-    return pairs
 
 
 def load_dataset(dir_path):
     root = Path(dir_path)
-    pairs = []
-    with open(root / "index.txt") as idx:
-        for lineno, line in enumerate(idx, 1):
-            fields = line.strip().split(maxsplit=1)
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ValueError(f"{idx.name}:{lineno}: expected 2 fields per index line, got {len(fields)}")
-            pairs.append(load_pair_file(root / fields[1]))
-    return pairs
+    return [load_pair_file(root / name) for _, (_, name), _ in read_rows(root / "index.txt", 2, "index", labels=2)]

@@ -144,8 +144,17 @@ def test_count_below_its_minimum_is_a_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
-    assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+    assert f"argument {argv[-2]}: value must be a whole number >= " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_count_flags_and_config_counts_share_one_text(tmp_path, capsys):
+    save_dataset(make_domain("A", seed=0), 0, tmp_path / "empty")
+    assert main(["pretrain", "--data", str(tmp_path / "empty"), "--epochs", "-1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error[ValueError]: epochs must be a whole number >= 0, got -1\n"
+    with pytest.raises(SystemExit):
+        main(["synth", "--domain", "A", "--pairs", "0", "--out", str(tmp_path / "o")])
+    assert "--pairs: value must be a whole number >= 1, got 0\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epimatch.errors import BadDimensions
 from epimatch.grid import GridSpec
 
 
@@ -24,3 +25,16 @@ class TestCellCenters:
         assert not centers.flags.writeable
         with pytest.raises(ValueError):
             centers[0, 0] = 1.0
+
+
+class TestGridRule:
+    @pytest.mark.parametrize("dims", [(0, 4, 8), (4, 0, 8), (4, 4, 0), (True, 4, 8), (4.0, 4, 8)],
+                             ids=["rows=0", "cols=0", "patch_width=0", "bool rows", "float rows"])
+    def test_grid_size_must_be_a_whole_number_of_at_least_one(self, dims):
+        with pytest.raises(ValueError, match="must be a whole number >= 1"):
+            GridSpec(*dims)
+
+    @pytest.mark.parametrize("shape", [(30, 32), (32, 30)])
+    def test_image_off_the_patch_width_is_bad_dimensions(self, shape):
+        with pytest.raises(BadDimensions, match=f"^image {shape[0]}x{shape[1]} not a multiple of patch width 8$"):
+            GridSpec.for_image(*shape, 8)

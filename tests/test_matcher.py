@@ -154,7 +154,7 @@ class TestExtractFeatures:
                 assert np.allclose(a, b)
 
     def test_bad_dimensions(self):
-        with pytest.raises(errors.BadDimensions):
+        with pytest.raises(errors.BadDimensions, match="^image 30x32 not a multiple of patch width 8$"):
             extract_features(np.zeros((30, 32)), SMALL)
 
 

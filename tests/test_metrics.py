@@ -330,9 +330,37 @@ class TestEvaluate:
         if counted:
             report = evaluate(params, pairs, RansacConfig(seed=0), MCFG)
             assert report.n_failed == 2 and report.mean_matches == 10
+            assert report.failures == {exc.__name__: 2}
         else:
             with pytest.raises(exc):
                 evaluate(params, pairs, RansacConfig(seed=0), MCFG)
+
+    def test_failures_are_counted_by_reason(self, monkeypatch):
+        # no match, too few for a sample, an injected NoValidHypothesis, and
+        # one pair whose estimate succeeds
+        import json
+
+        from epimatch import metrics
+        from epimatch.synth import make_domain, sample_pair
+
+        pairs = [sample_pair(make_domain("B", seed=3), i) for i in range(4)]
+        x = np.random.default_rng(0).uniform(8.0, 56.0, (10, 2))
+        preds = iter([SimpleNamespace(fine_x1=x[:m], fine_x2=x[:m] + 1.0, dropped=0) for m in (0, 5, 10, 10)])
+        monkeypatch.setattr(metrics, "forward", lambda *args, **kwargs: (next(preds), None))
+        poses = iter(pairs[2:])
+
+        def estimate(*args, **kwargs):
+            pose = next(poses).pose
+            if pose is pairs[2].pose:
+                raise errors.NoValidHypothesis("injected")
+            return pose, None
+
+        monkeypatch.setattr(metrics, "estimate_relative_pose", estimate)
+        report = evaluate(init_params(MCFG, seed=0), pairs, RansacConfig(seed=0), MCFG)
+        want = {"NoMatches": 1, "NotEnoughMatches": 1, "NoValidHypothesis": 1}
+        assert report.failures == want and sum(report.failures.values()) == report.n_failed == 3
+        assert json.loads(report.to_json())["failures"] == want
+        assert "failed 3 (NoMatches 1, NoValidHypothesis 1, NotEnoughMatches 1), " in report.to_table()
 
     def test_pure_rotation_pair_fails_with_precision_zero(self):
         # synth renders a pure rotation; the pair has no epipolar geometry,
@@ -352,5 +380,6 @@ class TestEvaluate:
         report = evaluate(params, [rotation, other], cfg, mcfg)
         alone = evaluate(params, [other], cfg, mcfg)
         assert report.n_pairs == 2 and report.n_failed == alone.n_failed + 1
+        assert report.failures["DegenerateBaseline"] == alone.failures.get("DegenerateBaseline", 0) + 1
         assert report.precision == alone.precision / 2
         assert report.mean_matches > alone.mean_matches / 2

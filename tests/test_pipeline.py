@@ -543,7 +543,7 @@ class TestBootstrap:
         a, b = tiny_data
         cfg = TrainConfig(epochs=1, seed=0)
         bcfg = BootstrapConfig(min_matches=10_000, min_inliers=1)
-        with pytest.raises(errors.EmptyDatasetAfterFilter):
+        with pytest.raises(errors.EmptyDatasetAfterFilter, match="^no pair has a usable fundamental matrix$"):
             bootstrap_finetune(b, warm_params, cfg, bcfg, MCFG, replay_pairs=a)
 
     def test_paper_preset_values(self):
